@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,77 +134,17 @@ def weyl_leading(n: int, volume: float) -> float:
     return (2.0 * math.pi) ** (-n) * unit_ball_volume(n) * volume
 
 
-def _sphere_quadrature(n: int, integrand, panels: int = 8, order: int = 12) -> float:
-    """Integral over the unit sphere S^(n-1) by a composite product rule."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-
-    def panel_rule(lo, hi):
-        out = []
-        width = (hi - lo) / panels
-        for p in range(panels):
-            a = lo + p * width
-            mid = a + 0.5 * width
-            for t, w in zip(nodes, weights):
-                out.append((mid + 0.5 * width * t, 0.5 * width * w))
-        return out
-
-    theta_rule = panel_rule(0.0, 2.0 * math.pi)
-    if n == 2:
-        return sum(w * integrand((math.cos(t), math.sin(t))) for t, w in theta_rule)
-    phi_rule = panel_rule(0.0, math.pi)
-    if n == 3:
-        total = 0.0
-        for p, wp in phi_rule:
-            sp = math.sin(p)
-            for t, wt in theta_rule:
-                xi = (sp * math.cos(t), sp * math.sin(t), math.cos(p))
-                total += wp * wt * sp * integrand(xi)
-        return total
-    if n == 4:
-        total = 0.0
-        for p1, w1 in phi_rule:
-            s1 = math.sin(p1)
-            for p2, w2 in phi_rule:
-                s2 = math.sin(p2)
-                for t, wt in theta_rule:
-                    xi = (
-                        s1 * s2 * math.cos(t),
-                        s1 * s2 * math.sin(t),
-                        s1 * math.cos(p2),
-                        math.cos(p1),
-                    )
-                    total += w1 * w2 * wt * s1 * s1 * s2 * integrand(xi)
-        return total
-    raise DomainError(f"sphere quadrature supports n <= 4, got {n}")
-
-
 def kozlov_coefficient(n: int, m: int, r: int, volume: float) -> float:
     """Leading coefficient of the counting asymptotics for the form pencil
     with isotropic symbols |xi|^(2m) over |xi|^(2r).
 
     On the unit sphere the symbol ratio is identically one, so the closed
     form collapses to the same (2 pi)^-n v_n |Omega| as the second-order
-    counting coefficient; the sphere integral is still evaluated by
-    quadrature as a self-check, to 1e-8.
+    counting coefficient, for every m > r >= 0.
     """
     if not (m > r >= 0):
         raise ValueError(f"need m > r >= 0, got m={m}, r={r}")
-    if volume <= 0.0:
-        raise ValueError(f"volume {volume} <= 0")
-    eta = 2 * (m - r)
-    power = n / eta
-
-    def integrand(xi):
-        norm_sq = sum(c * c for c in xi)
-        return (norm_sq**r / norm_sq**m) ** power
-
-    closed = volume * n * unit_ball_volume(n) / (n * (2.0 * math.pi) ** n)
-    quad = volume * _sphere_quadrature(n, integrand) / (n * (2.0 * math.pi) ** n)
-    if abs(quad - closed) > 1e-8 * max(abs(closed), 1.0):
-        raise AssertionError(
-            f"sphere quadrature self-check failed: {quad!r} vs {closed!r}"
-        )
-    return closed
+    return weyl_leading(n, volume)
 
 
 def two_term_ball_coefficients(n: int, radius: float, which: str):

@@ -22,7 +22,7 @@ NotPSD = NotPositiveSemidefinite
 
 
 class NoConvergence(KreinspecError):
-    """Eigenvalue iteration exceeded its sweep budget."""
+    """The symmetric eigensolver failed to converge."""
 
 
 class RankDeficientBasis(KreinspecError):

@@ -31,7 +31,7 @@ projector onto A^(1/2) D, validates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .errors import (
     SingularDecomposition,
 )
 from .linalg import (
-    EigenDecomposition,
     SymMatrix,
     cholesky,
     gen_sym_eigen,
@@ -170,39 +169,13 @@ def _mgs_orthonormalize(columns: np.ndarray, rel_floor: float):
     return basis[:, :size], kept
 
 
-def _orthonormal_complement(basis: np.ndarray, profile: ToleranceProfile) -> np.ndarray:
-    """Extend orthonormal columns to a full basis; return the new columns.
+def _orthonormal_complement(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of orthonormal `basis`.
 
-    Deterministic: coordinate vectors are tried in order and kept when their
-    part orthogonal to everything so far is non-negligible.  Some coordinate
-    vector always has orthogonal mass at least 1/sqrt(N), so the 1e-2
-    acceptance floor cannot exhaust the candidates at these sizes.
+    The trailing columns of a complete Householder QR: exactly orthogonal to
+    the basis up to rounding, at every size.
     """
-    n, d = basis.shape
-    want = n - d
-    if want == 0:
-        return np.empty((n, 0))
-    out = np.empty((n, want))
-    size = 0
-    for j in range(n):
-        if size == want:
-            break
-        v = np.zeros(n)
-        v[j] = 1.0
-        for _ in range(2):
-            v -= basis @ (basis.T @ v)
-            if size:
-                v -= out[:, :size] @ (out[:, :size].T @ v)
-        nv = math.sqrt(float(v @ v))
-        if nv < 1e-2:
-            continue
-        out[:, size] = v / nv
-        size += 1
-    if size != want:
-        raise SingularDecomposition(
-            f"complement construction found {size} of {want} directions"
-        )
-    return out
+    return np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
 
 
 def new_model(a, raw_basis, profile: ToleranceProfile = DEFAULT) -> ExtensionModel:
@@ -254,11 +227,11 @@ def adjoint_kernel(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -
     range_basis, kept = _mgs_orthonormalize(aq, model.ambient_dim * profile.rank_rel)
     if len(kept) != model.domain_dim:
         raise SingularDecomposition("A maps the domain to a rank-deficient set")
-    return _orthonormal_complement(range_basis, profile)
+    return _orthonormal_complement(range_basis)
 
 
 def _extension_from_action(span: np.ndarray, images: np.ndarray,
-                           profile: ToleranceProfile, norm_scale: float) -> np.ndarray:
+                           profile: ToleranceProfile) -> np.ndarray:
     """The matrix sending span[:, j] to images[:, j], via normal equations.
 
     Raises SingularDecomposition when the spanning set is numerically rank
@@ -292,7 +265,7 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
     kernel = adjoint_kernel(model, profile)
     span = np.concatenate((q, kernel), axis=1)
     images = np.concatenate((a @ q, np.zeros_like(kernel)), axis=1)
-    piecewise = _extension_from_action(span, images, profile, model.A.norm_max)
+    piecewise = _extension_from_action(span, images, profile)
     piecewise = 0.5 * (piecewise + piecewise.T)
 
     root = spd_sqrt(model.A, profile).array
@@ -354,7 +327,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
     if p:
         coeffs = kernel.T @ w                      # W in kernel coordinates
         eta_coeff = _orthonormal_complement(
-            _mgs_orthonormalize(coeffs, profile.rank_rel)[0], profile
+            _mgs_orthonormalize(coeffs, profile.rank_rel)[0]
         )
         eta = kernel @ eta_coeff
     else:
@@ -372,7 +345,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
         pieces_img.append(eta)
     span = np.concatenate(pieces_span, axis=1)
     images = np.concatenate(pieces_img, axis=1)
-    matrix = _extension_from_action(span, images, profile, model.A.norm_max)
+    matrix = _extension_from_action(span, images, profile)
 
     sym_defect = max_norm(matrix - matrix.T)
     matrix = 0.5 * (matrix + matrix.T)
@@ -425,37 +398,27 @@ def reduced_krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) ->
     )
 
 
-def _power_of_two_rescaled(model: ExtensionModel):
-    """Model with A divided by a power of two near its norm, plus that scale.
+def _pencil(model: ExtensionModel):
+    """The scale s, and A Q, Q^T A^2 Q and Q^T A Q for the rescaled A / s.
 
-    Every construction here is exactly homogeneous in A, and dividing by a
-    power of two is exact in IEEE arithmetic, so working at unit scale and
-    scaling results back commits no extra rounding.  This matters for the
-    pencil: squaring A at physical scale (discretizations carry 1/h^2)
-    otherwise buries the small eigenvalues in assembly noise.
+    s is a power of two near max|A|.  Every construction here is exactly
+    homogeneous in A, and dividing by a power of two is exact in IEEE
+    arithmetic, so working at unit scale and scaling results back commits no
+    extra rounding.  This matters for the pencil: squaring A at physical
+    scale (discretizations carry 1/h^2) otherwise buries the small
+    eigenvalues in assembly noise.
     """
     norm = model.A.norm_max
-    if norm == 0.0:
-        return model, 1.0
-    scale = float(2.0 ** math.frexp(norm)[1])
-    if scale == 1.0:
-        return model, 1.0
-    tilde = ExtensionModel(
-        A=SymMatrix(model.A.array / scale),
-        domain_basis=model.domain_basis,
-        epsilon=model.epsilon / scale,
-    )
-    return tilde, scale
+    scale = float(2.0 ** math.frexp(norm)[1]) if norm else 1.0
+    q = model.domain_basis
+    aq = (model.A.array / scale) @ q
+    return scale, aq, SymMatrix(aq.T @ aq), SymMatrix(q.T @ aq)
 
 
 def pencil_values(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
     """Ascending eigenvalues of the compressed pencil Q^T A^2 Q u = l Q^T A Q u."""
-    tilde, scale = _power_of_two_rescaled(model)
-    q = tilde.domain_basis
-    aq = tilde.A.array @ q
-    g_a = aq.T @ aq
-    g_b = q.T @ aq
-    return scale * gen_sym_eigen_values(SymMatrix(g_a), SymMatrix(g_b), profile)
+    scale, _, g_a, g_b = _pencil(model)
+    return scale * gen_sym_eigen_values(g_a, g_b, profile)
 
 
 def buckling_analysis(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> BucklingReport:
@@ -468,13 +431,8 @@ def buckling_analysis(model: ExtensionModel, profile: ToleranceProfile = DEFAULT
                            the T operator expressed in the isometry basis
       reciprocal_spectrum  eigenvalues of T against reciprocal pencil values
     """
-    tilde, scale = _power_of_two_rescaled(model)
-    a = tilde.A.array
-    q = tilde.domain_basis
-    d = tilde.domain_dim
-    aq = a @ q
-    g_a = SymMatrix(aq.T @ aq)
-    g_b = SymMatrix(q.T @ aq)
+    scale, aq, g_a, g_b = _pencil(model)
+    d = model.domain_dim
     pencil = gen_sym_eigen(g_a, g_b, profile)
     values = scale * pencil.values
 

@@ -1,19 +1,16 @@
 """Dense symmetric linear algebra used by every other module.
 
-The eigensolver is the classical pair: Householder reduction to tridiagonal
-form followed by implicit-shift QL sweeps.  That route is O(order^3) with a
-predictable constant, is deterministic for a fixed input (no randomized
-pivoting anywhere), and is accurate enough for orders up to a few thousand,
-which is all this library ever builds.
-
-Numpy supplies storage and BLAS-level products; all factorizations are
-written out here.
+The factorizations are numpy's LAPACK-backed routines: eigh (syevd),
+cholesky (potrf) and solve (gesv).  This module adds the library's contracts
+around them: exactly symmetric input, ascending eigenvalues, the Cholesky
+pivot floor, the PSD clamp of the square root, and typed errors in place of
+LinAlgError.  The Sturm count for symmetric tridiagonals is written out
+here, because radial bisection needs one count at a time.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,204 +90,66 @@ class EigenDecomposition:
 
 
 def cholesky(s, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
-    """Lower-triangular L with L L^T = S, hand-rolled column by column.
+    """Lower-triangular L with L L^T = S, from LAPACK through numpy.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    order * cholesky_pivot_rel * max|S|: for this library that always means
-    an invalid pencil or model rather than a borderline matrix.
+    Raises NotPositiveDefinite when LAPACK breaks down or when a pivot
+    diag(L)^2 falls at or below order * cholesky_pivot_rel * max|S|: for
+    this library that always means an invalid pencil or model rather than a
+    borderline matrix.
     """
     a = _as_sym_array(s)
-    n = a.shape[0]
-    floor = n * profile.cholesky_pivot_rel * max_norm(a)
-    low = np.zeros_like(a)
-    for j in range(n):
-        row = low[j, :j]
-        pivot = a[j, j] - row @ row
-        if pivot <= floor or not math.isfinite(pivot):
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} below floor {floor:.3e}"
-            )
-        ljj = math.sqrt(pivot)
-        low[j, j] = ljj
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ row) / ljj
+    floor = a.shape[0] * profile.cholesky_pivot_rel * max_norm(a)
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from None
+    pivots = np.diagonal(low) ** 2
+    bad = np.flatnonzero(~(pivots > floor))
+    if bad.size:
+        j = int(bad[0])
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at column {j} below floor {floor:.3e}"
+        )
     return low
-
-
-def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve low @ x = b for lower-triangular low; b may have many columns."""
-    b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == 1
-    x = np.array(b, dtype=float, copy=True).reshape(b.shape[0], -1)
-    for i in range(low.shape[0]):
-        if i:
-            x[i] -= low[i, :i] @ x[:i]
-        x[i] /= low[i, i]
-    return x[:, 0] if squeeze else x
-
-
-def _backward_solve_t(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve low.T @ x = b."""
-    b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == 1
-    x = np.array(b, dtype=float, copy=True).reshape(b.shape[0], -1)
-    n = low.shape[0]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= low[i + 1:, i] @ x[i + 1:]
-        x[i] /= low[i, i]
-    return x[:, 0] if squeeze else x
 
 
 def solve_cholesky(low: np.ndarray, b) -> np.ndarray:
     """Solve (L L^T) x = b given the factor from cholesky()."""
-    return _backward_solve_t(low, _forward_solve(low, b))
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
-def _householder_tridiagonalize(a: np.ndarray, want_q: bool):
-    """Reduce symmetric a to tridiagonal (d, e) with accumulated transform q.
-
-    Returns (d, e, q) with q @ T @ q.T = a when want_q, else q is None.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    q = np.eye(n) if want_q else None
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        xnorm = math.sqrt(float(x @ x))
-        if xnorm == 0.0 or float(np.abs(x[1:]).sum()) == 0.0:
-            continue
-        alpha = -math.copysign(xnorm, x[0]) if x[0] != 0.0 else -xnorm
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = math.sqrt(float(v @ v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # two-sided reflector on the trailing block, as one rank-2 GEMM:
-        # B <- B - 2(v u^T + u v^T) with u = Bv - (v^T B v) v
-        block = a[k + 1:, k + 1:]
-        w = block @ v
-        u = w - (v @ w) * v
-        left = np.stack((v, u), axis=1)
-        right = np.stack((u, v), axis=0)
-        block -= 2.0 * (left @ right)
-        a[k + 1, k] = alpha
-        a[k + 2:, k] = 0.0
-        a[k, k + 1] = alpha
-        a[k, k + 2:] = 0.0
-        if want_q:
-            cols = q[:, k + 1:]
-            cols -= np.outer(2.0 * (cols @ v), v)
-    d = np.diagonal(a).copy()
-    e = np.diagonal(a, offset=-1).copy()
-    return d, e, q
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z, max_sweeps: int = 50):
-    """Implicit-shift QL on a tridiagonal (d, e); rotations applied to z.
-
-    d is modified in place into the eigenvalues (unsorted); z, when given,
-    accumulates the rotations column-wise.  Raises NoConvergence after
-    max_sweeps sweeps for a single eigenvalue.
-
-    Rotations are applied to the rows of the transposed vector matrix so the
-    two touched vectors are contiguous, one small product per rotation.
-    """
-    n = d.size
-    if n == 1:
-        return d
-    e = np.append(e, 0.0)
-    if z is not None:
-        zt = np.ascontiguousarray(z.T)
-        rot = np.empty((2, 2))
-        buf = np.empty((2, n))
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise NoConvergence(
-                    f"QL iteration for eigenvalue {l} exceeded {max_sweeps} sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:
-                    rot[0, 0] = c
-                    rot[0, 1] = -s
-                    rot[1, 0] = s
-                    rot[1, 1] = c
-                    np.matmul(rot, zt[i:i + 2], out=buf)
-                    zt[i:i + 2] = buf
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    if z is not None:
-        z[:] = zt.T
-    return d
+def _eigh(a: np.ndarray):
+    """LAPACK eigh; a failure or a non-finite result raises NoConvergence."""
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise NoConvergence("symmetric eigensolver returned non-finite eigenvalues")
+    return values, vectors
 
 
 def sym_eigen(s, profile: ToleranceProfile = DEFAULT) -> EigenDecomposition:
-    """Eigenvalues and orthonormal eigenvectors of a symmetric matrix.
-
-    Householder tridiagonalization followed by implicit-shift QL; fully
-    deterministic, values returned ascending.
-    """
-    a = _as_sym_array(s)
-    d, e, q = _householder_tridiagonalize(a, want_q=True)
-    _ql_implicit(d, e, q)
-    order = np.argsort(d, kind="stable")
-    return EigenDecomposition(values=d[order], vectors=q[:, order])
+    """Eigenvalues (ascending) and orthonormal eigenvectors, by LAPACK syevd."""
+    values, vectors = _eigh(_as_sym_array(s))
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def sym_eigen_values(s) -> np.ndarray:
-    """Eigenvalues only (same method as sym_eigen, skips vector updates)."""
-    a = _as_sym_array(s)
-    d, e, _ = _householder_tridiagonalize(a, want_q=False)
-    _ql_implicit(d, e, None)
-    return np.sort(d, kind="stable")
+    """Eigenvalues only, ascending.
+
+    Runs the same driver as sym_eigen, so the two agree bitwise; eigvalsh
+    differs in the last bits.
+    """
+    return _eigh(_as_sym_array(s))[0]
 
 
-def tridiagonal_eigen(diag, offdiag, want_vectors: bool = False):
-    """QL on an explicitly tridiagonal matrix, skipping the reduction step."""
-    d = np.array(diag, dtype=float, copy=True)
-    e = np.array(offdiag, dtype=float, copy=True)
-    z = np.eye(d.size) if want_vectors else None
-    _ql_implicit(d, e, z)
-    order = np.argsort(d, kind="stable")
-    if want_vectors:
-        return EigenDecomposition(values=d[order], vectors=z[:, order])
-    return d[order]
+def _reduce_pencil(a_pen, b_pen, profile: ToleranceProfile):
+    """Cholesky factor L of B and the symmetric C = L^-1 A L^-T."""
+    low = cholesky(b_pen, profile)
+    y = np.linalg.solve(low, _as_sym_array(a_pen))
+    c = np.linalg.solve(low, y.T)
+    return low, 0.5 * (c + c.T)
 
 
 def gen_sym_eigen(a_pen, b_pen, profile: ToleranceProfile = DEFAULT) -> EigenDecomposition:
@@ -300,24 +159,15 @@ def gen_sym_eigen(a_pen, b_pen, profile: ToleranceProfile = DEFAULT) -> EigenDec
     the ordinary symmetric problem L^-1 A L^-T, and eigenvectors are mapped
     back through L^-T, which makes them B-orthonormal.
     """
-    a = _as_sym_array(a_pen)
-    low = cholesky(b_pen, profile)
-    y = _forward_solve(low, a)
-    c = _forward_solve(low, y.T)
-    c = 0.5 * (c + c.T)
+    low, c = _reduce_pencil(a_pen, b_pen, profile)
     eig = sym_eigen(c, profile)
-    vectors = _backward_solve_t(low, eig.vectors)
+    vectors = np.linalg.solve(low.T, eig.vectors)
     return EigenDecomposition(values=eig.values, vectors=vectors)
 
 
 def gen_sym_eigen_values(a_pen, b_pen, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
     """Pencil eigenvalues only; same reduction as gen_sym_eigen."""
-    a = _as_sym_array(a_pen)
-    low = cholesky(b_pen, profile)
-    y = _forward_solve(low, a)
-    c = _forward_solve(low, y.T)
-    c = 0.5 * (c + c.T)
-    return sym_eigen_values(c)
+    return sym_eigen_values(_reduce_pencil(a_pen, b_pen, profile)[1])
 
 
 def spd_sqrt(s, profile: ToleranceProfile = DEFAULT) -> SymMatrix:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError
+from .errors import BracketFailure, DomainError
 from .special import tan_fixed_point, bessel_zero, bessel_j
 from .tolerances import DEFAULT, ToleranceProfile
 
@@ -136,7 +136,7 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
         m += 1
     vals = vals[:count]
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise AssertionError("even/odd eigenvalue branches failed to alternate")
+        raise BracketFailure("even/odd eigenvalue branches failed to alternate")
     return Spectrum(
         entries=tuple((v, 1) for v in vals),
         kernel_dim=2,

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from kreinspec.errors import NonMonotoneError, UnsupportedChannel
+from kreinspec.errors import ConstructionMismatch, NonMonotoneError, UnsupportedChannel
 from kreinspec import discretize as dz
 from kreinspec import extensions as ext
 from kreinspec.linalg import max_norm, sym_eigen_values
@@ -194,6 +195,27 @@ class TestRadialPencil:
         assert abs(with_zero[0]) <= 1e-8
         assert with_zero[1] == pytest.approx(without[0], rel=1e-12)
 
+    @pytest.mark.parametrize("m", [16, 100, 800])
+    def test_zero_mode_check_accepts_every_channel(self, m):
+        for n in (2, 3, 4):
+            for ell in range(5):
+                if (n, ell) != (2, 0):
+                    spec = dz.RadialChannelSpec(n, ell, 1.0, m, "krein")
+                    assert dz.radial_eigenvalues(spec, 1)[0] > 0.0
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5, 1.0])
+    def test_zero_mode_check_rejects_wrong_soft_row(self, monkeypatch, shift):
+        spec = dz.RadialChannelSpec(3, 4, 1.0, 100, "krein")
+        good = dz.radial_pencil(spec)
+        h = spec.radius / spec.m
+        alpha = (spec.ell + (spec.n - 1) / 2.0 + shift) / spec.radius
+        diag = good.diagonal.copy()
+        diag[-1] = (1.0 - h * alpha) / (h * h) + 0.5 * spec.coefficient / spec.radius**2
+        bad = dataclasses.replace(good, diagonal=diag)
+        monkeypatch.setattr(dz, "radial_pencil", lambda s: bad)
+        with pytest.raises(ConstructionMismatch):
+            dz.radial_eigenvalues(spec, 1)
+
     def test_nonzero_eigenvalues_positive(self):
         for (n, l, bc) in ((3, 0, "krein"), (2, 1, "krein"), (4, 2, "dirichlet")):
             ev = dz.radial_eigenvalues(dz.RadialChannelSpec(n, l, 1.0, 200, bc), 4)
@@ -217,6 +239,16 @@ class TestConvergenceOrder:
 
         rep = dz.convergence_order(run, (100, 200, 400), 4.0)
         assert 0.9 <= rep.order <= 2.5
+
+    def test_runs_each_size_once(self):
+        calls = []
+
+        def run(m):
+            calls.append(m)
+            return 1.0 + 1.0 / (m + 1) ** 2
+
+        dz.convergence_order(run, (100, 200, 400), 1.0)
+        assert sorted(calls) == [100, 200, 400]
 
     def test_non_monotone_raises(self):
         calls = {100: 1.0, 200: 1.5, 400: 1.2}

@@ -199,6 +199,12 @@ class TestBuckling:
         rep = ext.buckling_analysis(ext.random_model(3, 24, 20))
         assert all(r <= 1e-9 for r in rep.residuals.values())
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_full_size_random_residuals(self, seed):
+        # seeds whose pencils once defeated a 50-sweep QL eigensolver
+        rep = ext.buckling_analysis(ext.random_model(seed, 200, 150))
+        assert all(r < 1e-7 for r in rep.residuals.values())
+
     def test_report_invariants(self):
         m = ext.random_model(13, 12, 7)
         rep = ext.buckling_analysis(m)

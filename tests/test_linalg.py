@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kreinspec.errors import NotPositiveDefinite, NotPositiveSemidefinite
+from kreinspec.errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite
 from kreinspec import linalg as la
 
 
@@ -34,6 +34,12 @@ class TestCholesky:
         # second pivot 1 - 4 < 0
         with pytest.raises(NotPositiveDefinite):
             la.cholesky([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_pivot_below_floor_raises(self):
+        # LAPACK factors diag(1, 1e-15), but its second pivot is below
+        # order * cholesky_pivot_rel * max|S| = 2e-14
+        with pytest.raises(NotPositiveDefinite, match="column 1"):
+            la.cholesky(np.diag([1.0, 1e-15]))
 
     def test_reconstruction_bound(self):
         rng = np.random.default_rng(42)
@@ -71,6 +77,12 @@ class TestSymEigen:
         rng = np.random.default_rng(7)
         s = rand_sym(rng, 40)
         np.testing.assert_array_equal(la.sym_eigen(s).values, la.sym_eigen_values(s))
+
+    def test_non_finite_input_raises(self):
+        s = [[1.0, np.nan], [np.nan, 1.0]]
+        for solve in (la.sym_eigen, la.sym_eigen_values):
+            with pytest.raises(NoConvergence):
+                solve(s)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
@@ -187,6 +199,6 @@ class TestSturmCount:
         rng = np.random.default_rng(n + 1)
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
-        vals = la.tridiagonal_eigen(d, e)
+        vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         for lam in rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, size=20):
             assert la.sturm_count(d, e, lam) == int(np.sum(vals < lam))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kreinspec.errors import DomainError
+from kreinspec.errors import BracketFailure, DomainError
 from kreinspec import spectra as spx
 from kreinspec.spectra import BallSpec, IntervalSpec
 
@@ -59,6 +59,12 @@ class TestIntervalKrein:
                 assert v == pytest.approx((2 * m * PI / length) ** 2, rel=1e-13)
             else:
                 assert (2 * m * PI / length) ** 2 < v < (2 * (m + 1) * PI / length) ** 2
+
+    def test_broken_alternation_raises(self, monkeypatch):
+        # a root outside (m pi, (m + 1/2) pi) breaks the interleaving
+        monkeypatch.setattr(spx, "tan_fixed_point", lambda m: 0.1)
+        with pytest.raises(BracketFailure):
+            spx.interval_krein(IntervalSpec(0.0, PI), 4)
 
 
 class TestIntervalBcResidual:
