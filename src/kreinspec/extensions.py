@@ -542,9 +542,19 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
-        return np.array(
-            [[self.uniform() for _ in range(cols)] for _ in range(rows)]
-        )
+        """rows * cols draws of `uniform`, row by row, bit for bit.
+
+        The i-th draw mixes the state seed + i * gamma (mod 2^64), so all of
+        them are computed at once in wrapping uint64 arithmetic.
+        """
+        count = rows * cols
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(self._GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(self._MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(self._MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * self._GAMMA) & self._MASK
+        return ((z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).reshape(rows, cols)
 
 
 def random_model(seed: int, n: int, d: int,

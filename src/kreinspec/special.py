@@ -10,12 +10,30 @@ Evaluation is by backward recurrence: integer orders use Miller's algorithm
 normalized through J_0(x) + 2*sum_k J_{2k}(x) = 1, half-integer orders
 recur on spherical Bessel functions and normalize against the closed forms
 sin(x)/x and sin(x)/x^2 - cos(x)/x, whichever is better conditioned.
+
+Zeros come from two routes, both refined by one safeguarded Newton
+iteration inside a sign-change bracket:
+
+* A single zero j_{nu,k} starts from McMahon's asymptotic expansion
+  whenever its terms certify themselves by rapid decay.
+* Whole zero sets come from `_family_zeros`: for the orders l + p/2 of one
+  parity p it finds every zero below a bound at once.  One backward
+  recurrence over orders, vectorized with numpy over a grid of arguments of
+  step _SCAN_STEP, brackets every zero of every order; then every bracket
+  is refined together, each Newton step being one vectorized recurrence
+  pass over the live iterates.  The zeros are cached per order in
+  `_zero_cache` with the argument below which they are complete, so the
+  hard and soft spectra of one ball (orders of one parity) share one
+  computation.  A single zero in the large-order, small-index regime, where
+  the expansion is unreliable, is read from the same cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BracketFailure, DomainError
 
@@ -27,16 +45,21 @@ _MAX_X_INTERNAL = 4.0e4     # zero refinement may evaluate somewhat further
 _MAX_ZERO_INDEX = 100_000
 _RESCALE = 1.0e250          # rescaling threshold inside backward recurrences
 _SCAN_STEP = 1.5            # below the minimal spacing of consecutive zeros
+_NEWTON_STEPS = 200
+_STOP_REL = 5e-15           # Newton stops once a step is this small relative to x
 
 
-def _recurrence_start(n_max: int, x: float) -> int:
-    """Start order for backward recurrence.
+def _recurrence_start(n_max, x):
+    """Start order for backward recurrence; elementwise for numpy arrays.
 
     The seed must sit well past the turning point k = x, where the wanted
     solution decays like an Airy tail; 9 x^(1/3) extra orders push the
     contamination of the unwanted solution below 1e-14 of the amplitude,
     and 40 is the floor for small arguments.
     """
+    if isinstance(x, np.ndarray):
+        margin = np.maximum(40, np.ceil(9.0 * x ** (1.0 / 3.0)).astype(int))
+        return np.maximum(n_max, np.ceil(x).astype(int)) + margin
     margin = max(40, int(math.ceil(9.0 * x ** (1.0 / 3.0))))
     return max(n_max, int(math.ceil(x))) + margin
 
@@ -221,8 +244,39 @@ def _mcmahon_is_reliable(terms) -> bool:
     return t3 <= 0.05 * t2 and t4 <= 0.05 * t3 + 1e-13 and t5 <= 0.05 * t4 + 1e-13
 
 
+def _newton_in_bracket(pair, lo: float, hi: float, x: float, flo: float) -> float:
+    """Root of f inside the sign-change bracket [lo, hi] by Newton's method
+    from x, bisecting whenever a step would leave the bracket.
+
+    pair(x) returns (f(x), f'(x)) and flo carries the sign of f at lo.  The
+    stop test applies to the raw Newton step before the safeguard: once an
+    iterate has become a bracket end, a converged step of rounding size
+    fails lo < x - f/f' < hi, and bisecting there would walk away from the
+    root.
+    """
+    for _ in range(_NEWTON_STEPS):
+        f, fp = pair(x)
+        if f == 0.0:
+            return x
+        if math.copysign(1.0, f) == math.copysign(1.0, flo):
+            lo = x
+        else:
+            hi = x
+        nxt = 0.5 * (lo + hi)
+        if fp != 0.0:
+            newton = x - f / fp
+            if abs(newton - x) <= _STOP_REL * abs(x):
+                return newton
+            if lo < newton < hi:
+                nxt = newton
+        if abs(nxt - x) <= _STOP_REL * abs(x):
+            return nxt
+        x = nxt
+    return x
+
+
 def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
-    """Newton with a certified sign-change bracket; bisection on bad steps."""
+    """Zero of J_nu in [lo, hi], certified by the sign change at the ends."""
     flo = _eval_j(order, lo)
     fhi = _eval_j(order, hi)
     if flo == 0.0:
@@ -231,46 +285,145 @@ def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketFailure(f"no sign change in [{lo}, {hi}] for order {order.nu}")
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f, fp = _eval_j_pair(order, x)
-        if f == 0.0:
-            return x
-        if math.copysign(1.0, f) == math.copysign(1.0, flo):
-            lo = x
-        else:
-            hi = x
-        step_ok = fp != 0.0
-        if step_ok:
-            nxt = x - f / fp
-            step_ok = lo < nxt < hi
-        if not step_ok:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 5e-15 * abs(x):
-            return nxt
-        x = nxt
-    return x
+    return _newton_in_bracket(lambda x: _eval_j_pair(order, x), lo, hi, 0.5 * (lo + hi), flo)
 
 
-# ascending zeros already computed, keyed by twice_order
+def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray,
+                   writes: dict):
+    """The backward recurrence of `_miller_integer_all` (parity 0) or
+    `_spherical_all` (parity 1), run for every argument of x at once.
+
+    Element e is seeded at order starts[e].  writes maps an order index i
+    to (slot, a, b) triples: out[slot, a:b] receives the unnormalized value
+    of order i + parity/2 at x[a:b].  Rescaling acts on every slot of the
+    rescaled elements, as the scalar code rescales every stored order.
+    Returns the unnormalized values of orders 0 and 1 (plus parity/2) and,
+    for integer orders, the Miller sum 2 * sum_{k>=1} J_{2k}.
+    """
+    f = np.zeros_like(x)
+    fplus = np.zeros_like(x)
+    norm = np.zeros_like(x)
+    by_start = np.argsort(starts, kind="stable")
+    values, first = np.unique(starts[by_start], return_index=True)
+    seeds = dict(zip(values.tolist(), np.split(by_start, first[1:])))
+    inv = 1.0 / _RESCALE
+    for k in range(int(starts.max(initial=0)), 0, -1):
+        if k in seeds:
+            f[seeds[k]] = 1.0e-30
+        fminus = ((2.0 * k + parity) / x) * f - fplus
+        fplus = f
+        f = fminus
+        idx = k - 1
+        for slot, a, b in writes.get(idx, ()):
+            out[slot, a:b] = f[a:b]
+        if parity == 0 and idx >= 2 and idx % 2 == 0:
+            norm += 2.0 * f
+        big = np.abs(f) > _RESCALE
+        if big.any():
+            f[big] *= inv
+            fplus[big] *= inv
+            norm[big] *= inv
+            out[:, big] *= inv
+    return f, fplus, norm
+
+
+def _normalized(parity: int, x: np.ndarray, out: np.ndarray, f, fplus, norm) -> np.ndarray:
+    """out scaled like the scalar recurrences scale their results: J for
+    integer orders, spherical j (no sqrt(2x/pi) factor) for half-integers."""
+    if parity == 0:
+        return out / (norm + f)
+    j0 = np.sin(x) / x
+    j1 = np.sin(x) / (x * x) - np.cos(x) / x
+    use_j0 = (np.abs(j0) >= np.abs(j1)) | (fplus == 0.0)
+    scale = np.divide(j0, f, out=np.zeros_like(x), where=use_j0)
+    np.divide(j1, fplus, out=scale, where=~use_j0)
+    return out * scale
+
+
+def _eval_pairs(parity: int, ells: np.ndarray, x: np.ndarray):
+    """(J_nu(x), J_nu'(x)) elementwise for nu = ells + parity/2, ells ascending,
+    the same values `_eval_j_pair` gives, from one recurrence pass.
+
+    Sorted orders make the elements of each order one slice, so J_{nu-1},
+    J_nu and J_{nu+1} are three slice copies per order, not a full table.
+    """
+    writes: dict = {}
+    values, first = np.unique(ells, return_index=True)
+    for ell, a, b in zip(values.tolist(), first.tolist(), first[1:].tolist() + [len(ells)]):
+        for slot, idx in enumerate((ell - 1, ell, ell + 1)):
+            writes.setdefault(idx, []).append((slot, a, b))
+    out = np.zeros((3, len(x)))
+    below, mid, above = _normalized(parity, x, out,
+                                    *_backward_pass(parity, x, _recurrence_start(ells + 1, x),
+                                                    out, writes))
+    if parity == 0:
+        return mid, np.where(ells == 0, -above, 0.5 * (below - above))
+    amp = np.sqrt(2.0 * x / np.pi)
+    below = np.where(ells == 0, np.cos(x) / x, below)
+    return amp * mid, 0.5 * amp * (below - above)
+
+
+def _newton_batch(parity: int, ells: np.ndarray, lo, hi, flo, x) -> np.ndarray:
+    """`_newton_in_bracket` for many zeros at once, ells ascending."""
+    zeros = x.copy()
+    live = np.arange(len(x))
+    for _ in range(_NEWTON_STEPS):
+        if live.size == 0:
+            break
+        f, fp = _eval_pairs(parity, ells, x)
+        same = np.copysign(1.0, f) == np.copysign(1.0, flo)
+        lo = np.where(same, x, lo)
+        hi = np.where(same, hi, x)
+        has_step = fp != 0.0
+        newton = x - np.divide(f, fp, out=np.zeros_like(f), where=has_step)
+        tol = _STOP_REL * np.abs(x)
+        raw_done = has_step & (np.abs(newton - x) <= tol)
+        nxt = np.where(has_step & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        hit = f == 0.0
+        done = hit | raw_done | (np.abs(nxt - x) <= tol)
+        zeros[live[done]] = np.where(hit, x, np.where(raw_done, newton, nxt))[done]
+        keep = ~done
+        live, ells, lo, hi, flo, x = (a[keep] for a in (live, ells, lo, hi, flo, nxt))
+    zeros[live] = x
+    return zeros
+
+
+def _solve_family(parity: int, ells: np.ndarray, x_max: float):
+    """Every zero below the returned bound (> x_max) of each J_{l + parity/2},
+    l in ells (ascending), as one ascending array per order."""
+    grid = _SCAN_STEP * np.arange(1, int(x_max / _SCAN_STEP) + 3)
+    out = np.zeros((len(ells), len(grid)))
+    writes = {ell: ((row, 0, len(grid)),) for row, ell in enumerate(ells.tolist())}
+    table = _normalized(parity, grid, out,
+                        *_backward_pass(parity, grid, _recurrence_start(int(ells[-1]), grid),
+                                        out, writes))
+    # zeros exceed their order, and J_nu > 0 below its first zero, so a value
+    # that underflowed to 0 carries the sign of its neighbours
+    positive = table >= 0.0
+    rows, cols = np.nonzero(positive[:, :-1] != positive[:, 1:])
+    lo, hi = grid[cols], grid[cols + 1]
+    flo, fhi = table[rows, cols], table[rows, cols + 1]
+    start = lo - flo * (hi - lo) / (fhi - flo)
+    zeros = _newton_batch(parity, ells[rows], lo, hi, flo, start)
+    return np.split(zeros, np.searchsorted(rows, np.arange(1, len(ells)))), float(grid[-1])
+
+
+# twice_order -> (ascending zeros, the argument below which no zero is missing)
 _zero_cache: dict = {}
 
 
-def _scan_next_zero(order: BesselOrder, after: float) -> float:
-    """First zero beyond `after`, located by stepping below the minimal
-    spacing of consecutive zeros (> 3 for every supported order)."""
-    x = after
-    f = _eval_j(order, x) if x > 0.0 else 1.0  # J_nu(0+) > 0
-    if f == 0.0:
-        x += 1e-9 * max(x, 1.0)
-        f = _eval_j(order, x)
-    for _ in range(200_000):
-        x2 = x + _SCAN_STEP
-        f2 = _eval_j(order, x2)
-        if f2 == 0.0 or math.copysign(1.0, f2) != math.copysign(1.0, f):
-            return _refine_zero(order, x, x2)
-        x, f = x2, f2
-    raise BracketFailure(f"scan for a zero of J_{order.nu} ran away from {after}")
+def _family_zeros(twice_orders, x_max: float) -> list:
+    """For each order twice_orders[i] / 2 (ascending, all of one parity), an
+    ascending array of its zeros, complete below x_max; cached per order."""
+    if len(twice_orders):
+        BesselOrder(twice_orders[-1])  # orders above 500 raise DomainError
+    missing = [t for t in twice_orders if t not in _zero_cache or _zero_cache[t][1] <= x_max]
+    if missing:
+        zeros, complete = _solve_family(missing[0] % 2, np.array(missing) // 2, x_max)
+        for t, z in zip(missing, zeros):
+            z.setflags(write=False)  # shared by every caller
+            _zero_cache[t] = (z, complete)
+    return [_zero_cache[t][0] for t in twice_orders]
 
 
 def bessel_zero(nu, k: int) -> float:
@@ -278,8 +431,8 @@ def bessel_zero(nu, k: int) -> float:
 
     The asymptotic expansion seeds a Newton iteration inside a sign-change
     bracket whenever its terms certify themselves by rapid decay; otherwise
-    (large order, small index) zeros are located by an ascending scan that
-    is cached per order.
+    (large order, small index) every zero of the order up to the k-th is
+    found by the batched scan of `_family_zeros` and cached.
     """
     order = _coerce_order(nu)
     if not (1 <= k <= _MAX_ZERO_INDEX):
@@ -290,11 +443,20 @@ def bessel_zero(nu, k: int) -> float:
         if guess > _MAX_X_INTERNAL:
             return guess  # residual expansion error is far below 1e-11 relative
         return _refine_zero(order, guess - 0.5, guess + 0.5)
-    zeros = _zero_cache.setdefault(order.twice_order, [])
-    while len(zeros) < k:
-        after = zeros[-1] + 0.05 if zeros else max(order.nu, 0.4)
-        zeros.append(_scan_next_zero(order, after))
-    return zeros[k - 1]
+    x_max = order.nu + 4.0 * k
+    while True:
+        zeros, complete = _zero_cache.get(order.twice_order, ((), 0.0))
+        if len(zeros) >= k:
+            return float(zeros[k - 1])
+        # widen the reach past the order at least twofold, so that ascending
+        # calls k = 1, 2, ... recompute O(log k) times
+        x_max = max(x_max, order.nu + 2.0 * (complete - order.nu))
+        _family_zeros([order.twice_order], x_max)
+
+
+def _tan_pair(t: float):
+    """t cos t - sin t, the pole-free form of tan t = t, and its derivative."""
+    return t * math.cos(t) - math.sin(t), -t * math.sin(t)
 
 
 def tan_fixed_point(m: int) -> float:
@@ -307,25 +469,4 @@ def tan_fixed_point(m: int) -> float:
         raise DomainError(f"root index {m} outside 1..{_MAX_ZERO_INDEX}")
     lo = m * math.pi
     hi = (2 * m + 1) * math.pi / 2.0
-    asym = hi
-    x = asym - 1.0 / asym
-    flo = lo * math.cos(lo) - math.sin(lo)
-    for _ in range(100):
-        f = x * math.cos(x) - math.sin(x)
-        if f == 0.0:
-            return x
-        if math.copysign(1.0, f) == math.copysign(1.0, flo):
-            lo = x
-        else:
-            hi = x
-        fp = -x * math.sin(x)
-        step_ok = fp != 0.0
-        if step_ok:
-            nxt = x - f / fp
-            step_ok = lo < nxt < hi
-        if not step_ok:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 5e-15 * abs(x):
-            return nxt
-        x = nxt
-    return x
+    return _newton_in_bracket(_tan_pair, lo, hi, hi - 1.0 / hi, _tan_pair(lo)[0])

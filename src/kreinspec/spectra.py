@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import BracketFailure, DomainError
-from .special import tan_fixed_point, bessel_zero, bessel_j
+from .special import _family_zeros, bessel_j, bessel_zero, tan_fixed_point
 from .tolerances import DEFAULT, ToleranceProfile
 
 INFINITE = math.inf
@@ -212,6 +212,10 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float,
     Channel scan: degree l contributes zeros of the order nu = l + (n-2)/2
     (hard boundary) or nu = l + n/2 (soft); the scan stops once nu exceeds
     sqrt(lambda_max) * R because the first zero of order nu exceeds nu.
+    All these orders share one parity, and their zeros below
+    sqrt(lambda_max) * R come from one batched computation in `special`
+    that is cached per order: the hard and soft spectra of one ball, and
+    repeated calls, reuse it.  Orders above 500 raise DomainError.
     """
     if lambda_max <= 0.0:
         raise ValueError("lambda_max must be positive")
@@ -221,21 +225,11 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float,
     offset = n - 2 if which == "dirichlet" else n  # twice the order shift
     limit = math.sqrt(lambda_max) * radius
     cap = lambda_max * radius * radius
+    twice_orders = range(offset, math.ceil(2.0 * limit), 2)  # every nu < limit
     pairs = []
-    ell = 0
-    while True:
-        twice_nu = 2 * ell + offset
-        if twice_nu / 2.0 >= limit:
-            break
+    for ell, zeros in enumerate(_family_zeros(twice_orders, limit)):
         mult = ball_multiplicity(n, ell)
-        k = 1
-        while True:
-            z = bessel_zero(twice_nu / 2.0, k)
-            if z * z > cap:
-                break
-            pairs.append(((z / radius) ** 2, mult))
-            k += 1
-        ell += 1
+        pairs += [((z / radius) ** 2, mult) for z in zeros.tolist() if z * z <= cap]
     kernel = 0 if which == "dirichlet" else INFINITE
     return Spectrum(
         entries=_merge_coincident(pairs, profile.merge_rel),

@@ -413,6 +413,19 @@ class TestSplitMix:
         b = ext.SplitMix64(12345)
         assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
 
+    @pytest.mark.parametrize("seed", [1, 7, 123456789, 2**64 - 1])
+    def test_uniform_matrix_is_the_scalar_stream(self, seed):
+        # row by row, bit for bit, and the state after the draw included
+        fast, slow = ext.SplitMix64(seed), ext.SplitMix64(seed)
+        for rows, cols in ((3, 5), (1, 1), (0, 4), (17, 2)):
+            got = fast.uniform_matrix(rows, cols)
+            want = [[(slow.next_u64() >> 11) * 2.0 ** -53 for _ in range(cols)]
+                    for _ in range(rows)]
+            assert got.shape == (rows, cols)
+            assert got.tolist() == want
+            assert fast._state == slow._state
+        assert fast.next_u64() == slow.next_u64()
+
     def test_uniform_range(self):
         s = ext.SplitMix64(9)
         vals = [s.uniform() for _ in range(1000)]

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from kreinspec import special
 from kreinspec.errors import DomainError
 from kreinspec.special import BesselOrder, bessel_j, bessel_j_derivative, bessel_zero, tan_fixed_point
 
@@ -144,3 +146,73 @@ class TestTanFixedPoint:
         # J_{3/2} is proportional to sin x / x - cos x, so its zeros solve tan x = x
         for m in range(1, 51):
             assert tan_fixed_point(m) == pytest.approx(bessel_zero(1.5, m), rel=1e-11)
+
+
+class TestNewtonStops:
+    """Newton converging from one side must stop, not bisect away from the root."""
+
+    def test_bessel_zero_evaluations(self, monkeypatch):
+        calls = []
+        for name in ("_eval_j", "_eval_j_pair"):
+            inner = getattr(special, name)
+            monkeypatch.setattr(special, name,
+                                lambda order, x, inner=inner: calls.append(x) or inner(order, x))
+        worst = 0
+        for twice_order in range(0, 81, 3):
+            order = BesselOrder(twice_order)
+            for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 400, 1000):
+                if not special._mcmahon_is_reliable(special._mcmahon_terms(order, k)[1]):
+                    continue
+                calls.clear()
+                bessel_zero(order.nu, k)
+                worst = max(worst, len(calls))
+        # two bracket ends and a few Newton steps from the McMahon guess
+        assert worst <= 6
+
+    def test_tan_fixed_point_evaluations(self, monkeypatch):
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def cos(t):
+                calls.append(t)
+                return math.cos(t)
+
+        monkeypatch.setattr(special, "math", CountingMath())
+        worst = 0
+        for m in list(range(1, 200)) + [1000, 5000, 99_999]:
+            calls.clear()
+            tan_fixed_point(m)
+            worst = max(worst, len(calls))
+        # one cosine per evaluation of t cos t - sin t, the bracket end included
+        assert worst <= 6
+
+
+class TestBatchedZeros:
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_batch_evaluation_matches_scalar(self, parity):
+        # the scalar recurrence is the reference for the vectorized one
+        rng = np.random.default_rng(11 + parity)
+        ells = np.sort(rng.integers(0, 140, 300))
+        x = rng.uniform(0.5, 130.0, 300)
+        values, derivs = special._eval_pairs(parity, ells, x)
+        want = [special._eval_j_pair(BesselOrder(2 * ell + parity), xi)
+                for ell, xi in zip(ells.tolist(), x.tolist())]
+        np.testing.assert_allclose(values, [v for v, _ in want], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(derivs, [d for _, d in want], rtol=1e-14, atol=1e-15)
+
+    def test_family_zeros_are_cached_with_their_reach(self, monkeypatch):
+        monkeypatch.setattr(special, "_zero_cache", {})
+        twice_orders = list(range(3, 60, 2))
+        first = special._family_zeros(twice_orders, 40.0)
+        # a lower bound reuses the arrays, also for a subset of the orders
+        again = special._family_zeros(twice_orders[::3], 30.0)
+        assert all(a is b for a, b in zip(again, first[::3]))
+        # a higher bound recomputes, and extends what was there
+        wider = special._family_zeros(twice_orders, 80.0)
+        for short, full in zip(first, wider):
+            assert full is not short and len(full) > len(short)
+            assert full[:len(short)].tolist() == pytest.approx(short.tolist(), rel=1e-14)

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from kreinspec.errors import BracketFailure, DomainError
+from kreinspec import special
 from kreinspec import spectra as spx
 from kreinspec.spectra import BallSpec, IntervalSpec
+from kreinspec.tolerances import DEFAULT
 
 from oracles import tan_fixed_point_oracle, series_bessel_zero
 
@@ -167,23 +169,50 @@ class TestBallSpectrum:
             assert v2 == pytest.approx(v1 / 4.0, rel=1e-13)
             assert m1 == m2
 
-    def test_completeness_against_brute_force(self):
-        # no channel cutoff: plain double loop over orders and zero indices
-        cap = 200.0
-        s = spx.ball_spectrum(BallSpec(2, 1.0), "dirichlet", cap)
-        brute = []
-        for ell in range(15):
-            mult = spx.ball_multiplicity(2, ell)
-            for k in range(1, 6):
-                z = spx.bessel_zero(float(ell), k)
-                if z * z <= cap:
-                    brute.append((z * z, mult))
-        brute.sort()
-        flat = s.flattened()
-        brute_flat = [v for v, m in brute for _ in range(m)]
-        assert len(flat) == len(brute_flat)
-        for a, b in zip(flat, brute_flat):
-            assert a == pytest.approx(b, rel=1e-13)
+    def test_completeness_against_brute_force(self, monkeypatch):
+        # plain double loop over orders and zero indices through the scalar
+        # bessel_zero, each loop ending at the first zero above the cap
+        for n, which, cap in ((2, "dirichlet", 200.0), (2, "dirichlet", 4.0e4),
+                              (3, "krein", 1.0e4), (4, "dirichlet", 1.0e4)):
+            monkeypatch.setattr(special, "_zero_cache", {})
+            s = spx.ball_spectrum(BallSpec(n, 1.0), which, cap)
+            shift = (n - 2) / 2.0 if which == "dirichlet" else n / 2.0
+            brute = []
+            ell = 0
+            while spx.bessel_zero(ell + shift, 1) ** 2 <= cap:
+                k = 1
+                while (z := spx.bessel_zero(ell + shift, k)) ** 2 <= cap:
+                    brute.append((z * z, spx.ball_multiplicity(n, ell)))
+                    k += 1
+                ell += 1
+            brute = spx._merge_coincident(brute, DEFAULT.merge_rel)
+            assert [m for _, m in s.entries] == [m for _, m in brute]
+            for (a, _), (b, _) in zip(s.entries, brute):
+                assert abs(a - b) <= 1e-13 * b  # well inside merge_rel
+
+    def test_warm_cache_gives_the_cold_entries(self, monkeypatch):
+        ball = BallSpec(3, 1.1)
+        monkeypatch.setattr(special, "_zero_cache", {})
+        cold = {which: spx.ball_spectrum(ball, which, 3.0e3).entries
+                for which in ("krein", "dirichlet")}
+        for which, entries in cold.items():
+            assert spx.ball_spectrum(ball, which, 3.0e3).entries == entries
+        # zeros cached from a wider reach come from other brackets
+        monkeypatch.setattr(special, "_zero_cache", {})
+        spx.ball_spectrum(ball, "dirichlet", 1.2e4)
+        for which, entries in cold.items():
+            warm = spx.ball_spectrum(ball, which, 3.0e3).entries
+            assert [m for _, m in warm] == [m for _, m in entries]
+            for (a, _), (b, _) in zip(warm, entries):
+                assert abs(a - b) <= 1e-13 * b
+
+    def test_order_above_500_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_zero_cache", {})
+        with pytest.raises(DomainError):
+            spx.ball_spectrum(BallSpec(2, 1.0), "dirichlet", 510.0 ** 2)
+        with pytest.raises(DomainError):
+            spx.ball_spectrum(BallSpec(3, 1.0), "krein", 1.0e20)
+        assert special._zero_cache == {}
 
     def test_interval_is_not_a_ball(self):
         # guard against index confusion between the two exact families
