@@ -145,10 +145,11 @@ def discrete_krein_spectrum(model: ExtensionModel, count: int,
 
     These are the compressed-pencil eigenvalues, which agree with the
     nonzero Krein eigenvalues exactly at matrix level; the kernel dimension
-    equals the codimension of the restricted domain.
+    equals the codimension of the restricted domain.  The pencil has
+    domain_dim eigenvalues, so a larger count raises ValueError.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= model.domain_dim:
+        raise ValueError(f"count must be in 1..{model.domain_dim}, got {count}")
     vals = pencil_values(model, profile)[:count]
     return Spectrum(
         entries=_merge_coincident([(float(v), 1) for v in vals], profile.merge_rel),
@@ -244,17 +245,18 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     That eigenvalue is truncation error of order h^2 = (R/m)^2; a kernel
     candidate above (alpha h / R)^2 / 4 times the first nonzero eigenvalue,
     alpha = l + (n-1)/2, indicates a broken assembly and raises
-    ConstructionMismatch.
+    ConstructionMismatch.  The pencil has m eigenvalues, so a count that
+    needs more (with the dropped zero mode) raises ValueError.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    skip = 1 if (spec.bc == "krein" and not include_zero_mode) else 0
+    if not 1 <= count <= spec.m - skip:
+        raise ValueError(f"count must be in 1..{spec.m - skip}, got {count}")
     pencil = radial_pencil(spec)
     d, e = pencil.reduced_tridiagonal()
     abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
     radius = abs_e[:-1] + abs_e[1:]
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
-    skip = 1 if (spec.bc == "krein" and not include_zero_mode) else 0
     out = []
     for j in range(1, count + skip + 1):
         a, b = lo, hi

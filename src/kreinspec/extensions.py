@@ -141,48 +141,29 @@ class BucklingReport:
     residuals: dict
 
 
-def _mgs_orthonormalize(columns: np.ndarray, rel_floor: float):
-    """Modified Gram-Schmidt, two passes per column.
+def _qr_split(columns: np.ndarray, rel_floor: float, error, complete: bool = False):
+    """Orthonormal bases of span(columns) and, if complete, of its complement.
 
-    Returns (basis, kept) where kept lists the input columns that survived;
-    a column is dropped when its orthogonal part falls below rel_floor times
-    the largest input column norm.
+    One Householder QR from LAPACK; the complement is the trailing columns of
+    the complete factorization, orthogonal to the span up to rounding at every
+    size (None unless complete).  Raises `error` when some |R_jj| falls at or
+    below rel_floor times the largest column norm.
     """
-    n, m = columns.shape
-    scale = max(
-        (math.sqrt(float(c @ c)) for c in columns.T), default=0.0
-    )
-    basis = np.empty((n, m))
-    kept = []
-    size = 0
-    for j in range(m):
-        v = columns[:, j].astype(float).copy()
-        for _ in range(2):
-            if size:
-                v -= basis[:, :size] @ (basis[:, :size].T @ v)
-        nv = math.sqrt(float(v @ v))
-        if nv <= rel_floor * scale:
-            continue
-        basis[:, size] = v / nv
-        kept.append(j)
-        size += 1
-    return basis[:, :size], kept
-
-
-def _orthonormal_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the complement of orthonormal `basis`.
-
-    The trailing columns of a complete Householder QR: exactly orthogonal to
-    the basis up to rounding, at every size.
-    """
-    return np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
+    d = columns.shape[1]
+    q, r = np.linalg.qr(columns, mode="complete" if complete else "reduced")
+    floor = rel_floor * np.max(np.linalg.norm(columns, axis=0), initial=0.0)
+    independent = int(np.count_nonzero(np.abs(np.diagonal(r)) > floor))
+    if independent < d:
+        raise error(f"only {independent} of {d} columns are independent")
+    return q[:, :d], (q[:, d:] if complete else None)
 
 
 def new_model(a, raw_basis, profile: ToleranceProfile = DEFAULT) -> ExtensionModel:
     """Build a model from A and a spanning set of D (columns).
 
-    The basis is orthonormalized (modified Gram-Schmidt, run twice per
-    column); the bottom eigenvalue of A is computed and stored.
+    A basis that is already orthonormal is kept as given; any other is
+    replaced by the Q of its Householder QR.  The bottom eigenvalue of A is
+    computed and stored.
     """
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     raw = np.asarray(raw_basis, dtype=float)
@@ -204,11 +185,7 @@ def new_model(a, raw_basis, profile: ToleranceProfile = DEFAULT) -> ExtensionMod
     if max_norm(gram - np.eye(d)) <= profile.orthonormal_rel:
         basis = raw.astype(float).copy()
     else:
-        basis, kept = _mgs_orthonormalize(raw, n * profile.rank_rel)
-        if len(kept) != d:
-            raise RankDeficientBasis(
-                f"only {len(kept)} of {d} basis columns are independent"
-            )
+        basis = _qr_split(raw, n * profile.rank_rel, RankDeficientBasis)[0]
     basis.flags.writeable = False
     return ExtensionModel(A=a, domain_basis=basis, epsilon=eps)
 
@@ -224,32 +201,26 @@ def friedrichs(model: ExtensionModel) -> ExtensionResult:
 def adjoint_kernel(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
     """Orthonormal basis of ran(A D)^perp, the model's ker(S*)."""
     aq = model.A.array @ model.domain_basis
-    range_basis, kept = _mgs_orthonormalize(aq, model.ambient_dim * profile.rank_rel)
-    if len(kept) != model.domain_dim:
-        raise SingularDecomposition("A maps the domain to a rank-deficient set")
-    return _orthonormal_complement(range_basis)
+    return _qr_split(aq, model.ambient_dim * profile.rank_rel,
+                     SingularDecomposition, complete=True)[1]
 
 
 def _extension_from_action(span: np.ndarray, images: np.ndarray,
                            profile: ToleranceProfile) -> np.ndarray:
-    """The matrix sending span[:, j] to images[:, j], via normal equations.
+    """The matrix sending span[:, j] to images[:, j], for a square span.
 
-    Raises SingularDecomposition when the spanning set is numerically rank
-    deficient (smallest singular value below N * rank_rel * largest); the
-    construction fails loudly instead of regularizing.
+    Raises SingularDecomposition when the span is numerically singular
+    (smallest singular value, from LAPACK's SVD, at or below
+    N * rank_rel * largest); the construction fails loudly instead of
+    regularizing.
     """
     n = span.shape[0]
-    gram = span.T @ span
-    sing = sym_eigen_values(gram)
-    smax = math.sqrt(max(float(sing[-1]), 0.0))
-    smin = math.sqrt(max(float(sing[0]), 0.0))
-    if smin <= n * profile.rank_rel * smax:
+    sing = np.linalg.svd(span, compute_uv=False)
+    if sing[-1] <= n * profile.rank_rel * sing[0]:
         raise SingularDecomposition(
-            f"spanning set has singular values {smin:.3e} .. {smax:.3e}"
+            f"spanning set has singular values {sing[-1]:.3e} .. {sing[0]:.3e}"
         )
-    low = cholesky(gram, profile)
-    # matrix = images @ span^{-1} = images @ (span^T span)^{-1} span^T
-    return images @ solve_cholesky(low, span.T)
+    return np.linalg.solve(span.T, images.T).T
 
 
 def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> ExtensionResult:
@@ -268,12 +239,14 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
     piecewise = _extension_from_action(span, images, profile)
     piecewise = 0.5 * (piecewise + piecewise.T)
 
+    # P = Q_h Q_h^T from the QR of A^(1/2) Q, so A^(1/2) P A^(1/2) = F F^T
+    # with F = A^(1/2) Q_h.  The floor is the Cholesky pivot floor of the
+    # Gram matrix Q^T A Q, whose pivots are the squares of |R_jj|.
     root = spd_sqrt(model.A, profile).array
-    half_dom = root @ q
-    gram = half_dom.T @ half_dom
-    low = cholesky(gram, profile)
-    projector = half_dom @ solve_cholesky(low, half_dom.T)
-    closed_form = root @ projector @ root
+    rel_floor = math.sqrt(model.domain_dim * profile.cholesky_pivot_rel)
+    half_dom = _qr_split(root @ q, rel_floor, NotPositiveDefinite)[0]
+    factor = root @ half_dom
+    closed_form = factor @ factor.T
 
     gap = max_norm(piecewise - closed_form)
     if gap > profile.construction_rel * model.A.norm_max:
@@ -325,11 +298,9 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
 
     # eta directions: ker(S*) part orthogonal to W
     if p:
-        coeffs = kernel.T @ w                      # W in kernel coordinates
-        eta_coeff = _orthonormal_complement(
-            _mgs_orthonormalize(coeffs, profile.rank_rel)[0]
-        )
-        eta = kernel @ eta_coeff
+        # W in kernel coordinates is orthonormal, so it never fails the floor
+        eta = kernel @ _qr_split(kernel.T @ w, profile.rank_rel,
+                                 SingularDecomposition, complete=True)[1]
     else:
         eta = kernel
 
@@ -383,9 +354,7 @@ def reduced_krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) ->
     """
     kr = krein(model, profile)
     aq = model.A.array @ model.domain_basis
-    basis, kept = _mgs_orthonormalize(aq, model.ambient_dim * profile.rank_rel)
-    if len(kept) != model.domain_dim:
-        raise SingularDecomposition("ran(A D) is rank deficient")
+    basis = _qr_split(aq, model.ambient_dim * profile.rank_rel, SingularDecomposition)[0]
     compressed = basis.T @ kr.matrix.array @ basis
     compressed = 0.5 * (compressed + compressed.T)
     low = cholesky(compressed, profile)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import BracketFailure, DomainError
-from .special import _family_zeros, bessel_j, bessel_zero, tan_fixed_point
+from .special import _family_zeros, bessel_zero, tan_fixed_point
 from .tolerances import DEFAULT, ToleranceProfile
 
 INFINITE = math.inf

@@ -107,6 +107,14 @@ class TestDiscreteKreinSpectrum:
         pvals = dz.discrete_krein_spectrum(model, 46).flattened()
         assert np.max(np.abs(kvals - pvals) / np.abs(pvals)) <= 1e-9
 
+    def test_count_beyond_domain_dim_raises(self):
+        # the pencil of the m = 10 interval has domain_dim = 8 eigenvalues
+        model = dz.interval_model(dz.Grid1D(0.0, 1.0, 10), dz.PotentialSpec.zero())
+        assert len(dz.discrete_krein_spectrum(model, 8).flattened()) == 8
+        for count in (9, 50):
+            with pytest.raises(ValueError):
+                dz.discrete_krein_spectrum(model, count)
+
     def test_domain_monotonicity(self):
         # larger interval, pointwise smaller spectrum (inverse-square scaling)
         small = dz.interval_model(dz.Grid1D(0.0, PI, 80), dz.PotentialSpec.zero())
@@ -215,6 +223,18 @@ class TestRadialPencil:
         monkeypatch.setattr(dz, "radial_pencil", lambda s: bad)
         with pytest.raises(ConstructionMismatch):
             dz.radial_eigenvalues(spec, 1)
+
+    @pytest.mark.parametrize("bc,top", [("dirichlet", 8), ("krein", 7)])
+    def test_count_up_to_pencil_order(self, bc, top):
+        # an m = 8 pencil has 8 eigenvalues, one of them the soft zero mode;
+        # bisection past the top would return the Gershgorin bound
+        spec = dz.RadialChannelSpec(3, 1, 1.0, 8, bc)
+        d, e = dz.radial_pencil(spec).reduced_tridiagonal()
+        dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        np.testing.assert_allclose(dz.radial_eigenvalues(spec, top), dense[8 - top:], rtol=1e-12)
+        for count in (top + 1, 10):
+            with pytest.raises(ValueError):
+                dz.radial_eigenvalues(spec, count)
 
     def test_nonzero_eigenvalues_positive(self):
         for (n, l, bc) in ((3, 0, "krein"), (2, 1, "krein"), (4, 2, "dirichlet")):

@@ -9,9 +9,11 @@ from kreinspec.errors import (
     NotPositiveDefinite,
     NotPSD,
     RankDeficientBasis,
+    SingularDecomposition,
 )
 from kreinspec import extensions as ext
 from kreinspec.linalg import SymMatrix, max_norm, sym_eigen_values
+from kreinspec.tolerances import DEFAULT
 
 A2 = [[2.0, 1.0], [1.0, 2.0]]
 E1 = [[1.0], [0.0]]
@@ -39,6 +41,17 @@ class TestNewModel:
         raw = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
         with pytest.raises(RankDeficientBasis):
             ext.new_model(np.eye(3), raw)
+
+    def test_rank_message_counts_independent_columns(self):
+        raw = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(RankDeficientBasis, match="only 2 of 3 columns"):
+            ext.new_model(np.eye(4), raw)
+
+    def test_orthonormal_basis_kept_bitwise(self):
+        raw = np.eye(6)[:, [4, 1, 2]]
+        raw[:, 0] = -raw[:, 0]
+        m = ext.new_model(np.eye(6), raw)
+        assert m.domain_basis.tobytes() == raw.tobytes()
 
     def test_full_domain_rejected(self):
         with pytest.raises(NoDeficiency):
@@ -84,6 +97,35 @@ class TestAdjointKernel:
         assert ker.shape == (n, n - d)
         aq = m.A.array @ m.domain_basis
         assert max_norm(aq.T @ ker) <= 1e-11 * m.A.norm_max
+
+
+class TestAssemblyRankTest:
+    # square spans U diag(1, ..., 1, s) V^T: the rank floor N * rank_rel is
+    # 3e-12, 2e-11 and 2e-10 at N = 3, 20, 200, and the singular values come
+    # from the SVD, accurate to about eps * s_max at every size
+    @staticmethod
+    def _span(n, s):
+        rng = np.random.default_rng(n)
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        sing = np.ones(n)
+        sing[-1] = s
+        span = (u * sing) @ v.T
+        return span, rng.standard_normal((n, n)) @ span
+
+    @pytest.mark.parametrize(
+        "n,s", [(n, s) for n in (3, 20, 200) for s in (0.0, 1e-14, 1e-12)] + [(200, 1e-10)]
+    )
+    def test_singular_span_raises(self, n, s):
+        span, images = self._span(n, s)
+        with pytest.raises(SingularDecomposition):
+            ext._extension_from_action(span, images, DEFAULT)
+
+    @pytest.mark.parametrize("n,s", [(3, 1e-10), (20, 1e-10), (3, 1e-9), (20, 1e-9), (200, 1e-9)])
+    def test_regular_span_assembles(self, n, s):
+        span, images = self._span(n, s)
+        matrix = ext._extension_from_action(span, images, DEFAULT)
+        assert max_norm(matrix @ span - images) <= 1e-12 * max_norm(images)
 
 
 class TestKrein:
