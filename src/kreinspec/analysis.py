@@ -85,8 +85,8 @@ class InequalityReport:
             raise ValueError("satisfied report with negative margin")
 
 
-def _probe_points(*countings, grid=()):
-    probes = set(float(g) for g in grid)
+def _probe_points(*countings):
+    probes = set()
     for counting in countings:
         for bp in counting.breakpoints:
             probes.add(bp - 1e-9)
@@ -95,8 +95,7 @@ def _probe_points(*countings, grid=()):
     return sorted(probes)
 
 
-def counting_domination(n_soft: CountingFunction, n_hard: CountingFunction,
-                        lam_grid=()) -> InequalityReport:
+def counting_domination(n_soft: CountingFunction, n_hard: CountingFunction) -> InequalityReport:
     """Check N_soft(lambda) <= N_hard(lambda) everywhere both are complete."""
     cap = min(
         x for x in (n_soft.complete_below, n_hard.complete_below, math.inf)
@@ -104,7 +103,7 @@ def counting_domination(n_soft: CountingFunction, n_hard: CountingFunction,
     )
     margin = math.inf
     witnesses = []
-    for lam in _probe_points(n_soft, n_hard, grid=lam_grid):
+    for lam in _probe_points(n_soft, n_hard):
         if lam > cap or lam <= 0.0:
             continue
         slack = n_hard(lam) - n_soft(lam)
@@ -163,6 +162,9 @@ def two_term_ball_coefficients(n: int, radius: float, which: str):
     return lead, second
 
 
+_WEYL_SAMPLES = 240  # log-uniform sample points of weyl_fit
+
+
 @dataclass(frozen=True)
 class WeylFit:
     n: int
@@ -176,8 +178,7 @@ class WeylFit:
     samples: int
 
 
-def weyl_fit(counting: CountingFunction, n: int, window,
-             analytic=None, sample_count: int = 240) -> WeylFit:
+def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylFit:
     """Two-term least squares of N(lambda) on lambda^(n/2), lambda^((n-1)/2).
 
     Samples are log-uniform across the window.  The remainder order is
@@ -192,9 +193,7 @@ def weyl_fit(counting: CountingFunction, n: int, window,
         raise InsufficientData(
             f"window top {hi} beyond complete range {counting.complete_below}"
         )
-    if sample_count < 50:
-        raise InsufficientData("need at least 50 sample points")
-    lams = np.exp(np.linspace(math.log(lo), math.log(hi), sample_count))
+    lams = np.exp(np.linspace(math.log(lo), math.log(hi), _WEYL_SAMPLES))
     counts = np.array([counting(lam) for lam in lams], dtype=float)
     x1 = lams ** (n / 2.0)
     x2 = lams ** ((n - 1) / 2.0)
@@ -235,12 +234,14 @@ def weyl_fit(counting: CountingFunction, n: int, window,
         window=(lo, hi),
         residual_sup=residual_sup,
         remainder_slope=float(slope),
-        samples=sample_count,
+        samples=_WEYL_SAMPLES,
     )
 
 
 def interval_counting(spec: IntervalSpec, which: str, lam_max: float) -> CountingFunction:
     """Counting function of the interval spectra, complete below lam_max."""
+    if not 0.0 < lam_max < math.inf:
+        raise ValueError(f"lam_max {lam_max} is not positive and finite")
     length = spec.length
     if which == "dirichlet":
         count = max(int(math.ceil(length * math.sqrt(lam_max) / math.pi)) + 2, 1)

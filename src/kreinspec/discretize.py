@@ -56,8 +56,8 @@ class Grid1D:
     def __post_init__(self):
         if self.m < 8:
             raise ValueError(f"need at least 8 interior points, got {self.m}")
-        if not self.b > self.a:
-            raise ValueError(f"empty interval ({self.a}, {self.b})")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"interval ({self.a}, {self.b}) is empty or unbounded")
 
     @property
     def h(self) -> float:
@@ -173,8 +173,8 @@ class RadialChannelSpec:
             raise UnsupportedChannel(
                 "channel n=2, l=0 has critical coefficient -1/4; use exact spectra"
             )
-        if not self.radius > 0.0:
-            raise ValueError(f"radius {self.radius} <= 0")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius {self.radius} is not positive and finite")
         if self.m < 8:
             raise ValueError(f"need at least 8 grid points, got {self.m}")
         if self.bc not in ("dirichlet", "krein"):

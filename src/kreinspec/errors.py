@@ -1,7 +1,7 @@
 """Exception types shared across the library.
 
 Every failure mode that callers are expected to handle gets its own class;
-all of them derive from KreinspecError so a CLI can catch the lot.
+all of them derive from KreinspecError, so one except clause catches the lot.
 """
 
 
@@ -67,11 +67,3 @@ class InsufficientData(KreinspecError):
 
 class InsufficientEigenvalues(KreinspecError):
     """Spectrum too short for the requested inequality checks."""
-
-
-class UsageError(KreinspecError):
-    """Bad command line; maps to exit code 1."""
-
-
-class IoError(KreinspecError):
-    """Output sink could not be written; maps to exit code 2."""

@@ -290,7 +290,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
         b = b if isinstance(b, SymMatrix) else SymMatrix(np.asarray(b, dtype=float).reshape(p, p))
         if b.order != p:
             raise ValueError(f"parameter order {b.order} != dim W = {p}")
-        b_eigen = sym_eigen(b, profile)
+        b_eigen = sym_eigen(b)
         if b_eigen.values[0] < -profile.psd_clamp_rel * max(b.norm_max, 1e-300):
             raise NotPSD(f"parameter has eigenvalue {b_eigen.values[0]:.3e}")
     else:
@@ -474,9 +474,9 @@ def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float,
                   profile: ToleranceProfile = DEFAULT) -> float:
     """Smallest eigenvalue of (E1 + aI)^{-1} - (E2 + aI)^{-1}.
 
-    A result down to -order_slack certifies E1 <= E2 in the extension order,
-    because PSD order is equivalent to the reversed order of resolvents at
-    any positive shift.
+    A result down to a small negative slack (the tests allow -1e-10)
+    certifies E1 <= E2 in the extension order, because PSD order is
+    equivalent to the reversed order of resolvents at any positive shift.
     """
     if a <= 0.0:
         raise ValueError("shift must be positive")

@@ -129,7 +129,7 @@ def _eigh(a: np.ndarray):
     return values, vectors
 
 
-def sym_eigen(s, profile: ToleranceProfile = DEFAULT) -> EigenDecomposition:
+def sym_eigen(s) -> EigenDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors, by LAPACK syevd."""
     values, vectors = _eigh(_as_sym_array(s))
     return EigenDecomposition(values=values, vectors=vectors)
@@ -160,7 +160,7 @@ def gen_sym_eigen(a_pen, b_pen, profile: ToleranceProfile = DEFAULT) -> EigenDec
     back through L^-T, which makes them B-orthonormal.
     """
     low, c = _reduce_pencil(a_pen, b_pen, profile)
-    eig = sym_eigen(c, profile)
+    eig = sym_eigen(c)
     vectors = np.linalg.solve(low.T, eig.vectors)
     return EigenDecomposition(values=eig.values, vectors=vectors)
 
@@ -178,7 +178,7 @@ def spd_sqrt(s, profile: ToleranceProfile = DEFAULT) -> SymMatrix:
     PSD only up to rounding.
     """
     a = _as_sym_array(s)
-    eig = sym_eigen(a, profile)
+    eig = sym_eigen(a)
     lo = -profile.psd_clamp_rel * max(max_norm(a), 1e-300)
     if eig.values[0] < lo:
         raise NotPositiveSemidefinite(

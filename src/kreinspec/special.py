@@ -89,7 +89,7 @@ def _coerce_order(nu) -> BesselOrder:
     if isinstance(nu, BesselOrder):
         return nu
     twice = 2.0 * float(nu)
-    if abs(twice - round(twice)) > 1e-12:
+    if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-12:
         raise DomainError(f"order {nu} is neither integer nor half-integer")
     return BesselOrder(int(round(twice)))
 
@@ -121,23 +121,23 @@ def _tiny_argument_series(order: BesselOrder, x: float) -> float:
     return math.exp(log_lead) * total
 
 
-def _miller_integer_all(n_max: int, x: float) -> list:
-    """J_0(x) .. J_{n_max}(x) by one backward Miller recurrence pass."""
+def _backward_all(parity: int, n_max: int, x: float) -> list:
+    """Orders parity/2 .. n_max + parity/2 at x by one backward recurrence:
+    J_0(x) .. J_{n_max}(x) by Miller's algorithm for parity 0, the spherical
+    j_0(x) .. j_{n_max}(x) (no sqrt(2x/pi) factor) for parity 1."""
     start = _recurrence_start(n_max, x)
     out = [0.0] * (n_max + 1)
     fplus = 0.0
     f = 1.0e-30
     norm = 0.0
-    if start <= n_max:
-        out[start] = f
     for k in range(start, 0, -1):
-        fminus = (2.0 * k / x) * f - fplus
+        fminus = ((2.0 * k + parity) / x) * f - fplus
         fplus = f
         f = fminus
         idx = k - 1
         if idx <= n_max:
             out[idx] = f
-        if idx >= 2 and idx % 2 == 0:
+        if parity == 0 and idx >= 2 and idx % 2 == 0:
             norm += 2.0 * f
         if abs(f) > _RESCALE:
             inv = 1.0 / _RESCALE
@@ -146,31 +146,9 @@ def _miller_integer_all(n_max: int, x: float) -> list:
             norm *= inv
             for j in range(max(idx, 0), n_max + 1):
                 out[j] *= inv
-    norm += f  # f is now J_0 up to the common factor
-    return [v / norm for v in out]
-
-
-def _spherical_all(l_max: int, x: float) -> list:
-    """Spherical Bessel j_0(x) .. j_{l_max}(x) by backward recurrence."""
-    start = _recurrence_start(l_max, x)
-    out = [0.0] * (l_max + 1)
-    fplus = 0.0
-    f = 1.0e-30
-    if start <= l_max:
-        out[start] = f
-    for k in range(start, 0, -1):
-        fminus = ((2.0 * k + 1.0) / x) * f - fplus
-        fplus = f
-        f = fminus
-        idx = k - 1
-        if idx <= l_max:
-            out[idx] = f
-        if abs(f) > _RESCALE:
-            inv = 1.0 / _RESCALE
-            f *= inv
-            fplus *= inv
-            for j in range(max(idx, 0), l_max + 1):
-                out[j] *= inv
+    if parity == 0:
+        norm += f  # f is now J_0 up to the common factor
+        return [v / norm for v in out]
     j0 = math.sin(x) / x
     j1 = math.sin(x) / (x * x) - math.cos(x) / x
     # f is the unnormalized j_0 and fplus the unnormalized j_1
@@ -186,22 +164,22 @@ def _eval_j(order: BesselOrder, x: float) -> float:
         return _tiny_argument_series(order, x)
     if order.is_integer:
         n = order.twice_order // 2
-        return _miller_integer_all(n, x)[n]
+        return _backward_all(0, n, x)[n]
     l = (order.twice_order - 1) // 2
-    return math.sqrt(2.0 * x / math.pi) * _spherical_all(l, x)[l]
+    return math.sqrt(2.0 * x / math.pi) * _backward_all(1, l, x)[l]
 
 
 def _eval_j_pair(order: BesselOrder, x: float):
     """(J_nu(x), J_nu'(x)) sharing a single recurrence pass."""
     if order.is_integer:
         n = order.twice_order // 2
-        vals = _miller_integer_all(n + 1, x)
+        vals = _backward_all(0, n + 1, x)
         if n == 0:
             return vals[0], -vals[1]
         return vals[n], 0.5 * (vals[n - 1] - vals[n + 1])
     l = (order.twice_order - 1) // 2
     amp = math.sqrt(2.0 * x / math.pi)
-    vals = _spherical_all(l + 1, x)
+    vals = _backward_all(1, l + 1, x)
     below = math.cos(x) / x if l == 0 else vals[l - 1]
     return amp * vals[l], 0.5 * amp * (below - vals[l + 1])
 
@@ -290,8 +268,8 @@ def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
 
 def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray,
                    writes: dict):
-    """The backward recurrence of `_miller_integer_all` (parity 0) or
-    `_spherical_all` (parity 1), run for every argument of x at once.
+    """The backward recurrence of `_backward_all`, run for every argument
+    of x at once.
 
     Element e is seeded at order starts[e].  writes maps an order index i
     to (slot, a, b) triples: out[slot, a:b] receives the unnormalized value
@@ -328,7 +306,7 @@ def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarr
 
 
 def _normalized(parity: int, x: np.ndarray, out: np.ndarray, f, fplus, norm) -> np.ndarray:
-    """out scaled like the scalar recurrences scale their results: J for
+    """out scaled like `_backward_all` scales its results: J for
     integer orders, spherical j (no sqrt(2x/pi) factor) for half-integers."""
     if parity == 0:
         return out / (norm + f)
@@ -435,8 +413,8 @@ def bessel_zero(nu, k: int) -> float:
     found by the batched scan of `_family_zeros` and cached.
     """
     order = _coerce_order(nu)
-    if not (1 <= k <= _MAX_ZERO_INDEX):
-        raise DomainError(f"zero index {k} outside 1..{_MAX_ZERO_INDEX}")
+    if not (1 <= k <= _MAX_ZERO_INDEX and k == int(k)):
+        raise DomainError(f"zero index {k} is not an integer in 1..{_MAX_ZERO_INDEX}")
     beta, terms = _mcmahon_terms(order, k)
     guess = beta - sum(terms)
     if _mcmahon_is_reliable(terms):
@@ -447,7 +425,7 @@ def bessel_zero(nu, k: int) -> float:
     while True:
         zeros, complete = _zero_cache.get(order.twice_order, ((), 0.0))
         if len(zeros) >= k:
-            return float(zeros[k - 1])
+            return float(zeros[int(k) - 1])
         # widen the reach past the order at least twofold, so that ascending
         # calls k = 1, 2, ... recompute O(log k) times
         x_max = max(x_max, order.nu + 2.0 * (complete - order.nu))
@@ -465,8 +443,8 @@ def tan_fixed_point(m: int) -> float:
     Newton runs on the pole-free form t cos t - sin t = 0 from the guess
     (2m+1) pi/2 - 1/((2m+1) pi/2), safeguarded by the enclosing bracket.
     """
-    if not (1 <= m <= _MAX_ZERO_INDEX):
-        raise DomainError(f"root index {m} outside 1..{_MAX_ZERO_INDEX}")
+    if not (1 <= m <= _MAX_ZERO_INDEX and m == int(m)):
+        raise DomainError(f"root index {m} is not an integer in 1..{_MAX_ZERO_INDEX}")
     lo = m * math.pi
     hi = (2 * m + 1) * math.pi / 2.0
     return _newton_in_bracket(_tan_pair, lo, hi, hi - 1.0 / hi, _tan_pair(lo)[0])

@@ -51,8 +51,8 @@ class IntervalSpec:
     b: float
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"empty interval ({self.a}, {self.b})")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"interval ({self.a}, {self.b}) is empty or unbounded")
 
     @property
     def length(self) -> float:
@@ -67,8 +67,8 @@ class BallSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"ball dimension {self.n} < 2")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius {self.radius} <= 0")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius {self.radius} is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,8 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float,
     that is cached per order: the hard and soft spectra of one ball, and
     repeated calls, reuse it.  Orders above 500 raise DomainError.
     """
-    if lambda_max <= 0.0:
-        raise ValueError("lambda_max must be positive")
+    if not 0.0 < lambda_max < math.inf:
+        raise ValueError(f"lambda_max {lambda_max} is not positive and finite")
     if which not in ("dirichlet", "krein"):
         raise ValueError(f"which must be dirichlet or krein, got {which!r}")
     n, radius = spec.n, spec.radius

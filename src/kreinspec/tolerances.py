@@ -2,51 +2,27 @@
 
 All tolerances are relative to the max-norm of the input (times the order
 where stated in the individual contracts).  A single profile object is
-passed down by callers; the environment variable KREIN_TOL_PROFILE selects
-between the shipped profiles in the CLI.
+passed down by callers; DEFAULT is the one the library ships.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    name: str = "default"
     # linalg-core
     cholesky_pivot_rel: float = 1e-14     # pivot <= order * this * max|S| fails
     psd_clamp_rel: float = 1e-12          # spd_sqrt negative-eigenvalue window
-    eigen_residual_rel: float = 1e-10     # ||A V - V D|| <= this * (1+|A|) * order
     orthonormal_rel: float = 1e-12        # ||V^T V - I|| <= this * order
     # extension-core
     extension_residual_rel: float = 1e-10  # extends-S and kernel residuals
     adjoint_kernel_rel: float = 1e-11      # orthogonality of ker(S*) columns to A*D
     construction_rel: float = 1e-9         # piecewise vs Ando-Nishio mismatch
     rank_rel: float = 1e-12                # spanning-set smallest/largest singular value
-    order_slack: float = 1e-10             # resolvent-order comparisons
     # exact spectra
     merge_rel: float = 1e-11               # cross-channel coincident-eigenvalue merge
 
-    def scaled(self, factor: float, name: str) -> "ToleranceProfile":
-        fields = {
-            k: v * factor
-            for k, v in vars(self).items()
-            if isinstance(v, float)
-        }
-        return replace(self, name=name, **fields)
-
 
 DEFAULT = ToleranceProfile()
-STRICT = DEFAULT.scaled(0.1, "strict")
-
-_PROFILES = {"default": DEFAULT, "strict": STRICT}
-
-
-def from_env() -> ToleranceProfile:
-    """Profile selected by KREIN_TOL_PROFILE (default if unset)."""
-    key = os.environ.get("KREIN_TOL_PROFILE", "default").strip().lower()
-    if key not in _PROFILES:
-        raise ValueError(f"unknown tolerance profile {key!r}; use default|strict")
-    return _PROFILES[key]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from kreinspec import analysis as an
@@ -57,3 +58,41 @@ class TestCountingDomination:
             an.interval_counting(segment, "dirichlet", 200.0),
         )
         assert report.satisfied and report.margin >= 0.0
+
+
+def _synthetic_counting(n, lead, second, top):
+    """Counting function that jumps by one wherever
+    round(lead * lam^(n/2) + second * lam^((n-1)/2)) steps, below top."""
+    law = lambda lam: lead * lam ** (n / 2.0) + second * lam ** ((n - 1) / 2.0)
+    start = (second / lead) ** 2 if second < 0.0 else 0.0  # law rises from 0 here
+    targets = np.arange(math.floor(law(top) - 0.5) + 1) + 0.5
+    lo, hi = np.full(targets.size, start), np.full(targets.size, top)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = law(mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return an.CountingFunction(breakpoints=tuple(hi.tolist()),
+                               cumulative=tuple(range(1, targets.size + 1)))
+
+
+class TestWeylFit:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_recovers_known_coefficients(self, n):
+        lead, second = an.two_term_ball_coefficients(n, 1.0, "krein")
+        counting = _synthetic_counting(n, lead, second, 2.2e4)
+        fit = an.weyl_fit(counting, n, (2e3, 2e4))
+        assert fit.c_lead == pytest.approx(lead, rel=1e-4)
+        assert fit.c_second == pytest.approx(second, rel=2e-3)
+        assert fit.samples == 240
+
+
+class TestTwoTermCoefficients:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_second_coefficients_differ_by_boundary_term(self, n):
+        radius = 1.3
+        lead_d, second_d = an.two_term_ball_coefficients(n, radius, "dirichlet")
+        lead_k, second_k = an.two_term_ball_coefficients(n, radius, "krein")
+        v = math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0 + 1.0)
+        want = (2.0 * math.pi) ** (-(n - 1)) * v * v * radius ** (n - 1)
+        assert lead_d == lead_k
+        assert second_d - second_k == pytest.approx(want, rel=1e-14)

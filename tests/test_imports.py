@@ -1,9 +1,11 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kreinspec"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kreinspec"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
@@ -35,3 +37,12 @@ def test_every_import_is_used(module):
     used |= _exported(tree)
     unused = [(name, line) for name, line in _bound_names(tree) if name not in used]
     assert unused == []
+
+
+def test_console_scripts_import():
+    # a script whose module is missing installs fine and fails when it starts
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

@@ -1,0 +1,53 @@
+import math
+
+import pytest
+
+from kreinspec import analysis as an
+from kreinspec import discretize as dz
+from kreinspec import special
+from kreinspec import spectra as sp
+from kreinspec.errors import DomainError
+
+INF, NAN = math.inf, math.nan
+UNIT_BALL = sp.BallSpec(2, 1.0)
+UNIT_SEGMENT = sp.IntervalSpec(0.0, 1.0)
+
+# Each call either returned a wrong answer or failed with an untyped error
+# (OverflowError from math.ceil, IndexError, a NaN conversion message).
+BAD_SIZES = {
+    "radial-radius-inf": lambda: dz.radial_eigenvalues(
+        dz.RadialChannelSpec(3, 1, INF, 10, "dirichlet"), 2),
+    "grid-unbounded": lambda: dz.Grid1D(0.0, INF, 10),
+    "interval-unbounded": lambda: sp.IntervalSpec(-INF, 0.0),
+    "ball-radius-inf": lambda: sp.BallSpec(2, INF),
+    "ball-lambda-inf": lambda: sp.ball_spectrum(UNIT_BALL, "dirichlet", INF),
+    "ball-lambda-nan": lambda: sp.ball_spectrum(UNIT_BALL, "krein", NAN),
+    "ball-counting-lambda-inf": lambda: an.ball_counting(UNIT_BALL, "krein", INF),
+    "interval-counting-lambda-inf": lambda: an.interval_counting(UNIT_SEGMENT, "dirichlet", INF),
+    "interval-counting-lambda-nan": lambda: an.interval_counting(UNIT_SEGMENT, "krein", NAN),
+}
+
+BAD_INDICES = {
+    "tan-root-half-index": lambda: special.tan_fixed_point(2.5),
+    "zero-half-index": lambda: special.bessel_zero(0, 2.5),
+    "zero-order-nan": lambda: special.bessel_zero(NAN, 1),
+    "value-order-inf": lambda: special.bessel_j(INF, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+def test_non_finite_sizes_raise(call):
+    with pytest.raises(ValueError, match="positive and finite|empty or unbounded"):
+        call()
+
+
+@pytest.mark.parametrize("call", BAD_INDICES.values(), ids=BAD_INDICES.keys())
+def test_bad_indices_and_orders_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_integral_float_index_matches_int():
+    # order 100 takes the scan path, which indexes the cached zeros by k
+    assert special.bessel_zero(100, 2.0) == special.bessel_zero(100, 2)
+    assert special.tan_fixed_point(3.0) == special.tan_fixed_point(3)
