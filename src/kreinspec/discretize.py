@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,10 @@ __all__ = [
     "convergence_order",
 ]
 
+# Shifts per open bracket in one multisection step.  A sweep costs mostly
+# per-row overhead, so more shifts per sweep are nearly free.
+_SHIFTS_PER_BRACKET = 31
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -54,8 +59,8 @@ class Grid1D:
     m: int  # interior point count
 
     def __post_init__(self):
-        if self.m < 8:
-            raise ValueError(f"need at least 8 interior points, got {self.m}")
+        if not (isinstance(self.m, Integral) and self.m >= 8):
+            raise ValueError(f"need an integer m >= 8 interior points, got {self.m}")
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"interval ({self.a}, {self.b}) is empty or unbounded")
 
@@ -148,8 +153,8 @@ def discrete_krein_spectrum(model: ExtensionModel, count: int,
     equals the codimension of the restricted domain.  The pencil has
     domain_dim eigenvalues, so a larger count raises ValueError.
     """
-    if not 1 <= count <= model.domain_dim:
-        raise ValueError(f"count must be in 1..{model.domain_dim}, got {count}")
+    if not (isinstance(count, Integral) and 1 <= count <= model.domain_dim):
+        raise ValueError(f"count must be an integer in 1..{model.domain_dim}, got {count}")
     vals = pencil_values(model, profile)[:count]
     return Spectrum(
         entries=_merge_coincident([(float(v), 1) for v in vals], profile.merge_rel),
@@ -175,8 +180,8 @@ class RadialChannelSpec:
             )
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius {self.radius} is not positive and finite")
-        if self.m < 8:
-            raise ValueError(f"need at least 8 grid points, got {self.m}")
+        if not (isinstance(self.m, Integral) and self.m >= 8):
+            raise ValueError(f"need an integer m >= 8 grid points, got {self.m}")
         if self.bc not in ("dirichlet", "krein"):
             raise ValueError(f"bc must be dirichlet or krein, got {self.bc!r}")
 
@@ -237,7 +242,11 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
 
 def radial_eigenvalues(spec: RadialChannelSpec, count: int,
                        include_zero_mode: bool = False) -> np.ndarray:
-    """Lowest nonzero pencil eigenvalues by Sturm bisection.
+    """Lowest nonzero pencil eigenvalues by Sturm multisection.
+
+    All wanted indices are bracketed together: each step counts
+    _SHIFTS_PER_BRACKET shifts per open bracket in one sturm_count sweep and
+    keeps the sub-interval that holds the index, down to 1e-13 relative.
 
     The soft endpoint condition carries the channel's one-dimensional kernel
     (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one
@@ -249,26 +258,31 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     needs more (with the dropped zero mode) raises ValueError.
     """
     skip = 1 if (spec.bc == "krein" and not include_zero_mode) else 0
-    if not 1 <= count <= spec.m - skip:
-        raise ValueError(f"count must be in 1..{spec.m - skip}, got {count}")
+    if not (isinstance(count, Integral) and 1 <= count <= spec.m - skip):
+        raise ValueError(f"count must be an integer in 1..{spec.m - skip}, got {count}")
     pencil = radial_pencil(spec)
     d, e = pencil.reduced_tridiagonal()
     abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
     radius = abs_e[:-1] + abs_e[1:]
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
-    out = []
-    for j in range(1, count + skip + 1):
-        a, b = lo, hi
-        for _ in range(120):
-            mid = 0.5 * (a + b)
-            if sturm_count(d, e, mid) >= j:
-                b = mid
-            else:
-                a = mid
-            if b - a <= 1e-13 * max(abs(a), abs(b), 1.0):
-                break
-        out.append(0.5 * (a + b))
+    wanted = np.arange(1, count + skip + 1)
+    a = np.full(wanted.size, lo)
+    b = np.full(wanted.size, hi)
+    live = np.arange(wanted.size)
+    fractions = np.arange(1, _SHIFTS_PER_BRACKET + 1) / (_SHIFTS_PER_BRACKET + 1)
+    # 31 shifts shrink a bracket 32 = 2^5 times, so 24 steps match 120 bisections.
+    for _ in range(24):
+        grid = a[live, None] + (b - a)[live, None] * fractions
+        below = np.sum(sturm_count(d, e, grid) < wanted[live, None], axis=1)
+        edges = np.column_stack((a[live], grid, b[live]))
+        rows = np.arange(live.size)
+        a[live], b[live] = edges[rows, below], edges[rows, below + 1]
+        scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
+        live = live[(b - a)[live] > 1e-13 * scale[live]]
+        if not live.size:
+            break
+    out = 0.5 * (a + b)
     if skip:
         # Correct assemblies stay below a fifth of this bound; a soft row
         # built with alpha off by 1/2 lands at least 1.87 times above it.
@@ -279,7 +293,7 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
                 f"expected a zero mode, got lowest eigenvalues {out[0]:.3e}, "
                 f"{out[1]:.3e} (ratio bound {bound:.3e})"
             )
-    return np.array(out[skip:])
+    return out[skip:]
 
 
 @dataclass(frozen=True)

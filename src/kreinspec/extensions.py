@@ -46,6 +46,7 @@ from .errors import (
 )
 from .linalg import (
     SymMatrix,
+    _eigh,
     cholesky,
     gen_sym_eigen,
     gen_sym_eigen_values,
@@ -163,7 +164,7 @@ def new_model(a, raw_basis, profile: ToleranceProfile = DEFAULT) -> ExtensionMod
 
     A basis that is already orthonormal is kept as given; any other is
     replaced by the Q of its Householder QR.  The bottom eigenvalue of A is
-    computed and stored.
+    computed by LAPACK eigvalsh, without eigenvectors, and stored.
     """
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     raw = np.asarray(raw_basis, dtype=float)
@@ -177,8 +178,7 @@ def new_model(a, raw_basis, profile: ToleranceProfile = DEFAULT) -> ExtensionMod
         raise NoDeficiency(f"domain dimension {d} leaves no deficiency in {n}")
     if d < 1:
         raise ValueError("domain must have at least one column")
-    values = sym_eigen_values(a)
-    eps = float(values[0])
+    eps = float(_eigh(a.array, with_vectors=False)[0][0])
     if eps <= n * profile.cholesky_pivot_rel * a.norm_max:
         raise NotPositiveDefinite(f"bottom eigenvalue {eps:.3e} not positive")
     gram = raw.T @ raw

@@ -5,7 +5,8 @@ cholesky (potrf) and solve (gesv).  This module adds the library's contracts
 around them: exactly symmetric input, ascending eigenvalues, the Cholesky
 pivot floor, the PSD clamp of the square root, and typed errors in place of
 LinAlgError.  The Sturm count for symmetric tridiagonals is written out
-here, because radial bisection needs one count at a time.
+here: numpy has no tridiagonal routine, and radial multisection needs the
+counts at many shifts from one sweep.
 """
 
 from __future__ import annotations
@@ -118,10 +119,13 @@ def solve_cholesky(low: np.ndarray, b) -> np.ndarray:
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
-def _eigh(a: np.ndarray):
-    """LAPACK eigh; a failure or a non-finite result raises NoConvergence."""
+def _eigh(a: np.ndarray, with_vectors: bool = True):
+    """LAPACK eigh, or eigvalsh without vectors (which are then None).
+
+    A failure or a non-finite eigenvalue raises NoConvergence.
+    """
     try:
-        values, vectors = np.linalg.eigh(a)
+        values, vectors = np.linalg.eigh(a) if with_vectors else (np.linalg.eigvalsh(a), None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
     if not np.all(np.isfinite(values)):
@@ -189,27 +193,42 @@ def spd_sqrt(s, profile: ToleranceProfile = DEFAULT) -> SymMatrix:
     return SymMatrix(root)
 
 
-def sturm_count(diag, offdiag, lam: float) -> int:
+def sturm_count(diag, offdiag, lam):
     """Number of eigenvalues strictly below lam for a symmetric tridiagonal.
 
-    Classic Sturm sign-change count with the standard zero-pivot
-    perturbation.
+    lam is one shift, which gives an int, or an array of shifts, which gives
+    an int array of counts of the same shape.  Classic Sturm sign-change
+    count with the standard zero-pivot perturbation: a pivot smaller than
+    pivmin in magnitude is counted, then replaced by -pivmin.  One sweep over
+    the rows updates every shift at once, in scratch memory linear in the
+    number of shifts.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
     n = d.size
-    if e.size != max(n - 1, 0):
+    if n < 1:
+        raise ValueError("tridiagonal has no rows")
+    if e.size != n - 1:
         raise ValueError(f"offdiag length {e.size} does not match order {n}")
+    shifts = np.asarray(lam, dtype=float)
+    if np.isnan(shifts).any():
+        raise ValueError("shift is NaN")
     emax = float(np.max(np.abs(e))) if e.size else 0.0
     pivmin = max(emax * emax * _EPS, 1e-300)
-    count = 0
-    q = d[0] - lam
-    if q < 0.0:
-        count += 1
-    for i in range(1, n):
-        if abs(q) < pivmin:
-            q = -pivmin
-        q = (d[i] - lam) - e[i - 1] * e[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
+    s = shifts.reshape(-1)
+    q = np.ones_like(s)  # with e = 0 before row 0, its pivot is d[0] - s
+    t = np.empty_like(s)
+    flag = np.empty(s.shape, dtype=bool)
+    count = np.zeros(s.shape, dtype=np.intp)
+    # Positional out arguments: each row is a few ufunc calls on length-S
+    # buffers, so per-call overhead is most of the sweep's time.
+    for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
+        np.divide(e2, q, q)
+        np.subtract(di, s, t)
+        np.subtract(t, q, q)
+        np.less(q, 0.0, flag)
+        np.add(count, flag, count)
+        np.abs(q, t)
+        np.less(t, pivmin, flag)
+        np.putmask(q, flag, -pivmin)
+    return int(count[0]) if shifts.ndim == 0 else count.reshape(shifts.shape)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 
 from .errors import BracketFailure, DomainError
 from .special import _family_zeros, bessel_zero, tan_fixed_point
@@ -111,8 +112,8 @@ class Spectrum:
 
 def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
     """First `count` hard-boundary eigenvalues (j pi / L)^2, all simple."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not (isinstance(count, Integral) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count}")
     length = spec.length
     entries = tuple(((j * math.pi / length) ** 2, 1) for j in range(1, count + 1))
     return Spectrum(entries=entries, kernel_dim=0, complete_below=entries[-1][0])
@@ -125,8 +126,8 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
     strictly: m pi < t_m < (m + 1/2) pi puts exactly one odd value between
     consecutive even ones.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not (isinstance(count, Integral) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count}")
     length = spec.length
     vals = []
     m = 1

@@ -27,6 +27,19 @@ BAD_SIZES = {
     "interval-counting-lambda-nan": lambda: an.interval_counting(UNIT_SEGMENT, "krein", NAN),
 }
 
+# Each call passed its checks and then failed with a bare TypeError inside
+# numpy, range or a slice.
+NON_INTEGER_COUNTS = {
+    "grid-half-size": lambda: dz.Grid1D(0.0, 1.0, 10.5),
+    "radial-half-size": lambda: dz.RadialChannelSpec(3, 1, 1.0, 10.5, "dirichlet"),
+    "interval-dirichlet-half-count": lambda: sp.interval_dirichlet(UNIT_SEGMENT, 2.5),
+    "interval-krein-half-count": lambda: sp.interval_krein(UNIT_SEGMENT, 2.5),
+    "radial-half-count": lambda: dz.radial_eigenvalues(
+        dz.RadialChannelSpec(3, 1, 1.0, 10, "dirichlet"), 2.5),
+    "discrete-krein-half-count": lambda: dz.discrete_krein_spectrum(
+        dz.interval_model(dz.Grid1D(0.0, 1.0, 10), dz.PotentialSpec.zero()), 2.5),
+}
+
 BAD_INDICES = {
     "tan-root-half-index": lambda: special.tan_fixed_point(2.5),
     "zero-half-index": lambda: special.bessel_zero(0, 2.5),
@@ -38,6 +51,12 @@ BAD_INDICES = {
 @pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
 def test_non_finite_sizes_raise(call):
     with pytest.raises(ValueError, match="positive and finite|empty or unbounded"):
+        call()
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
+def test_non_integer_sizes_and_counts_raise(call):
+    with pytest.raises(ValueError, match="integer"):
         call()
 
 

@@ -194,11 +194,40 @@ class TestSturmCount:
         assert la.sturm_count([2.0, 2.0], [1.0], 0.99) == 0
         assert la.sturm_count([2.0, 2.0], [1.0], 3.01) == 2
 
-    @pytest.mark.parametrize("n", [10, 100, 500])
-    def test_agrees_with_eigensolver(self, n):
+    @pytest.mark.parametrize("n, batched", [
+        pytest.param(n, batched, id=f"{n}-array" if batched else str(n))
+        for batched in (False, True) for n in (10, 100, 500)
+    ])
+    def test_agrees_with_eigensolver(self, n, batched):
         rng = np.random.default_rng(n + 1)
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
         vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        for lam in rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, size=20):
-            assert la.sturm_count(d, e, lam) == int(np.sum(vals < lam))
+        shifts = rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, size=20)
+        want = [int(np.sum(vals < lam)) for lam in shifts]
+        if batched:
+            got = la.sturm_count(d, e, shifts)
+            assert got.dtype.kind == "i"
+            np.testing.assert_array_equal(got, want)
+        else:
+            got = [la.sturm_count(d, e, lam) for lam in shifts]
+            assert all(type(c) is int for c in got)
+            assert got == want
+
+    def test_zero_pivot_matches_scalar_counts(self):
+        # the shift 1.0 makes the first pivot of tridiag(1; 1) exactly zero
+        d, e = np.ones(6), np.ones(5)
+        shifts = np.array([1.0, -1.5, 1.0 - 1e-16, 1.0, 3.5, 1.0 + 1e-15])
+        got = la.sturm_count(d, e, shifts)
+        np.testing.assert_array_equal(got, [la.sturm_count(d, e, s) for s in shifts])
+        grid = la.sturm_count(d, e, shifts.reshape(2, 3))
+        np.testing.assert_array_equal(grid, got.reshape(2, 3))
+
+    def test_empty_tridiagonal_raises(self):
+        with pytest.raises(ValueError, match="no rows"):
+            la.sturm_count([], [], 0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, [0.0, np.nan, 1.0]], ids=["scalar", "array"])
+    def test_nan_shift_raises(self, lam):
+        with pytest.raises(ValueError, match="NaN"):
+            la.sturm_count([2.0, 2.0], [1.0], lam)
