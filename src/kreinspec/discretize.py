@@ -47,9 +47,9 @@ __all__ = [
     "convergence_order",
 ]
 
-# Shifts per open bracket in one multisection step.  A sweep costs mostly
-# per-row overhead, so more shifts per sweep are nearly free.
-_SHIFTS_PER_BRACKET = 31
+# Sub-intervals per multisection sweep.  A sweep costs mostly per-row
+# overhead, so a few hundred shifts per sweep are nearly free.
+_SWEEP_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,11 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
                        include_zero_mode: bool = False) -> np.ndarray:
     """Lowest nonzero pencil eigenvalues by Sturm multisection.
 
-    All wanted indices are bracketed together: each step counts
-    _SHIFTS_PER_BRACKET shifts per open bracket in one sturm_count sweep and
-    keeps the sub-interval that holds the index, down to 1e-13 relative.
+    All wanted indices are bracketed together, from the Gershgorin interval
+    down to 1e-13 relative.  Each step is one sturm_count sweep at about
+    _SWEEP_CELLS shifts, shared evenly by the distinct open brackets (all
+    indices share one at first) with at least 7 in each, and every index
+    keeps the sub-interval that holds it.
 
     The soft endpoint condition carries the channel's one-dimensional kernel
     (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one
@@ -270,12 +272,16 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     a = np.full(wanted.size, lo)
     b = np.full(wanted.size, hi)
     live = np.arange(wanted.size)
-    fractions = np.arange(1, _SHIFTS_PER_BRACKET + 1) / (_SHIFTS_PER_BRACKET + 1)
-    # 31 shifts shrink a bracket 32 = 2^5 times, so 24 steps match 120 bisections.
-    for _ in range(24):
-        grid = a[live, None] + (b - a)[live, None] * fractions
-        below = np.sum(sturm_count(d, e, grid) < wanted[live, None], axis=1)
-        edges = np.column_stack((a[live], grid, b[live]))
+    # Open brackets never overlap, so their left ends tell them apart.  Each
+    # step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
+    # bisections.
+    for _ in range(40):
+        left, first, group = np.unique(a[live], return_index=True, return_inverse=True)
+        cells = max(_SWEEP_CELLS // left.size, 8)
+        right = b[live[first]]
+        grid = left[:, None] + (right - left)[:, None] * (np.arange(1, cells) / cells)
+        below = np.sum(sturm_count(d, e, grid)[group] < wanted[live, None], axis=1)
+        edges = np.column_stack((left, grid, right))[group]
         rows = np.arange(live.size)
         a[live], b[live] = edges[rows, below], edges[rows, below + 1]
         scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)

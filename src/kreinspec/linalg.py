@@ -6,7 +6,8 @@ around them: exactly symmetric input, ascending eigenvalues, the Cholesky
 pivot floor, the PSD clamp of the square root, and typed errors in place of
 LinAlgError.  The Sturm count for symmetric tridiagonals is written out
 here: numpy has no tridiagonal routine, and radial multisection needs the
-counts at many shifts from one sweep.
+counts at many shifts from one sweep.  It relies on IEEE infinities and
+signed zeros in place of a pivot floor, so it needs no tuning constant.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite
 from .tolerances import DEFAULT, ToleranceProfile
-
-_EPS = float(np.finfo(np.float64).eps)
 
 __all__ = [
     "SymMatrix",
@@ -197,13 +196,20 @@ def sturm_count(diag, offdiag, lam):
     """Number of eigenvalues strictly below lam for a symmetric tridiagonal.
 
     lam is one shift, which gives an int, or an array of shifts, which gives
-    an int array of counts of the same shape.  Classic Sturm sign-change
-    count with the standard zero-pivot perturbation: a pivot smaller than
-    pivmin in magnitude is counted, then replaced by -pivmin.  One sweep over
+    an int array of counts of the same shape.  The pivots of T - lam I,
+    q_i = (d_i - lam) - e_{i-1}^2 / q_{i-1}, are formed in IEEE arithmetic
+    with no pivot floor, and each pivot whose sign bit is set counts one
+    eigenvalue (Demmel, Dhillon & Ren, ETNA 3 (1995)); the count is then
+    monotone in lam.  A zero pivot is +0 and is not counted, the next pivot
+    is -inf and is, and the one after is finite again.  So an eigenvalue at
+    exactly lam is not counted: the count is of eigenvalues strictly below
+    lam.  A row whose off-diagonal is exactly zero starts a new block with
+    q_i = d_i - lam, which also keeps 0/0 out of the sweep.  One sweep over
     the rows updates every shift at once, in scratch memory linear in the
     number of shifts.
     """
-    d = np.asarray(diag, dtype=float)
+    # + 0.0 turns a -0 diagonal entry into +0, so no pivot is ever -0
+    d = np.asarray(diag, dtype=float) + 0.0
     e = np.asarray(offdiag, dtype=float)
     n = d.size
     if n < 1:
@@ -213,22 +219,21 @@ def sturm_count(diag, offdiag, lam):
     shifts = np.asarray(lam, dtype=float)
     if np.isnan(shifts).any():
         raise ValueError("shift is NaN")
-    emax = float(np.max(np.abs(e))) if e.size else 0.0
-    pivmin = max(emax * emax * _EPS, 1e-300)
     s = shifts.reshape(-1)
-    q = np.ones_like(s)  # with e = 0 before row 0, its pivot is d[0] - s
+    q = np.empty_like(s)
     t = np.empty_like(s)
-    flag = np.empty(s.shape, dtype=bool)
+    sign = np.empty(s.shape, dtype=bool)
     count = np.zeros(s.shape, dtype=np.intp)
-    # Positional out arguments: each row is a few ufunc calls on length-S
-    # buffers, so per-call overhead is most of the sweep's time.
-    for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
-        np.divide(e2, q, q)
-        np.subtract(di, s, t)
-        np.subtract(t, q, q)
-        np.less(q, 0.0, flag)
-        np.add(count, flag, count)
-        np.abs(q, t)
-        np.less(t, pivmin, flag)
-        np.putmask(q, flag, -pivmin)
+    # Positional out arguments: each row is at most five ufunc calls on
+    # length-S buffers, so per-call overhead is most of the sweep's time.
+    with np.errstate(divide="ignore", over="ignore"):
+        for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
+            if e2 == 0.0:
+                np.subtract(di, s, q)
+            else:
+                np.divide(e2, q, q)
+                np.subtract(di, s, t)
+                np.subtract(t, q, q)
+            np.signbit(q, sign)
+            np.add(count, sign, count)
     return int(count[0]) if shifts.ndim == 0 else count.reshape(shifts.shape)

@@ -223,6 +223,40 @@ class TestSturmCount:
         grid = la.sturm_count(d, e, shifts.reshape(2, 3))
         np.testing.assert_array_equal(grid, got.reshape(2, 3))
 
+    def test_zero_pivots_count_below(self):
+        # at the shift 1.0 every other pivot of tridiag(1; 1) is exactly zero;
+        # of its eigenvalues 1 + 2 cos(k pi / 7), those with k = 4, 5, 6 lie below
+        assert la.sturm_count(np.ones(6), np.ones(5), 1.0) == 3
+
+    def test_integer_tridiagonals_match_eigvalsh(self):
+        # small integer entries make exact zero pivots common
+        rng = np.random.default_rng(7)
+        cases = wrong = 0
+        for _ in range(1500):
+            n = int(rng.integers(1, 9))
+            d = rng.integers(-2, 3, n).astype(float)
+            e = rng.integers(-2, 3, n - 1).astype(float)
+            vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            shifts = np.arange(-6.0, 7.0)
+            shifts = shifts[np.min(np.abs(shifts[:, None] - vals), axis=1) >= 1e-6]
+            want = np.sum(vals < shifts[:, None], axis=1)
+            cases += shifts.size
+            wrong += int(np.sum(la.sturm_count(d, e, shifts) != want))
+        assert cases > 15000
+        assert wrong == 0
+
+    @pytest.mark.parametrize("d, e, lam, want", [
+        ([1.0, 2.0], [0.0], 1.0, 0),
+        ([1.0, 2.0], [0.0], 2.0, 1),
+        ([1.0, 2.0, 3.0], [0.0, 0.0], 2.0, 1),
+        ([-0.0, 1.0], [0.0], 0.0, 0),
+    ])
+    def test_zero_offdiagonal_at_eigenvalue(self, d, e, lam, want):
+        # an eigenvalue at the shift is not below it: a zero pivot ahead of a
+        # zero off-diagonal must not turn into 0/0, nor a -0 entry count
+        assert la.sturm_count(d, e, lam) == want
+        assert la.sturm_count(d, e, np.array([lam])).tolist() == [want]
+
     def test_empty_tridiagonal_raises(self):
         with pytest.raises(ValueError, match="no rows"):
             la.sturm_count([], [], 0.0)

@@ -1,9 +1,12 @@
-"""Radial multisection against LAPACK dense eigenvalues of the same tridiagonal."""
+"""Radial multisection against LAPACK dense eigenvalues of the same
+tridiagonal, its sweep budget, and the Sturm count on radial pencils."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinspec import discretize as dz
+from kreinspec.linalg import sturm_count
 
 EPS = float(np.finfo(float).eps)
 COUNT = 20
@@ -29,3 +32,57 @@ def test_agrees_with_dense_eigvalsh(n, ell, bc, m, atol_eps):
         dz.radial_eigenvalues(spec, COUNT), dense[skip:skip + COUNT],
         rtol=1e-11, atol=atol_eps * EPS * norm,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channel=st.sampled_from([(2, 1), (3, 0), (3, 2), (4, 4)]),
+    bc=st.sampled_from(["dirichlet", "krein"]),
+    m=st.integers(8, 300),
+    index=st.integers(0, 7),
+    steps=st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=40),
+    spread=st.lists(st.floats(-1.0, 2.0), max_size=10),
+)
+def test_counts_never_decrease(channel, bc, m, index, steps, spread):
+    # shifts within a million ulps of an eigenvalue, where rounding decides
+    # the count, plus some across the whole spectrum
+    d, e = dz.radial_pencil(dz.RadialChannelSpec(*channel, 1.0, m, bc)).reduced_tridiagonal()
+    dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    lam = dense[min(index, m - 1)]
+    shifts = np.sort(np.concatenate((
+        lam + np.spacing(abs(lam)) * np.array(steps, dtype=float),
+        dense[0] + (dense[-1] - dense[0]) * np.array(spread),
+    )))
+    counts = sturm_count(d, e, shifts)
+    assert np.all(np.diff(counts) >= 0)
+    assert 0 <= counts[0] and counts[-1] <= m
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    calls = []
+
+    def counted(diag, offdiag, lam):
+        calls.append(np.size(lam))
+        return sturm_count(diag, offdiag, lam)
+
+    monkeypatch.setattr(dz, "sturm_count", counted)
+    return calls
+
+
+# The krein pencil also resolves its zero mode, to 1e-13 absolute, which
+# takes one more sweep than a Dirichlet index.
+@pytest.mark.parametrize("bc, most_one, most_twenty", [
+    ("dirichlet", 8, 12),
+    ("krein", 9, 13),
+])
+@pytest.mark.parametrize("n, ell", [(2, 1), (3, 2), (4, 4)])
+def test_sweep_budget(sweeps, n, ell, bc, most_one, most_twenty):
+    spec = dz.RadialChannelSpec(n, ell, 1.0, 800, bc)
+    one = dz.radial_eigenvalues(spec, 1)
+    assert len(sweeps) <= most_one
+    del sweeps[:]
+    twenty = dz.radial_eigenvalues(spec, COUNT)
+    assert len(sweeps) <= most_twenty
+    assert max(sweeps) <= 512
+    assert one[0] == pytest.approx(twenty[0], rel=1e-13)
