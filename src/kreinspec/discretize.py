@@ -157,7 +157,7 @@ def discrete_krein_spectrum(model: ExtensionModel, count: int,
         raise ValueError(f"count must be an integer in 1..{model.domain_dim}, got {count}")
     vals = pencil_values(model, profile)[:count]
     return Spectrum(
-        entries=_merge_coincident([(float(v), 1) for v in vals], profile.merge_rel),
+        entries=_merge_coincident(vals, np.ones(vals.size, dtype=np.int64), profile.merge_rel),
         kernel_dim=model.codimension,
         complete_below=float(vals[-1]),
     )

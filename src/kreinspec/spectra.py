@@ -25,11 +25,15 @@ from dataclasses import dataclass
 from math import comb
 from numbers import Integral
 
+import numpy as np
+
 from .errors import BracketFailure, DomainError
 from .special import _family_zeros, bessel_zero, tan_fixed_point
 from .tolerances import DEFAULT, ToleranceProfile
 
 INFINITE = math.inf
+
+_ENTRY = np.dtype([("value", float), ("mult", np.int64)])  # one spectrum entry
 
 __all__ = [
     "IntervalSpec",
@@ -78,7 +82,9 @@ class Spectrum:
 
     Zero modes never appear among the entries; they are counted by
     kernel_dim (math.inf for an infinite-dimensional kernel).  When
-    complete_below is set, no eigenvalue below it is missing.
+    complete_below is set, no eigenvalue below it is missing.  The entries
+    are validated as one pair of numpy arrays, which counting functions
+    built from the spectrum reuse.
     """
 
     entries: tuple
@@ -86,16 +92,23 @@ class Spectrum:
     complete_below: float | None = None
 
     def __post_init__(self):
-        values = [v for v, _ in self.entries]
-        if any(v <= 0.0 for v in values):
+        pairs = np.fromiter(self.entries, dtype=_ENTRY, count=len(self.entries))
+        values = np.ascontiguousarray(pairs["value"])
+        mults = np.ascontiguousarray(pairs["mult"])
+        if np.any(values <= 0.0):
             raise ValueError("nonpositive value among spectrum entries")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if np.any(values[1:] <= values[:-1]):
             raise ValueError("spectrum entries not strictly increasing")
-        if any(m < 1 for _, m in self.entries):
+        if np.any(mults < 1):
             raise ValueError("nonpositive multiplicity")
+        values.setflags(write=False)
+        mults.setflags(write=False)
+        # the same entries as arrays, for the counting layer
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_mults", mults)
 
     def values(self):
-        return [v for v, _ in self.entries]
+        return self._values.tolist()
 
     def flattened(self, count: int | None = None):
         """Eigenvalues repeated by multiplicity, ascending."""
@@ -107,7 +120,7 @@ class Spectrum:
         return out
 
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
+        return int(self._mults.sum())
 
 
 def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
@@ -188,22 +201,30 @@ def ball_multiplicity(n: int, ell: int) -> int:
     return result
 
 
-def _merge_coincident(pairs, merge_rel: float):
+def _merge_coincident(values, mults, merge_rel: float) -> tuple:
     """Sort (value, multiplicity) pairs and merge near-coincident values.
 
-    Values from distinct channels are kept separate unless within merge_rel
-    relative distance, in which case multiplicities add; whether distinct
-    integer-order zeros can coincide exactly is treated as an open question
-    and settled numerically only.
+    The pairs are sorted by value, then multiplicity.  A value joins the
+    group whose first value v0 satisfies value - v0 <= merge_rel * value,
+    and the multiplicities of a group add; otherwise it starts a group.
+    Only a value within merge_rel of its predecessor can join, so the
+    group test runs only where np.diff flags one.  Values from distinct
+    channels stay separate unless that close; whether distinct integer-order
+    zeros can coincide exactly is treated as an open question and settled
+    numerically only.  Returns the ascending (value, multiplicity) entries.
     """
-    pairs = sorted(pairs)
-    merged = []
-    for value, mult in pairs:
-        if merged and value - merged[-1][0] <= merge_rel * value:
-            merged[-1][1] += mult
-        else:
-            merged.append([value, mult])
-    return tuple((v, m) for v, m in merged)
+    order = np.lexsort((mults, values))
+    values, mults = values[order], mults[order]
+    if not values.size:
+        return ()
+    starts = np.ones(values.size, dtype=bool)
+    first = values[0]
+    for i in (np.flatnonzero(np.diff(values) <= merge_rel * values[1:]) + 1).tolist():
+        if starts[i - 1]:
+            first = values[i - 1]
+        starts[i] = not values[i] - first <= merge_rel * values[i]
+    heads = np.flatnonzero(starts)
+    return tuple(zip(values[heads].tolist(), np.add.reduceat(mults, heads).tolist()))
 
 
 def ball_spectrum(spec: BallSpec, which: str, lambda_max: float,
@@ -227,13 +248,16 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float,
     limit = math.sqrt(lambda_max) * radius
     cap = lambda_max * radius * radius
     twice_orders = range(offset, math.ceil(2.0 * limit), 2)  # every nu < limit
-    pairs = []
-    for ell, zeros in enumerate(_family_zeros(twice_orders, limit)):
-        mult = ball_multiplicity(n, ell)
-        pairs += [((z / radius) ** 2, mult) for z in zeros.tolist() if z * z <= cap]
+    families = _family_zeros(twice_orders, limit)
+    zeros = np.concatenate(families) if families else np.empty(0)
+    mults = np.repeat(
+        np.array([ball_multiplicity(n, ell) for ell in range(len(families))], dtype=np.int64),
+        [family.size for family in families],
+    )
+    keep = zeros * zeros <= cap
     kernel = 0 if which == "dirichlet" else INFINITE
     return Spectrum(
-        entries=_merge_coincident(pairs, profile.merge_rel),
+        entries=_merge_coincident((zeros[keep] / radius) ** 2, mults[keep], profile.merge_rel),
         kernel_dim=kernel,
         complete_below=lambda_max,
     )

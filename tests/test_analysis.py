@@ -1,7 +1,9 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinspec import analysis as an
 from kreinspec import spectra as sp
@@ -22,7 +24,61 @@ class TestKozlovCoefficient:
             an.kozlov_coefficient(3, 2, 1, 0.0)
 
 
+def _ball_eigenvalues(n, shift, top):
+    """Eigenvalues j_{l+shift,k}^2 of the unit n-ball below top^2, with
+    multiplicity and ascending, from mpmath.besseljzero."""
+    mpmath = pytest.importorskip("mpmath")
+    values = []
+    ell = 0
+    while ell + shift < top:
+        k = 1
+        while (z := float(mpmath.besseljzero(ell + shift, k))) < top:
+            values += [z * z] * sp.ball_multiplicity(n, ell)
+            k += 1
+        ell += 1
+    return sorted(values)
+
+
+def _closed_form_margins(n, k_max):
+    """The margins universal_inequalities reports on the unit n-ball, from
+    its formulas applied to mpmath zeros (all below 10 are enough here)."""
+    lam = _ball_eigenvalues(n, n / 2.0, 10.0)[:k_max + 1]
+    mu = _ball_eigenvalues(n, (n - 2) / 2.0, 10.0)[:k_max]
+    assert len(lam) == k_max + 1 and len(mu) == k_max
+    gaps = [
+        (4.0 * (n + 2.0) / (n * n) * sum((lam[k] - lam[j]) * lam[j] for j in range(k))
+         - sum((lam[k] - lam[j]) ** 2 for j in range(k))) / lam[0] ** 2
+        for k in range(1, k_max + 1)
+    ]
+    iso = 2.0 ** (2.0 / n) * mu[0]  # the unit ball's volume cancels v_n
+    ratio = lam[0] / mu[0]
+    return {
+        "second-to-first-ratio": (n * n + 8.0 * n + 20.0) / (n + 2.0) ** 2 - lam[1] / lam[0],
+        "first-sum-bound": ((n + 4.0) * lam[0] - 4.0 / (n + 4.0) * (lam[1] - lam[0])
+                            - sum(lam[1:n + 1])) / lam[0],
+        "gap-quadratic-bound": min(gaps),
+        "isoperimetric-lower": (mu[1] - iso) / mu[1],
+        "bottom-ratio-bracket": min(ratio - 1.0, 4.0 - ratio),
+        "per-index-domination": min((a - b) / b for a, b in zip(lam, mu)),
+    }
+
+
 class TestUniversalInequalitiesOnBall:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_margins_match_closed_forms(self, n):
+        k_max = 10
+        ball = sp.BallSpec(n, 1.0)
+        reports = an.universal_inequalities(
+            sp.ball_spectrum(ball, "krein", 2e3), sp.ball_spectrum(ball, "dirichlet", 2e3),
+            n, an.unit_ball_volume(n), k_max,
+        )
+        want = _closed_form_margins(n, k_max)
+        got = {r.name: r for r in reports if r.name in want}
+        assert got.keys() == want.keys()
+        for name, margin in want.items():
+            assert got[name].margin == pytest.approx(margin, rel=1e-10), name
+            assert got[name].satisfied and not got[name].inconclusive, name
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hard_second_equals_soft_first(self, n):
         # both are j_{n/2,1}^2: the l = 1 hard channel and the l = 0 soft
@@ -58,6 +114,40 @@ class TestCountingDomination:
             an.interval_counting(segment, "dirichlet", 200.0),
         )
         assert report.satisfied and report.margin >= 0.0
+
+
+def _bisect_count(breakpoints, cumulative, lam):
+    idx = bisect.bisect_right(breakpoints, lam)
+    return cumulative[idx - 1] if idx else 0
+
+
+@st.composite
+def _step_functions(draw):
+    breakpoints = sorted(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), max_size=30, unique=True)))
+    jumps = draw(st.lists(st.integers(0, 5), min_size=len(breakpoints),
+                          max_size=len(breakpoints)))
+    return breakpoints, np.cumsum(jumps, dtype=np.int64).tolist()
+
+
+class TestCountingEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(step=_step_functions())
+    def test_matches_bisect_reference(self, step):
+        breakpoints, cumulative = step
+        counting = an.CountingFunction(tuple(breakpoints), tuple(cumulative))
+        probes = [-math.inf, -2e6, 0.0, 2e6, math.inf]
+        for bp in breakpoints:
+            probes += [bp, np.nextafter(bp, -math.inf), np.nextafter(bp, math.inf)]
+        if breakpoints:
+            probes += [breakpoints[0] - 1.0, breakpoints[-1] + 1.0]
+        want = [_bisect_count(breakpoints, cumulative, float(lam)) for lam in probes]
+        scalar = [counting(lam) for lam in probes]
+        assert all(type(count) is int for count in scalar)
+        assert scalar == want
+        batch = counting(np.array(probes))
+        assert batch.dtype == np.int64
+        assert batch.tolist() == want
 
 
 def _synthetic_counting(n, lead, second, top):
@@ -96,3 +186,87 @@ class TestTwoTermCoefficients:
         want = (2.0 * math.pi) ** (-(n - 1)) * v * v * radius ** (n - 1)
         assert lead_d == lead_k
         assert second_d - second_k == pytest.approx(want, rel=1e-14)
+
+
+def _sandwich_reference(n, radius, lam_max):
+    """sandwich_check as a scalar loop over every probe point."""
+    hard_n = an.ball_counting(sp.BallSpec(n, radius), "dirichlet", lam_max)
+    soft_n = an.ball_counting(sp.BallSpec(n, radius), "krein", lam_max)
+    if n == 2:
+        segment = sp.IntervalSpec(-radius, radius)
+        hard_m = an.interval_counting(segment, "dirichlet", lam_max)
+        soft_m = an.interval_counting(segment, "krein", lam_max)
+    else:
+        hard_m = an.ball_counting(sp.BallSpec(n - 1, radius), "dirichlet", lam_max)
+        soft_m = an.ball_counting(sp.BallSpec(n - 1, radius), "krein", lam_max)
+    probes = sorted({bp + d for counting in (hard_n, soft_n, hard_m, soft_m)
+                     for bp in counting.breakpoints.tolist() for d in (-1e-9, 0.0, 1e-9)})
+    margin, witnesses = math.inf, []
+    for lam in probes:
+        if 0.0 < lam <= lam_max:
+            slack = min(soft_n(lam) + hard_m(lam) - hard_n(lam),
+                        hard_n(lam) - soft_n(lam) - soft_m(lam))
+            margin = min(margin, slack)
+            if slack < 0:
+                witnesses.append(lam)
+    return not witnesses, float(margin), tuple(witnesses[:16])
+
+
+class _CountedCalls:
+    """A counting function that records how often it is called."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+        self.breakpoints = inner.breakpoints
+
+    def __call__(self, lam):
+        self.calls += 1
+        return self.inner(lam)
+
+
+class TestSandwichCheck:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_scalar_reference(self, n):
+        report = an.sandwich_check(n, 1.0, 2e3)
+        assert report.name == f"sandwich-n{n}"
+        assert (report.satisfied, report.margin, report.witnesses) == \
+            _sandwich_reference(n, 1.0, 2e3)
+
+    @pytest.mark.parametrize("n, lam_max", [(2, 1.0), (3, 3.0)])
+    def test_no_eigenvalue_below_the_cap(self, n, lam_max):
+        report = an.sandwich_check(n, 1.0, lam_max)
+        assert report.satisfied and report.margin == math.inf and report.witnesses == ()
+
+    def test_violation_lists_first_sixteen_witnesses(self, monkeypatch):
+        # N_D,n = N_D,n-1 = N_K,n-1 = 0 and N_K,n(lam) = floor(lam) on [1, 40]:
+        # the lower bound fails by N_K,n(lam) wherever that is positive
+        steps = list(range(1, 41))
+        fake = {
+            (3, "krein"): an.CountingFunction(tuple(map(float, steps)), tuple(steps)),
+            (3, "dirichlet"): an.CountingFunction((), ()),
+            (2, "krein"): an.CountingFunction((), ()),
+            (2, "dirichlet"): an.CountingFunction((), ()),
+        }
+        monkeypatch.setattr(an, "ball_counting",
+                            lambda spec, which, lam_max: fake[(spec.n, which)])
+        report = an.sandwich_check(3, 1.0, 100.0)
+        probes = sorted({k + d for k in steps for d in (-1e-9, 0.0, 1e-9)})
+        assert not report.satisfied
+        assert report.margin == -40.0
+        assert report.witnesses == tuple(p for p in probes if p >= 1.0)[:16]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_evaluates_each_counting_function_at_most_twice(self, monkeypatch, n):
+        made = []
+
+        def counted(build):
+            def wrapper(*args):
+                made.append(_CountedCalls(build(*args)))
+                return made[-1]
+            return wrapper
+
+        monkeypatch.setattr(an, "ball_counting", counted(an.ball_counting))
+        monkeypatch.setattr(an, "interval_counting", counted(an.interval_counting))
+        assert an.sandwich_check(n, 1.0, 2e3).satisfied
+        assert len(made) == 4
+        assert all(1 <= counting.calls <= 2 for counting in made)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from kreinspec import analysis as an
@@ -46,6 +47,30 @@ BAD_INDICES = {
     "zero-order-nan": lambda: special.bessel_zero(NAN, 1),
     "value-order-inf": lambda: special.bessel_j(INF, 1.0),
 }
+
+
+STEPS = an.counting_from_spectrum(sp.Spectrum(((1.0, 1), (2.0, 3)), 0, 5.0))
+
+# A NaN probe returned the full count; a short cumulative raised a bare
+# IndexError on the first probe past it; the other tables were accepted and
+# then counted wrong.
+BAD_COUNTINGS = {
+    "nan-probe": lambda: STEPS(NAN),
+    "nan-in-probe-array": lambda: STEPS(np.array([1.5, NAN, 3.0])),
+    "short-cumulative": lambda: an.CountingFunction((1.0, 2.0), (1,))(2.5),
+    "descending-breakpoints": lambda: an.CountingFunction((2.0, 1.0), (1, 2)),
+    "repeated-breakpoint": lambda: an.CountingFunction((1.0, 1.0), (1, 2)),
+    "infinite-breakpoint": lambda: an.CountingFunction((1.0, INF), (1, 2)),
+    "nan-breakpoint": lambda: an.CountingFunction((NAN, 1.0), (1, 2)),
+    "decreasing-cumulative": lambda: an.CountingFunction((1.0, 2.0), (3, 2)),
+    "negative-cumulative": lambda: an.CountingFunction((1.0,), (-1,)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTINGS.values(), ids=BAD_COUNTINGS.keys())
+def test_bad_counting_tables_and_probes_raise(call):
+    with pytest.raises(ValueError, match="NaN|breakpoint|cumulative"):
+        call()
 
 
 @pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())

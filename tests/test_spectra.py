@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinspec.errors import BracketFailure, DomainError
 from kreinspec import special
@@ -185,7 +187,8 @@ class TestBallSpectrum:
                     brute.append((z * z, spx.ball_multiplicity(n, ell)))
                     k += 1
                 ell += 1
-            brute = spx._merge_coincident(brute, DEFAULT.merge_rel)
+            values, mults = zip(*brute)
+            brute = spx._merge_coincident(np.array(values), np.array(mults), DEFAULT.merge_rel)
             assert [m for _, m in s.entries] == [m for _, m in brute]
             for (a, _), (b, _) in zip(s.entries, brute):
                 assert abs(a - b) <= 1e-13 * b  # well inside merge_rel
@@ -220,6 +223,36 @@ class TestBallSpectrum:
         for n in (2, 3):
             ball = spx.ball_spectrum(BallSpec(n, 1.0), "krein", 50.0).values()[0]
             assert abs(interval - ball) > 1e-3
+
+
+def _merge_reference(pairs, merge_rel):
+    """The merge rule as a plain loop over the sorted pairs."""
+    merged = []
+    for value, mult in sorted(pairs):
+        if merged and value - merged[-1][0] <= merge_rel * value:
+            merged[-1][1] += mult
+        else:
+            merged.append([value, mult])
+    return tuple((v, m) for v, m in merged)
+
+
+class TestMergeCoincident:
+    def test_joins_the_first_value_of_a_group(self):
+        # 1 + 1.2e-11 is within 1e-11 of its predecessor but not of 1.0
+        values = np.array([1.0 + 1.2e-11, 1.0, 1.0 + 0.6e-11])
+        merged = spx._merge_coincident(values, np.array([1, 2, 4]), 1e-11)
+        assert merged == ((1.0, 6), (1.0 + 1.2e-11, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 30), st.integers(1, 6)),
+                    max_size=40))
+    def test_matches_loop_reference(self, draws):
+        # up to 30 steps of 0.3 merge_rel above a few base values, so groups
+        # chain past merge_rel of their first value
+        pairs = [(base * (1.0 + 3e-12 * step), mult) for base, step, mult in draws]
+        values = np.array([v for v, _ in pairs], dtype=float)
+        mults = np.array([m for _, m in pairs], dtype=np.int64)
+        assert spx._merge_coincident(values, mults, 1e-11) == _merge_reference(pairs, 1e-11)
 
 
 class TestChannelInterlace:
