@@ -256,8 +256,10 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     That eigenvalue is truncation error of order h^2 = (R/m)^2; a kernel
     candidate above (alpha h / R)^2 / 4 times the first nonzero eigenvalue,
     alpha = l + (n-1)/2, indicates a broken assembly and raises
-    ConstructionMismatch.  The pencil has m eigenvalues, so a count that
-    needs more (with the dropped zero mode) raises ValueError.
+    ConstructionMismatch.  Only that check reads a dropped zero mode, so its
+    bracket stops once all of it passes the check, or else at 1e-13 of the
+    first nonzero eigenvalue's scale.  The pencil has m eigenvalues, so a
+    count that needs more (with the dropped zero mode) raises ValueError.
     """
     skip = 1 if (spec.bc == "krein" and not include_zero_mode) else 0
     if not (isinstance(count, Integral) and 1 <= count <= spec.m - skip):
@@ -268,6 +270,10 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     radius = abs_e[:-1] + abs_e[1:]
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
+    # Correct assemblies keep |lambda_0| below a fifth of bound |lambda_1|; a
+    # soft row built with alpha off by 1/2 lands at least 1.87 times above it.
+    alpha = spec.ell + (spec.n - 1) / 2.0
+    bound = (alpha / spec.m) ** 2 / 4.0
     wanted = np.arange(1, count + skip + 1)
     a = np.full(wanted.size, lo)
     b = np.full(wanted.size, hi)
@@ -285,15 +291,15 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
         rows = np.arange(live.size)
         a[live], b[live] = edges[rows, below], edges[rows, below + 1]
         scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
-        live = live[(b - a)[live] > 1e-13 * scale[live]]
+        wide = b - a > 1e-13 * scale
+        if skip:
+            wide[0] = (b[0] - a[0] > 1e-13 * scale[1]
+                       and not max(-a[0], b[0]) <= bound * a[1])
+        live = live[wide[live]]
         if not live.size:
             break
     out = 0.5 * (a + b)
     if skip:
-        # Correct assemblies stay below a fifth of this bound; a soft row
-        # built with alpha off by 1/2 lands at least 1.87 times above it.
-        alpha = spec.ell + (spec.n - 1) / 2.0
-        bound = (alpha / spec.m) ** 2 / 4.0
         if not abs(out[0]) <= bound * abs(out[1]):
             raise ConstructionMismatch(
                 f"expected a zero mode, got lowest eigenvalues {out[0]:.3e}, "

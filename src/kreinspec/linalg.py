@@ -7,7 +7,11 @@ pivot floor, the PSD clamp of the square root, and typed errors in place of
 LinAlgError.  The Sturm count for symmetric tridiagonals is written out
 here: numpy has no tridiagonal routine, and radial multisection needs the
 counts at many shifts from one sweep.  It relies on IEEE infinities and
-signed zeros in place of a pivot floor, so it needs no tuning constant.
+signed zeros in place of a pivot floor, so it needs no tuning constant.  The
+sweep takes the rows in fixed row blocks: a block's d_i - lam for every
+shift come from one broadcast, each row then costs at most two ufunc calls,
+and the block's sign bits are counted at once, in scratch memory of a few
+row blocks times the number of shifts.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ __all__ = [
     "sturm_count",
     "max_norm",
 ]
+
+# Rows per row block of the Sturm sweep; at most 255, so a block's sign
+# bits sum in uint8.
+_STURM_BLOCK = 64
 
 
 def max_norm(a) -> float:
@@ -203,10 +211,15 @@ def sturm_count(diag, offdiag, lam):
     monotone in lam.  A zero pivot is +0 and is not counted, the next pivot
     is -inf and is, and the one after is finite again.  So an eigenvalue at
     exactly lam is not counted: the count is of eigenvalues strictly below
-    lam.  A row whose off-diagonal is exactly zero starts a new block with
-    q_i = d_i - lam, which also keeps 0/0 out of the sweep.  One sweep over
-    the rows updates every shift at once, in scratch memory linear in the
-    number of shifts.
+    lam.  At an off-diagonal that is exactly zero T splits, and the pivot
+    restarts at q_i = d_i - lam, which also keeps 0/0 out of the sweep.
+
+    One sweep over the rows updates every shift at once.  It takes the rows
+    in row blocks of _STURM_BLOCK: one broadcast fills a rows-by-shifts
+    buffer with d_i - lam, each row with a nonzero off-diagonal then turns
+    into its pivot in place by two ufunc calls (a row where T splits already
+    is its pivot), and the block's sign bits are summed at once.  Scratch
+    memory is about two row blocks by the number of shifts.
     """
     # + 0.0 turns a -0 diagonal entry into +0, so no pivot is ever -0
     d = np.asarray(diag, dtype=float) + 0.0
@@ -220,20 +233,23 @@ def sturm_count(diag, offdiag, lam):
     if np.isnan(shifts).any():
         raise ValueError("shift is NaN")
     s = shifts.reshape(-1)
-    q = np.empty_like(s)
-    t = np.empty_like(s)
-    sign = np.empty(s.shape, dtype=bool)
+    # Row 0 of q carries the last pivot of the previous row block.  Per-call
+    # overhead is most of a row's cost, so each row is at most two calls.
+    q = np.empty((_STURM_BLOCK + 1, s.size))
+    rows = list(q)
+    tmp = np.empty_like(s)
+    sign = np.empty((_STURM_BLOCK, s.size), dtype=bool)
     count = np.zeros(s.shape, dtype=np.intp)
-    # Positional out arguments: each row is at most five ufunc calls on
-    # length-S buffers, so per-call overhead is most of the sweep's time.
+    e2 = [0.0] + (e * e).tolist()
     with np.errstate(divide="ignore", over="ignore"):
-        for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
-            if e2 == 0.0:
-                np.subtract(di, s, q)
-            else:
-                np.divide(e2, q, q)
-                np.subtract(di, s, t)
-                np.subtract(t, q, q)
-            np.signbit(q, sign)
-            np.add(count, sign, count)
+        for start in range(0, n, _STURM_BLOCK):
+            size = min(_STURM_BLOCK, n - start)
+            np.subtract(d[start:start + size, None], s, q[1:size + 1])
+            for row, e2i in enumerate(e2[start:start + size], 1):
+                if e2i != 0.0:
+                    np.divide(e2i, rows[row - 1], tmp)
+                    np.subtract(rows[row], tmp, rows[row])
+            np.signbit(q[1:size + 1], sign[:size])
+            count += sign[:size].view(np.uint8).sum(axis=0, dtype=np.uint8)
+            rows[0][:] = rows[size]
     return int(count[0]) if shifts.ndim == 0 else count.reshape(shifts.shape)

@@ -95,6 +95,8 @@ class Spectrum:
         pairs = np.fromiter(self.entries, dtype=_ENTRY, count=len(self.entries))
         values = np.ascontiguousarray(pairs["value"])
         mults = np.ascontiguousarray(pairs["mult"])
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite value among spectrum entries")
         if np.any(values <= 0.0):
             raise ValueError("nonpositive value among spectrum entries")
         if np.any(values[1:] <= values[:-1]):

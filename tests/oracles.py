@@ -3,8 +3,9 @@
 These are deliberately independent of the library code paths they check:
 Bessel values come from the alternating power series with compensated
 summation (trustworthy for x <= 12), roots from plain bisection on those
-series, and whatever else a test freezes as an expected value was produced
-by one of the functions in here.
+series, Sturm pivots one shift and one row at a time in Python floats, and
+whatever else a test freezes as an expected value was produced by one of the
+functions in here.
 """
 
 import math
@@ -80,3 +81,28 @@ def tan_fixed_point_oracle(m: int) -> float:
     lo = m * math.pi + 1e-12
     hi = (2 * m + 1) * math.pi / 2.0 - 1e-12
     return bisect_root(lambda t: t * math.cos(t) - math.sin(t), lo, hi)
+
+
+def sturm_pivots_oracle(diag, offdiag, lam: float) -> list:
+    """Pivots q_i = (d_i - lam) - e_{i-1}^2 / q_{i-1} of T - lam I, row by row.
+
+    Plain Python floats, so each operation is the IEEE one; only division by
+    a zero pivot, which Python refuses, is written out as its IEEE result.
+    A zero off-diagonal restarts with q_i = d_i - lam, and a -0 diagonal entry
+    is read as +0.
+    """
+    pivots = []
+    for i, d in enumerate(diag):
+        q = (float(d) + 0.0) - lam
+        e = float(offdiag[i - 1]) if i else 0.0
+        e2 = e * e
+        if e2 != 0.0:
+            prev = pivots[-1]
+            q -= math.copysign(math.inf, prev) if prev == 0.0 else e2 / prev
+        pivots.append(q)
+    return pivots
+
+
+def sturm_count_oracle(diag, offdiag, lam: float) -> int:
+    """Pivots whose sign bit is set: eigenvalues strictly below lam."""
+    return sum(math.copysign(1.0, q) < 0.0 for q in sturm_pivots_oracle(diag, offdiag, lam))

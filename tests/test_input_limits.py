@@ -66,10 +66,23 @@ BAD_COUNTINGS = {
     "negative-cumulative": lambda: an.CountingFunction((1.0,), (-1,)),
 }
 
+# Both constructed; the fault showed only later, as a non-finite breakpoint
+# of the counting function built from them.
+NON_FINITE_SPECTRA = {
+    "nan-value": lambda: sp.Spectrum(((NAN, 1), (1.0, 2)), 0, 5.0),
+    "inf-value": lambda: sp.Spectrum(((1.0, 1), (INF, 2)), 0, 5.0),
+}
+
 
 @pytest.mark.parametrize("call", BAD_COUNTINGS.values(), ids=BAD_COUNTINGS.keys())
 def test_bad_counting_tables_and_probes_raise(call):
     with pytest.raises(ValueError, match="NaN|breakpoint|cumulative"):
+        call()
+
+
+@pytest.mark.parametrize("call", NON_FINITE_SPECTRA.values(), ids=NON_FINITE_SPECTRA.keys())
+def test_non_finite_spectrum_values_raise(call):
+    with pytest.raises(ValueError, match="non-finite value"):
         call()
 
 

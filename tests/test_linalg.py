@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from kreinspec.errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite
 from kreinspec import linalg as la
+from oracles import sturm_count_oracle, sturm_pivots_oracle
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -265,3 +266,73 @@ class TestSturmCount:
     def test_nan_shift_raises(self, lam):
         with pytest.raises(ValueError, match="NaN"):
             la.sturm_count([2.0, 2.0], [1.0], lam)
+
+
+BLOCK = la._STURM_BLOCK
+
+
+def block_boundary_cases():
+    """Tridiagonals whose first and last rows of a sweep block hold zero
+    off-diagonals and exact zero pivots, at orders around the block size."""
+    rng = np.random.default_rng(9)
+    cases = []
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        # small integers make zero pivots and zero off-diagonals common
+        for k in range(4):
+            d = rng.integers(-2, 3, n).astype(float)
+            e = rng.integers(-2, 3, n - 1).astype(float)
+            cases.append((f"{n}-integers-{k}", d, e))
+        # at the shift 1 the pivots of tridiag(1; 1) are +0 on even rows and
+        # -inf on odd ones; a zero off-diagonal moves the pattern by one row
+        cases.append((f"{n}-zero-pivots-even", np.ones(n), np.ones(n - 1)))
+        e = np.ones(n - 1)
+        e[0] = 0.0
+        cases.append((f"{n}-zero-pivots-odd", np.ones(n), e))
+        e = np.ones(n - 1)
+        e[BLOCK - 2:BLOCK] = 0.0
+        cases.append((f"{n}-zero-offdiagonals", np.ones(n), e))
+    return cases
+
+
+BOUNDARY_CASES = block_boundary_cases()
+BOUNDARY_SHIFTS = np.array([-3.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, 3.0])
+
+
+class TestSturmBlocks:
+    def test_cases_hit_the_block_boundary(self):
+        # the constructed cases hold what the counts below are claimed on
+        n = 2 * BLOCK + 1
+        even = sturm_pivots_oracle(np.ones(n), np.ones(n - 1), 1.0)
+        assert even[BLOCK] == 0.0 and even[BLOCK - 1] == -np.inf
+        assert even[2 * BLOCK] == 0.0 and even[2 * BLOCK - 1] == -np.inf
+        e = np.ones(n - 1)
+        e[0] = 0.0
+        odd = sturm_pivots_oracle(np.ones(n), e, 1.0)
+        assert odd[BLOCK - 1] == 0.0 and odd[BLOCK] == -np.inf
+
+    @pytest.mark.parametrize("d, e", [case[1:] for case in BOUNDARY_CASES],
+                             ids=[case[0] for case in BOUNDARY_CASES])
+    def test_counts_equal_scalar_reference(self, d, e):
+        want = [sturm_count_oracle(d, e, lam) for lam in BOUNDARY_SHIFTS]
+        got = la.sturm_count(d, e, BOUNDARY_SHIFTS)
+        assert got.shape == BOUNDARY_SHIFTS.shape and got.dtype.kind == "i"
+        assert got.tolist() == want
+        scalar = [la.sturm_count(d, e, lam) for lam in BOUNDARY_SHIFTS]
+        assert all(type(c) is int for c in scalar) and scalar == want
+        grid = la.sturm_count(d, e, BOUNDARY_SHIFTS.reshape(2, 4))
+        assert grid.tolist() == np.reshape(want, (2, 4)).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.floats(0.0, 0.5),
+    )
+    def test_random_counts_equal_scalar_reference(self, n, seed, zeros):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(n)
+        e = rng.standard_normal(n - 1)
+        e[rng.random(n - 1) < zeros] = 0.0
+        shifts = rng.uniform(-4.0, 4.0, 7)
+        want = [sturm_count_oracle(d, e, lam) for lam in shifts]
+        assert la.sturm_count(d, e, shifts).tolist() == want

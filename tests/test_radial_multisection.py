@@ -86,3 +86,44 @@ def test_sweep_budget(sweeps, n, ell, bc, most_one, most_twenty):
     assert len(sweeps) <= most_twenty
     assert max(sweeps) <= 512
     assert one[0] == pytest.approx(twenty[0], rel=1e-13)
+
+
+# Dirichlet values recorded from the single-row Sturm sweep, before the sweep
+# took its rows in blocks; the blocked sweep does the same IEEE operations in
+# the same order, so they must not move by one bit.
+RECORDED_DIRICHLET = {
+    (2, 1, 100): ["0x1.d5bec62b7f366p+3", "0x1.89911aa892ae2p+5", "0x1.9d9f217d6fa78p+6",
+                  "0x1.6280e34c975bep+7", "0x1.0ea9bfa3f0adcp+8"],
+    (2, 1, 800): ["0x1.d5d2549c0ffffp+3", "0x1.89be93de3c002p+5", "0x1.9dfdc7b615ec3p+6",
+                  "0x1.63084bec0cf88p+7", "0x1.0f45725e187c4p+8"],
+    (3, 2, 100): ["0x1.09b6a76995114p+5", "0x1.4ac1dcefaeb8dp+6", "0x1.2f7881dafc3bep+7",
+                  "0x1.e0be95fc4c1bfp+7", "0x1.5c8a0111b3b26p+8"],
+    (3, 2, 800): ["0x1.09bd415e5c001p+5", "0x1.4ae0017186003p+6", "0x1.2fb4b8faf3001p+7",
+                  "0x1.e165320eb7081p+7", "0x1.5d44aec9757cdp+8"],
+    (4, 4, 100): ["0x1.33b8636ec649cp+6", "0x1.305b37cc7db3ep+7", "0x1.ec8ec185fa0c4p+7",
+                  "0x1.67b3d8a12e562p+8", "0x1.ec7f1e7a80fe2p+8"],
+    (4, 4, 800): ["0x1.33c1517f36002p+6", "0x1.307af537f1004p+7", "0x1.ecfbea4deaffdp+7",
+                  "0x1.683ca228c47fcp+8", "0x1.ed9cd341ca7fdp+8"],
+}
+
+
+@pytest.mark.parametrize("n, ell, m", list(RECORDED_DIRICHLET))
+def test_dirichlet_values_bit_equal_to_recorded(n, ell, m):
+    got = dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, m, "dirichlet"), 5)
+    assert [float(v).hex() for v in got] == RECORDED_DIRICHLET[n, ell, m]
+
+
+CHANNELS = [(n, ell) for n in (2, 3, 4) for ell in range(5) if (n, ell) != (2, 0)]
+
+
+# The zero mode is read only by |lambda_0| <= bound |lambda_1|, so its bracket
+# closes once that check is settled, before index 1's.  While both are open
+# they share one sweep's shifts, which can cost one sweep over Dirichlet.
+@pytest.mark.parametrize("n, ell", CHANNELS)
+def test_zero_mode_closes_before_first_index(sweeps, n, ell):
+    dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, 800, "dirichlet"), 1)
+    dirichlet = len(sweeps)
+    del sweeps[:]
+    dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, 800, "krein"), 1)
+    assert len(sweeps) <= dirichlet + 1
+    assert sweeps[-1] == 511
