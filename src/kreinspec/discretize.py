@@ -32,7 +32,6 @@ from .errors import ConstructionMismatch, NonMonotoneError, UnsupportedChannel
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import Spectrum, _merge_coincident
-from .tolerances import DEFAULT, ToleranceProfile
 
 __all__ = [
     "Grid1D",
@@ -130,8 +129,7 @@ class PotentialSpec:
         return np.array(self.samples)
 
 
-def interval_model(grid: Grid1D, potential: PotentialSpec,
-                   profile: ToleranceProfile = DEFAULT) -> ExtensionModel:
+def interval_model(grid: Grid1D, potential: PotentialSpec) -> ExtensionModel:
     """Second-difference operator as an extension model with codimension 2."""
     m = grid.m
     h2 = grid.h * grid.h
@@ -141,11 +139,10 @@ def interval_model(grid: Grid1D, potential: PotentialSpec,
     a[idx[:-1], idx[:-1] + 1] = -1.0 / h2
     a[idx[:-1] + 1, idx[:-1]] = -1.0 / h2
     basis = np.eye(m)[:, 1:m - 1]
-    return new_model(SymMatrix(a), basis, profile)
+    return new_model(SymMatrix(a), basis)
 
 
-def discrete_krein_spectrum(model: ExtensionModel, count: int,
-                            profile: ToleranceProfile = DEFAULT) -> Spectrum:
+def discrete_krein_spectrum(model: ExtensionModel, count: int) -> Spectrum:
     """First `count` nonzero eigenvalues of the model's soft extension.
 
     These are the compressed-pencil eigenvalues, which agree with the
@@ -155,9 +152,9 @@ def discrete_krein_spectrum(model: ExtensionModel, count: int,
     """
     if not (isinstance(count, Integral) and 1 <= count <= model.domain_dim):
         raise ValueError(f"count must be an integer in 1..{model.domain_dim}, got {count}")
-    vals = pencil_values(model, profile)[:count]
+    vals = pencil_values(model)[:count]
     return Spectrum(
-        entries=_merge_coincident(vals, np.ones(vals.size, dtype=np.int64), profile.merge_rel),
+        entries=_merge_coincident(vals, np.ones(vals.size, dtype=np.int64)),
         kernel_dim=model.codimension,
         complete_below=float(vals[-1]),
     )

@@ -159,7 +159,7 @@ def _qr_split(columns: np.ndarray, rel_floor: float, error, complete: bool = Fal
     return q[:, :d], (q[:, d:] if complete else None)
 
 
-def new_model(a, raw_basis, profile: ToleranceProfile = DEFAULT) -> ExtensionModel:
+def new_model(a, raw_basis) -> ExtensionModel:
     """Build a model from A and a spanning set of D (columns).
 
     A basis that is already orthonormal is kept as given; any other is
@@ -179,13 +179,13 @@ def new_model(a, raw_basis, profile: ToleranceProfile = DEFAULT) -> ExtensionMod
     if d < 1:
         raise ValueError("domain must have at least one column")
     eps = float(_eigh(a.array, with_vectors=False)[0][0])
-    if eps <= n * profile.cholesky_pivot_rel * a.norm_max:
+    if eps <= n * DEFAULT.cholesky_pivot_rel * a.norm_max:
         raise NotPositiveDefinite(f"bottom eigenvalue {eps:.3e} not positive")
     gram = raw.T @ raw
-    if max_norm(gram - np.eye(d)) <= profile.orthonormal_rel:
+    if max_norm(gram - np.eye(d)) <= DEFAULT.orthonormal_rel:
         basis = raw.astype(float).copy()
     else:
-        basis = _qr_split(raw, n * profile.rank_rel, RankDeficientBasis)[0]
+        basis = _qr_split(raw, n * DEFAULT.rank_rel, RankDeficientBasis)[0]
     basis.flags.writeable = False
     return ExtensionModel(A=a, domain_basis=basis, epsilon=eps)
 
@@ -198,15 +198,14 @@ def friedrichs(model: ExtensionModel) -> ExtensionResult:
     )
 
 
-def adjoint_kernel(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
+def adjoint_kernel(model: ExtensionModel) -> np.ndarray:
     """Orthonormal basis of ran(A D)^perp, the model's ker(S*)."""
     aq = model.A.array @ model.domain_basis
-    return _qr_split(aq, model.ambient_dim * profile.rank_rel,
+    return _qr_split(aq, model.ambient_dim * DEFAULT.rank_rel,
                      SingularDecomposition, complete=True)[1]
 
 
-def _extension_from_action(span: np.ndarray, images: np.ndarray,
-                           profile: ToleranceProfile) -> np.ndarray:
+def _extension_from_action(span: np.ndarray, images: np.ndarray) -> np.ndarray:
     """The matrix sending span[:, j] to images[:, j], for a square span.
 
     Raises SingularDecomposition when the span is numerically singular
@@ -216,7 +215,7 @@ def _extension_from_action(span: np.ndarray, images: np.ndarray,
     """
     n = span.shape[0]
     sing = np.linalg.svd(span, compute_uv=False)
-    if sing[-1] <= n * profile.rank_rel * sing[0]:
+    if sing[-1] <= n * DEFAULT.rank_rel * sing[0]:
         raise SingularDecomposition(
             f"spanning set has singular values {sing[-1]:.3e} .. {sing[0]:.3e}"
         )
@@ -230,19 +229,23 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
     independent closed form A^(1/2) P A^(1/2) with P projecting onto
     A^(1/2) D; a mismatch beyond construction_rel * max|A| is a bug, never a
     math failure, and raises ConstructionMismatch.
+
+    `profile` sets only construction_rel and the Gram floor's
+    cholesky_pivot_rel; the callees read tolerances.DEFAULT.  It stays
+    because the benchmark's tracer reads profile.construction_rel.
     """
     a = model.A.array
     q = model.domain_basis
-    kernel = adjoint_kernel(model, profile)
+    kernel = adjoint_kernel(model)
     span = np.concatenate((q, kernel), axis=1)
     images = np.concatenate((a @ q, np.zeros_like(kernel)), axis=1)
-    piecewise = _extension_from_action(span, images, profile)
+    piecewise = _extension_from_action(span, images)
     piecewise = 0.5 * (piecewise + piecewise.T)
 
     # P = Q_h Q_h^T from the QR of A^(1/2) Q, so A^(1/2) P A^(1/2) = F F^T
     # with F = A^(1/2) Q_h.  The floor is the Cholesky pivot floor of the
     # Gram matrix Q^T A Q, whose pivots are the squares of |R_jj|.
-    root = spd_sqrt(model.A, profile).array
+    root = spd_sqrt(model.A).array
     rel_floor = math.sqrt(model.domain_dim * profile.cholesky_pivot_rel)
     half_dom = _qr_split(root @ q, rel_floor, NotPositiveDefinite)[0]
     factor = root @ half_dom
@@ -261,8 +264,7 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
     )
 
 
-def parametrized_extension(model: ExtensionModel, w_basis, b,
-                           profile: ToleranceProfile = DEFAULT) -> ExtensionResult:
+def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult:
     """Extension selected by a PSD parameter B on a subspace W of ker(S*).
 
     The defining action: a domain vector f + A^{-1}(B w + eta) + w, with f
@@ -280,18 +282,18 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
     if w.ndim == 1:
         w = w[:, None]
     p = w.shape[1]
-    kernel = adjoint_kernel(model, profile)
+    kernel = adjoint_kernel(model)
     if p:
         if max_norm(w.T @ w - np.eye(p)) > 1e-10:
             raise NotOrthogonal("W basis columns are not orthonormal")
-        if max_norm((a @ q).T @ w) > profile.adjoint_kernel_rel * model.A.norm_max * n:
+        if max_norm((a @ q).T @ w) > DEFAULT.adjoint_kernel_rel * model.A.norm_max * n:
             raise NotOrthogonal("W is not inside ker(S*) = ran(A D)^perp")
     if p:
         b = b if isinstance(b, SymMatrix) else SymMatrix(np.asarray(b, dtype=float).reshape(p, p))
         if b.order != p:
             raise ValueError(f"parameter order {b.order} != dim W = {p}")
         b_eigen = sym_eigen(b)
-        if b_eigen.values[0] < -profile.psd_clamp_rel * max(b.norm_max, 1e-300):
+        if b_eigen.values[0] < -DEFAULT.psd_clamp_rel * max(b.norm_max, 1e-300):
             raise NotPSD(f"parameter has eigenvalue {b_eigen.values[0]:.3e}")
     else:
         b, b_eigen = None, None
@@ -299,12 +301,12 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
     # eta directions: ker(S*) part orthogonal to W
     if p:
         # W in kernel coordinates is orthonormal, so it never fails the floor
-        eta = kernel @ _qr_split(kernel.T @ w, profile.rank_rel,
+        eta = kernel @ _qr_split(kernel.T @ w, DEFAULT.rank_rel,
                                  SingularDecomposition, complete=True)[1]
     else:
         eta = kernel
 
-    a_low = cholesky(model.A, profile)
+    a_low = cholesky(model.A)
     pieces_span = [q]
     pieces_img = [a @ q]
     if p:
@@ -316,22 +318,22 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
         pieces_img.append(eta)
     span = np.concatenate(pieces_span, axis=1)
     images = np.concatenate(pieces_img, axis=1)
-    matrix = _extension_from_action(span, images, profile)
+    matrix = _extension_from_action(span, images)
 
     sym_defect = max_norm(matrix - matrix.T)
     matrix = 0.5 * (matrix + matrix.T)
     scale = model.A.norm_max
-    if sym_defect > profile.construction_rel * scale:
+    if sym_defect > DEFAULT.construction_rel * scale:
         raise ConstructionMismatch(f"assembled matrix asymmetric by {sym_defect:.3e}")
     values = sym_eigen_values(matrix)
-    if values[0] < -profile.construction_rel * scale:
+    if values[0] < -DEFAULT.construction_rel * scale:
         raise ConstructionMismatch(f"assembled matrix has eigenvalue {values[0]:.3e}")
     ext_resid = max_norm(matrix @ q - a @ q)
-    if ext_resid > profile.extension_residual_rel * scale * n:
+    if ext_resid > DEFAULT.extension_residual_rel * scale * n:
         raise ConstructionMismatch(f"extension residual {ext_resid:.3e}")
 
     if p:
-        floor = profile.psd_clamp_rel * max(b.norm_max, 1.0) * p
+        floor = DEFAULT.psd_clamp_rel * max(b.norm_max, 1.0) * p
         null_cols = b_eigen.vectors[:, np.abs(b_eigen.values) <= floor]
         kernel_basis = w @ null_cols
     else:
@@ -345,21 +347,21 @@ def parametrized_extension(model: ExtensionModel, w_basis, b,
     )
 
 
-def reduced_krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> ReducedKrein:
+def reduced_krein(model: ExtensionModel) -> ReducedKrein:
     """Compression of the Krein extension to the complement of its kernel.
 
     The inverse formula is reported as a residual: the inverse of the
     compressed Krein matrix should equal the compression of A^{-1} to the
     same subspace.
     """
-    kr = krein(model, profile)
+    kr = krein(model)
     aq = model.A.array @ model.domain_basis
-    basis = _qr_split(aq, model.ambient_dim * profile.rank_rel, SingularDecomposition)[0]
+    basis = _qr_split(aq, model.ambient_dim * DEFAULT.rank_rel, SingularDecomposition)[0]
     compressed = basis.T @ kr.matrix.array @ basis
     compressed = 0.5 * (compressed + compressed.T)
-    low = cholesky(compressed, profile)
+    low = cholesky(compressed)
     inv_compressed = solve_cholesky(low, np.eye(model.domain_dim))
-    a_low = cholesky(model.A, profile)
+    a_low = cholesky(model.A)
     a_inv_compressed = basis.T @ solve_cholesky(a_low, basis)
     resid = max_norm(0.5 * (inv_compressed + inv_compressed.T) - a_inv_compressed)
     return ReducedKrein(
@@ -384,13 +386,13 @@ def _pencil(model: ExtensionModel):
     return scale, aq, SymMatrix(aq.T @ aq), SymMatrix(q.T @ aq)
 
 
-def pencil_values(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
+def pencil_values(model: ExtensionModel) -> np.ndarray:
     """Ascending eigenvalues of the compressed pencil Q^T A^2 Q u = l Q^T A Q u."""
     scale, _, g_a, g_b = _pencil(model)
-    return scale * gen_sym_eigen_values(g_a, g_b, profile)
+    return scale * gen_sym_eigen_values(g_a, g_b)
 
 
-def buckling_analysis(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> BucklingReport:
+def buckling_analysis(model: ExtensionModel) -> BucklingReport:
     """Pencil, polar data, and the identity residuals tying them together.
 
     residuals keys:
@@ -402,31 +404,31 @@ def buckling_analysis(model: ExtensionModel, profile: ToleranceProfile = DEFAULT
     """
     scale, aq, g_a, g_b = _pencil(model)
     d = model.domain_dim
-    pencil = gen_sym_eigen(g_a, g_b, profile)
+    pencil = gen_sym_eigen(g_a, g_b)
     values = scale * pencil.values
 
-    modulus = spd_sqrt(g_a, profile)
-    mod_low = cholesky(modulus, profile)
+    modulus = spd_sqrt(g_a)
+    mod_low = cholesky(modulus)
     mod_inv = solve_cholesky(mod_low, np.eye(d))
     t_tilde = mod_inv @ g_b.array @ mod_inv
     t_tilde = 0.5 * (t_tilde + t_tilde.T)
     isometry = aq @ mod_inv
 
-    kr = krein(model, profile)
+    kr = krein(model)
     krein_vals = sym_eigen_values(kr.matrix)
     nonzero = krein_vals[model.codimension:]
     resid_a = float(np.max(np.abs(nonzero - values) / np.abs(values)))
 
     # compress the physical Krein matrix, compare at the rescaled scale
     compressed = (isometry.T @ kr.matrix.array @ isometry) / scale
-    low = cholesky(SymMatrix(compressed), profile)
+    low = cholesky(compressed)
     inv_compressed = solve_cholesky(low, np.eye(d))
     resid_b = float(
         max_norm(inv_compressed - t_tilde)
         / max(max_norm(inv_compressed), 1e-300)
     )
 
-    t_vals = sym_eigen_values(SymMatrix(t_tilde))
+    t_vals = sym_eigen_values(t_tilde)
     recips = np.sort(1.0 / pencil.values)
     resid_c = float(np.max(np.abs(t_vals - recips) / np.abs(recips)))
 
@@ -444,8 +446,7 @@ def buckling_analysis(model: ExtensionModel, profile: ToleranceProfile = DEFAULT
     )
 
 
-def direct_sum(m1: ExtensionModel, m2: ExtensionModel,
-               profile: ToleranceProfile = DEFAULT) -> ExtensionModel:
+def direct_sum(m1: ExtensionModel, m2: ExtensionModel) -> ExtensionModel:
     """Block model: extensions of a direct sum are direct sums of extensions."""
     n1, n2 = m1.ambient_dim, m2.ambient_dim
     a = np.zeros((n1 + n2, n1 + n2))
@@ -454,24 +455,22 @@ def direct_sum(m1: ExtensionModel, m2: ExtensionModel,
     basis = np.zeros((n1 + n2, m1.domain_dim + m2.domain_dim))
     basis[:n1, :m1.domain_dim] = m1.domain_basis
     basis[n1:, m1.domain_dim:] = m2.domain_basis
-    return new_model(SymMatrix(a), basis, profile)
+    return new_model(SymMatrix(a), basis)
 
 
-def conjugate_by_unitary(model: ExtensionModel, u,
-                         profile: ToleranceProfile = DEFAULT) -> ExtensionModel:
+def conjugate_by_unitary(model: ExtensionModel, u) -> ExtensionModel:
     """Model with A replaced by U A U^T and the domain carried along."""
     u = np.asarray(u, dtype=float)
     n = model.ambient_dim
     if u.shape != (n, n):
         raise ValueError(f"conjugator shape {u.shape} != ({n}, {n})")
-    if max_norm(u.T @ u - np.eye(n)) > profile.orthonormal_rel:
-        raise NotOrthogonal("conjugator is not orthogonal within 1e-12")
+    if max_norm(u.T @ u - np.eye(n)) > DEFAULT.orthonormal_rel:
+        raise NotOrthogonal(f"conjugator is not orthogonal within {DEFAULT.orthonormal_rel:g}")
     a = SymMatrix(u @ model.A.array @ u.T)
-    return new_model(a, u @ model.domain_basis, profile)
+    return new_model(a, u @ model.domain_basis)
 
 
-def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float,
-                  profile: ToleranceProfile = DEFAULT) -> float:
+def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float) -> float:
     """Smallest eigenvalue of (E1 + aI)^{-1} - (E2 + aI)^{-1}.
 
     A result down to a small negative slack (the tests allow -1e-10)
@@ -482,10 +481,9 @@ def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float,
         raise ValueError("shift must be positive")
     n = e1.matrix.order
     eye = np.eye(n)
-    r1 = solve_cholesky(cholesky(SymMatrix(e1.matrix.array + a * eye), profile), eye)
-    r2 = solve_cholesky(cholesky(SymMatrix(e2.matrix.array + a * eye), profile), eye)
-    diff = SymMatrix(r1 - r2)
-    return float(sym_eigen_values(diff)[0])
+    r1 = solve_cholesky(cholesky(e1.matrix.array + a * eye), eye)
+    r2 = solve_cholesky(cholesky(e2.matrix.array + a * eye), eye)
+    return float(sym_eigen_values(r1 - r2)[0])
 
 
 class SplitMix64:
@@ -526,11 +524,10 @@ class SplitMix64:
         return ((z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).reshape(rows, cols)
 
 
-def random_model(seed: int, n: int, d: int,
-                 profile: ToleranceProfile = DEFAULT) -> ExtensionModel:
+def random_model(seed: int, n: int, d: int) -> ExtensionModel:
     """Seeded random model: A = M^T M + 0.1 I keeps the bottom above 0.1."""
     stream = SplitMix64(seed)
     m = stream.uniform_matrix(n, n)
     a = SymMatrix(m.T @ m + 0.1 * np.eye(n))
     raw = stream.uniform_matrix(n, d)
-    return new_model(a, raw, profile)
+    return new_model(a, raw)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite
-from .tolerances import DEFAULT, ToleranceProfile
+from .tolerances import DEFAULT
 
 __all__ = [
     "SymMatrix",
@@ -97,7 +97,7 @@ class EigenDecomposition:
         return max_norm(v.T @ v - np.eye(v.shape[1]))
 
 
-def cholesky(s, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
+def cholesky(s) -> np.ndarray:
     """Lower-triangular L with L L^T = S, from LAPACK through numpy.
 
     Raises NotPositiveDefinite when LAPACK breaks down or when a pivot
@@ -106,7 +106,7 @@ def cholesky(s, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
     borderline matrix.
     """
     a = _as_sym_array(s)
-    floor = a.shape[0] * profile.cholesky_pivot_rel * max_norm(a)
+    floor = a.shape[0] * DEFAULT.cholesky_pivot_rel * max_norm(a)
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -155,33 +155,33 @@ def sym_eigen_values(s) -> np.ndarray:
     return _eigh(_as_sym_array(s))[0]
 
 
-def _reduce_pencil(a_pen, b_pen, profile: ToleranceProfile):
+def _reduce_pencil(a_pen, b_pen):
     """Cholesky factor L of B and the symmetric C = L^-1 A L^-T."""
-    low = cholesky(b_pen, profile)
+    low = cholesky(b_pen)
     y = np.linalg.solve(low, _as_sym_array(a_pen))
     c = np.linalg.solve(low, y.T)
     return low, 0.5 * (c + c.T)
 
 
-def gen_sym_eigen(a_pen, b_pen, profile: ToleranceProfile = DEFAULT) -> EigenDecomposition:
+def gen_sym_eigen(a_pen, b_pen) -> EigenDecomposition:
     """Solve the symmetric-definite pencil A v = lambda B v.
 
     Reduction by the Cholesky factor of B: with B = L L^T the pencil becomes
     the ordinary symmetric problem L^-1 A L^-T, and eigenvectors are mapped
     back through L^-T, which makes them B-orthonormal.
     """
-    low, c = _reduce_pencil(a_pen, b_pen, profile)
+    low, c = _reduce_pencil(a_pen, b_pen)
     eig = sym_eigen(c)
     vectors = np.linalg.solve(low.T, eig.vectors)
     return EigenDecomposition(values=eig.values, vectors=vectors)
 
 
-def gen_sym_eigen_values(a_pen, b_pen, profile: ToleranceProfile = DEFAULT) -> np.ndarray:
+def gen_sym_eigen_values(a_pen, b_pen) -> np.ndarray:
     """Pencil eigenvalues only; same reduction as gen_sym_eigen."""
-    return sym_eigen_values(_reduce_pencil(a_pen, b_pen, profile)[1])
+    return sym_eigen_values(_reduce_pencil(a_pen, b_pen)[1])
 
 
-def spd_sqrt(s, profile: ToleranceProfile = DEFAULT) -> SymMatrix:
+def spd_sqrt(s) -> SymMatrix:
     """Symmetric PSD square root via the eigendecomposition.
 
     Eigenvalues below -psd_clamp_rel * max|S| are rejected; the roundoff
@@ -190,7 +190,7 @@ def spd_sqrt(s, profile: ToleranceProfile = DEFAULT) -> SymMatrix:
     """
     a = _as_sym_array(s)
     eig = sym_eigen(a)
-    lo = -profile.psd_clamp_rel * max(max_norm(a), 1e-300)
+    lo = -DEFAULT.psd_clamp_rel * max(max_norm(a), 1e-300)
     if eig.values[0] < lo:
         raise NotPositiveSemidefinite(
             f"eigenvalue {eig.values[0]:.6e} below clamp window {lo:.3e}"

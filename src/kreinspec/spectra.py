@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BracketFailure, DomainError
 from .special import _family_zeros, bessel_zero, tan_fixed_point
-from .tolerances import DEFAULT, ToleranceProfile
+from .tolerances import DEFAULT
 
 INFINITE = math.inf
 
@@ -203,18 +203,19 @@ def ball_multiplicity(n: int, ell: int) -> int:
     return result
 
 
-def _merge_coincident(values, mults, merge_rel: float) -> tuple:
+def _merge_coincident(values, mults) -> tuple:
     """Sort (value, multiplicity) pairs and merge near-coincident values.
 
     The pairs are sorted by value, then multiplicity.  A value joins the
     group whose first value v0 satisfies value - v0 <= merge_rel * value,
-    and the multiplicities of a group add; otherwise it starts a group.
-    Only a value within merge_rel of its predecessor can join, so the
+    with merge_rel from tolerances.DEFAULT, and the multiplicities of a
+    group add; otherwise it starts a group.  Only a value within merge_rel of its predecessor can join, so the
     group test runs only where np.diff flags one.  Values from distinct
     channels stay separate unless that close; whether distinct integer-order
     zeros can coincide exactly is treated as an open question and settled
     numerically only.  Returns the ascending (value, multiplicity) entries.
     """
+    merge_rel = DEFAULT.merge_rel
     order = np.lexsort((mults, values))
     values, mults = values[order], mults[order]
     if not values.size:
@@ -229,8 +230,7 @@ def _merge_coincident(values, mults, merge_rel: float) -> tuple:
     return tuple(zip(values[heads].tolist(), np.add.reduceat(mults, heads).tolist()))
 
 
-def ball_spectrum(spec: BallSpec, which: str, lambda_max: float,
-                  profile: ToleranceProfile = DEFAULT) -> Spectrum:
+def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     """Every eigenvalue <= lambda_max with its multiplicity.
 
     Channel scan: degree l contributes zeros of the order nu = l + (n-2)/2
@@ -259,7 +259,7 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float,
     keep = zeros * zeros <= cap
     kernel = 0 if which == "dirichlet" else INFINITE
     return Spectrum(
-        entries=_merge_coincident((zeros[keep] / radius) ** 2, mults[keep], profile.merge_rel),
+        entries=_merge_coincident((zeros[keep] / radius) ** 2, mults[keep]),
         kernel_dim=kernel,
         complete_below=lambda_max,
     )

@@ -1,8 +1,10 @@
-"""Central tolerance profile threaded through every numerical check.
+"""The thresholds of the library's numerical checks, in one place.
 
 All tolerances are relative to the max-norm of the input (times the order
-where stated in the individual contracts).  A single profile object is
-passed down by callers; DEFAULT is the one the library ships.
+where stated in the individual contracts).  DEFAULT is the one profile the
+library ships, and each check reads its threshold from it at the check site.
+Only extensions.krein still takes a profile argument, and it reads only its
+own two thresholds from it: construction_rel and cholesky_pivot_rel.
 """
 
 from __future__ import annotations

@@ -270,3 +270,77 @@ class TestSandwichCheck:
         assert an.sandwich_check(n, 1.0, 2e3).satisfied
         assert len(made) == 4
         assert all(1 <= counting.calls <= 2 for counting in made)
+
+
+def _segment_eigenvalues(count):
+    """The first `count` soft and the first `count` hard eigenvalues of
+    (-1, 1), ascending.  Soft: (m pi)^2 and t_m^2, with t_m the root of
+    t cos t - sin t (so tan t = t) in (m pi, (m + 1/2) pi) from
+    mpmath.findroot.  Hard: (j pi / 2)^2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        soft = []
+        for m in range(1, count + 1):
+            lo, hi = m * mpmath.pi, (m + mpmath.mpf(0.5)) * mpmath.pi
+            t = mpmath.findroot(lambda t: t * mpmath.cos(t) - mpmath.sin(t), (lo, hi),
+                                solver="anderson")
+            assert lo < t < hi
+            soft += [lo * lo, t * t]
+        hard = [(j * mpmath.pi / 2) ** 2 for j in range(1, count + 1)]
+        return sorted(float(v) for v in soft)[:count], [float(v) for v in hard]
+
+
+def _reference_counting(values, lam_max):
+    """Counting function of ascending values (repeated by multiplicity),
+    complete below lam_max."""
+    values = [v for v in values if v <= lam_max]
+    breakpoints = sorted(set(values))
+    cumulative = [bisect.bisect_right(values, b) for b in breakpoints]
+    return an.CountingFunction(breakpoints, cumulative, complete_below=lam_max)
+
+
+class TestIntervalAgainstMpmath:
+    SEGMENT = sp.IntervalSpec(-1.0, 1.0)
+    DISK = sp.BallSpec(2, 1.0)
+
+    def test_krein_values(self):
+        want, _ = _segment_eigenvalues(20)
+        got = sp.interval_krein(self.SEGMENT, 20).flattened()
+        assert len(got) == 20
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
+
+    def test_counting_checks_match_reference_spectra(self, monkeypatch):
+        # every eigenvalue below 100 = 10^2 is among the first 10 soft and
+        # hard ones of the segment (the 10th of each is (5 pi)^2) and the
+        # squares of the disk zeros below 10
+        lam_max = 100.0
+        soft, hard = _segment_eigenvalues(10)
+        reference = {
+            (self.SEGMENT, "krein"): _reference_counting(soft, lam_max),
+            (self.SEGMENT, "dirichlet"): _reference_counting(hard, lam_max),
+            (self.DISK, "krein"): _reference_counting(_ball_eigenvalues(2, 1.0, 10.0), lam_max),
+            (self.DISK, "dirichlet"): _reference_counting(_ball_eigenvalues(2, 0.0, 10.0), lam_max),
+        }
+        for (spec, which), want in reference.items():
+            counting = (an.interval_counting if spec == self.SEGMENT else an.ball_counting)(
+                spec, which, lam_max)
+            assert counting.cumulative.tolist() == want.cumulative.tolist()
+            np.testing.assert_allclose(counting.breakpoints, want.breakpoints, rtol=1e-10)
+        sandwich = an.sandwich_check(2, 1.0, lam_max)
+        domination = an.counting_domination(
+            an.interval_counting(self.SEGMENT, "krein", lam_max),
+            an.interval_counting(self.SEGMENT, "dirichlet", lam_max),
+        )
+
+        def by_spec(spec, which, cap):
+            return reference[(spec, which)]
+
+        monkeypatch.setattr(an, "ball_counting", by_spec)
+        monkeypatch.setattr(an, "interval_counting", by_spec)
+        want_sandwich = an.sandwich_check(2, 1.0, lam_max)
+        want_domination = an.counting_domination(reference[(self.SEGMENT, "krein")],
+                                                  reference[(self.SEGMENT, "dirichlet")])
+        for got, want in ((sandwich, want_sandwich), (domination, want_domination)):
+            assert (got.satisfied, got.margin, got.witnesses) == \
+                (want.satisfied, want.margin, want.witnesses)

@@ -13,7 +13,6 @@ from kreinspec.errors import (
 )
 from kreinspec import extensions as ext
 from kreinspec.linalg import SymMatrix, max_norm, sym_eigen_values
-from kreinspec.tolerances import DEFAULT
 
 A2 = [[2.0, 1.0], [1.0, 2.0]]
 E1 = [[1.0], [0.0]]
@@ -119,12 +118,12 @@ class TestAssemblyRankTest:
     def test_singular_span_raises(self, n, s):
         span, images = self._span(n, s)
         with pytest.raises(SingularDecomposition):
-            ext._extension_from_action(span, images, DEFAULT)
+            ext._extension_from_action(span, images)
 
     @pytest.mark.parametrize("n,s", [(3, 1e-10), (20, 1e-10), (3, 1e-9), (20, 1e-9), (200, 1e-9)])
     def test_regular_span_assembles(self, n, s):
         span, images = self._span(n, s)
-        matrix = ext._extension_from_action(span, images, DEFAULT)
+        matrix = ext._extension_from_action(span, images)
         assert max_norm(matrix @ span - images) <= 1e-12 * max_norm(images)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -12,3 +13,16 @@ def test_every_public_name_resolves(layer):
     module = importlib.import_module(f"kreinspec.{layer}")
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_only_krein_takes_a_tolerance_profile():
+    # every check reads its threshold from tolerances.DEFAULT; krein keeps
+    # its profile for its own two thresholds only
+    takers = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"kreinspec.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and "profile" in inspect.signature(obj).parameters:
+                takers.append(f"{layer}.{name}")
+    assert takers == ["extensions.krein"]

@@ -70,8 +70,10 @@ def sweeps(monkeypatch):
     return calls
 
 
-# The krein pencil also resolves its zero mode, to 1e-13 absolute, which
-# takes one more sweep than a Dirichlet index.
+# The krein pencil also brackets its zero mode, until it passes the check
+# |lambda_0| <= bound |lambda_1|.  While it and index 1 are both open they
+# split each sweep's shifts, which can take one more sweep than a Dirichlet
+# index.
 @pytest.mark.parametrize("bc, most_one, most_twenty", [
     ("dirichlet", 8, 12),
     ("krein", 9, 13),

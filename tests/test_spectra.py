@@ -9,7 +9,6 @@ from kreinspec.errors import BracketFailure, DomainError
 from kreinspec import special
 from kreinspec import spectra as spx
 from kreinspec.spectra import BallSpec, IntervalSpec
-from kreinspec.tolerances import DEFAULT
 
 from oracles import tan_fixed_point_oracle, series_bessel_zero
 
@@ -188,7 +187,7 @@ class TestBallSpectrum:
                     k += 1
                 ell += 1
             values, mults = zip(*brute)
-            brute = spx._merge_coincident(np.array(values), np.array(mults), DEFAULT.merge_rel)
+            brute = spx._merge_coincident(np.array(values), np.array(mults))
             assert [m for _, m in s.entries] == [m for _, m in brute]
             for (a, _), (b, _) in zip(s.entries, brute):
                 assert abs(a - b) <= 1e-13 * b  # well inside merge_rel
@@ -240,7 +239,7 @@ class TestMergeCoincident:
     def test_joins_the_first_value_of_a_group(self):
         # 1 + 1.2e-11 is within 1e-11 of its predecessor but not of 1.0
         values = np.array([1.0 + 1.2e-11, 1.0, 1.0 + 0.6e-11])
-        merged = spx._merge_coincident(values, np.array([1, 2, 4]), 1e-11)
+        merged = spx._merge_coincident(values, np.array([1, 2, 4]))
         assert merged == ((1.0, 6), (1.0 + 1.2e-11, 1))
 
     @settings(max_examples=200, deadline=None)
@@ -252,7 +251,7 @@ class TestMergeCoincident:
         pairs = [(base * (1.0 + 3e-12 * step), mult) for base, step, mult in draws]
         values = np.array([v for v, _ in pairs], dtype=float)
         mults = np.array([m for _, m in pairs], dtype=np.int64)
-        assert spx._merge_coincident(values, mults, 1e-11) == _merge_reference(pairs, 1e-11)
+        assert spx._merge_coincident(values, mults) == _merge_reference(pairs, 1e-11)
 
 
 class TestChannelInterlace:
