@@ -284,8 +284,9 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     p = w.shape[1]
     kernel = adjoint_kernel(model)
     if p:
-        if max_norm(w.T @ w - np.eye(p)) > 1e-10:
-            raise NotOrthogonal("W basis columns are not orthonormal")
+        if max_norm(w.T @ w - np.eye(p)) > DEFAULT.orthonormal_rel:
+            raise NotOrthogonal(
+                f"W basis columns are not orthonormal within {DEFAULT.orthonormal_rel:g}")
         if max_norm((a @ q).T @ w) > DEFAULT.adjoint_kernel_rel * model.A.norm_max * n:
             raise NotOrthogonal("W is not inside ker(S*) = ran(A D)^perp")
     if p:

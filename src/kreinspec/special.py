@@ -11,11 +11,14 @@ normalized through J_0(x) + 2*sum_k J_{2k}(x) = 1, half-integer orders
 recur on spherical Bessel functions and normalize against the closed forms
 sin(x)/x and sin(x)/x^2 - cos(x)/x, whichever is better conditioned.
 
-Zeros come from two routes, both refined by one safeguarded Newton
-iteration inside a sign-change bracket:
+Every root is refined inside a sign-change bracket by `_newton_batch`, the
+one safeguarded Newton iteration of the library, which steps many brackets
+at once.  The fixed points of tan t = t run through it as one batch per
+call.  Bessel zeros reach it by two routes:
 
 * A single zero j_{nu,k} starts from McMahon's asymptotic expansion
-  whenever its terms certify themselves by rapid decay.
+  whenever its terms certify themselves by rapid decay, and is refined as
+  a batch of one.
 * Whole zero sets come from `_family_zeros`: for the orders l + p/2 of one
   parity p it finds every zero below a bound at once.  One backward
   recurrence over orders, vectorized with numpy over a grid of arguments of
@@ -222,37 +225,6 @@ def _mcmahon_is_reliable(terms) -> bool:
     return t3 <= 0.05 * t2 and t4 <= 0.05 * t3 + 1e-13 and t5 <= 0.05 * t4 + 1e-13
 
 
-def _newton_in_bracket(pair, lo: float, hi: float, x: float, flo: float) -> float:
-    """Root of f inside the sign-change bracket [lo, hi] by Newton's method
-    from x, bisecting whenever a step would leave the bracket.
-
-    pair(x) returns (f(x), f'(x)) and flo carries the sign of f at lo.  The
-    stop test applies to the raw Newton step before the safeguard: once an
-    iterate has become a bracket end, a converged step of rounding size
-    fails lo < x - f/f' < hi, and bisecting there would walk away from the
-    root.
-    """
-    for _ in range(_NEWTON_STEPS):
-        f, fp = pair(x)
-        if f == 0.0:
-            return x
-        if math.copysign(1.0, f) == math.copysign(1.0, flo):
-            lo = x
-        else:
-            hi = x
-        nxt = 0.5 * (lo + hi)
-        if fp != 0.0:
-            newton = x - f / fp
-            if abs(newton - x) <= _STOP_REL * abs(x):
-                return newton
-            if lo < newton < hi:
-                nxt = newton
-        if abs(nxt - x) <= _STOP_REL * abs(x):
-            return nxt
-        x = nxt
-    return x
-
-
 def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
     """Zero of J_nu in [lo, hi], certified by the sign change at the ends."""
     flo = _eval_j(order, lo)
@@ -263,7 +235,10 @@ def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketFailure(f"no sign change in [{lo}, {hi}] for order {order.nu}")
-    return _newton_in_bracket(lambda x: _eval_j_pair(order, x), lo, hi, 0.5 * (lo + hi), flo)
+    # a batch of one: f and f' as one-element arrays
+    pair = lambda live, x: np.array(_eval_j_pair(order, float(x[0])))[:, None]
+    return float(_newton_batch(pair, np.array([lo]), np.array([hi]), np.array([flo]),
+                               np.array([0.5 * (lo + hi)]))[0])
 
 
 def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray,
@@ -341,14 +316,24 @@ def _eval_pairs(parity: int, ells: np.ndarray, x: np.ndarray):
     return amp * mid, 0.5 * amp * (below - above)
 
 
-def _newton_batch(parity: int, ells: np.ndarray, lo, hi, flo, x) -> np.ndarray:
-    """`_newton_in_bracket` for many zeros at once, ells ascending."""
+def _newton_batch(pair, lo, hi, flo, x) -> np.ndarray:
+    """Roots of f inside the sign-change brackets [lo, hi], elementwise, by
+    Newton's method from x, bisecting wherever a step would leave its bracket.
+
+    pair(live, x) returns (f(x), f'(x)) as arrays for the iterates still
+    running, live being their indices into the batch; flo carries the sign
+    of f at lo.  The stop test applies to the raw Newton step before the
+    safeguard: once an iterate has become a bracket end, a converged step of
+    rounding size fails lo < x - f/f' < hi, and bisecting there would walk
+    away from the root.  An iterate still running after _NEWTON_STEPS steps
+    returns its last value.
+    """
     zeros = x.copy()
     live = np.arange(len(x))
     for _ in range(_NEWTON_STEPS):
         if live.size == 0:
             break
-        f, fp = _eval_pairs(parity, ells, x)
+        f, fp = pair(live, x)
         same = np.copysign(1.0, f) == np.copysign(1.0, flo)
         lo = np.where(same, x, lo)
         hi = np.where(same, hi, x)
@@ -361,7 +346,7 @@ def _newton_batch(parity: int, ells: np.ndarray, lo, hi, flo, x) -> np.ndarray:
         done = hit | raw_done | (np.abs(nxt - x) <= tol)
         zeros[live[done]] = np.where(hit, x, np.where(raw_done, newton, nxt))[done]
         keep = ~done
-        live, ells, lo, hi, flo, x = (a[keep] for a in (live, ells, lo, hi, flo, nxt))
+        live, lo, hi, flo, x = (a[keep] for a in (live, lo, hi, flo, nxt))
     zeros[live] = x
     return zeros
 
@@ -382,7 +367,9 @@ def _solve_family(parity: int, ells: np.ndarray, x_max: float):
     lo, hi = grid[cols], grid[cols + 1]
     flo, fhi = table[rows, cols], table[rows, cols + 1]
     start = lo - flo * (hi - lo) / (fhi - flo)
-    zeros = _newton_batch(parity, ells[rows], lo, hi, flo, start)
+    orders = ells[rows]
+    zeros = _newton_batch(lambda live, x: _eval_pairs(parity, orders[live], x),
+                          lo, hi, flo, start)
     return np.split(zeros, np.searchsorted(rows, np.arange(1, len(ells)))), float(grid[-1])
 
 
@@ -432,19 +419,24 @@ def bessel_zero(nu, k: int) -> float:
         _family_zeros([order.twice_order], x_max)
 
 
-def _tan_pair(t: float):
+def _tan_pair(t):
     """t cos t - sin t, the pole-free form of tan t = t, and its derivative."""
-    return t * math.cos(t) - math.sin(t), -t * math.sin(t)
+    return t * np.cos(t) - np.sin(t), -t * np.sin(t)
 
 
-def tan_fixed_point(m: int) -> float:
+def tan_fixed_point(m):
     """m-th positive root of tan t = t, inside (m pi, (2m+1) pi / 2).
 
-    Newton runs on the pole-free form t cos t - sin t = 0 from the guess
+    m is one index, which gives a float, or an integer array of indices,
+    which gives a float array of roots of the same shape.  Newton runs on
+    the pole-free form t cos t - sin t = 0 from the guess
     (2m+1) pi/2 - 1/((2m+1) pi/2), safeguarded by the enclosing bracket.
     """
-    if not (1 <= m <= _MAX_ZERO_INDEX and m == int(m)):
+    index = np.asarray(m)
+    if not np.all((1 <= index) & (index <= _MAX_ZERO_INDEX) & (index == np.floor(index))):
         raise DomainError(f"root index {m} is not an integer in 1..{_MAX_ZERO_INDEX}")
-    lo = m * math.pi
-    hi = (2 * m + 1) * math.pi / 2.0
-    return _newton_in_bracket(_tan_pair, lo, hi, hi - 1.0 / hi, _tan_pair(lo)[0])
+    ms = index.reshape(-1).astype(int)
+    lo = ms * np.pi
+    hi = (2 * ms + 1) * np.pi / 2.0
+    roots = _newton_batch(lambda live, t: _tan_pair(t), lo, hi, _tan_pair(lo)[0], hi - 1.0 / hi)
+    return float(roots[0]) if index.ndim == 0 else roots.reshape(index.shape)

@@ -28,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BracketFailure, DomainError
-from .special import _family_zeros, bessel_zero, tan_fixed_point
+from .special import _MAX_ZERO_INDEX, _family_zeros, bessel_zero, tan_fixed_point
 from .tolerances import DEFAULT
 
 INFINITE = math.inf
@@ -143,20 +143,20 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
     """
     if not (isinstance(count, Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count}")
+    if count > 2 * _MAX_ZERO_INDEX:
+        raise DomainError(f"count {count} needs roots of tan t = t past index {_MAX_ZERO_INDEX}")
     length = spec.length
-    vals = []
-    m = 1
-    while len(vals) < count:
-        vals.append((2.0 * m * math.pi / length) ** 2)
-        vals.append((2.0 * tan_fixed_point(m) / length) ** 2)
-        m += 1
+    m = np.arange(1, (count + 1) // 2 + 1)
+    vals = np.empty(2 * m.size)
+    vals[0::2] = (2.0 * m * np.pi / length) ** 2
+    vals[1::2] = (2.0 * tan_fixed_point(m) / length) ** 2
     vals = vals[:count]
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    if np.any(vals[1:] <= vals[:-1]):
         raise BracketFailure("even/odd eigenvalue branches failed to alternate")
     return Spectrum(
-        entries=tuple((v, 1) for v in vals),
+        entries=tuple((v, 1) for v in vals.tolist()),
         kernel_dim=2,
-        complete_below=vals[-1],
+        complete_below=float(vals[-1]),
     )
 
 

@@ -17,7 +17,7 @@ class ToleranceProfile:
     # linalg-core
     cholesky_pivot_rel: float = 1e-14     # pivot <= order * this * max|S| fails
     psd_clamp_rel: float = 1e-12          # spd_sqrt negative-eigenvalue window
-    orthonormal_rel: float = 1e-12        # ||V^T V - I|| <= this * order
+    orthonormal_rel: float = 1e-12        # max|V^T V - I| <= this, for any order
     # extension-core
     extension_residual_rel: float = 1e-10  # extends-S and kernel residuals
     adjoint_kernel_rel: float = 1e-11      # orthogonality of ker(S*) columns to A*D

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kreinspec import analysis as an
 from kreinspec import spectra as sp
+from kreinspec.errors import InsufficientData, InsufficientEigenvalues
 
 
 class TestKozlovCoefficient:
@@ -92,6 +93,17 @@ class TestUniversalInequalitiesOnBall:
         assert sharp.satisfied and sharp.inconclusive
 
 
+class TestUniversalInequalitiesNeedEnoughValues:
+    # the soft spectrum needs max(k_max + 1, n + 1) values, by multiplicity
+    @pytest.mark.parametrize("n, k_max", [(2, 4), (4, 1)])
+    def test_short_soft_spectrum_raises(self, n, k_max):
+        need = max(k_max + 1, n + 1)
+        soft = sp.Spectrum(entries=((1.0, 1), (2.0, need - 2)), kernel_dim=0)
+        hard = sp.Spectrum(entries=((1.5, 1), (3.0, need)), kernel_dim=0)
+        with pytest.raises(InsufficientEigenvalues, match=f"need {need} soft"):
+            an.universal_inequalities(soft, hard, n, an.unit_ball_volume(n), k_max)
+
+
 class TestCountingDomination:
     def test_violation_reports_margin_and_witnesses(self):
         soft = an.counting_from_spectrum(
@@ -174,6 +186,18 @@ class TestWeylFit:
         assert fit.c_lead == pytest.approx(lead, rel=1e-4)
         assert fit.c_second == pytest.approx(second, rel=2e-3)
         assert fit.samples == 240
+
+    @pytest.mark.parametrize("window", [(0.0, 4.0), (3.0, 3.0), (4.0, 2.0)])
+    def test_empty_window_raises(self, window):
+        counting = an.CountingFunction(breakpoints=(1.0, 2.0), cumulative=(1, 4))
+        with pytest.raises(InsufficientData, match="empty window"):
+            an.weyl_fit(counting, 2, window)
+
+    def test_window_beyond_complete_range_raises(self):
+        counting = an.counting_from_spectrum(
+            sp.Spectrum(entries=((1.0, 1), (2.0, 3)), kernel_dim=0, complete_below=5.0))
+        with pytest.raises(InsufficientData, match="beyond complete range"):
+            an.weyl_fit(counting, 2, (1.0, 6.0))
 
 
 class TestTwoTermCoefficients:

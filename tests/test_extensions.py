@@ -192,6 +192,15 @@ class TestParametrized:
         with pytest.raises(NotOrthogonal):
             ext.parametrized_extension(model2, w, [[1.0]])
 
+    def test_rejects_basis_off_orthonormal(self):
+        m = ext.random_model(31, 8, 4)
+        w = ext.adjoint_kernel(m).copy()
+        ext.parametrized_extension(m, w, np.eye(4))
+        # one column 1e-11 too long puts W^T W about 2e-11 off the identity
+        w[:, 1] *= 1.0 + 1e-11
+        with pytest.raises(NotOrthogonal, match="not orthonormal within 1e-12"):
+            ext.parametrized_extension(m, w, np.eye(4))
+
     def test_partial_subspace(self):
         m = ext.random_model(31, 8, 4)
         ker = ext.adjoint_kernel(m)

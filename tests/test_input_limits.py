@@ -43,6 +43,7 @@ NON_INTEGER_COUNTS = {
 
 BAD_INDICES = {
     "tan-root-half-index": lambda: special.tan_fixed_point(2.5),
+    "interval-krein-count-past-roots": lambda: sp.interval_krein(UNIT_SEGMENT, 10**12),
     "zero-half-index": lambda: special.bessel_zero(0, 2.5),
     "zero-order-nan": lambda: special.bessel_zero(NAN, 1),
     "value-order-inf": lambda: special.bessel_j(INF, 1.0),

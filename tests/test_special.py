@@ -142,6 +142,14 @@ class TestTanFixedPoint:
         for m in (1, 2, 3, 9, 40):
             assert tan_fixed_point(m) == pytest.approx(tan_fixed_point_oracle(m), rel=1e-13)
 
+    def test_index_array_matches_scalar_calls(self):
+        m = np.arange(1, 201)
+        roots = tan_fixed_point(m)
+        assert roots.shape == m.shape
+        want = np.array([tan_fixed_point(int(k)) for k in m])
+        assert roots.tobytes() == want.tobytes()
+        assert tan_fixed_point(m.reshape(20, 10)).shape == (20, 10)
+
     def test_cross_identity_with_three_halves_zeros(self):
         # J_{3/2} is proportional to sin x / x - cos x, so its zeros solve tan x = x
         for m in range(1, 51):
@@ -171,23 +179,14 @@ class TestNewtonStops:
 
     def test_tan_fixed_point_evaluations(self, monkeypatch):
         calls = []
-
-        class CountingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            @staticmethod
-            def cos(t):
-                calls.append(t)
-                return math.cos(t)
-
-        monkeypatch.setattr(special, "math", CountingMath())
+        inner = special._tan_pair
+        monkeypatch.setattr(special, "_tan_pair", lambda t: calls.append(t) or inner(t))
         worst = 0
         for m in list(range(1, 200)) + [1000, 5000, 99_999]:
             calls.clear()
             tan_fixed_point(m)
             worst = max(worst, len(calls))
-        # one cosine per evaluation of t cos t - sin t, the bracket end included
+        # one evaluation of t cos t - sin t per step, the bracket end included
         assert worst <= 6
 
 
