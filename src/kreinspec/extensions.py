@@ -239,8 +239,7 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
     kernel = adjoint_kernel(model)
     span = np.concatenate((q, kernel), axis=1)
     images = np.concatenate((a @ q, np.zeros_like(kernel)), axis=1)
-    piecewise = _extension_from_action(span, images)
-    piecewise = 0.5 * (piecewise + piecewise.T)
+    piecewise = SymMatrix(_extension_from_action(span, images))
 
     # P = Q_h Q_h^T from the QR of A^(1/2) Q, so A^(1/2) P A^(1/2) = F F^T
     # with F = A^(1/2) Q_h.  The floor is the Cholesky pivot floor of the
@@ -251,13 +250,13 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
     factor = root @ half_dom
     closed_form = factor @ factor.T
 
-    gap = max_norm(piecewise - closed_form)
+    gap = max_norm(piecewise.array - closed_form)
     if gap > profile.construction_rel * model.A.norm_max:
         raise ConstructionMismatch(
             f"piecewise vs closed-form Krein matrices differ by {gap:.3e}"
         )
     return ExtensionResult(
-        matrix=SymMatrix(piecewise),
+        matrix=piecewise,
         kind="krein",
         kernel_basis=kernel,
         construction_gap=gap,
@@ -319,17 +318,16 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
         pieces_img.append(eta)
     span = np.concatenate(pieces_span, axis=1)
     images = np.concatenate(pieces_img, axis=1)
-    matrix = _extension_from_action(span, images)
+    matrix = SymMatrix(_extension_from_action(span, images))
 
-    sym_defect = max_norm(matrix - matrix.T)
-    matrix = 0.5 * (matrix + matrix.T)
     scale = model.A.norm_max
-    if sym_defect > DEFAULT.construction_rel * scale:
-        raise ConstructionMismatch(f"assembled matrix asymmetric by {sym_defect:.3e}")
+    if matrix.max_asymmetry > DEFAULT.construction_rel * scale:
+        raise ConstructionMismatch(
+            f"assembled matrix asymmetric by {matrix.max_asymmetry:.3e}")
     values = sym_eigen_values(matrix)
     if values[0] < -DEFAULT.construction_rel * scale:
         raise ConstructionMismatch(f"assembled matrix has eigenvalue {values[0]:.3e}")
-    ext_resid = max_norm(matrix @ q - a @ q)
+    ext_resid = max_norm(matrix.array @ q - a @ q)
     if ext_resid > DEFAULT.extension_residual_rel * scale * n:
         raise ConstructionMismatch(f"extension residual {ext_resid:.3e}")
 
@@ -340,7 +338,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     else:
         kernel_basis = np.empty((n, 0))
     return ExtensionResult(
-        matrix=SymMatrix(matrix),
+        matrix=matrix,
         kind="parametrized",
         kernel_basis=kernel_basis,
         w_basis=w,
@@ -358,16 +356,13 @@ def reduced_krein(model: ExtensionModel) -> ReducedKrein:
     kr = krein(model)
     aq = model.A.array @ model.domain_basis
     basis = _qr_split(aq, model.ambient_dim * DEFAULT.rank_rel, SingularDecomposition)[0]
-    compressed = basis.T @ kr.matrix.array @ basis
-    compressed = 0.5 * (compressed + compressed.T)
+    compressed = SymMatrix(basis.T @ kr.matrix.array @ basis)
     low = cholesky(compressed)
-    inv_compressed = solve_cholesky(low, np.eye(model.domain_dim))
+    inv_compressed = SymMatrix(solve_cholesky(low, np.eye(model.domain_dim)))
     a_low = cholesky(model.A)
     a_inv_compressed = basis.T @ solve_cholesky(a_low, basis)
-    resid = max_norm(0.5 * (inv_compressed + inv_compressed.T) - a_inv_compressed)
-    return ReducedKrein(
-        basis=basis, matrix=SymMatrix(compressed), skinv_residual=float(resid)
-    )
+    resid = max_norm(inv_compressed.array - a_inv_compressed)
+    return ReducedKrein(basis=basis, matrix=compressed, skinv_residual=float(resid))
 
 
 def _pencil(model: ExtensionModel):
@@ -411,8 +406,7 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
     modulus = spd_sqrt(g_a)
     mod_low = cholesky(modulus)
     mod_inv = solve_cholesky(mod_low, np.eye(d))
-    t_tilde = mod_inv @ g_b.array @ mod_inv
-    t_tilde = 0.5 * (t_tilde + t_tilde.T)
+    t_tilde = SymMatrix(mod_inv @ g_b.array @ mod_inv)
     isometry = aq @ mod_inv
 
     kr = krein(model)
@@ -425,7 +419,7 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
     low = cholesky(compressed)
     inv_compressed = solve_cholesky(low, np.eye(d))
     resid_b = float(
-        max_norm(inv_compressed - t_tilde)
+        max_norm(inv_compressed - t_tilde.array)
         / max(max_norm(inv_compressed), 1e-300)
     )
 
@@ -436,7 +430,7 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
     return BucklingReport(
         pencil_values=values,
         pencil_vectors=pencil.vectors,
-        t_matrix=SymMatrix(t_tilde / scale),
+        t_matrix=SymMatrix(t_tilde.array / scale),
         polar_modulus=SymMatrix(scale * modulus.array),
         isometry=isometry,
         residuals={
@@ -478,8 +472,8 @@ def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float) -> float:
     certifies E1 <= E2 in the extension order, because PSD order is
     equivalent to the reversed order of resolvents at any positive shift.
     """
-    if a <= 0.0:
-        raise ValueError("shift must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"shift must be positive and finite, got {a}")
     n = e1.matrix.order
     eye = np.eye(n)
     r1 = solve_cholesky(cholesky(e1.matrix.array + a * eye), eye)

@@ -4,14 +4,17 @@ The factorizations are numpy's LAPACK-backed routines: eigh (syevd),
 cholesky (potrf) and solve (gesv).  This module adds the library's contracts
 around them: exactly symmetric input, ascending eigenvalues, the Cholesky
 pivot floor, the PSD clamp of the square root, and typed errors in place of
-LinAlgError.  The Sturm count for symmetric tridiagonals is written out
-here: numpy has no tridiagonal routine, and radial multisection needs the
-counts at many shifts from one sweep.  It relies on IEEE infinities and
-signed zeros in place of a pivot floor, so it needs no tuning constant.  The
-sweep takes the rows in fixed row blocks: a block's d_i - lam for every
-shift come from one broadcast, each row then costs at most two ufunc calls,
-and the block's sign bits are counted at once, in scratch memory of a few
-row blocks times the number of shifts.
+LinAlgError.  Exact symmetry comes from SymMatrix alone: it is the only code
+that averages a matrix with its transpose, every routine here wraps a plain
+array in one, and a SymMatrix argument is used as is.  The Sturm count for
+symmetric tridiagonals is written out here: numpy has no tridiagonal
+routine, and radial multisection needs the counts at many shifts from one
+sweep.  It relies on IEEE infinities and signed zeros in place of a pivot
+floor, so it needs no tuning constant.  The sweep takes the rows in fixed
+row blocks: a block's d_i - lam for every shift come from one broadcast,
+each row then costs at most two ufunc calls, and the block's sign bits are
+counted at once, in scratch memory of a few row blocks times the number of
+shifts.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ class SymMatrix:
 
     The constructor symmetrizes by averaging and records the worst asymmetry
     it saw, so downstream code can always rely on exact entrywise symmetry.
+    It is the library's only symmetrizer: a new matrix is wrapped once, and
+    a SymMatrix argument is used as is, never averaged again.  Its array is
+    read-only.
     """
 
     __slots__ = ("array", "order", "max_asymmetry")
@@ -75,10 +81,8 @@ class SymMatrix:
         return f"SymMatrix(order={self.order}, max_asymmetry={self.max_asymmetry:.3g})"
 
 
-def _as_sym_array(s) -> np.ndarray:
-    if isinstance(s, SymMatrix):
-        return s.array
-    return SymMatrix(s).array
+def _as_sym(s) -> SymMatrix:
+    return s if isinstance(s, SymMatrix) else SymMatrix(s)
 
 
 @dataclass
@@ -89,7 +93,7 @@ class EigenDecomposition:
     vectors: np.ndarray  # columns orthonormal (B-orthonormal for pencils)
 
     def residual(self, a) -> float:
-        a = _as_sym_array(a)
+        a = _as_sym(a).array
         return max_norm(a @ self.vectors - self.vectors * self.values)
 
     def orthonormality_defect(self) -> float:
@@ -105,7 +109,7 @@ def cholesky(s) -> np.ndarray:
     this library that always means an invalid pencil or model rather than a
     borderline matrix.
     """
-    a = _as_sym_array(s)
+    a = _as_sym(s).array
     floor = a.shape[0] * DEFAULT.cholesky_pivot_rel * max_norm(a)
     try:
         low = np.linalg.cholesky(a)
@@ -142,7 +146,7 @@ def _eigh(a: np.ndarray, with_vectors: bool = True):
 
 def sym_eigen(s) -> EigenDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors, by LAPACK syevd."""
-    values, vectors = _eigh(_as_sym_array(s))
+    values, vectors = _eigh(_as_sym(s).array)
     return EigenDecomposition(values=values, vectors=vectors)
 
 
@@ -152,15 +156,14 @@ def sym_eigen_values(s) -> np.ndarray:
     Runs the same driver as sym_eigen, so the two agree bitwise; eigvalsh
     differs in the last bits.
     """
-    return _eigh(_as_sym_array(s))[0]
+    return _eigh(_as_sym(s).array)[0]
 
 
 def _reduce_pencil(a_pen, b_pen):
     """Cholesky factor L of B and the symmetric C = L^-1 A L^-T."""
     low = cholesky(b_pen)
-    y = np.linalg.solve(low, _as_sym_array(a_pen))
-    c = np.linalg.solve(low, y.T)
-    return low, 0.5 * (c + c.T)
+    y = np.linalg.solve(low, _as_sym(a_pen).array)
+    return low, SymMatrix(np.linalg.solve(low, y.T))
 
 
 def gen_sym_eigen(a_pen, b_pen) -> EigenDecomposition:
@@ -188,9 +191,9 @@ def spd_sqrt(s) -> SymMatrix:
     window [-tol, 0] is clamped to zero because discretization matrices are
     PSD only up to rounding.
     """
-    a = _as_sym_array(s)
-    eig = sym_eigen(a)
-    lo = -DEFAULT.psd_clamp_rel * max(max_norm(a), 1e-300)
+    s = _as_sym(s)
+    eig = sym_eigen(s)
+    lo = -DEFAULT.psd_clamp_rel * max(s.norm_max, 1e-300)
     if eig.values[0] < lo:
         raise NotPositiveSemidefinite(
             f"eigenvalue {eig.values[0]:.6e} below clamp window {lo:.3e}"

@@ -121,9 +121,6 @@ class Spectrum:
                 return out[:count]
         return out
 
-    def total_multiplicity(self) -> int:
-        return int(self._mults.sum())
-
 
 def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
     """First `count` hard-boundary eigenvalues (j pi / L)^2, all simple."""
@@ -167,8 +164,8 @@ def interval_krein_bc_residual(spec: IntervalSpec, branch: str, m: int) -> float
     the residual is the worst violation by the closed-form eigenfunction at
     the computed frequency.  Expected at rounding level, about 1e-10 * k.
     """
-    if m < 1:
-        raise ValueError("branch index must be >= 1")
+    if not (isinstance(m, Integral) and m >= 1):
+        raise ValueError(f"branch index must be an integer >= 1, got {m}")
     length = spec.length
     center = 0.5 * (spec.a + spec.b)
     if branch == "cos":

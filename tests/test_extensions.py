@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kreinspec.errors import (
+    ConstructionMismatch,
     NoDeficiency,
     NotOrthogonal,
     NotPositiveDefinite,
@@ -210,6 +211,24 @@ class TestParametrized:
         assert sym_eigen_values(pe.matrix)[0] >= -1e-10 * m.A.norm_max
 
 
+class TestParametrizedAssemblyChecks:
+    # each corruption of the assembled matrix trips exactly one of the checks
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda x: x + np.triu(np.full(x.shape, 1e-6), 1), "asymmetric"),
+        (lambda x: x - 10.0 * np.eye(len(x)), "has eigenvalue"),
+        (lambda x: x + np.eye(len(x)), "extension residual"),
+    ])
+    def test_corrupted_assembly_raises(self, monkeypatch, corrupt, message):
+        m = ext.random_model(3, 12, 8)
+        w = ext.adjoint_kernel(m)[:, :2]
+        ext.parametrized_extension(m, w, np.eye(2))
+        assemble = ext._extension_from_action
+        monkeypatch.setattr(ext, "_extension_from_action",
+                            lambda span, images: corrupt(assemble(span, images)))
+        with pytest.raises(ConstructionMismatch, match=message):
+            ext.parametrized_extension(m, w, np.eye(2))
+
+
 class TestReducedKrein:
     def test_hand_case(self, model2):
         rk = ext.reduced_krein(model2)
@@ -400,6 +419,36 @@ class TestOrderCompare:
         p_large = ext.parametrized_extension(m, ker, b_large)
         for shift in (0.5, 2.0):
             assert ext.order_compare(p_small, p_large, shift) >= -1e-10
+
+
+class TestOrderCompareShift:
+    @pytest.mark.parametrize("shift", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_shift_not_positive_and_finite(self, model2, shift):
+        kr, fr = ext.krein(model2), ext.friedrichs(model2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ext.order_compare(kr, fr, shift)
+
+
+class TestSymmetrizeOnce:
+    def test_no_symmatrix_is_built_from_a_symmatrix_array(self, monkeypatch):
+        # SymMatrix arrays are read-only, so a read-only input is a re-wrap
+        init = SymMatrix.__init__
+        writeable = []
+
+        def spy(self, entries):
+            writeable.append(not (isinstance(entries, np.ndarray)
+                                  and not entries.flags.writeable))
+            init(self, entries)
+
+        monkeypatch.setattr(SymMatrix, "__init__", spy)
+        m = ext.random_model(3, 30, 20)
+        kr = ext.krein(m)
+        ext.reduced_krein(m)
+        ext.buckling_analysis(m)
+        pe = ext.parametrized_extension(m, ext.adjoint_kernel(m)[:, :2], np.eye(2))
+        ext.pencil_values(m)
+        ext.order_compare(kr, pe, 1.0)
+        assert writeable and all(writeable)
 
 
 class TestFormIdentity:

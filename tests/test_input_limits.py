@@ -29,7 +29,7 @@ BAD_SIZES = {
 }
 
 # Each call passed its checks and then failed with a bare TypeError inside
-# numpy, range or a slice.
+# numpy, range or a slice, or (the cos-branch residual) returned a number.
 NON_INTEGER_COUNTS = {
     "grid-half-size": lambda: dz.Grid1D(0.0, 1.0, 10.5),
     "radial-half-size": lambda: dz.RadialChannelSpec(3, 1, 1.0, 10.5, "dirichlet"),
@@ -39,6 +39,8 @@ NON_INTEGER_COUNTS = {
         dz.RadialChannelSpec(3, 1, 1.0, 10, "dirichlet"), 2.5),
     "discrete-krein-half-count": lambda: dz.discrete_krein_spectrum(
         dz.interval_model(dz.Grid1D(0.0, 1.0, 10), dz.PotentialSpec.zero()), 2.5),
+    "bc-residual-cos-half-index": lambda: sp.interval_krein_bc_residual(UNIT_SEGMENT, "cos", 2.5),
+    "bc-residual-sin-half-index": lambda: sp.interval_krein_bc_residual(UNIT_SEGMENT, "sin", 2.5),
 }
 
 BAD_INDICES = {
