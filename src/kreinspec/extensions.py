@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .errors import (
 )
 from .linalg import (
     SymMatrix,
+    _cholesky_inverse,
     _eigh,
     cholesky,
     gen_sym_eigen,
@@ -54,7 +56,6 @@ from .linalg import (
     solve_cholesky,
     spd_sqrt,
     sym_eigen,
-    sym_eigen_values,
 )
 from .tolerances import DEFAULT, ToleranceProfile
 
@@ -324,7 +325,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     if matrix.max_asymmetry > DEFAULT.construction_rel * scale:
         raise ConstructionMismatch(
             f"assembled matrix asymmetric by {matrix.max_asymmetry:.3e}")
-    values = sym_eigen_values(matrix)
+    values = _eigh(matrix.array, with_vectors=False)[0]
     if values[0] < -DEFAULT.construction_rel * scale:
         raise ConstructionMismatch(f"assembled matrix has eigenvalue {values[0]:.3e}")
     ext_resid = max_norm(matrix.array @ q - a @ q)
@@ -358,7 +359,7 @@ def reduced_krein(model: ExtensionModel) -> ReducedKrein:
     basis = _qr_split(aq, model.ambient_dim * DEFAULT.rank_rel, SingularDecomposition)[0]
     compressed = SymMatrix(basis.T @ kr.matrix.array @ basis)
     low = cholesky(compressed)
-    inv_compressed = SymMatrix(solve_cholesky(low, np.eye(model.domain_dim)))
+    inv_compressed = SymMatrix(_cholesky_inverse(low))
     a_low = cholesky(model.A)
     a_inv_compressed = basis.T @ solve_cholesky(a_low, basis)
     resid = max_norm(inv_compressed.array - a_inv_compressed)
@@ -399,31 +400,30 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
       reciprocal_spectrum  eigenvalues of T against reciprocal pencil values
     """
     scale, aq, g_a, g_b = _pencil(model)
-    d = model.domain_dim
     pencil = gen_sym_eigen(g_a, g_b)
     values = scale * pencil.values
 
     modulus = spd_sqrt(g_a)
     mod_low = cholesky(modulus)
-    mod_inv = solve_cholesky(mod_low, np.eye(d))
+    mod_inv = _cholesky_inverse(mod_low)
     t_tilde = SymMatrix(mod_inv @ g_b.array @ mod_inv)
     isometry = aq @ mod_inv
 
     kr = krein(model)
-    krein_vals = sym_eigen_values(kr.matrix)
+    krein_vals = _eigh(kr.matrix.array, with_vectors=False)[0]
     nonzero = krein_vals[model.codimension:]
     resid_a = float(np.max(np.abs(nonzero - values) / np.abs(values)))
 
     # compress the physical Krein matrix, compare at the rescaled scale
     compressed = (isometry.T @ kr.matrix.array @ isometry) / scale
     low = cholesky(compressed)
-    inv_compressed = solve_cholesky(low, np.eye(d))
+    inv_compressed = _cholesky_inverse(low)
     resid_b = float(
         max_norm(inv_compressed - t_tilde.array)
         / max(max_norm(inv_compressed), 1e-300)
     )
 
-    t_vals = sym_eigen_values(t_tilde)
+    t_vals = _eigh(t_tilde.array, with_vectors=False)[0]
     recips = np.sort(1.0 / pencil.values)
     resid_c = float(np.max(np.abs(t_vals - recips) / np.abs(recips)))
 
@@ -475,10 +475,12 @@ def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float) -> float:
     if not 0.0 < a < math.inf:
         raise ValueError(f"shift must be positive and finite, got {a}")
     n = e1.matrix.order
+    if e2.matrix.order != n:
+        raise ValueError(f"extensions of orders {n} and {e2.matrix.order} cannot be compared")
     eye = np.eye(n)
-    r1 = solve_cholesky(cholesky(e1.matrix.array + a * eye), eye)
-    r2 = solve_cholesky(cholesky(e2.matrix.array + a * eye), eye)
-    return float(sym_eigen_values(r1 - r2)[0])
+    r1 = _cholesky_inverse(cholesky(e1.matrix.array + a * eye))
+    r2 = _cholesky_inverse(cholesky(e2.matrix.array + a * eye))
+    return float(_eigh(SymMatrix(r1 - r2).array, with_vectors=False)[0][0])
 
 
 class SplitMix64:
@@ -490,7 +492,9 @@ class SplitMix64:
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        if not isinstance(seed, Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        self._state = int(seed) & self._MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + self._GAMMA) & self._MASK
@@ -509,6 +513,9 @@ class SplitMix64:
         The i-th draw mixes the state seed + i * gamma (mod 2^64), so all of
         them are computed at once in wrapping uint64 arithmetic.
         """
+        for name, size in (("rows", rows), ("cols", cols)):
+            if not (isinstance(size, Integral) and size >= 0):
+                raise ValueError(f"{name} must be a nonnegative integer, got {size!r}")
         count = rows * cols
         steps = np.arange(1, count + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(self._GAMMA)

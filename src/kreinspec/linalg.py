@@ -1,20 +1,23 @@
 """Dense symmetric linear algebra used by every other module.
 
 The factorizations are numpy's LAPACK-backed routines: eigh (syevd),
-cholesky (potrf) and solve (gesv).  This module adds the library's contracts
-around them: exactly symmetric input, ascending eigenvalues, the Cholesky
-pivot floor, the PSD clamp of the square root, and typed errors in place of
-LinAlgError.  Exact symmetry comes from SymMatrix alone: it is the only code
-that averages a matrix with its transpose, every routine here wraps a plain
-array in one, and a SymMatrix argument is used as is.  The Sturm count for
-symmetric tridiagonals is written out here: numpy has no tridiagonal
-routine, and radial multisection needs the counts at many shifts from one
-sweep.  It relies on IEEE infinities and signed zeros in place of a pivot
-floor, so it needs no tuning constant.  The sweep takes the rows in fixed
-row blocks: a block's d_i - lam for every shift come from one broadcast,
-each row then costs at most two ufunc calls, and the block's sign bits are
-counted at once, in scratch memory of a few row blocks times the number of
-shifts.
+eigvalsh, cholesky (potrf) and solve (gesv).  This module adds the library's
+contracts around them: exactly symmetric input, ascending eigenvalues, the
+Cholesky pivot floor, the PSD clamp of the square root, and typed errors in
+place of LinAlgError.  Each Cholesky factor is inverted at most once, by one
+solve, and the inverse is then applied by GEMM.  Spectra the library needs
+only the values of come from eigvalsh; the public sym_eigen_values keeps the
+full driver, so it matches sym_eigen bitwise.  Exact symmetry comes from
+SymMatrix alone: it is the only code that averages a matrix with its
+transpose, every routine here wraps a plain array in one, and a SymMatrix
+argument is used as is.  The Sturm count for symmetric tridiagonals is
+written out here: numpy has no tridiagonal routine, and radial multisection
+needs the counts at many shifts from one sweep.  It relies on IEEE
+infinities and signed zeros in place of a pivot floor, so it needs no tuning
+constant.  The sweep takes the rows in fixed row blocks: a block's d_i - lam
+for every shift come from one broadcast, each row then costs at most two
+ufunc calls, and the block's sign bits are counted at once, in scratch
+memory of a few row blocks times the number of shifts.
 """
 
 from __future__ import annotations
@@ -66,7 +69,10 @@ class SymMatrix:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        # inf - inf is NaN: a non-finite matrix records a NaN asymmetry and
+        # fails later with the typed error of the routine it reaches
+        with np.errstate(invalid="ignore"):
+            asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
         sym = 0.5 * (a + a.T)
         sym.flags.writeable = False
         self.array = sym
@@ -107,9 +113,11 @@ def cholesky(s) -> np.ndarray:
     Raises NotPositiveDefinite when LAPACK breaks down or when a pivot
     diag(L)^2 falls at or below order * cholesky_pivot_rel * max|S|: for
     this library that always means an invalid pencil or model rather than a
-    borderline matrix.
+    borderline matrix, and so does a non-finite entry, checked before LAPACK.
     """
     a = _as_sym(s).array
+    if not np.all(np.isfinite(a)):
+        raise NotPositiveDefinite("matrix has non-finite entries")
     floor = a.shape[0] * DEFAULT.cholesky_pivot_rel * max_norm(a)
     try:
         low = np.linalg.cholesky(a)
@@ -130,11 +138,21 @@ def solve_cholesky(low: np.ndarray, b) -> np.ndarray:
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
+def _cholesky_inverse(low: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 = L^-T L^-1 from one solve for L^-1 and one GEMM."""
+    low_inv = np.linalg.solve(low, np.eye(low.shape[0]))
+    return low_inv.T @ low_inv
+
+
 def _eigh(a: np.ndarray, with_vectors: bool = True):
     """LAPACK eigh, or eigvalsh without vectors (which are then None).
 
-    A failure or a non-finite eigenvalue raises NoConvergence.
+    A non-finite entry, a failure or a non-finite eigenvalue raises
+    NoConvergence.  The entries are checked first because eigvalsh can
+    return finite values for a NaN matrix ([0, -0] for diag(NaN, 1)).
     """
+    if not np.all(np.isfinite(a)):
+        raise NoConvergence("symmetric eigensolver got non-finite entries")
     try:
         values, vectors = np.linalg.eigh(a) if with_vectors else (np.linalg.eigvalsh(a), None)
     except np.linalg.LinAlgError as exc:
@@ -160,10 +178,13 @@ def sym_eigen_values(s) -> np.ndarray:
 
 
 def _reduce_pencil(a_pen, b_pen):
-    """Cholesky factor L of B and the symmetric C = L^-1 A L^-T."""
+    """L^-1 for the Cholesky factor L of B, and the symmetric C = L^-1 A L^-T."""
     low = cholesky(b_pen)
-    y = np.linalg.solve(low, _as_sym(a_pen).array)
-    return low, SymMatrix(np.linalg.solve(low, y.T))
+    low_inv = np.linalg.solve(low, np.eye(low.shape[0]))
+    # a non-finite A gives a non-finite C, which the eigensolver rejects
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = low_inv @ _as_sym(a_pen).array @ low_inv.T
+    return low_inv, SymMatrix(c)
 
 
 def gen_sym_eigen(a_pen, b_pen) -> EigenDecomposition:
@@ -173,15 +194,19 @@ def gen_sym_eigen(a_pen, b_pen) -> EigenDecomposition:
     the ordinary symmetric problem L^-1 A L^-T, and eigenvectors are mapped
     back through L^-T, which makes them B-orthonormal.
     """
-    low, c = _reduce_pencil(a_pen, b_pen)
+    low_inv, c = _reduce_pencil(a_pen, b_pen)
     eig = sym_eigen(c)
-    vectors = np.linalg.solve(low.T, eig.vectors)
-    return EigenDecomposition(values=eig.values, vectors=vectors)
+    return EigenDecomposition(values=eig.values, vectors=low_inv.T @ eig.vectors)
 
 
 def gen_sym_eigen_values(a_pen, b_pen) -> np.ndarray:
-    """Pencil eigenvalues only; same reduction as gen_sym_eigen."""
-    return sym_eigen_values(_reduce_pencil(a_pen, b_pen)[1])
+    """Pencil eigenvalues only; same reduction as gen_sym_eigen.
+
+    The reduced matrix goes to eigvalsh rather than to the full driver, so
+    these values agree with gen_sym_eigen(a, b).values only to rounding
+    (about 1e-13 relative on well-conditioned pencils), not bitwise.
+    """
+    return _eigh(_reduce_pencil(a_pen, b_pen)[1].array, with_vectors=False)[0]
 
 
 def spd_sqrt(s) -> SymMatrix:

@@ -5,6 +5,7 @@ import pytest
 
 from kreinspec.errors import (
     ConstructionMismatch,
+    NoConvergence,
     NoDeficiency,
     NotOrthogonal,
     NotPositiveDefinite,
@@ -12,6 +13,7 @@ from kreinspec.errors import (
     RankDeficientBasis,
     SingularDecomposition,
 )
+from kreinspec import discretize as dz
 from kreinspec import extensions as ext
 from kreinspec.linalg import SymMatrix, max_norm, sym_eigen_values
 
@@ -52,6 +54,13 @@ class TestNewModel:
         raw[:, 0] = -raw[:, 0]
         m = ext.new_model(np.eye(6), raw)
         assert m.domain_basis.tobytes() == raw.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_matrix_raises(self, bad):
+        # eigvalsh read the bottom of diag(NaN, 1) as 0, and an inf escaped
+        # as RuntimeWarning from the symmetrizer
+        with pytest.raises(NoConvergence, match="non-finite"):
+            ext.new_model(np.diag([bad, 1.0]), E1)
 
     def test_full_domain_rejected(self):
         with pytest.raises(NoDeficiency):
@@ -449,6 +458,33 @@ class TestSymmetrizeOnce:
         ext.pencil_values(m)
         ext.order_compare(kr, pe, 1.0)
         assert writeable and all(writeable)
+
+
+class TestFactorizationCounts:
+    def test_buckling_pencil_and_order_compare(self, monkeypatch):
+        # no factor is solved with twice, and value-only spectra skip the
+        # eigenvectors
+        m = ext.random_model(3, 30, 20)
+        interval = dz.interval_model(dz.Grid1D(0.0, 1.0, 20), dz.PotentialSpec.zero())
+        kr, fr = ext.krein(m), ext.friedrichs(m)
+        counts = {}
+        for name in ("eigh", "eigvalsh", "solve"):
+            def call(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, call)
+
+        def lapack_calls(run):
+            counts.update(eigh=0, eigvalsh=0, solve=0)
+            run()
+            return counts
+
+        assert lapack_calls(lambda: ext.buckling_analysis(m)) == dict(
+            eigh=3, eigvalsh=2, solve=4)
+        assert lapack_calls(lambda: ext.pencil_values(interval)) == dict(
+            eigh=0, eigvalsh=1, solve=1)
+        assert lapack_calls(lambda: ext.order_compare(kr, fr, 1.0)) == dict(
+            eigh=0, eigvalsh=1, solve=2)
 
 
 class TestFormIdentity:

@@ -5,6 +5,7 @@ import pytest
 
 from kreinspec import analysis as an
 from kreinspec import discretize as dz
+from kreinspec import extensions as ext
 from kreinspec import special
 from kreinspec import spectra as sp
 from kreinspec.errors import DomainError
@@ -41,6 +42,19 @@ NON_INTEGER_COUNTS = {
         dz.interval_model(dz.Grid1D(0.0, 1.0, 10), dz.PotentialSpec.zero()), 2.5),
     "bc-residual-cos-half-index": lambda: sp.interval_krein_bc_residual(UNIT_SEGMENT, "cos", 2.5),
     "bc-residual-sin-half-index": lambda: sp.interval_krein_bc_residual(UNIT_SEGMENT, "sin", 2.5),
+    "random-model-half-size": lambda: ext.random_model(1, 4.5, 2),
+    "random-model-half-seed": lambda: ext.random_model(1.5, 4, 2),
+}
+
+# The negative size returned an empty matrix and moved the stream back; the
+# orders 12 and 10 failed inside numpy with "could not be broadcast".
+BAD_SHAPES = {
+    "uniform-matrix-negative-rows": (
+        lambda: ext.SplitMix64(1).uniform_matrix(-1, 2), "rows .* got -1"),
+    "order-compare-12-vs-10": (
+        lambda: ext.order_compare(ext.friedrichs(ext.random_model(1, 12, 6)),
+                                  ext.friedrichs(ext.random_model(1, 10, 5)), 1.0),
+        "orders 12 and 10"),
 }
 
 BAD_INDICES = {
@@ -98,6 +112,12 @@ def test_non_finite_sizes_raise(call):
 @pytest.mark.parametrize("call", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
 def test_non_integer_sizes_and_counts_raise(call):
     with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+def test_bad_shapes_raise_before_any_work(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

@@ -85,6 +85,21 @@ class TestSymEigen:
             with pytest.raises(NoConvergence):
                 solve(s)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("solve, error, message", [
+        (la.sym_eigen, NoConvergence, "non-finite"),
+        (la.sym_eigen_values, NoConvergence, "non-finite"),
+        (la.spd_sqrt, NoConvergence, "non-finite"),
+        (la.cholesky, NotPositiveDefinite, "non-finite entries"),
+        (lambda s: la.gen_sym_eigen_values(s, np.eye(2)), NoConvergence, "non-finite"),
+    ], ids=["sym_eigen", "sym_eigen_values", "spd_sqrt", "cholesky", "gen_sym_eigen_values"])
+    def test_non_finite_entries_raise_typed_errors(self, solve, error, message, bad):
+        # an inf used to escape as RuntimeWarning from the symmetrizer, and
+        # cholesky reported a NaN as a pivot below a NaN floor
+        for s in ([[1.0, bad], [bad, 1.0]], np.diag([1.0, bad])):
+            with pytest.raises(error, match=message):
+                solve(s)
+
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         s = rand_sym(rng, 30)
@@ -121,6 +136,26 @@ class TestGenSymEigen:
     def test_indefinite_mass_raises(self):
         with pytest.raises(NotPositiveDefinite):
             la.gen_sym_eigen(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_known_pencil_oracle(self):
+        # A = X^T diag(lam) X and B = X^T X have the pencil eigenvalues lam
+        # and eigenvectors X^-1, whatever the well-conditioned X
+        rng = np.random.default_rng(1404)
+        n = 16
+        x = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+        lam = rng.permutation(np.linspace(0.5, 8.0, n))
+        a, b = x.T @ (lam[:, None] * x), x.T @ x
+        expect = np.sort(lam)
+        values = la.gen_sym_eigen_values(a, b)
+        pencil = la.gen_sym_eigen(a, b)
+        for got in (values, pencil.values):
+            assert np.max(np.abs(got - expect) / expect) <= 1e-12
+        v = pencil.vectors
+        assert la.max_norm(v.T @ b @ v - np.eye(n)) <= 1e-12
+        resid = la.max_norm(a @ v - b @ v * pencil.values)
+        assert resid <= 1e-12 * la.max_norm(a) * la.max_norm(v)
+        # eigvalsh against the full driver: equal to rounding, not bitwise
+        assert np.max(np.abs(values - pencil.values) / np.abs(pencil.values)) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
