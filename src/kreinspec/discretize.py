@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConstructionMismatch, NonMonotoneError, UnsupportedChannel
+from .errors import ConstructionMismatch, InsufficientData, NonMonotoneError, UnsupportedChannel
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import Spectrum, _merge_coincident
@@ -46,8 +46,10 @@ __all__ = [
     "convergence_order",
 ]
 
-# Sub-intervals per multisection sweep.  A sweep costs mostly per-row
-# overhead, so a few hundred shifts per sweep are nearly free.
+# Sub-intervals per multisection sweep.  A sweep's cost grows with its
+# shifts, but slowly: at m = 800 one takes about 1.6-1.8 ms at 20 shifts,
+# 1.8-2.0 ms at 128 and 2.8-3.1 ms at 511.  So a sweep that narrows one
+# bracket 512 times costs under twice one that narrows it 21 times.
 _SWEEP_CELLS = 512
 
 
@@ -169,8 +171,11 @@ class RadialChannelSpec:
     bc: str  # "dirichlet" | "krein"
 
     def __post_init__(self):
-        if self.n < 2 or self.ell < 0:
-            raise ValueError(f"invalid channel n={self.n}, l={self.ell}")
+        if not (isinstance(self.n, Integral) and isinstance(self.ell, Integral)
+                and self.n >= 2 and self.ell >= 0):
+            raise ValueError(
+                f"channel needs integers n >= 2 and l >= 0, got n={self.n}, l={self.ell}"
+            )
         if self.n == 2 and self.ell == 0:
             raise UnsupportedChannel(
                 "channel n=2, l=0 has critical coefficient -1/4; use exact spectra"
@@ -242,10 +247,13 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     """Lowest nonzero pencil eigenvalues by Sturm multisection.
 
     All wanted indices are bracketed together, from the Gershgorin interval
-    down to 1e-13 relative.  Each step is one sturm_count sweep at about
-    _SWEEP_CELLS shifts, shared evenly by the distinct open brackets (all
-    indices share one at first) with at least 7 in each, and every index
-    keeps the sub-interval that holds it.
+    [lo, hi] down to a width of max(1e-13 relative, eps ||T||) with
+    ||T|| = max(|lo|, |hi|): a Sturm count is exact only for some matrix
+    within about eps ||T|| of T, so narrower brackets would not be more
+    accurate.  Each step is one sturm_count sweep at about _SWEEP_CELLS
+    shifts, shared evenly by the distinct open brackets (all indices share
+    one at first) with at least 7 in each, and every index keeps the
+    sub-interval that holds it.
 
     The soft endpoint condition carries the channel's one-dimensional kernel
     (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one
@@ -254,8 +262,8 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     candidate above (alpha h / R)^2 / 4 times the first nonzero eigenvalue,
     alpha = l + (n-1)/2, indicates a broken assembly and raises
     ConstructionMismatch.  Only that check reads a dropped zero mode, so its
-    bracket stops once all of it passes the check, or else at 1e-13 of the
-    first nonzero eigenvalue's scale.  The pencil has m eigenvalues, so a
+    bracket stops once all of it passes the check, or else at the first
+    nonzero eigenvalue's stop width.  The pencil has m eigenvalues, so a
     count that needs more (with the dropped zero mode) raises ValueError.
     """
     skip = 1 if (spec.bc == "krein" and not include_zero_mode) else 0
@@ -267,6 +275,7 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
     radius = abs_e[:-1] + abs_e[1:]
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
+    floor = np.finfo(float).eps * max(-lo, hi)
     # Correct assemblies keep |lambda_0| below a fifth of bound |lambda_1|; a
     # soft row built with alpha off by 1/2 lands at least 1.87 times above it.
     alpha = spec.ell + (spec.n - 1) / 2.0
@@ -288,9 +297,10 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
         rows = np.arange(live.size)
         a[live], b[live] = edges[rows, below], edges[rows, below + 1]
         scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
-        wide = b - a > 1e-13 * scale
+        stop = np.maximum(1e-13 * scale, floor)
+        wide = b - a > stop
         if skip:
-            wide[0] = (b[0] - a[0] > 1e-13 * scale[1]
+            wide[0] = (b[0] - a[0] > stop[1]
                        and not max(-a[0], b[0]) <= bound * a[1])
         live = live[wide[live]]
         if not live.size:
@@ -318,8 +328,12 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
 
     `run` maps a size to the computed value; sizes must refine by factors of
     two.  Errors that fail to decrease raise NonMonotoneError carrying the
-    measured data.
+    measured data; an error of exactly zero at the finest size leaves no
+    order to fit and raises InsufficientData naming that size.
     """
+    sizes = tuple(sizes)
+    if not all(isinstance(s, Integral) for s in sizes):
+        raise ValueError(f"sizes must be integers, got {sizes}")
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 sizes")
@@ -332,6 +346,9 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     errors = tuple(abs(v - target) for v in values)
     if any(e2 >= e1 for e1, e2 in zip(errors, errors[1:])):
         raise NonMonotoneError(f"errors not decreasing: sizes={sizes} errors={errors}")
+    # decreasing errors can reach zero only at the finest size
+    if errors[-1] == 0.0:
+        raise InsufficientData(f"size {sizes[-1]} hits the target exactly: no error to fit")
     logs_h = np.log([spacing(m) for m in sizes])
     logs_e = np.log(errors)
     slope = np.polyfit(logs_h, logs_e, 1)[0]

@@ -70,8 +70,8 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"ball dimension {self.n} < 2")
+        if not (isinstance(self.n, Integral) and self.n >= 2):
+            raise ValueError(f"ball dimension must be an integer >= 2, got {self.n}")
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius {self.radius} is not positive and finite")
 

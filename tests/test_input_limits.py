@@ -8,7 +8,7 @@ from kreinspec import discretize as dz
 from kreinspec import extensions as ext
 from kreinspec import special
 from kreinspec import spectra as sp
-from kreinspec.errors import DomainError
+from kreinspec.errors import DomainError, InsufficientData
 
 INF, NAN = math.inf, math.nan
 UNIT_BALL = sp.BallSpec(2, 1.0)
@@ -30,7 +30,9 @@ BAD_SIZES = {
 }
 
 # Each call passed its checks and then failed with a bare TypeError inside
-# numpy, range or a slice, or (the cos-branch residual) returned a number.
+# numpy, range or a slice, or returned a number: the cos-branch residual,
+# radial spectra of channels that do not exist, and a convergence study that
+# read size 100.9 as 100.
 NON_INTEGER_COUNTS = {
     "grid-half-size": lambda: dz.Grid1D(0.0, 1.0, 10.5),
     "radial-half-size": lambda: dz.RadialChannelSpec(3, 1, 1.0, 10.5, "dirichlet"),
@@ -44,6 +46,12 @@ NON_INTEGER_COUNTS = {
     "bc-residual-sin-half-index": lambda: sp.interval_krein_bc_residual(UNIT_SEGMENT, "sin", 2.5),
     "random-model-half-size": lambda: ext.random_model(1, 4.5, 2),
     "random-model-half-seed": lambda: ext.random_model(1.5, 4, 2),
+    "radial-half-dimension": lambda: dz.RadialChannelSpec(3.5, 1, 1.0, 100, "dirichlet"),
+    "radial-half-angular-index": lambda: dz.RadialChannelSpec(3, 1.5, 1.0, 100, "dirichlet"),
+    "ball-float-dimension": lambda: sp.BallSpec(3.0, 1.0),
+    "ball-half-dimension": lambda: sp.BallSpec(2.5, 1.0),
+    "convergence-half-size": lambda: dz.convergence_order(
+        lambda m: 1.0 + 1.0 / m, (100.9, 200, 400), 1.0),
 }
 
 # The negative size returned an empty matrix and moved the stream back; the
@@ -131,3 +139,19 @@ def test_integral_float_index_matches_int():
     # order 100 takes the scan path, which indexes the cached zeros by k
     assert special.bessel_zero(100, 2.0) == special.bessel_zero(100, 2)
     assert special.tan_fixed_point(3.0) == special.tan_fixed_point(3)
+
+
+def test_numpy_integer_dimensions_match_int():
+    spec = dz.RadialChannelSpec(np.int64(3), np.int64(1), 1.0, 100, "dirichlet")
+    want = dz.radial_eigenvalues(dz.RadialChannelSpec(3, 1, 1.0, 100, "dirichlet"), 3)
+    assert np.array_equal(dz.radial_eigenvalues(spec, 3), want)
+    got = sp.ball_spectrum(sp.BallSpec(np.int64(3), 1.0), "krein", 200.0)
+    assert got == sp.ball_spectrum(sp.BallSpec(3, 1.0), "krein", 200.0)
+
+
+def test_exact_hit_in_convergence_study_names_its_size():
+    # The error 0 at size 400 gave a RuntimeWarning from log(0), and without
+    # the warning filter a report with order and Richardson value NaN.
+    with pytest.raises(InsufficientData, match="size 400"):
+        dz.convergence_order(lambda m: 1.0 if m == 400 else 1.0 + 1.0 / m,
+                             (100, 200, 400), 1.0)
