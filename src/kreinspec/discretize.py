@@ -327,10 +327,13 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     """Empirical order of a grid refinement study against a known target.
 
     `run` maps a size to the computed value; sizes must refine by factors of
-    two.  Errors that fail to decrease raise NonMonotoneError carrying the
-    measured data; an error of exactly zero at the finest size leaves no
-    order to fit and raises InsufficientData naming that size.
+    two, and the target must be finite.  A value that is not finite, or an
+    error of exactly zero at the finest size, leaves no order to fit and
+    raises InsufficientData naming its size; errors that fail to decrease
+    raise NonMonotoneError carrying the measured data.
     """
+    if not math.isfinite(target):
+        raise ValueError(f"target {target} is not finite")
     sizes = tuple(sizes)
     if not all(isinstance(s, Integral) for s in sizes):
         raise ValueError(f"sizes must be integers, got {sizes}")
@@ -343,6 +346,9 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     if spacing is None:
         spacing = lambda m: 1.0 / (m + 1)
     values = tuple(run(m) for m in sizes)
+    for m, v in zip(sizes, values):
+        if not math.isfinite(v):
+            raise InsufficientData(f"size {m} gave the value {v}: no error to fit")
     errors = tuple(abs(v - target) for v in values)
     if any(e2 >= e1 for e1, e2 in zip(errors, errors[1:])):
         raise NonMonotoneError(f"errors not decreasing: sizes={sizes} errors={errors}")

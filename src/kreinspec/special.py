@@ -11,10 +11,12 @@ normalized through J_0(x) + 2*sum_k J_{2k}(x) = 1, half-integer orders
 recur on spherical Bessel functions and normalize against the closed forms
 sin(x)/x and sin(x)/x^2 - cos(x)/x, whichever is better conditioned.
 
-Every root is refined inside a sign-change bracket by `_newton_batch`, the
-one safeguarded Newton iteration of the library, which steps many brackets
-at once.  The fixed points of tan t = t run through it as one batch per
-call.  Bessel zeros reach it by two routes:
+Every root is refined inside a sign-change bracket by `_halley_batch`, the
+one safeguarded root iteration of the library, which steps many brackets at
+once.  Its callers hand it f, f' and f'': the second derivative comes from
+the differential equation of f, so a Halley step costs no more evaluation
+than a Newton step.  The fixed points of tan t = t run through it as one
+batch per call.  Bessel zeros reach it by two routes:
 
 * A single zero j_{nu,k} starts from McMahon's asymptotic expansion
   whenever its terms certify themselves by rapid decay, and is refined as
@@ -23,7 +25,7 @@ call.  Bessel zeros reach it by two routes:
   parity p it finds every zero below a bound at once.  One backward
   recurrence over orders, vectorized with numpy over a grid of arguments of
   step _SCAN_STEP, brackets every zero of every order; then every bracket
-  is refined together, each Newton step being one vectorized recurrence
+  is refined together, each Halley step being one vectorized recurrence
   pass over the live iterates.  The zeros are cached per order in
   `_zero_cache` with the argument below which they are complete, so the
   hard and soft spectra of one ball (orders of one parity) share one
@@ -48,8 +50,8 @@ _MAX_X_INTERNAL = 4.0e4     # zero refinement may evaluate somewhat further
 _MAX_ZERO_INDEX = 100_000
 _RESCALE = 1.0e250          # rescaling threshold inside backward recurrences
 _SCAN_STEP = 1.5            # below the minimal spacing of consecutive zeros
-_NEWTON_STEPS = 200
-_STOP_REL = 5e-15           # Newton stops once a step is this small relative to x
+_NEWTON_STEPS = 200         # cap on the Halley, Newton or bisection steps of one root
+_STOP_REL = 5e-15           # a root is done once its step is this small relative to x
 
 
 def _recurrence_start(n_max, x):
@@ -225,6 +227,12 @@ def _mcmahon_is_reliable(terms) -> bool:
     return t3 <= 0.05 * t2 and t4 <= 0.05 * t3 + 1e-13 and t5 <= 0.05 * t4 + 1e-13
 
 
+def _bessel_triple(nu, x, j, jp):
+    """(J, J', J'') of order nu at x, scalars or arrays alike, with J'' from
+    Bessel's equation x^2 J'' + x J' + (x^2 - nu^2) J = 0."""
+    return j, jp, -jp / x - (1.0 - (nu / x) ** 2) * j
+
+
 def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
     """Zero of J_nu in [lo, hi], certified by the sign change at the ends."""
     flo = _eval_j(order, lo)
@@ -235,9 +243,12 @@ def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketFailure(f"no sign change in [{lo}, {hi}] for order {order.nu}")
-    # a batch of one: f and f' as one-element arrays
-    pair = lambda live, x: np.array(_eval_j_pair(order, float(x[0])))[:, None]
-    return float(_newton_batch(pair, np.array([lo]), np.array([hi]), np.array([flo]),
+
+    def triple(live, x):  # a batch of one: f, f' and f'' as one-element arrays
+        at = float(x[0])
+        return np.array(_bessel_triple(order.nu, at, *_eval_j_pair(order, at)))[:, None]
+
+    return float(_halley_batch(triple, np.array([lo]), np.array([hi]), np.array([flo]),
                                np.array([0.5 * (lo + hi)]))[0])
 
 
@@ -316,38 +327,71 @@ def _eval_pairs(parity: int, ells: np.ndarray, x: np.ndarray):
     return amp * mid, 0.5 * amp * (below - above)
 
 
-def _newton_batch(pair, lo, hi, flo, x) -> np.ndarray:
+def _halley_batch(fun, lo, hi, flo, x) -> np.ndarray:
     """Roots of f inside the sign-change brackets [lo, hi], elementwise, by
-    Newton's method from x, bisecting wherever a step would leave its bracket.
+    Halley's method from x, bisecting wherever a step would leave its bracket.
 
-    pair(live, x) returns (f(x), f'(x)) as arrays for the iterates still
-    running, live being their indices into the batch; flo carries the sign
-    of f at lo.  The stop test applies to the raw Newton step before the
-    safeguard: once an iterate has become a bracket end, a converged step of
-    rounding size fails lo < x - f/f' < hi, and bisecting there would walk
-    away from the root.  An iterate still running after _NEWTON_STEPS steps
-    returns its last value.
+    fun(live, x) returns (f(x), f'(x), f''(x)) as arrays for the iterates
+    still running, live being their indices into the batch; flo carries the
+    sign of f at lo.  The step is Halley's 2 f f' / (2 f'^2 - f f''), or
+    Newton's f / f' where |f f''| > f'^2, that is where Halley's denominator
+    1 - f f'' / (2 f'^2) leaves [1/2, 3/2]; where f' = 0 there is no step
+    and the bracket is bisected.  An iterate is done when
+
+    * its step (zero where f = 0), or the bisection that replaces it, is at
+      most _STOP_REL |x|.  The test applies to the raw step before the
+      safeguard: once an iterate has become a bracket end, a converged step
+      of rounding size fails lo < x - step < hi, and bisecting there would
+      walk away from the root;
+    * a Halley point lands strictly inside its bracket with
+      |step|^3 <= _STOP_REL |x|.  It is taken without evaluating f there.
+      Near a root r Halley's error obeys e' = C e^3 + O(e^4), where
+      C = f''^2 / (4 f'^2) - f''' / (6 f') at r, and the step is e up to
+      that term, so the point lies within |C| _STOP_REL |x| of r.  For the
+      two functions solved here |C| < 1/4:
+
+      - J_nu.  Bessel's equation gives J'' = -J'/x - (1 - nu^2/x^2) J, and
+        by differentiation J''' = -J''/x + J'/x^2 - (1 - nu^2/x^2) J'
+        - 2 nu^2 J / x^3.  At a zero J = 0, so J'' = -J'/x and
+        J''' = (2/x^2 - 1 + nu^2/x^2) J', which give
+        C = (1 - nu^2/x^2)/6 - 1/(12 x^2).  Every zero exceeds both nu and
+        j_{0,1} > 2.4, so -0.015 < C <= 1/6.
+      - f(t) = t cos t - sin t.  f' = -t sin t, f'' = -sin t - t cos t and
+        f''' = t sin t - 2 cos t.  At a root t cos t = sin t, so
+        f'' / f' = 2/t and f''' / f' = 2/t^2 - 1, which give
+        C = 1/6 + 2/(3 t^2) < 1/4 at every root t > 4.49.
+
+    An iterate still running after _NEWTON_STEPS steps returns its last value.
     """
     zeros = x.copy()
     live = np.arange(len(x))
+    lo, hi = lo.copy(), hi.copy()  # narrowed in place
+    neg = flo < 0.0
     for _ in range(_NEWTON_STEPS):
-        if live.size == 0:
+        if not live.size:
             break
-        f, fp = pair(live, x)
-        same = np.copysign(1.0, f) == np.copysign(1.0, flo)
-        lo = np.where(same, x, lo)
-        hi = np.where(same, hi, x)
-        has_step = fp != 0.0
-        newton = x - np.divide(f, fp, out=np.zeros_like(f), where=has_step)
+        f, fp, fpp = fun(live, x)
+        left = (f < 0.0) == neg  # x lies on the side of lo
+        np.putmask(lo, left, x)
+        np.putmask(hi, ~left, x)
+        fp2 = fp * fp
+        np.putmask(fp2, fp2 == 0.0, np.nan)  # no step where f' = 0: bisect
+        curv = f * fpp
+        halley = np.abs(curv) <= fp2
+        np.putmask(curv, ~halley, 0.0)  # Newton's step
+        step = f * fp / (fp2 - 0.5 * curv)
+        nxt = x - step
+        inside = (lo < nxt) & (nxt < hi)
+        size = np.abs(step)
         tol = _STOP_REL * np.abs(x)
-        raw_done = has_step & (np.abs(newton - x) <= tol)
-        nxt = np.where(has_step & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-        hit = f == 0.0
-        done = hit | raw_done | (np.abs(nxt - x) <= tol)
-        zeros[live[done]] = np.where(hit, x, np.where(raw_done, newton, nxt))[done]
-        keep = ~done
-        live, lo, hi, flo, x = (a[keep] for a in (live, lo, hi, flo, nxt))
-    zeros[live] = x
+        x_new = 0.5 * (lo + hi)
+        np.copyto(x_new, nxt, where=inside | (size <= tol))
+        done = (np.abs(x_new - x) <= tol) | (halley & inside & (size <= np.cbrt(tol)))
+        zeros[live] = x_new
+        running = (~done).nonzero()[0]
+        if not running.size:  # where every scalar root ends, so skip the filtering
+            break
+        live, lo, hi, neg, x = live[running], lo[running], hi[running], neg[running], x_new[running]
     return zeros
 
 
@@ -368,8 +412,10 @@ def _solve_family(parity: int, ells: np.ndarray, x_max: float):
     flo, fhi = table[rows, cols], table[rows, cols + 1]
     start = lo - flo * (hi - lo) / (fhi - flo)
     orders = ells[rows]
-    zeros = _newton_batch(lambda live, x: _eval_pairs(parity, orders[live], x),
-                          lo, hi, flo, start)
+    nus = orders + 0.5 * parity
+    zeros = _halley_batch(
+        lambda live, x: _bessel_triple(nus[live], x, *_eval_pairs(parity, orders[live], x)),
+        lo, hi, flo, start)
     return np.split(zeros, np.searchsorted(rows, np.arange(1, len(ells)))), float(grid[-1])
 
 
@@ -394,7 +440,7 @@ def _family_zeros(twice_orders, x_max: float) -> list:
 def bessel_zero(nu, k: int) -> float:
     """k-th positive zero j_{nu,k}, accurate to about 1e-11 relative.
 
-    The asymptotic expansion seeds a Newton iteration inside a sign-change
+    The asymptotic expansion seeds a Halley iteration inside a sign-change
     bracket whenever its terms certify themselves by rapid decay; otherwise
     (large order, small index) every zero of the order up to the k-th is
     found by the batched scan of `_family_zeros` and cached.
@@ -428,9 +474,11 @@ def tan_fixed_point(m):
     """m-th positive root of tan t = t, inside (m pi, (2m+1) pi / 2).
 
     m is one index, which gives a float, or an integer array of indices,
-    which gives a float array of roots of the same shape.  Newton runs on
-    the pole-free form t cos t - sin t = 0 from the guess
+    which gives a float array of roots of the same shape.  Halley's method
+    runs on the pole-free form f(t) = t cos t - sin t = 0 from the guess
     (2m+1) pi/2 - 1/((2m+1) pi/2), safeguarded by the enclosing bracket.
+    f solves t f'' = 2 f' - t f, so f'' = -sin t - t cos t comes from the
+    values of f and f'.
     """
     index = np.asarray(m)
     if not np.all((1 <= index) & (index <= _MAX_ZERO_INDEX) & (index == np.floor(index))):
@@ -438,5 +486,10 @@ def tan_fixed_point(m):
     ms = index.reshape(-1).astype(int)
     lo = ms * np.pi
     hi = (2 * ms + 1) * np.pi / 2.0
-    roots = _newton_batch(lambda live, t: _tan_pair(t), lo, hi, _tan_pair(lo)[0], hi - 1.0 / hi)
+
+    def triple(live, t):
+        f, fp = _tan_pair(t)
+        return f, fp, 2.0 * fp / t - f
+
+    roots = _halley_batch(triple, lo, hi, _tan_pair(lo)[0], hi - 1.0 / hi)
     return float(roots[0]) if index.ndim == 0 else roots.reshape(index.shape)

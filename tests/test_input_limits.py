@@ -149,6 +149,37 @@ def test_numpy_integer_dimensions_match_int():
     assert got == sp.ball_spectrum(sp.BallSpec(3, 1.0), "krein", 200.0)
 
 
+# A NaN value gave a report with order NaN, since every comparison of the
+# monotonicity check is False for NaN; an infinite value or target raised
+# NonMonotoneError, as if the study had run and diverged.
+NON_FINITE_STUDIES = {
+    "convergence-nan-values": (
+        lambda: dz.convergence_order(lambda m: NAN, (100, 200, 400), 1.0),
+        InsufficientData, "size 100"),
+    "convergence-nan-at-finest": (
+        lambda: dz.convergence_order(lambda m: NAN if m == 400 else 1.0 + 1.0 / m,
+                                     (100, 200, 400), 1.0),
+        InsufficientData, "size 400"),
+    "convergence-inf-in-middle": (
+        lambda: dz.convergence_order(lambda m: INF if m == 200 else 1.0 + 1.0 / m,
+                                     (100, 200, 400), 1.0),
+        InsufficientData, "size 200"),
+    "convergence-nan-target": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), NAN),
+        ValueError, "target nan is not finite"),
+    "convergence-inf-target": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), INF),
+        ValueError, "target inf is not finite"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", NON_FINITE_STUDIES.values(),
+                         ids=NON_FINITE_STUDIES.keys())
+def test_non_finite_convergence_data_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_exact_hit_in_convergence_study_names_its_size():
     # The error 0 at size 400 gave a RuntimeWarning from log(0), and without
     # the warning filter a report with order and Richardson value NaN.

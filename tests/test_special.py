@@ -174,8 +174,9 @@ class TestNewtonStops:
                 calls.clear()
                 bessel_zero(order.nu, k)
                 worst = max(worst, len(calls))
-        # two bracket ends and a few Newton steps from the McMahon guess
-        assert worst <= 6
+        # two bracket ends and one Halley step from the McMahon guess, whose
+        # point the cubic stop accepts
+        assert worst <= 3
 
     def test_tan_fixed_point_evaluations(self, monkeypatch):
         calls = []
@@ -186,8 +187,9 @@ class TestNewtonStops:
             calls.clear()
             tan_fixed_point(m)
             worst = max(worst, len(calls))
-        # one evaluation of t cos t - sin t per step, the bracket end included
-        assert worst <= 6
+        # one evaluation of t cos t - sin t per step, the bracket end included:
+        # two Halley steps from the guess
+        assert worst <= 3
 
 
 class TestBatchedZeros:
@@ -215,3 +217,79 @@ class TestBatchedZeros:
         for short, full in zip(first, wider):
             assert full is not short and len(full) > len(short)
             assert full[:len(short)].tolist() == pytest.approx(short.tolist(), rel=1e-14)
+
+
+class TestFamilyPassCounts:
+    """Recurrence passes of one family solve, pinned as the LAPACK calls are."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_two_passes_per_zero(self, parity, monkeypatch):
+        monkeypatch.setattr(special, "_zero_cache", {})
+        sizes = []
+        inner = special._backward_pass
+        monkeypatch.setattr(special, "_backward_pass",
+                            lambda parity, x, *rest: sizes.append(len(x)) or inner(parity, x, *rest))
+        twice_orders = list(range(parity, 261 + parity, 2))
+        found = sum(len(z) for z in special._family_zeros(twice_orders, 125.0))
+        # the scan, then two Halley passes over every bracket, then one over
+        # the few that the cubic stop has not yet accepted
+        assert len(sizes) <= 4
+        assert sum(sizes[1:]) <= 2.1 * found
+
+
+def _cubic(x):
+    """(x - 1)(x - 4)(x - 9) and its first two derivatives; f'(7) = 0."""
+    return (x - 1.0) * (x - 4.0) * (x - 9.0), (3.0 * x - 28.0) * x + 49.0, 6.0 * x - 28.0
+
+
+# bracket, start and root; the comment names the case the start produces
+CUBIC_CASES = [
+    (1.05, 4.25, 1.1, 4.0),   # a Halley step towards the root 1 leaves the bracket
+    (5.0, 10.0, 8.0, 9.0),    # 1 - f f''/(2 f'^2) = 1.97: a Newton step instead
+    (3.0, 4.0, 4.0, 4.0),     # f = 0 at the bracket end where the iteration starts
+    (5.0, 10.0, 7.0, 9.0),    # f' = 0 at the start
+    (8.5, 10.0, 9.01, 9.0),   # the cubic stop takes the second Halley point
+]
+
+
+class TestHalleyBatch:
+    """The root helper on a cubic with known roots, independent of its callers."""
+
+    def solve(self):
+        lo, hi, start, root = (np.array(column) for column in zip(*CUBIC_CASES))
+        visits = [[] for _ in CUBIC_CASES]
+
+        def fun(live, x):
+            for element, at in zip(live.tolist(), x.tolist()):
+                visits[element].append(at)
+            return _cubic(x)
+
+        zeros = special._halley_batch(fun, lo, hi, _cubic(lo)[0], start)
+        return zeros, root, visits
+
+    def test_roots_within_the_stop(self):
+        zeros, root, _ = self.solve()
+        assert np.all(np.abs(zeros - root) <= special._STOP_REL * np.abs(root))
+
+    def test_iterates_stay_inside_their_brackets(self):
+        _, _, visits = self.solve()
+        for (lo, hi, start, _), path in zip(CUBIC_CASES, visits):
+            assert path[0] == start
+            lo_positive = _cubic(lo)[0] > 0.0
+            for at, following in zip(path, path[1:]):
+                if (_cubic(at)[0] > 0.0) == lo_positive:
+                    lo = at
+                else:
+                    hi = at
+                assert lo < following < hi
+
+    def test_each_case_takes_its_branch(self):
+        zeros, _, visits = self.solve()
+        leaves, newton, at_end, flat, cubic = visits
+        assert leaves[1] == 0.5 * (1.1 + 4.25)  # bisection of [x, hi]
+        f, fp, _ = _cubic(8.0)
+        assert newton[1] == pytest.approx(8.0 - f / fp, rel=1e-15)
+        assert at_end == [4.0] and zeros[2] == 4.0
+        assert flat[1] == 0.5 * (7.0 + 10.0)
+        # two evaluations, and the root returned is a point never evaluated
+        assert len(cubic) == 2 and zeros[4] not in cubic
