@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, InsufficientEigenvalues
+from .errors import InsufficientData, InsufficientEigenvalues
 from .special import _gamma_int_or_half, bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
+from .spectra import _require_dimension
 
 __all__ = [
     "CountingFunction",
@@ -35,7 +37,6 @@ __all__ = [
     "counting_domination",
     "unit_ball_volume",
     "weyl_leading",
-    "kozlov_coefficient",
     "two_term_ball_coefficients",
     "weyl_fit",
     "sandwich_check",
@@ -151,35 +152,22 @@ def counting_domination(n_soft: CountingFunction, n_hard: CountingFunction) -> I
 
 def unit_ball_volume(n: int) -> float:
     """v_n = pi^(n/2) / Gamma(n/2 + 1), via the half-integer recurrence."""
-    if n < 1:
-        raise DomainError(f"dimension {n} < 1")
+    _require_dimension(n, 1)
     return math.pi ** (n / 2.0) / _gamma_int_or_half(n + 2)
 
 
 def weyl_leading(n: int, volume: float) -> float:
     """Leading counting coefficient (2 pi)^-n v_n |Omega|."""
-    if volume <= 0.0:
-        raise ValueError(f"volume {volume} <= 0")
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"volume {volume} is not positive and finite")
     return (2.0 * math.pi) ** (-n) * unit_ball_volume(n) * volume
-
-
-def kozlov_coefficient(n: int, m: int, r: int, volume: float) -> float:
-    """Leading coefficient of the counting asymptotics for the form pencil
-    with isotropic symbols |xi|^(2m) over |xi|^(2r).
-
-    On the unit sphere the symbol ratio is identically one, so the closed
-    form collapses to the same (2 pi)^-n v_n |Omega| as the second-order
-    counting coefficient, for every m > r >= 0.
-    """
-    if not (m > r >= 0):
-        raise ValueError(f"need m > r >= 0, got m={m}, r={r}")
-    return weyl_leading(n, volume)
 
 
 def two_term_ball_coefficients(n: int, radius: float, which: str):
     """(leading, second) counting coefficients for the ball of radius R."""
-    if n < 2:
-        raise DomainError(f"dimension {n} < 2")
+    _require_dimension(n, 2)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius {radius} is not positive and finite")
     if which not in ("dirichlet", "krein"):
         raise ValueError(f"which must be dirichlet or krein, got {which!r}")
     v_n = unit_ball_volume(n)
@@ -216,6 +204,7 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     analytic two-term law, after compressing the oscillatory remainder to
     bin maxima (six bins per log-decade span).
     """
+    _require_dimension(n, 1)
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
         raise InsufficientData(f"empty window ({lo}, {hi})")
@@ -301,8 +290,7 @@ def sandwich_check(n: int, radius: float, lam_max: float) -> InequalityReport:
     checked at every breakpoint below lam_max; for n = 2 the lower-
     dimensional body is the interval (-R, R).
     """
-    if n < 2:
-        raise DomainError(f"dimension {n} < 2")
+    _require_dimension(n, 2)
     hard_n = ball_counting(BallSpec(n, radius), "dirichlet", lam_max)
     soft_n = ball_counting(BallSpec(n, radius), "krein", lam_max)
     if n == 2:
@@ -332,8 +320,11 @@ def universal_inequalities(soft: Spectrum, hard: Spectrum, n: int,
     Margins are normalized by the scale of the quantity they bound, so a
     margin of zero always means a sharp case.
     """
-    if n < 2:
-        raise DomainError(f"dimension {n} < 2")
+    _require_dimension(n, 2)
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"volume {volume} is not positive and finite")
+    if not (isinstance(k_max, Integral) and k_max >= 1):
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     need = max(k_max + 1, n + 1, 2)
     lam = soft.flattened(need)
     mu = hard.flattened(max(k_max, 2))

@@ -99,26 +99,6 @@ class PotentialSpec:
             raise ValueError(f"sampled potential has invalid entries, e.g. {bad[0]}")
         return cls(kind="sampled", samples=vals)
 
-    @classmethod
-    def from_csv(cls, path, m: int) -> "PotentialSpec":
-        """One value per line; the count must equal the interior node count."""
-        vals = []
-        with open(path) as handle:
-            for lineno, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: not a number: {text!r}")
-                if not (v >= 0.0 and math.isfinite(v)):
-                    raise ValueError(f"{path}: line {lineno}: potential value {v} < 0")
-                vals.append(v)
-        if len(vals) != m:
-            raise ValueError(f"{path}: expected {m} values, found {len(vals)}")
-        return cls.sampled(vals)
-
     def values_at(self, grid: Grid1D) -> np.ndarray:
         if self.kind == "zero":
             return np.zeros(grid.m)

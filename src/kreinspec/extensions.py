@@ -72,8 +72,6 @@ __all__ = [
     "reduced_krein",
     "buckling_analysis",
     "pencil_values",
-    "direct_sum",
-    "conjugate_by_unitary",
     "order_compare",
     "SplitMix64",
     "random_model",
@@ -439,30 +437,6 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
             "reciprocal_spectrum": resid_c,
         },
     )
-
-
-def direct_sum(m1: ExtensionModel, m2: ExtensionModel) -> ExtensionModel:
-    """Block model: extensions of a direct sum are direct sums of extensions."""
-    n1, n2 = m1.ambient_dim, m2.ambient_dim
-    a = np.zeros((n1 + n2, n1 + n2))
-    a[:n1, :n1] = m1.A.array
-    a[n1:, n1:] = m2.A.array
-    basis = np.zeros((n1 + n2, m1.domain_dim + m2.domain_dim))
-    basis[:n1, :m1.domain_dim] = m1.domain_basis
-    basis[n1:, m1.domain_dim:] = m2.domain_basis
-    return new_model(SymMatrix(a), basis)
-
-
-def conjugate_by_unitary(model: ExtensionModel, u) -> ExtensionModel:
-    """Model with A replaced by U A U^T and the domain carried along."""
-    u = np.asarray(u, dtype=float)
-    n = model.ambient_dim
-    if u.shape != (n, n):
-        raise ValueError(f"conjugator shape {u.shape} != ({n}, {n})")
-    if max_norm(u.T @ u - np.eye(n)) > DEFAULT.orthonormal_rel:
-        raise NotOrthogonal(f"conjugator is not orthogonal within {DEFAULT.orthonormal_rel:g}")
-    a = SymMatrix(u @ model.A.array @ u.T)
-    return new_model(a, u @ model.domain_basis)
 
 
 def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float) -> float:

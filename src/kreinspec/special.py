@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BracketFailure, DomainError
 
-__all__ = ["BesselOrder", "bessel_j", "bessel_j_derivative", "bessel_zero", "tan_fixed_point"]
+__all__ = ["BesselOrder", "bessel_j", "bessel_zero", "tan_fixed_point"]
 
 _MAX_TWICE_ORDER = 1000     # nu <= 500
 _MAX_X = 1.0e4              # public evaluation domain
@@ -195,14 +195,6 @@ def bessel_j(nu, x: float) -> float:
     if not (0.0 < x <= _MAX_X):
         raise DomainError(f"argument {x} outside (0, {_MAX_X:g}]")
     return _eval_j(order, x)
-
-
-def bessel_j_derivative(nu, x: float) -> float:
-    """J_nu'(x) = (J_{nu-1}(x) - J_{nu+1}(x)) / 2."""
-    order = _coerce_order(nu)
-    if not (0.0 < x <= _MAX_X):
-        raise DomainError(f"argument {x} outside (0, {_MAX_X:g}]")
-    return _eval_j_pair(order, x)[1]
 
 
 def _mcmahon_terms(order: BesselOrder, k: int):

@@ -43,7 +43,6 @@ __all__ = [
     "INFINITE",
     "interval_dirichlet",
     "interval_krein",
-    "interval_krein_bc_residual",
     "ball_multiplicity",
     "ball_spectrum",
     "channel_interlace_report",
@@ -157,29 +156,9 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
     )
 
 
-def interval_krein_bc_residual(spec: IntervalSpec, branch: str, m: int) -> float:
-    """Boundary-condition defect of the m-th eigenfunction of one branch.
-
-    The soft boundary condition prescribes v'(a) = v'(b) = (v(b)-v(a))/L;
-    the residual is the worst violation by the closed-form eigenfunction at
-    the computed frequency.  Expected at rounding level, about 1e-10 * k.
-    """
-    if not (isinstance(m, Integral) and m >= 1):
-        raise ValueError(f"branch index must be an integer >= 1, got {m}")
-    length = spec.length
-    center = 0.5 * (spec.a + spec.b)
-    if branch == "cos":
-        k = 2.0 * m * math.pi / length
-        value = lambda x: math.cos(k * (x - center))
-        deriv = lambda x: -k * math.sin(k * (x - center))
-    elif branch == "sin":
-        k = 2.0 * tan_fixed_point(m) / length
-        value = lambda x: math.sin(k * (x - center))
-        deriv = lambda x: k * math.cos(k * (x - center))
-    else:
-        raise ValueError(f"branch must be cos or sin, got {branch!r}")
-    slope = (value(spec.b) - value(spec.a)) / length
-    return max(abs(deriv(spec.a) - slope), abs(deriv(spec.b) - slope))
+def _require_dimension(n, least: int) -> None:
+    if not (isinstance(n, Integral) and n >= least):
+        raise DomainError(f"dimension must be an integer >= {least}, got {n}")
 
 
 def ball_multiplicity(n: int, ell: int) -> int:
@@ -188,10 +167,9 @@ def ball_multiplicity(n: int, ell: int) -> int:
     Exact integer arithmetic via binomials; equivalent to the ratio of
     Gamma factors but free of floating-point Gamma evaluations.
     """
-    if n < 2:
-        raise DomainError(f"ambient dimension {n} < 2")
-    if ell < 0:
-        raise DomainError(f"negative degree {ell}")
+    _require_dimension(n, 2)
+    if not (isinstance(ell, Integral) and ell >= 0):
+        raise DomainError(f"degree must be an integer >= 0, got {ell}")
     result = comb(n + ell - 1, ell)
     if ell >= 2:
         result -= comb(n + ell - 3, ell - 2)
@@ -277,8 +255,10 @@ def channel_interlace_report(spec: BallSpec, ell: int, k_max: int) -> ChannelInt
     Order nu + 1 is exactly the soft-boundary order of the same channel, so
     strictness here is the channelwise hard/soft eigenvalue interlacing.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not (isinstance(ell, Integral) and ell >= 0):
+        raise ValueError(f"channel index must be an integer >= 0, got {ell}")
+    if not (isinstance(k_max, Integral) and k_max >= 1):
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     nu = ell + (spec.n - 2) / 2.0
     strict = True
     min_gap = math.inf

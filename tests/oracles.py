@@ -83,6 +83,25 @@ def tan_fixed_point_oracle(m: int) -> float:
     return bisect_root(lambda t: t * math.cos(t) - math.sin(t), lo, hi)
 
 
+def soft_bc_residual_oracle(a: float, b: float, branch: str, k: float) -> float:
+    """Worst violation of the soft condition v'(a) = v'(b) = (v(b) - v(a)) / L
+    by cos(k (x - c)) ("cos") or sin(k (x - c)) ("sin"), c the midpoint.
+
+    The even branch satisfies it at k = 2 m pi / L, the odd one at
+    k = 2 t_m / L with tan t_m = t_m.
+    """
+    center = 0.5 * (a + b)
+    if branch == "cos":
+        value = lambda x: math.cos(k * (x - center))
+        deriv = lambda x: -k * math.sin(k * (x - center))
+    else:
+        assert branch == "sin"
+        value = lambda x: math.sin(k * (x - center))
+        deriv = lambda x: k * math.cos(k * (x - center))
+    slope = (value(b) - value(a)) / (b - a)
+    return max(abs(deriv(a) - slope), abs(deriv(b) - slope))
+
+
 def sturm_pivots_oracle(diag, offdiag, lam: float) -> list:
     """Pivots q_i = (d_i - lam) - e_{i-1}^2 / q_{i-1} of T - lam I, row by row.
 

@@ -41,21 +41,6 @@ class TestGridAndPotential:
         with pytest.raises(ValueError):
             dz.PotentialSpec.sampled([1.0, -2.0])
 
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "pot.csv"
-        path.write_text("# potential\n1.0\n2.0\n0.5\n" + "0.0\n" * 6)
-        spec = dz.PotentialSpec.from_csv(path, 9)
-        assert spec.samples[:3] == (1.0, 2.0, 0.5)
-
-    def test_csv_errors_carry_line_numbers(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0\nnot-a-number\n")
-        with pytest.raises(ValueError, match="line 2"):
-            dz.PotentialSpec.from_csv(path, 2)
-        path.write_text("1.0\n2.0\n3.0\n")
-        with pytest.raises(ValueError, match="expected 2"):
-            dz.PotentialSpec.from_csv(path, 2)
-
 
 class TestIntervalModel:
     def test_codimension_two(self):

