@@ -25,7 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InsufficientData, InsufficientEigenvalues
-from .special import _gamma_int_or_half, bessel_zero
+from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
 from .spectra import _require_dimension
 
@@ -59,7 +59,6 @@ class CountingFunction:
 
     breakpoints: np.ndarray   # ascending eigenvalues
     cumulative: np.ndarray    # counts including the breakpoint value
-    source: str = ""
     complete_below: float | None = None
 
     def __post_init__(self):
@@ -90,11 +89,10 @@ class CountingFunction:
         return int(counts) if counts.ndim == 0 else counts
 
 
-def counting_from_spectrum(spectrum: Spectrum, source: str = "") -> CountingFunction:
+def counting_from_spectrum(spectrum: Spectrum) -> CountingFunction:
     return CountingFunction(
         breakpoints=spectrum._values,
         cumulative=np.cumsum(spectrum._mults),
-        source=source,
         complete_below=spectrum.complete_below,
     )
 
@@ -150,10 +148,15 @@ def counting_domination(n_soft: CountingFunction, n_hard: CountingFunction) -> I
     return _slack_report("counting-domination", probes, n_hard(probes) - n_soft(probes))
 
 
+def _log_unit_ball_volume(n: int) -> float:
+    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+
+
 def unit_ball_volume(n: int) -> float:
-    """v_n = pi^(n/2) / Gamma(n/2 + 1), via the half-integer recurrence."""
+    """v_n = pi^(n/2) / Gamma(n/2 + 1), from its logarithm: Gamma(n/2 + 1)
+    overflows from n = 342 on, long before v_n underflows."""
     _require_dimension(n, 1)
-    return math.pi ** (n / 2.0) / _gamma_int_or_half(n + 2)
+    return math.exp(_log_unit_ball_volume(n))
 
 
 def weyl_leading(n: int, volume: float) -> float:
@@ -170,13 +173,13 @@ def two_term_ball_coefficients(n: int, radius: float, which: str):
         raise ValueError(f"radius {radius} is not positive and finite")
     if which not in ("dirichlet", "krein"):
         raise ValueError(f"which must be dirichlet or krein, got {which!r}")
-    v_n = unit_ball_volume(n)
-    v_m = unit_ball_volume(n - 1)
-    lead = (2.0 * math.pi) ** (-n) * v_n * v_n * radius**n
-    curvature = (n / 4.0) * v_n
-    if which == "krein":
-        curvature += v_m
-    second = -((2.0 * math.pi) ** (-(n - 1))) * v_m * curvature * radius ** (n - 1)
+    # in logarithms: for large n the factors (R / 2 pi)^n and v_n^2 leave
+    # the double range while their product need not
+    log_v_n, log_v_m = _log_unit_ball_volume(n), _log_unit_ball_volume(n - 1)
+    log_r = math.log(radius / (2.0 * math.pi))
+    lead = math.exp(2.0 * log_v_n + n * log_r)
+    curvature = (n / 4.0) * math.exp(log_v_n - log_v_m) + (1.0 if which == "krein" else 0.0)
+    second = -math.exp(2.0 * log_v_m + (n - 1) * log_r) * curvature
     return lead, second
 
 
@@ -273,13 +276,11 @@ def interval_counting(spec: IntervalSpec, which: str, lam_max: float) -> Countin
     entries = tuple((v, m) for v, m in spectrum.entries if v <= lam_max)
     trimmed = Spectrum(entries=entries, kernel_dim=spectrum.kernel_dim,
                        complete_below=lam_max)
-    return counting_from_spectrum(trimmed, source=f"interval-{which}")
+    return counting_from_spectrum(trimmed)
 
 
 def ball_counting(spec: BallSpec, which: str, lam_max: float) -> CountingFunction:
-    return counting_from_spectrum(
-        ball_spectrum(spec, which, lam_max), source=f"ball{spec.n}-{which}"
-    )
+    return counting_from_spectrum(ball_spectrum(spec, which, lam_max))
 
 
 def sandwich_check(n: int, radius: float, lam_max: float) -> InequalityReport:
@@ -325,12 +326,12 @@ def universal_inequalities(soft: Spectrum, hard: Spectrum, n: int,
         raise ValueError(f"volume {volume} is not positive and finite")
     if not (isinstance(k_max, Integral) and k_max >= 1):
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
-    need = max(k_max + 1, n + 1, 2)
+    need, need_hard = max(k_max + 1, n + 1, 2), max(k_max, 2)
     lam = soft.flattened(need)
-    mu = hard.flattened(max(k_max, 2))
-    if len(lam) < need or len(mu) < 2:
+    mu = hard.flattened(need_hard)
+    if len(lam) < need or len(mu) < need_hard:
         raise InsufficientEigenvalues(
-            f"need {need} soft and 2 hard eigenvalues, have {len(lam)}, {len(mu)}"
+            f"need {need} soft and {need_hard} hard eigenvalues, have {len(lam)}, {len(mu)}"
         )
     reports = []
 
@@ -398,8 +399,7 @@ def universal_inequalities(soft: Spectrum, hard: Spectrum, n: int,
 
     dom_margin = math.inf
     dom_witnesses = []
-    upto = min(k_max, len(lam), len(mu))
-    for j in range(upto):
+    for j in range(k_max):
         slack_j = (lam[j] - mu[j]) / mu[j]
         dom_margin = min(dom_margin, slack_j)
         if lam[j] < mu[j] * (1.0 - 1e-12):

@@ -222,8 +222,7 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
     return RadialPencil(diagonal=diag, offdiagonal=off, mass=mass)
 
 
-def radial_eigenvalues(spec: RadialChannelSpec, count: int,
-                       include_zero_mode: bool = False) -> np.ndarray:
+def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     """Lowest nonzero pencil eigenvalues by Sturm multisection.
 
     All wanted indices are bracketed together, from the Gershgorin interval
@@ -237,16 +236,16 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int,
 
     The soft endpoint condition carries the channel's one-dimensional kernel
     (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one
-    near-zero eigenvalue, which is dropped unless include_zero_mode is set.
-    That eigenvalue is truncation error of order h^2 = (R/m)^2; a kernel
-    candidate above (alpha h / R)^2 / 4 times the first nonzero eigenvalue,
+    near-zero eigenvalue, which is dropped.  That eigenvalue is truncation
+    error of order h^2 = (R/m)^2; a kernel candidate above
+    (alpha h / R)^2 / 4 times the first nonzero eigenvalue,
     alpha = l + (n-1)/2, indicates a broken assembly and raises
-    ConstructionMismatch.  Only that check reads a dropped zero mode, so its
+    ConstructionMismatch.  Only that check reads the zero mode, so its
     bracket stops once all of it passes the check, or else at the first
     nonzero eigenvalue's stop width.  The pencil has m eigenvalues, so a
     count that needs more (with the dropped zero mode) raises ValueError.
     """
-    skip = 1 if (spec.bc == "krein" and not include_zero_mode) else 0
+    skip = 1 if spec.bc == "krein" else 0
     if not (isinstance(count, Integral) and 1 <= count <= spec.m - skip):
         raise ValueError(f"count must be an integer in 1..{spec.m - skip}, got {count}")
     pencil = radial_pencil(spec)

@@ -317,12 +317,13 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
         pieces_img.append(eta)
     span = np.concatenate(pieces_span, axis=1)
     images = np.concatenate(pieces_img, axis=1)
-    matrix = SymMatrix(_extension_from_action(span, images))
+    raw = _extension_from_action(span, images)
 
     scale = model.A.norm_max
-    if matrix.max_asymmetry > DEFAULT.construction_rel * scale:
-        raise ConstructionMismatch(
-            f"assembled matrix asymmetric by {matrix.max_asymmetry:.3e}")
+    asymmetry = max_norm(raw - raw.T)
+    if asymmetry > DEFAULT.construction_rel * scale:
+        raise ConstructionMismatch(f"assembled matrix asymmetric by {asymmetry:.3e}")
+    matrix = SymMatrix(raw)
     values = _eigh(matrix.array, with_vectors=False)[0]
     if values[0] < -DEFAULT.construction_rel * scale:
         raise ConstructionMismatch(f"assembled matrix has eigenvalue {values[0]:.3e}")

@@ -56,35 +56,32 @@ def max_norm(a) -> float:
 class SymMatrix:
     """Square symmetric matrix of IEEE doubles.
 
-    The constructor symmetrizes by averaging and records the worst asymmetry
-    it saw, so downstream code can always rely on exact entrywise symmetry.
-    It is the library's only symmetrizer: a new matrix is wrapped once, and
-    a SymMatrix argument is used as is, never averaged again.  Its array is
-    read-only.
+    The constructor symmetrizes by averaging, so downstream code can always
+    rely on exact entrywise symmetry.  It is the library's only
+    symmetrizer: a new matrix is wrapped once, and a SymMatrix argument is
+    used as is, never averaged again.  Its array is read-only.
     """
 
-    __slots__ = ("array", "order", "max_asymmetry")
+    __slots__ = ("array", "order")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        # inf - inf is NaN: a non-finite matrix records a NaN asymmetry and
-        # fails later with the typed error of the routine it reaches
+        # inf + -inf is NaN: a non-finite matrix fails later with the typed
+        # error of the routine it reaches
         with np.errstate(invalid="ignore"):
-            asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        sym = 0.5 * (a + a.T)
+            sym = 0.5 * (a + a.T)
         sym.flags.writeable = False
         self.array = sym
         self.order = int(a.shape[0])
-        self.max_asymmetry = asym
 
     @property
     def norm_max(self) -> float:
         return max_norm(self.array)
 
     def __repr__(self):
-        return f"SymMatrix(order={self.order}, max_asymmetry={self.max_asymmetry:.3g})"
+        return f"SymMatrix(order={self.order})"
 
 
 def _as_sym(s) -> SymMatrix:

@@ -99,18 +99,6 @@ def _coerce_order(nu) -> BesselOrder:
     return BesselOrder(int(round(twice)))
 
 
-def _gamma_int_or_half(twice_a: int) -> float:
-    """Gamma(a) for a = twice_a/2 > 0 by the recurrence from Gamma(1), Gamma(1/2)."""
-    if twice_a % 2 == 0:
-        g, a = 1.0, 1.0
-    else:
-        g, a = math.sqrt(math.pi), 0.5
-    while 2.0 * a < twice_a:
-        g *= a
-        a += 1.0
-    return g
-
-
 def _tiny_argument_series(order: BesselOrder, x: float) -> float:
     """Leading power-series terms; only used for x <= 1e-3 where 4 terms
     leave a relative error far below 1e-12."""
@@ -164,16 +152,6 @@ def _backward_all(parity: int, n_max: int, x: float) -> list:
     return [v * scale for v in out]
 
 
-def _eval_j(order: BesselOrder, x: float) -> float:
-    if x <= 1e-3:
-        return _tiny_argument_series(order, x)
-    if order.is_integer:
-        n = order.twice_order // 2
-        return _backward_all(0, n, x)[n]
-    l = (order.twice_order - 1) // 2
-    return math.sqrt(2.0 * x / math.pi) * _backward_all(1, l, x)[l]
-
-
 def _eval_j_pair(order: BesselOrder, x: float):
     """(J_nu(x), J_nu'(x)) sharing a single recurrence pass."""
     if order.is_integer:
@@ -194,7 +172,9 @@ def bessel_j(nu, x: float) -> float:
     order = _coerce_order(nu)
     if not (0.0 < x <= _MAX_X):
         raise DomainError(f"argument {x} outside (0, {_MAX_X:g}]")
-    return _eval_j(order, x)
+    if x <= 1e-3:
+        return _tiny_argument_series(order, x)
+    return _eval_j_pair(order, x)[0]
 
 
 def _mcmahon_terms(order: BesselOrder, k: int):
@@ -227,8 +207,8 @@ def _bessel_triple(nu, x, j, jp):
 
 def _refine_zero(order: BesselOrder, lo: float, hi: float) -> float:
     """Zero of J_nu in [lo, hi], certified by the sign change at the ends."""
-    flo = _eval_j(order, lo)
-    fhi = _eval_j(order, hi)
+    flo = _eval_j_pair(order, lo)[0]
+    fhi = _eval_j_pair(order, hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:

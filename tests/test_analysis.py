@@ -122,6 +122,16 @@ class TestUniversalInequalitiesNeedEnoughValues:
         with pytest.raises(InsufficientEigenvalues, match=f"need {need} soft"):
             an.universal_inequalities(soft, hard, n, an.unit_ball_volume(n), k_max)
 
+    def test_short_hard_spectrum_raises(self):
+        # per-index domination up to k_max = 10 needs 10 hard values, not 3
+        disk = sp.BallSpec(2, 1.0)
+        soft = sp.ball_spectrum(disk, "krein", 2e3)
+        hard = sp.Spectrum(entries=sp.ball_spectrum(disk, "dirichlet", 2e3).entries[:2],
+                           kernel_dim=0)
+        assert len(hard.flattened()) == 3
+        with pytest.raises(InsufficientEigenvalues, match="need 11 soft and 10 hard"):
+            an.universal_inequalities(soft, hard, 2, an.unit_ball_volume(2), 10)
+
 
 class TestCountingDomination:
     def test_violation_reports_margin_and_witnesses(self):
@@ -229,6 +239,30 @@ class TestTwoTermCoefficients:
         want = (2.0 * math.pi) ** (-(n - 1)) * v * v * radius ** (n - 1)
         assert lead_d == lead_k
         assert second_d - second_k == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [342, 400])
+    def test_unit_ball_volume_past_gamma_overflow(self, n):
+        # Gamma(n/2 + 1) overflows a double from n = 342 on; v_n does not
+        mpmath = pytest.importorskip("mpmath")
+        half = mpmath.mpf(n) / 2
+        want = float(mpmath.pi ** half / mpmath.gamma(half + 1))
+        assert an.unit_ball_volume(n) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["dirichlet", "krein"])
+    def test_coefficients_past_gamma_overflow(self, which):
+        # at R = 1 both coefficients of n = 400 are near 1e-870, below the
+        # double range; at R = 150 they are about 1.7 and -60
+        mpmath = pytest.importorskip("mpmath")
+        n, radius = 400, 150.0
+        v = lambda d: mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
+        r = mpmath.mpf(radius) / (2 * mpmath.pi)
+        boundary = v(n - 1) if which == "krein" else 0
+        want_lead = float(r**n * v(n) ** 2)
+        want_second = float(-(r ** (n - 1)) * v(n - 1) * (n / mpmath.mpf(4) * v(n) + boundary))
+        lead, second = an.two_term_ball_coefficients(n, radius, which)
+        assert lead > 0.0 and second < 0.0
+        assert lead == pytest.approx(want_lead, rel=1e-12)
+        assert second == pytest.approx(want_second, rel=1e-12)
 
 
 def _sandwich_reference(n, radius, lam_max):

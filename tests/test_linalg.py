@@ -13,10 +13,9 @@ def rand_sym(rng, n, scale=1.0):
 
 
 class TestSymMatrix:
-    def test_symmetrizes_and_records_asymmetry(self):
+    def test_symmetrizes_by_averaging(self):
         s = la.SymMatrix([[1.0, 2.0], [2.5, 3.0]])
         np.testing.assert_allclose(s.array, [[1.0, 2.25], [2.25, 3.0]])
-        assert s.max_asymmetry == pytest.approx(0.5)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
