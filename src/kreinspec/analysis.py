@@ -14,6 +14,18 @@ The two-term ball asymptotics compared against here:
 with C = (n/4) v_n for the hard boundary and C = (n/4) v_n + v_{n-1} for
 the soft one; the difference of the second coefficients is exactly
 (2 pi)^-(n-1) v_{n-1}^2 R^(n-1).
+
+Every inequality report comes from one rule, `_slack_report`.  A claim is
+a set of slacks, each normalized by the scale of what it bounds and >= 0
+where the claim holds, and a tie width tie >= 0.  The claim is violated
+where a slack lies below -tie, and the labels of the first 16 such slacks
+are its witnesses; its margin is the smallest slack (inf when there is
+none); it is inconclusive when tie > 0 and |margin| <= tie.  Tie widths:
+
+    1e-12   first-sum-bound, hard-second-below-soft-first,
+            bottom-ratio-bracket, per-index-domination
+    0       second-to-first-ratio, gap-quadratic-bound,
+            isoperimetric-lower, counting-domination, sandwich-n<n>
 """
 
 from __future__ import annotations
@@ -99,6 +111,14 @@ def counting_from_spectrum(spectrum: Spectrum) -> CountingFunction:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """The verdict on one claim, built by `_slack_report`.
+
+    satisfied: no slack lies below -tie.  margin: the smallest slack.
+    witnesses: the labels (probe points or 1-based indices) of the first 16
+    slacks below -tie; () for scalar claims.  inconclusive: the claim has a
+    tie width tie > 0 (see the module docstring) and |margin| <= tie.
+    """
+
     name: str
     satisfied: bool
     margin: float             # smallest slack seen, in the stated units
@@ -125,15 +145,25 @@ def _probe_points(*countings):
     return probes[keep]
 
 
-def _slack_report(name: str, probes, slack) -> InequalityReport:
-    """Report on slack >= 0 at the probes: the smallest slack, and the
-    first 16 probes where it is negative."""
-    witnesses = probes[slack < 0][:16]
+_TIE = 1e-12  # tie width of the claims that are weak, or sharp on some domain
+
+
+def _slack_report(name: str, slack, labels=None, tie: float = 0.0) -> InequalityReport:
+    """Report on the claim slack >= 0, by the rule of the module docstring.
+
+    labels, an array parallel to slack, names the slacks (probe points or
+    indices); the first 16 labels whose slack is below -tie are the
+    witnesses.  A scalar claim passes no labels and has no witnesses.
+    """
+    slack = np.asarray(slack)
+    violated = slack < -tie
+    margin = float(slack.min()) if slack.size else math.inf
     return InequalityReport(
         name=name,
-        satisfied=not witnesses.size,
-        margin=float(slack.min()) if slack.size else math.inf,
-        witnesses=tuple(witnesses.tolist()),
+        satisfied=not violated.any(),
+        margin=margin,
+        witnesses=() if labels is None else tuple(labels[violated][:16].tolist()),
+        inconclusive=tie > 0.0 and abs(margin) <= tie,
     )
 
 
@@ -145,7 +175,7 @@ def counting_domination(n_soft: CountingFunction, n_hard: CountingFunction) -> I
     )
     probes = _probe_points(n_soft, n_hard)
     probes = probes[(probes > 0.0) & (probes <= cap)]
-    return _slack_report("counting-domination", probes, n_hard(probes) - n_soft(probes))
+    return _slack_report("counting-domination", n_hard(probes) - n_soft(probes), probes)
 
 
 def _log_unit_ball_volume(n: int) -> float:
@@ -305,18 +335,20 @@ def sandwich_check(n: int, radius: float, lam_max: float) -> InequalityReport:
     probes = probes[(probes > 0.0) & (probes <= lam_max)]
     hn, sn, hm, sm = hard_n(probes), soft_n(probes), hard_m(probes), soft_m(probes)
     slack = np.minimum(sn + hm - hn, hn - sn - sm)
-    return _slack_report(f"sandwich-n{n}", probes, slack)
+    return _slack_report(f"sandwich-n{n}", slack, probes)
 
 
 def universal_inequalities(soft: Spectrum, hard: Spectrum, n: int,
                            volume: float, k_max: int):
     """Reports for the low-eigenvalue bounds on the soft spectrum.
 
-    Checked, in order: the second/first ratio bound, the first-n sum bound
-    (strict; ties within 1e-12 relative are flagged inconclusive), the gap
-    quadratic bound for k <= k_max, the two halves of the isoperimetric
-    two-sided bound, the [1, 4] bracket for the soft/hard bottom ratio, and
-    per-index domination up to k_max.
+    Checked, in order: the second/first ratio bound, the first-n sum bound,
+    the gap quadratic bound for k <= k_max (witnesses: the indices k), the
+    two halves of the isoperimetric two-sided bound, the [1, 4] bracket for
+    the soft/hard bottom ratio, and per-index domination up to k_max
+    (witnesses: the 1-based indices j).  The first-sum, hard-second,
+    bottom-ratio and per-index claims are weak or sharp somewhere, so each
+    has the tie width 1e-12 (see the module docstring).
 
     Margins are normalized by the scale of the quantity they bound, so a
     margin of zero always means a sharp case.
@@ -327,87 +359,33 @@ def universal_inequalities(soft: Spectrum, hard: Spectrum, n: int,
     if not (isinstance(k_max, Integral) and k_max >= 1):
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     need, need_hard = max(k_max + 1, n + 1, 2), max(k_max, 2)
-    lam = soft.flattened(need)
-    mu = hard.flattened(need_hard)
+    lam = np.array(soft.flattened(need))
+    mu = np.array(hard.flattened(need_hard))
     if len(lam) < need or len(mu) < need_hard:
         raise InsufficientEigenvalues(
             f"need {need} soft and {need_hard} hard eigenvalues, have {len(lam)}, {len(mu)}"
         )
-    reports = []
+    indices = np.arange(1, k_max + 1)
 
     ratio_bound = (n * n + 8.0 * n + 20.0) / (n + 2.0) ** 2
-    ratio = lam[1] / lam[0]
-    reports.append(InequalityReport(
-        name="second-to-first-ratio",
-        satisfied=ratio <= ratio_bound,
-        margin=ratio_bound - ratio,
-    ))
-
-    lhs = sum(lam[1:n + 1])
-    rhs = (n + 4.0) * lam[0] - (4.0 / (n + 4.0)) * (lam[1] - lam[0])
-    slack = (rhs - lhs) / lam[0]
-    tie = abs(rhs - lhs) <= 1e-12 * lam[0]
-    reports.append(InequalityReport(
-        name="first-sum-bound",
-        satisfied=rhs - lhs > 0.0 or tie,
-        margin=slack,
-        inconclusive=tie,
-    ))
-
-    gap_margin = math.inf
-    gap_witnesses = []
-    for k in range(1, k_max + 1):
-        top = lam[k]
-        gaps = [top - lam[j] for j in range(k)]
-        lhs_k = sum(g * g for g in gaps)
-        rhs_k = (4.0 * (n + 2.0) / (n * n)) * sum(
-            g * lam[j] for j, g in enumerate(gaps)
-        )
-        slack_k = (rhs_k - lhs_k) / (lam[0] * lam[0])
-        gap_margin = min(gap_margin, slack_k)
-        if lhs_k > rhs_k:
-            gap_witnesses.append(k)
-    reports.append(InequalityReport(
-        name="gap-quadratic-bound",
-        satisfied=not gap_witnesses,
-        margin=float(gap_margin),
-        witnesses=tuple(gap_witnesses),
-    ))
-
+    sum_bound = (n + 4.0) * lam[0] - (4.0 / (n + 4.0)) * (lam[1] - lam[0])
+    # row k - 1 holds the gaps lam_k - lam_j for j < k, and zeros for j >= k
+    gaps = np.tril(lam[1:k_max + 1, None] - lam[:k_max])
+    gap_slack = ((4.0 * (n + 2.0) / (n * n)) * (gaps @ lam[:k_max])
+                 - (gaps * gaps).sum(axis=1)) / (lam[0] * lam[0])
     v_n = unit_ball_volume(n)
     j_first = bessel_zero((n - 2) / 2.0, 1)
     iso = 2.0 ** (2.0 / n) * j_first * j_first * v_n ** (2.0 / n) / volume ** (2.0 / n)
-    reports.append(InequalityReport(
-        name="isoperimetric-lower",
-        satisfied=iso < mu[1],
-        margin=(mu[1] - iso) / mu[1],
-    ))
-    upper_margin = (lam[0] - mu[1]) / lam[0]
-    reports.append(InequalityReport(
-        name="hard-second-below-soft-first",
-        satisfied=mu[1] <= lam[0] or abs(upper_margin) <= 1e-12,
-        margin=upper_margin,
-        inconclusive=abs(upper_margin) <= 1e-12,
-    ))
-
     bottom_ratio = lam[0] / mu[0]
-    reports.append(InequalityReport(
-        name="bottom-ratio-bracket",
-        satisfied=1.0 - 1e-12 <= bottom_ratio <= 4.0 + 1e-12,
-        margin=min(bottom_ratio - 1.0, 4.0 - bottom_ratio),
-    ))
-
-    dom_margin = math.inf
-    dom_witnesses = []
-    for j in range(k_max):
-        slack_j = (lam[j] - mu[j]) / mu[j]
-        dom_margin = min(dom_margin, slack_j)
-        if lam[j] < mu[j] * (1.0 - 1e-12):
-            dom_witnesses.append(j + 1)
-    reports.append(InequalityReport(
-        name="per-index-domination",
-        satisfied=not dom_witnesses,
-        margin=float(dom_margin),
-        witnesses=tuple(dom_witnesses),
-    ))
-    return reports
+    return [
+        _slack_report("second-to-first-ratio", [ratio_bound - lam[1] / lam[0]]),
+        _slack_report("first-sum-bound", [(sum_bound - sum(lam[1:n + 1])) / lam[0]],
+                      tie=_TIE),
+        _slack_report("gap-quadratic-bound", gap_slack, indices),
+        _slack_report("isoperimetric-lower", [(mu[1] - iso) / mu[1]]),
+        _slack_report("hard-second-below-soft-first", [(lam[0] - mu[1]) / lam[0]], tie=_TIE),
+        _slack_report("bottom-ratio-bracket", [bottom_ratio - 1.0, 4.0 - bottom_ratio],
+                      tie=_TIE),
+        _slack_report("per-index-domination", (lam[:k_max] - mu[:k_max]) / mu[:k_max],
+                      indices, tie=_TIE),
+    ]

@@ -62,14 +62,17 @@ def _recurrence_start(n_max, x):
     """Start order for backward recurrence; elementwise for numpy arrays.
 
     The seed must sit well past the turning point k = x, where the wanted
-    solution decays like an Airy tail; 9 x^(1/3) extra orders push the
-    contamination of the unwanted solution below 1e-14 of the amplitude,
-    and 40 is the floor for small arguments.
+    solution decays like an Airy tail.  The margin bounds two errors by the
+    size of J_seed(x): the contamination of the unwanted solution, and the
+    tail of Miller's sum J_0 + 2 sum_k J_2k, which is cut off at the seed.
+    11 x^(1/3) extra orders, with a floor of 40 for small arguments, keep
+    |J_seed(x)| below 2e-16 (mpmath, x <= 4000), beneath rounding; 9 x^(1/3)
+    left it near 5e-13 for x around 100.
     """
     if isinstance(x, np.ndarray):
-        margin = np.maximum(40, np.ceil(9.0 * x ** (1.0 / 3.0)).astype(int))
+        margin = np.maximum(40, np.ceil(11.0 * x ** (1.0 / 3.0)).astype(int))
         return np.maximum(n_max, np.ceil(x).astype(int)) + margin
-    margin = max(40, int(math.ceil(9.0 * x ** (1.0 / 3.0))))
+    margin = max(40, int(math.ceil(11.0 * x ** (1.0 / 3.0))))
     return max(n_max, int(math.ceil(x))) + margin
 
 

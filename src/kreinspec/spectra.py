@@ -112,7 +112,10 @@ class Spectrum:
         return self._values.tolist()
 
     def flattened(self, count: int | None = None):
-        """Eigenvalues repeated by multiplicity, ascending."""
+        """Eigenvalues repeated by multiplicity, ascending; only the first
+        count of them unless count is None."""
+        if count is not None and not (isinstance(count, Integral) and count >= 0):
+            raise ValueError(f"count must be an integer >= 0 or None, got {count!r}")
         out = []
         for v, m in self.entries:
             out.extend([v] * m)

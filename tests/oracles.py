@@ -8,6 +8,7 @@ whatever else a test freezes as an expected value was produced by one of the
 functions in here.
 """
 
+import functools
 import math
 
 
@@ -58,6 +59,7 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=None)
 def series_bessel_zero(twice_order: int, k: int) -> float:
     """k-th zero of J_nu by scanning the power series; only for zeros <= 12."""
     f = lambda x: series_bessel_j(twice_order, x)
@@ -125,3 +127,67 @@ def sturm_pivots_oracle(diag, offdiag, lam: float) -> list:
 def sturm_count_oracle(diag, offdiag, lam: float) -> int:
     """Pivots whose sign bit is set: eigenvalues strictly below lam."""
     return sum(math.copysign(1.0, q) < 0.0 for q in sturm_pivots_oracle(diag, offdiag, lam))
+
+
+def universal_inequalities_oracle(lam, mu, n: int, volume: float, k_max: int) -> list:
+    """The reports of analysis.universal_inequalities, each inequality
+    evaluated literally in plain loops over Python floats.
+
+    lam and mu are the soft and hard eigenvalues, ascending and repeated by
+    multiplicity.  Returns one (name, satisfied, margin, witnesses,
+    inconclusive) tuple per claim.  Each slack is normalized by the scale of
+    what it bounds; a claim with tie width tie is violated where a slack is
+    below -tie (its first 16 such indices are the witnesses) and
+    inconclusive when tie > 0 and its smallest slack is within tie of 0.
+    j_{(n-2)/2,1} comes from the power series, v_n from the Gamma recursion.
+    """
+    tie = 1e-12
+
+    def verdict(name, slacks, tie=0.0, indexed=False):
+        witnesses = []
+        for index, slack in slacks:
+            if slack < -tie and len(witnesses) < 16:
+                witnesses.append(index)
+        margin = min(slack for _, slack in slacks)
+        violated = any(slack < -tie for _, slack in slacks)
+        return (name, not violated, margin, tuple(witnesses) if indexed else (),
+                tie > 0.0 and abs(margin) <= tie)
+
+    # lam_2 / lam_1 <= (n^2 + 8n + 20) / (n + 2)^2
+    ratio_bound = (n * n + 8.0 * n + 20.0) / (n + 2.0) ** 2
+    ratio = [(1, ratio_bound - lam[1] / lam[0])]
+    # sum_{i=2}^{n+1} lam_i <= (n + 4) lam_1 - 4 / (n + 4) (lam_2 - lam_1)
+    total = 0.0
+    for i in range(1, n + 1):
+        total += lam[i]
+    sum_bound = (n + 4.0) * lam[0] - 4.0 / (n + 4.0) * (lam[1] - lam[0])
+    first_sum = [(1, (sum_bound - total) / lam[0])]
+    # sum_{j<k} (lam_k - lam_j)^2 <= 4 (n + 2) / n^2 sum_{j<k} (lam_k - lam_j) lam_j
+    gap = []
+    for k in range(1, k_max + 1):
+        squares, weighted = 0.0, 0.0
+        for j in range(k):
+            squares += (lam[k] - lam[j]) ** 2
+            weighted += (lam[k] - lam[j]) * lam[j]
+        gap.append((k, (4.0 * (n + 2.0) / (n * n) * weighted - squares) / (lam[0] * lam[0])))
+    # Krahn-Szego: mu_2 >= 2^(2/n) j^2 (v_n / |Omega|)^(2/n)
+    j_first = series_bessel_zero(n - 2, 1)
+    v_n = math.pi ** (n / 2.0) / gamma_int_or_half_oracle(n + 2)
+    iso = 2.0 ** (2.0 / n) * j_first * j_first * (v_n / volume) ** (2.0 / n)
+    krahn = [(1, (mu[1] - iso) / mu[1])]
+    # mu_2 <= lam_1
+    hard_second = [(1, (lam[0] - mu[1]) / lam[0])]
+    # 1 <= lam_1 / mu_1 <= 4
+    bottom = lam[0] / mu[0]
+    bracket = [(1, bottom - 1.0), (1, 4.0 - bottom)]
+    # lam_j >= mu_j for j <= k_max
+    per_index = [(j + 1, (lam[j] - mu[j]) / mu[j]) for j in range(k_max)]
+    return [
+        verdict("second-to-first-ratio", ratio),
+        verdict("first-sum-bound", first_sum, tie),
+        verdict("gap-quadratic-bound", gap, indexed=True),
+        verdict("isoperimetric-lower", krahn),
+        verdict("hard-second-below-soft-first", hard_second, tie),
+        verdict("bottom-ratio-bracket", bracket, tie),
+        verdict("per-index-domination", per_index, tie, indexed=True),
+    ]

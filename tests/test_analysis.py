@@ -9,6 +9,7 @@ from kreinspec import analysis as an
 from kreinspec import discretize as dz
 from kreinspec import spectra as sp
 from kreinspec.errors import InsufficientData, InsufficientEigenvalues
+from oracles import universal_inequalities_oracle
 
 
 class TestKozlovCoefficient:
@@ -42,6 +43,34 @@ class TestKozlovCoefficient:
         assert an.weyl_leading(1, length) == pytest.approx(length / math.pi, rel=1e-15)
         # measured: 0.49 % and 0.55 % for V = 0; 0.59-0.99 % over six sampled V
         assert fit.c_lead == pytest.approx(an.weyl_leading(1, length), rel=1.2e-2)
+
+
+class TestPerturbedCountingDomination:
+    """N_{K,V} <= N_{D,V} for -Delta + V on the interval model: the nonzero
+    Krein eigenvalues of the model against the eigenvalues of its operator
+    A, which is the Friedrichs (Dirichlet) extension, with and without a
+    bounded V >= 0."""
+
+    @pytest.mark.parametrize("length", [1.0, 1.7])
+    @pytest.mark.parametrize("potential", ["zero", "sampled"])
+    def test_krein_counts_below_dirichlet(self, length, potential):
+        m = 200
+        if potential == "zero":
+            spec = dz.PotentialSpec.zero()
+        else:
+            spec = dz.PotentialSpec.sampled(np.random.default_rng(7).uniform(0.0, 50.0, m))
+        model = dz.interval_model(dz.Grid1D(0.0, length, m), spec)
+        soft = dz.discrete_krein_spectrum(model, model.domain_dim)
+        mu = np.linalg.eigvalsh(model.A.array)
+        hard = sp.Spectrum(tuple((v, 1) for v in mu.tolist()), 0, complete_below=mu[-1])
+        report = an.counting_domination(an.counting_from_spectrum(soft),
+                                        an.counting_from_spectrum(hard))
+        assert report.satisfied and report.margin >= 0.0 and report.witnesses == ()
+        # index by index: lambda_K,j >= lambda_j(A); the smallest relative
+        # gap measured was 4.7e-4 (L = 1 and 1.7, V = 0 and V from seeds 7-9)
+        lam = np.array(soft.flattened())
+        assert lam.size == model.domain_dim
+        assert np.all(lam >= mu[:lam.size] * (1.0 + 4e-4))
 
 
 def _ball_eigenvalues(n, shift, top):
@@ -131,6 +160,77 @@ class TestUniversalInequalitiesNeedEnoughValues:
         assert len(hard.flattened()) == 3
         with pytest.raises(InsufficientEigenvalues, match="need 11 soft and 10 hard"):
             an.universal_inequalities(soft, hard, 2, an.unit_ball_volume(2), 10)
+
+
+# factors that put a bound inside, at and just outside its 1e-12 tie
+# window, or well away from it
+_NEAR_TIES = [1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.0 - 2e-12, 1.0 + 2e-12, 0.25, 0.25 * (1.0 + 4e-13)]
+
+
+def _entries(values):
+    """Ascending values with repeats as (value, multiplicity) entries."""
+    entries = []
+    for v in sorted(values):
+        if entries and entries[-1][0] == v:
+            entries[-1] = (v, entries[-1][1] + 1)
+        else:
+            entries.append((v, 1))
+    return tuple(entries)
+
+
+@st.composite
+def _inequality_inputs(draw):
+    n = draw(st.integers(2, 5))
+    k_max = draw(st.integers(1, 24))
+    need = max(k_max + 1, n + 1)
+    lam = sorted(draw(st.lists(st.floats(1.0, 60.0), min_size=need, max_size=need)))
+    factor = st.one_of(st.sampled_from(_NEAR_TIES), st.floats(0.2, 1.5))
+    mu = sorted(v * draw(factor) for v in lam)
+    if draw(st.booleans()):  # the second hard value near the first soft one
+        mu[1] = lam[0] * draw(st.sampled_from(_NEAR_TIES[:5]))
+        mu = sorted(mu)
+    volume = draw(st.floats(0.05, 20.0))
+    return lam, mu, n, volume, k_max
+
+
+class TestReportsAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_inequality_inputs())
+    def test_matches_plain_loop_oracle(self, case):
+        lam, mu, n, volume, k_max = case
+        soft = sp.Spectrum(_entries(lam), 0)
+        hard = sp.Spectrum(_entries(mu), 0)
+        reports = an.universal_inequalities(soft, hard, n, volume, k_max)
+        want = universal_inequalities_oracle(lam, mu, n, volume, k_max)
+        assert [r.name for r in reports] == [w[0] for w in want]
+        for report, (name, satisfied, margin, witnesses, inconclusive) in zip(reports, want):
+            assert report.satisfied == satisfied, name
+            assert report.witnesses == witnesses, name
+            assert report.inconclusive == inconclusive, name
+            assert report.margin == pytest.approx(margin, rel=1e-12, abs=1e-13), name
+
+    def test_tie_window_is_inconclusive_not_an_error(self):
+        # lam_1 / mu_1 = 1 - 5e-13 sits inside the tie window of the bottom
+        # bracket and of per-index domination; both once reported
+        # "satisfied" with a negative margin, which InequalityReport rejects
+        soft = sp.Spectrum(((10.0 * (1.0 - 5e-13), 1), (20.0, 5)), 0)
+        hard = sp.Spectrum(((10.0, 1), (15.0, 5)), 0)
+        reports = {r.name: r for r in an.universal_inequalities(soft, hard, 2, 1.0, 2)}
+        assert len(reports) == 7
+        for name in ("bottom-ratio-bracket", "per-index-domination"):
+            assert reports[name].satisfied and reports[name].inconclusive, name
+            assert reports[name].margin == pytest.approx(-5e-13, rel=1e-3), name
+            assert reports[name].witnesses == (), name
+
+    def test_index_witnesses_stop_at_sixteen(self):
+        # every soft value below its hard partner: 20 violated indices
+        lam = [float(v) for v in range(1, 22)]
+        soft = sp.Spectrum(_entries(lam), 0)
+        hard = sp.Spectrum(_entries([2.0 * v for v in lam]), 0)
+        report = an.universal_inequalities(soft, hard, 2, 1.0, 20)[-1]
+        assert report.name == "per-index-domination" and not report.satisfied
+        assert report.witnesses == tuple(range(1, 17))
+        assert report.margin == -0.5
 
 
 class TestCountingDomination:

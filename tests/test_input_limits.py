@@ -72,11 +72,14 @@ NON_INTEGER_COUNTS = {
     "interlace-half-k-max": lambda: sp.channel_interlace_report(UNIT_BALL, 1, 2.5),
     "inequalities-half-k-max": lambda: _disk_inequalities(2, math.pi, 2.5),
     "inequalities-half-dimension": lambda: _disk_inequalities(2.5, math.pi, 4),
+    "flattened-half-count": lambda: sp.Spectrum(((1.0, 2), (3.0, 1)), 0).flattened(1.5),
 }
 
-# Both returned a result: an interlacing report for the channel l = -1 of
-# the 4-ball, and a Weyl fit in dimension 0.
+# Each returned a result: an interlacing report for the channel l = -1 of
+# the 4-ball, a Weyl fit in dimension 0, and the spectrum without its last
+# value for the count -1.
 BELOW_RANGE = {
+    "flattened-negative-count": lambda: sp.Spectrum(((1.0, 2), (3.0, 1)), 0).flattened(-1),
     "interlace-negative-channel": lambda: sp.channel_interlace_report(
         sp.BallSpec(4, 1.0), -1, 2),
     "weyl-fit-dimension-zero": lambda: an.weyl_fit(
@@ -221,3 +224,10 @@ def test_exact_hit_in_convergence_study_names_its_size():
     with pytest.raises(InsufficientData, match="size 400"):
         dz.convergence_order(lambda m: 1.0 if m == 400 else 1.0 + 1.0 / m,
                              (100, 200, 400), 1.0)
+
+
+def test_flattened_counts_at_the_edges():
+    spectrum = sp.Spectrum(((1.0, 2), (3.0, 1)), 0)
+    assert spectrum.flattened(0) == []
+    assert spectrum.flattened(np.int64(2)) == [1.0, 1.0]
+    assert spectrum.flattened(5) == spectrum.flattened() == [1.0, 1.0, 3.0]

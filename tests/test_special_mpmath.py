@@ -9,9 +9,10 @@ covers the same zeros in the default run.
 Values J_nu(x) are compared over the whole public domain, nu <= 500 and
 0 < x <= 1e4, relative to max(|J_nu(x)|, sqrt(2 / (pi x))): the envelope of
 the oscillating region, so tiny values below the turning point and near
-zeros are held to the accuracy of their neighbourhood.  Over 30,000 samples
-drawn as below (two seeds) the largest error measured was 1.3e-12, near the
-turning point x ~ nu for nu between 50 and 400; the bound is 4e-12.
+zeros are held to the accuracy of their neighbourhood.  Over 6,000 samples
+drawn as below (seed 12) the largest error measured was 5.9e-14, at
+x ~ 3,000-9,000 where rounding in the recurrence grows with x; the bound is
+2e-13.
 """
 
 import math
@@ -24,7 +25,7 @@ from kreinspec import special
 mpmath = pytest.importorskip("mpmath")
 
 REL = 1e-11
-VALUE_REL = 4e-12
+VALUE_REL = 2e-13
 
 
 @pytest.fixture
@@ -81,6 +82,19 @@ def test_unrefined_asymptotic_branch(nu, k):
     assert (k + 0.5 * nu - 0.25) * math.pi > 4.0e4
     want = float(mpmath.besseljzero(nu, k))
     assert special.bessel_zero(nu, k) == pytest.approx(want, rel=REL)
+
+
+@pytest.mark.parametrize("nu, x", [(1, 150.0), (60, 90.0), (0, 100.5), (4, 1000.0),
+                                   (300, 340.0)])
+def test_integer_orders_keep_the_tail_of_millers_sum(nu, x):
+    # Miller's sum is cut off at the seed of the recurrence.  With the seed
+    # 9 x^(1/3) orders past x these values were off by 1.0e-12, 3.6e-13,
+    # 2.5e-13, 7.6e-13 and 5.4e-13 of the envelope; at 11 x^(1/3) by at
+    # most 1.5e-15.
+    with mpmath.workdps(30):
+        want = float(mpmath.besselj(nu, x))
+    scale = max(abs(want), math.sqrt(2.0 / (math.pi * x)))
+    assert abs(special.bessel_j(nu, x) - want) / scale <= 1e-14
 
 
 def envelope_errors(seed, samples):
