@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -224,18 +224,23 @@ class WeylFit:
     analytic_lead: float
     analytic_second: float
     window: tuple
-    residual_sup: float
-    remainder_slope: float
+    remainder_sup: float
     samples: int
 
 
 def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylFit:
     """Two-term least squares of N(lambda) on lambda^(n/2), lambda^((n-1)/2).
 
-    Samples are log-uniform across the window.  The remainder order is
-    estimated on the upper half of the window (in log scale) against the
-    analytic two-term law, after compressing the oscillatory remainder to
-    bin maxima (six bins per log-decade span).
+    Samples are log-uniform across the window.  remainder_sup is the exact
+    sup over the closed window [lo, hi] of
+
+        |N(lambda) - a lambda^(n/2) - b lambda^((n-1)/2)|,
+
+    with (a, b) the pair `analytic` if given (two finite numbers) and the
+    fitted pair otherwise.  N is constant between breakpoints, so the sup is
+    a max over the window ends, both one-sided limits of every breakpoint in
+    (lo, hi], and the law's one turning point lambda* = ((n-1) b / (n a))^2,
+    which exists when a b < 0 and counts when it lies in the window.
     """
     _require_dimension(n, 1)
     lo, hi = float(window[0]), float(window[1])
@@ -245,6 +250,10 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
         raise InsufficientData(
             f"window top {hi} beyond complete range {counting.complete_below}"
         )
+    if analytic is not None and not (
+        len(analytic) == 2 and all(isinstance(c, Real) and math.isfinite(c) for c in analytic)
+    ):
+        raise ValueError(f"analytic must be a pair of finite numbers, got {analytic!r}")
     lams = np.exp(np.linspace(math.log(lo), math.log(hi), _WEYL_SAMPLES))
     counts = counting(lams).astype(float)
     x1 = lams ** (n / 2.0)
@@ -255,28 +264,22 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     det = a11 * a22 - a12 * a12
     c_lead = (a22 * b1 - a12 * b2) / det
     c_second = (a11 * b2 - a12 * b1) / det
-    residual_sup = float(np.max(np.abs(counts - c_lead * x1 - c_second * x2)))
 
     if analytic is None:
         analytic = (c_lead, c_second)
     a_lead, a_second = analytic
-    half_lo = math.sqrt(lo * hi)
-    mask = lams >= half_lo
-    rem = np.abs(counts[mask] - a_lead * x1[mask] - a_second * x2[mask])
-    logs = np.log10(lams[mask])
-    span = logs[-1] - logs[0]
-    bins = max(int(round(6 * span)), 3)
-    edges = np.linspace(logs[0], logs[-1] + 1e-12, bins + 1)
-    centers, maxima = [], []
-    for i in range(bins):
-        sel = (logs >= edges[i]) & (logs < edges[i + 1])
-        if np.any(sel) and np.max(rem[sel]) > 0.0:
-            centers.append(0.5 * (edges[i] + edges[i + 1]))
-            maxima.append(np.max(rem[sel]))
-    if len(centers) >= 2:
-        slope = np.polyfit(centers, np.log10(maxima), 1)[0]
-    else:
-        slope = math.nan
+    # the law turns where sqrt(lam) = ratio > 0; clamped to the window, a
+    # turning point outside it becomes a window end
+    ratio = (1 - n) * a_second / (n * a_lead) if a_lead else 0.0
+    turn = min(max(ratio * ratio, lo), hi) if ratio > 0.0 else lo
+    at = np.arange(*np.searchsorted(counting.breakpoints, (lo, hi), side="right"))
+    points = np.concatenate(((lo, hi, turn), counting.breakpoints[at]))
+    law = a_lead * points ** (n / 2.0) + a_second * points ** ((n - 1) / 2.0)
+    value = counting(points)
+    # N just left of each point: the previous prefix sum (0 before the
+    # first) at a breakpoint, N itself at the three window points
+    left = np.concatenate((value[:3], np.where(at > 0, counting.cumulative[at - 1], 0)))
+    remainder_sup = float(np.max(np.maximum(np.abs(value - law), np.abs(left - law))))
     return WeylFit(
         n=n,
         c_lead=float(c_lead),
@@ -284,8 +287,7 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
         analytic_lead=float(a_lead),
         analytic_second=float(a_second),
         window=(lo, hi),
-        residual_sup=residual_sup,
-        remainder_slope=float(slope),
+        remainder_sup=remainder_sup,
         samples=_WEYL_SAMPLES,
     )
 

@@ -168,7 +168,8 @@ def ball_multiplicity(n: int, ell: int) -> int:
     """Dimension d_{n,l} of degree-l spherical harmonics in R^n.
 
     Exact integer arithmetic via binomials; equivalent to the ratio of
-    Gamma factors but free of floating-point Gamma evaluations.
+    Gamma factors but free of floating-point Gamma evaluations.  Raises
+    DomainError when it exceeds 2^63 - 1, the int64 range of a Spectrum.
     """
     _require_dimension(n, 2)
     if not (isinstance(ell, Integral) and ell >= 0):
@@ -177,7 +178,7 @@ def ball_multiplicity(n: int, ell: int) -> int:
     if ell >= 2:
         result -= comb(n + ell - 3, ell - 2)
     if result > 2**63 - 1:
-        raise OverflowError(f"multiplicity d_{{{n},{ell}}} exceeds 2^63 - 1")
+        raise DomainError(f"multiplicity d_{{{n},{ell}}} exceeds 2^63 - 1")
     return result
 
 
@@ -217,7 +218,8 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     All these orders share one parity, and their zeros below
     sqrt(lambda_max) * R come from one batched computation in `special`
     that is cached per order: the hard and soft spectra of one ball, and
-    repeated calls, reuse it.  Orders above 500 raise DomainError.
+    repeated calls, reuse it.  Orders above 500 raise DomainError, and so
+    does a multiplicity above 2^63 - 1, before any zero is computed.
     """
     if not 0.0 < lambda_max < math.inf:
         raise ValueError(f"lambda_max {lambda_max} is not positive and finite")
@@ -228,6 +230,10 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     limit = math.sqrt(lambda_max) * radius
     cap = lambda_max * radius * radius
     twice_orders = range(offset, math.ceil(2.0 * limit), 2)  # every nu < limit
+    if twice_orders:
+        # d_{n,l} grows with l, so an overflow shows in the top channel;
+        # checked before the zero scan, which may take seconds
+        ball_multiplicity(n, len(twice_orders) - 1)
     families = _family_zeros(twice_orders, limit)
     zeros = np.concatenate(families) if families else np.empty(0)
     mults = np.repeat(

@@ -191,3 +191,39 @@ def universal_inequalities_oracle(lam, mu, n: int, volume: float, k_max: int) ->
         verdict("bottom-ratio-bracket", bracket, tie),
         verdict("per-index-domination", per_index, tie, indexed=True),
     ]
+
+
+def remainder_sup_oracle(breakpoints, cumulative, n: int, lo: float, hi: float,
+                         lead: float, second: float) -> float:
+    """sup over [lo, hi] of |N(lam) - lead lam^(n/2) - second lam^((n-1)/2)|,
+    N the step function equal to cumulative[i] from breakpoints[i] on (0
+    before the first), in plain loops over Python floats.
+
+    The breakpoints inside the window cut it into pieces on which N is
+    constant.  On each closed piece |N - law| peaks at an end or where the
+    law's derivative changes sign, found here by bisection; N(hi) is taken
+    on its own, since hi may be a breakpoint.
+    """
+    def law(lam):
+        return lead * lam ** (n / 2.0) + second * lam ** ((n - 1) / 2.0)
+
+    def slope(lam):
+        return (0.5 * n * lead * lam ** (n / 2.0 - 1.0)
+                + 0.5 * (n - 1) * second * lam ** ((n - 3) / 2.0))
+
+    def count(lam):
+        value = 0
+        for x, c in zip(breakpoints, cumulative):
+            if x <= lam:
+                value = c
+        return value
+
+    cuts = [lo] + [x for x in breakpoints if lo < x < hi] + [hi]
+    best = abs(count(hi) - law(hi))
+    for left, right in zip(cuts, cuts[1:]):
+        candidates = [left, right]
+        if slope(left) * slope(right) < 0.0:
+            candidates.append(bisect_root(slope, left, right))
+        for lam in candidates:
+            best = max(best, abs(count(left) - law(lam)))
+    return best

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kreinspec import analysis as an
 from kreinspec import discretize as dz
 from kreinspec import spectra as sp
 from kreinspec.errors import InsufficientData, InsufficientEigenvalues
-from oracles import universal_inequalities_oracle
+from oracles import remainder_sup_oracle, universal_inequalities_oracle
 
 
 class TestKozlovCoefficient:
@@ -327,6 +327,96 @@ class TestWeylFit:
             sp.Spectrum(entries=((1.0, 1), (2.0, 3)), kernel_dim=0, complete_below=5.0))
         with pytest.raises(InsufficientData, match="beyond complete range"):
             an.weyl_fit(counting, 2, (1.0, 6.0))
+
+
+@st.composite
+def _remainder_cases(draw):
+    """A step function, a window whose ends may sit on its breakpoints, and a
+    law of either sign, or None for the fitted one."""
+    n = draw(st.integers(1, 4))
+    breakpoints = sorted(draw(st.lists(st.floats(0.01, 1000.0), max_size=30, unique=True)))
+    jumps = draw(st.lists(st.integers(0, 5), min_size=len(breakpoints),
+                          max_size=len(breakpoints)))
+    end = st.floats(0.005, 1200.0)
+    if breakpoints:
+        end = st.one_of(end, st.sampled_from(breakpoints))
+    lo, hi = sorted((draw(end), draw(end)))
+    assume(lo < hi)
+    law = st.tuples(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0))
+    analytic = draw(st.one_of(st.none(), law))
+    return n, breakpoints, np.cumsum(jumps, dtype=np.int64).tolist(), lo, hi, analytic
+
+
+class TestRemainderSup:
+    """remainder_sup is the exact sup of |N - law| over the closed window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_remainder_cases())
+    def test_matches_oracle_and_bounds_dense_samples(self, case):
+        n, breakpoints, cumulative, lo, hi, analytic = case
+        counting = an.CountingFunction(tuple(breakpoints), tuple(cumulative))
+        fit = an.weyl_fit(counting, n, (lo, hi), analytic=analytic)
+        lead, second = fit.analytic_lead, fit.analytic_second
+        want = remainder_sup_oracle(breakpoints, cumulative, n, lo, hi, lead, second)
+        # rounding of the law is relative to its terms, not to the difference
+        scale = abs(lead) * hi ** (n / 2.0) + abs(second) * hi ** ((n - 1) / 2.0) + counting(hi)
+        assert fit.remainder_sup == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+        inside = np.array([x for x in breakpoints if lo < x <= hi])
+        lams = np.concatenate((np.linspace(lo, hi, 10_001), np.nextafter(inside, 0.0)))
+        law = lead * lams ** (n / 2.0) + second * lams ** ((n - 1) / 2.0)
+        assert np.max(np.abs(counting(lams) - law)) <= fit.remainder_sup + 1e-12 * scale
+
+    def test_turning_point_inside_the_window(self):
+        # N = 3 on [1, 100] against lam - 10 lam^(1/2), which turns at
+        # lam* = 25 with value -25; the window ends give only 12
+        counting = an.CountingFunction((0.5,), (3,))
+        fit = an.weyl_fit(counting, 2, (1.0, 100.0), analytic=(1.0, -10.0))
+        assert fit.remainder_sup == 28.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_synthetic_counting_against_its_own_law(self, n):
+        # The synthetic N steps where the law crosses k + 1/2, so the sup of
+        # |N - law| is 1/2.  The bisected breakpoints sit on or just past
+        # the crossing: every value N(lam) stays within 1/2 of the law, and
+        # only the limits just left of the breakpoints exceed 1/2, by
+        # rounding.
+        lead, second = an.two_term_ball_coefficients(n, 1.0, "krein")
+        counting = _synthetic_counting(n, lead, second, 2.2e4)
+        fit = an.weyl_fit(counting, n, (2e3, 2e4), analytic=(lead, second))
+        assert 0.5 < fit.remainder_sup <= 0.5 + 1e-9
+        lams = np.concatenate((np.linspace(2e3, 2e4, 10_001), counting.breakpoints))
+        lams = lams[(lams >= 2e3) & (lams <= 2e4)]
+        law = lead * lams ** (n / 2.0) + second * lams ** ((n - 1) / 2.0)
+        assert np.max(np.abs(counting(lams) - law)) <= 0.5
+
+
+class TestRemainderOrder:
+    """N(lam) = lead lam^(n/2) + O(lam^((n - 1/2)/2)), the paper's remainder,
+    on the unit disk and ball.  Over the dyadic windows [L, 2L], L = 1e5 / 2^j
+    for j = 7..1 (2.1 decades), the exponent fitted to log remainder_sup
+    against log L must be at most (n - 1/2)/2 for the one-term law.  For the
+    two-term law it must be below (n - 1)/2, the one-term order that Ivrii
+    proved (Funct. Anal. Appl. 14 (1980)).
+
+    Measured (one-term / two-term):
+        n = 2  krein 0.499 / 0.275   dirichlet 0.484 / 0.284
+        n = 3  krein 1.001 / 0.782   dirichlet 0.984 / 0.830
+    """
+
+    @pytest.mark.parametrize("which", ["krein", "dirichlet"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_remainder_exponents(self, n, which):
+        lead, second = an.two_term_ball_coefficients(n, 1.0, which)
+        counting = an.ball_counting(sp.BallSpec(n, 1.0), which, 1e5)
+        bottoms = [1e5 / 2**j for j in range(7, 0, -1)]
+
+        def exponent(law):
+            sups = [an.weyl_fit(counting, n, (b, 2.0 * b), analytic=law).remainder_sup
+                    for b in bottoms]
+            return np.polyfit(np.log(bottoms), np.log(sups), 1)[0]
+
+        assert exponent((lead, 0.0)) <= (n - 0.5) / 2.0
+        assert exponent((lead, second)) < (n - 1) / 2.0
 
 
 class TestTwoTermCoefficients:

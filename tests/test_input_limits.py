@@ -231,3 +231,40 @@ def test_flattened_counts_at_the_edges():
     assert spectrum.flattened(0) == []
     assert spectrum.flattened(np.int64(2)) == [1.0, 1.0]
     assert spectrum.flattened(5) == spectrum.flattened() == [1.0, 1.0, 3.0]
+
+
+# The non-finite pairs returned a fit whose remainder slope was NaN; the
+# others failed while unpacking the pair or inside a numpy multiply.
+BAD_LAWS = {
+    "weyl-fit-nan-lead": (NAN, 0.0),
+    "weyl-fit-inf-second": (1.0, -INF),
+    "weyl-fit-three-coefficients": (1.0, 0.0, 0.0),
+    "weyl-fit-string-coefficient": ("1", 0.0),
+}
+
+
+@pytest.mark.parametrize("analytic", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+def test_bad_weyl_law_raises(analytic):
+    with pytest.raises(ValueError, match="analytic must be a pair of finite numbers"):
+        an.weyl_fit(STEPS, 2, (1.0, 4.0), analytic=analytic)
+
+
+# d_{60,l} passes 2^63 - 1 at l = 21; each call raised a bare
+# OverflowError, and the spectra only after a full scan of Bessel zeros.
+OVERFLOWING_MULTIPLICITIES = {
+    "multiplicity-60-40": lambda: sp.ball_multiplicity(60, 40),
+    "ball-spectrum-60": lambda: sp.ball_spectrum(sp.BallSpec(60, 1.0), "krein", 1e4),
+    "ball-counting-60": lambda: an.ball_counting(sp.BallSpec(60, 1.0), "dirichlet", 1e4),
+    "sandwich-60": lambda: an.sandwich_check(60, 1.0, 1e4),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWING_MULTIPLICITIES.values(),
+                         ids=OVERFLOWING_MULTIPLICITIES.keys())
+def test_overflowing_multiplicity_raises_before_the_zero_scan(call, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("Bessel zeros scanned before the multiplicity check")
+
+    monkeypatch.setattr(sp, "_family_zeros", no_scan)
+    with pytest.raises(DomainError, match=r"exceeds 2\^63 - 1"):
+        call()
