@@ -222,17 +222,50 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
     return RadialPencil(diagonal=diag, offdiagonal=off, mass=mass)
 
 
+def _multisect(counts, lo, hi, wanted, floor, is_open=None):
+    """Brackets [a, b) of the eigenvalues with the given 1-based indices.
+
+    counts maps an array of shifts to the Sturm counts there (eigenvalues
+    strictly below each shift), and [lo, hi] holds the whole spectrum.  A
+    bracket is open while its width exceeds its stop, max(1e-13 relative,
+    floor); is_open(a, b, stop), if given, replaces that rule and returns the
+    mask of open brackets.  Each step is one call of counts at about
+    _SWEEP_CELLS shifts, shared evenly by the distinct open brackets (all
+    indices share one at first) with at least 7 in each, and every index
+    keeps the sub-interval that holds it.
+    """
+    a = np.full(wanted.size, lo)
+    b = np.full(wanted.size, hi)
+    live = np.arange(wanted.size)
+    # Open brackets never overlap, so their left ends tell them apart.  Each
+    # step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
+    # bisections.
+    for _ in range(40):
+        left, first, group = np.unique(a[live], return_index=True, return_inverse=True)
+        cells = max(_SWEEP_CELLS // left.size, 8)
+        right = b[live[first]]
+        grid = left[:, None] + (right - left)[:, None] * (np.arange(1, cells) / cells)
+        below = np.sum(counts(grid)[group] < wanted[live, None], axis=1)
+        edges = np.column_stack((left, grid, right))[group]
+        rows = np.arange(live.size)
+        a[live], b[live] = edges[rows, below], edges[rows, below + 1]
+        scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
+        stop = np.maximum(1e-13 * scale, floor)
+        wide = b - a > stop if is_open is None else is_open(a, b, stop)
+        live = live[wide[live]]
+        if not live.size:
+            break
+    return a, b
+
+
 def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     """Lowest nonzero pencil eigenvalues by Sturm multisection.
 
-    All wanted indices are bracketed together, from the Gershgorin interval
-    [lo, hi] down to a width of max(1e-13 relative, eps ||T||) with
-    ||T|| = max(|lo|, |hi|): a Sturm count is exact only for some matrix
-    within about eps ||T|| of T, so narrower brackets would not be more
-    accurate.  Each step is one sturm_count sweep at about _SWEEP_CELLS
-    shifts, shared evenly by the distinct open brackets (all indices share
-    one at first) with at least 7 in each, and every index keeps the
-    sub-interval that holds it.
+    All wanted indices are bracketed together by _multisect, from the
+    Gershgorin interval [lo, hi] down to a width of max(1e-13 relative,
+    eps ||T||) with ||T|| = max(|lo|, |hi|): a Sturm count is exact only for
+    some matrix within about eps ||T|| of T, so narrower brackets would not
+    be more accurate.  Each step is one sturm_count sweep.
 
     The soft endpoint condition carries the channel's one-dimensional kernel
     (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one
@@ -260,30 +293,15 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     alpha = spec.ell + (spec.n - 1) / 2.0
     bound = (alpha / spec.m) ** 2 / 4.0
     wanted = np.arange(1, count + skip + 1)
-    a = np.full(wanted.size, lo)
-    b = np.full(wanted.size, hi)
-    live = np.arange(wanted.size)
-    # Open brackets never overlap, so their left ends tell them apart.  Each
-    # step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
-    # bisections.
-    for _ in range(40):
-        left, first, group = np.unique(a[live], return_index=True, return_inverse=True)
-        cells = max(_SWEEP_CELLS // left.size, 8)
-        right = b[live[first]]
-        grid = left[:, None] + (right - left)[:, None] * (np.arange(1, cells) / cells)
-        below = np.sum(sturm_count(d, e, grid)[group] < wanted[live, None], axis=1)
-        edges = np.column_stack((left, grid, right))[group]
-        rows = np.arange(live.size)
-        a[live], b[live] = edges[rows, below], edges[rows, below + 1]
-        scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
-        stop = np.maximum(1e-13 * scale, floor)
+
+    def is_open(a, b, stop):
         wide = b - a > stop
         if skip:
             wide[0] = (b[0] - a[0] > stop[1]
                        and not max(-a[0], b[0]) <= bound * a[1])
-        live = live[wide[live]]
-        if not live.size:
-            break
+        return wide
+
+    a, b = _multisect(lambda shifts: sturm_count(d, e, shifts), lo, hi, wanted, floor, is_open)
     out = 0.5 * (a + b)
     if skip:
         if not abs(out[0]) <= bound * abs(out[1]):
