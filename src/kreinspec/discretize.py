@@ -46,10 +46,13 @@ __all__ = [
     "convergence_order",
 ]
 
-# Sub-intervals per multisection sweep.  A sweep's cost grows with its
-# shifts, but slowly: at m = 800 one takes about 1.6-1.8 ms at 20 shifts,
-# 1.8-2.0 ms at 128 and 2.8-3.1 ms at 511.  So a sweep that narrows one
-# bracket 512 times costs under twice one that narrows it 21 times.
+# Shifts per multisection sweep, shared evenly by the open brackets: at most
+# 512 while at most 64 are open, past that 7 each.  A sweep's cost grows
+# with its shifts, but slowly: at m = 800 on a 2-CPU Xeon one takes about
+# 1.2-1.6 ms at 8 shifts, 1.7-2.0 ms at 128 and 2.3-2.6 ms at 511, most of
+# it per-row ufunc calls.  So the rational finish spends a bracket's whole
+# share on rungs around its estimate: a radial solve costs sweeps more than
+# shifts.
 _SWEEP_CELLS = 512
 
 
@@ -222,33 +225,111 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
     return RadialPencil(diagonal=diag, offdiagonal=off, mass=mass)
 
 
-def _multisect(counts, lo, hi, wanted, floor, is_open=None):
+def _rational_root(x, y):
+    """Root of the one-pole fit y = (alpha x + beta) / (x - mu) through the
+    three points (x[:, i], y[:, i]) of each row, measured from x[:, 0].
+
+    The fit is exact for a one-pole function, as a Halley step is, without
+    its two derivatives.  Coincident nodes or infinite samples give NaN or
+    inf, which callers reject.
+    """
+    t2, t3 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+    y1, y2, y3 = y.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return x[:, 0] + y1 * t2 * t3 * (y2 - y3) / ((y2 - y1) * y3 * t3 - (y3 - y1) * y2 * t2)
+
+
+def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
     """Brackets [a, b) of the eigenvalues with the given 1-based indices.
 
-    counts maps an array of shifts to the Sturm counts there (eigenvalues
-    strictly below each shift), and [lo, hi] holds the whole spectrum.  A
-    bracket is open while its width exceeds its stop, max(1e-13 relative,
-    floor); is_open(a, b, stop), if given, replaces that rule and returns the
-    mask of open brackets.  Each step is one call of counts at about
-    _SWEEP_CELLS shifts, shared evenly by the distinct open brackets (all
-    indices share one at first) with at least 7 in each, and every index
-    keeps the sub-interval that holds it.
+    sweep maps an array of shifts to the Sturm counts there (eigenvalues
+    strictly below each shift) and the last LDL^T pivots, and [lo, hi]
+    holds the whole spectrum.  A bracket is open while its width exceeds its
+    stop, max(1e-13 relative, floor); is_open(a, b, stop), if given,
+    replaces that rule and returns the mask of open brackets.  Each step is
+    one sweep at about _SWEEP_CELLS shifts, shared evenly by the distinct
+    open brackets (all indices share one at first) with at least 7 in each,
+    and every index keeps the sub-interval that holds it.
+
+    A bracket whose end counts differ by 1 and whose last pivot q is
+    positive at a and negative at b is isolated: q decreases strictly
+    between its poles, which interlace the eigenvalues, so a pole in (a, b]
+    would force a second zero and with it a second eigenvalue.  So q is
+    continuous there, and the root of a one-pole fit through q at both ends
+    and at the nearer outside neighbour of the last sweep estimates the
+    eigenvalue.  The next sweep places that estimate, geometric rungs on both
+    sides from stop/64 out to the bracket ends, and the 7 interior points of
+    an 8-cell split, so every bracket still shrinks at least 8 times.  The
+    counts alone choose every sub-interval, and a missing or outside
+    estimate falls back to the even split.  Rungs from stop/64 rather than
+    stop/4 leave the last bracket a median 0.09 of the floor wide instead of
+    0.23, so the midpoint adds little to the count's own rounding; they cost
+    0.14 sweeps per radial-fd benchmark job.
     """
-    a = np.full(wanted.size, lo)
-    b = np.full(wanted.size, hi)
-    live = np.arange(wanted.size)
+    size = wanted.size
+    a, b = np.full(size, lo), np.full(size, hi)
+    # Counts and last pivots at the bracket ends; the Gershgorin ends are
+    # never swept, so their pivots are unknown.  No index exceeds `most`.
+    most = np.iinfo(np.intp).max
+    ca, cb = np.zeros(size, dtype=np.intp), np.full(size, most)
+    pa, pb = np.full(size, np.nan), np.full(size, np.nan)
+    guess = np.full(size, np.nan)
+    stop = np.full(size, floor)
+    live = np.arange(size)
     # Open brackets never overlap, so their left ends tell them apart.  Each
     # step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
     # bisections.
     for _ in range(40):
         left, first, group = np.unique(a[live], return_index=True, return_inverse=True)
+        head = live[first]
+        right = b[head]
         cells = max(_SWEEP_CELLS // left.size, 8)
-        right = b[live[first]]
-        grid = left[:, None] + (right - left)[:, None] * (np.arange(1, cells) / cells)
-        below = np.sum(counts(grid)[group] < wanted[live, None], axis=1)
-        edges = np.column_stack((left, grid, right))[group]
+        grid = np.full((left.size, cells), np.nan)
+        est = guess[head]
+        fin = np.isfinite(est)
+        grid[~fin, :cells - 1] = (left[~fin, None] + (right - left)[~fin, None]
+                                  * (np.arange(1, cells) / cells))
+        if fin.any():
+            est, gap = est[fin, None], stop[head[fin], None] / 64.0
+            lf, rf = left[fin, None], right[fin, None]
+            steps = (cells - 8) // 2
+            rungs = np.arange(steps) / max(steps, 1)
+            shifts = np.hstack((lf + (rf - lf) * (np.arange(1, 8) / 8), est,
+                                est - gap * ((est - lf) / gap) ** rungs,
+                                est + gap * ((rf - est) / gap) ** rungs))
+            shifts[~((lf < shifts) & (shifts < rf))] = np.nan
+            grid[fin, :shifts.shape[1]] = shifts
+        grid.sort(axis=1)
+        swept = ~np.isnan(grid)
+        counts, pivots = np.empty(grid.shape, dtype=np.intp), np.empty(grid.shape)
+        counts[swept], pivots[swept] = sweep(grid[swept])
+        # unused slots, sorted last, become copies of the right end
+        grid = np.where(swept, grid, right[:, None])
+        counts = np.where(swept, counts, cb[head, None])
+        pivots = np.where(swept, pivots, pb[head, None])
+        below = np.sum(counts[group] < wanted[live, None], axis=1)
+        xs = np.column_stack((left, grid, right, right))[group]
+        cs = np.column_stack((ca[head], counts, cb[head], cb[head]))[group]
+        ps = np.column_stack((pa[head], pivots, pb[head], pb[head]))[group]
         rows = np.arange(live.size)
-        a[live], b[live] = edges[rows, below], edges[rows, below + 1]
+        a[live], b[live] = xs[rows, below], xs[rows, below + 1]
+        ca[live], cb[live] = cs[rows, below], cs[rows, below + 1]
+        pa[live], pb[live] = ps[rows, below], ps[rows, below + 1]
+        # the nearer outside neighbour with a known pivot, left on ties
+        near_left = np.full(live.size, np.inf)
+        near_left[below > 0] = (xs[rows, below] - xs[rows, below - 1])[below > 0]
+        near_right = xs[rows, below + 2] - xs[rows, below + 1]
+        near_left[np.isnan(ps[rows, below - 1])] = np.inf
+        near_right[(near_right == 0.0) | np.isnan(ps[rows, below + 2])] = np.inf
+        outer = np.where(near_left <= near_right, below - 1, below + 2)
+        # measured from the end with the smaller pivot, the nearer one
+        near = np.where(abs(pa[live]) <= abs(pb[live]), below, below + 1)
+        cols = np.column_stack((near, 2 * below + 1 - near, outer))
+        root = _rational_root(xs[rows[:, None], cols], ps[rows[:, None], cols])
+        isolated = ((cb[live] - ca[live] == 1) & (pa[live] > 0.0) & (pb[live] < 0.0)
+                    & (a[live] < root) & (root < b[live])
+                    & np.isfinite(np.minimum(near_left, near_right)))
+        guess[live] = np.where(isolated, root, np.nan)
         scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
         stop = np.maximum(1e-13 * scale, floor)
         wide = b - a > stop if is_open is None else is_open(a, b, stop)
@@ -265,7 +346,14 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     Gershgorin interval [lo, hi] down to a width of max(1e-13 relative,
     eps ||T||) with ||T|| = max(|lo|, |hi|): a Sturm count is exact only for
     some matrix within about eps ||T|| of T, so narrower brackets would not
-    be more accurate.  Each step is one sturm_count sweep.
+    be more accurate.  Each step is one sturm_count sweep, which also
+    returns the last LDL^T pivot q_m at every shift.  Once a bracket holds
+    one eigenvalue and q_m > 0 > q_m at its ends, q_m has no pole inside it
+    (a pole would force a second zero, so a second eigenvalue), and the
+    next sweep centres its shifts on the root of a one-pole rational fit to
+    q_m; see _multisect.  The counts alone still choose every bracket.  At
+    m = 800 a count-1 call takes 5 sweeps and a count-20 call 6, on either
+    condition.
 
     The soft endpoint condition carries the channel's one-dimensional kernel
     (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one
@@ -301,7 +389,8 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
                        and not max(-a[0], b[0]) <= bound * a[1])
         return wide
 
-    a, b = _multisect(lambda shifts: sturm_count(d, e, shifts), lo, hi, wanted, floor, is_open)
+    a, b = _multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True),
+                      lo, hi, wanted, floor, is_open)
     out = 0.5 * (a + b)
     if skip:
         if not abs(out[0]) <= bound * abs(out[1]):

@@ -17,7 +17,10 @@ infinities and signed zeros in place of a pivot floor, so it needs no tuning
 constant.  The sweep takes the rows in fixed row blocks: a block's d_i - lam
 for every shift come from one broadcast, each row then costs at most two
 ufunc calls, and the block's sign bits are counted at once, in scratch
-memory of a few row blocks times the number of shifts.
+memory of a few row blocks times the number of shifts.  The same sweep can
+also return each shift's last pivot, det(T - lam) / det(T_{m-1} - lam),
+which radial multisection fits to finish an isolated bracket: it costs no
+ufunc call beyond the count's.
 """
 
 from __future__ import annotations
@@ -225,7 +228,7 @@ def spd_sqrt(s) -> SymMatrix:
     return SymMatrix(root)
 
 
-def sturm_count(diag, offdiag, lam):
+def sturm_count(diag, offdiag, lam, *, last_pivot=False):
     """Number of eigenvalues strictly below lam for a symmetric tridiagonal.
 
     lam is one shift, which gives an int, or an array of shifts, which gives
@@ -245,6 +248,14 @@ def sturm_count(diag, offdiag, lam):
     into its pivot in place by two ufunc calls (a row where T splits already
     is its pivot), and the block's sign bits are summed at once.  Scratch
     memory is about two row blocks by the number of shifts.
+
+    With last_pivot=True the result is the pair (counts, pivots), pivots
+    holding the last pivot q_m(lam) = det(T - lam) / det(T_{m-1} - lam) of
+    each shift (a float for one shift), taken from the same sweep; the
+    counts are the same bits either way.  Between its poles, the
+    eigenvalues of T_{m-1}, q_m decreases strictly, and its zeros are
+    eigenvalues of T.  A zero off-diagonal restarts the pivots, so q_m then
+    belongs to the last diagonal block alone.
     """
     # + 0.0 turns a -0 diagonal entry into +0, so no pivot is ever -0
     d = np.asarray(diag, dtype=float) + 0.0
@@ -277,4 +288,8 @@ def sturm_count(diag, offdiag, lam):
             np.signbit(q[1:size + 1], sign[:size])
             count += sign[:size].view(np.uint8).sum(axis=0, dtype=np.uint8)
             rows[0][:] = rows[size]
-    return int(count[0]) if shifts.ndim == 0 else count.reshape(shifts.shape)
+    if shifts.ndim == 0:
+        count = int(count[0])
+        return (count, float(q[0, 0])) if last_pivot else count
+    count = count.reshape(shifts.shape)
+    return (count, q[0].reshape(shifts.shape).copy()) if last_pivot else count

@@ -356,6 +356,25 @@ class TestSturmBlocks:
         grid = la.sturm_count(d, e, BOUNDARY_SHIFTS.reshape(2, 4))
         assert grid.tolist() == np.reshape(want, (2, 4)).tolist()
 
+    @pytest.mark.parametrize("d, e", [case[1:] for case in BOUNDARY_CASES],
+                             ids=[case[0] for case in BOUNDARY_CASES])
+    def test_last_pivot_equals_scalar_reference(self, d, e):
+        # the same sweep's last pivot, bit for bit, with unchanged counts; the
+        # cases hold zero pivots (then -inf next) and zero off-diagonals
+        shifts = np.concatenate((BOUNDARY_SHIFTS, [0.0, -0.0, np.inf, -np.inf]))
+        want = [sturm_pivots_oracle(d, e, lam)[-1] for lam in shifts]
+        counts, pivots = la.sturm_count(d, e, shifts, last_pivot=True)
+        assert counts.tolist() == la.sturm_count(d, e, shifts).tolist()
+        assert pivots.shape == shifts.shape and pivots.dtype == float
+        assert [p.hex() for p in pivots.tolist()] == [w.hex() for w in want]
+        scalar = [la.sturm_count(d, e, lam, last_pivot=True) for lam in shifts]
+        assert [c for c, _ in scalar] == counts.tolist()
+        assert all(type(c) is int and type(p) is float for c, p in scalar)
+        assert [p.hex() for _, p in scalar] == [w.hex() for w in want]
+        grid_counts, grid_pivots = la.sturm_count(d, e, shifts.reshape(3, 4), last_pivot=True)
+        assert grid_counts.tolist() == counts.reshape(3, 4).tolist()
+        assert [p.hex() for p in grid_pivots.ravel().tolist()] == [w.hex() for w in want]
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
