@@ -36,7 +36,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InsufficientData, InsufficientEigenvalues
+from .errors import DomainError, InsufficientData, InsufficientEigenvalues
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
 from .spectra import _require_dimension
@@ -213,6 +213,18 @@ def two_term_ball_coefficients(n: int, radius: float, which: str):
     return lead, second
 
 
+def _ldexp(x: float, exp: int) -> float:
+    """x * 2^exp exactly, or DomainError where that is no double (NaN, or
+    out of range)."""
+    try:
+        y = math.ldexp(x, exp)
+        if math.ldexp(y, -exp) == x:
+            return y
+    except OverflowError:
+        pass
+    raise DomainError(f"Weyl coefficient {x!r} * 2^{exp} is not a finite double")
+
+
 _WEYL_SAMPLES = 240  # log-uniform sample points of weyl_fit
 
 
@@ -240,7 +252,11 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     fitted pair otherwise.  N is constant between breakpoints, so the sup is
     a max over the window ends, both one-sided limits of every breakpoint in
     (lo, hi], and the law's one turning point lambda* = ((n-1) b / (n a))^2,
-    which exists when a b < 0 and counts when it lies in the window.
+    which exists when a b < 0 and counts when it lies in the window.  Both
+    the fit and the law are evaluated in lambda / 2^k with 2^k near hi, so
+    lambda^(n/2) never overflows on the way.  A coefficient that does not
+    scale back to a double exactly, or a remainder that is not finite,
+    raises DomainError.
     """
     _require_dimension(n, 1)
     lo, hi = float(window[0]), float(window[1])
@@ -256,30 +272,47 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
         raise ValueError(f"analytic must be a pair of finite numbers, got {analytic!r}")
     lams = np.exp(np.linspace(math.log(lo), math.log(hi), _WEYL_SAMPLES))
     counts = counting(lams).astype(float)
-    x1 = lams ** (n / 2.0)
-    x2 = lams ** ((n - 1) / 2.0)
-    # 2x2 normal equations, solved in closed form
-    a11, a12, a22 = float(x1 @ x1), float(x1 @ x2), float(x2 @ x2)
-    b1, b2 = float(x1 @ counts), float(x2 @ counts)
-    det = a11 * a22 - a12 * a12
-    c_lead = (a22 * b1 - a12 * b2) / det
-    c_second = (a11 * b2 - a12 * b1) / det
+    # Fit and evaluate in mu = lambda / 2^k, 2^k near hi with k even: the
+    # powers of mu stay near 1 where lambda^(n/2) would overflow, and the
+    # coefficients scale back by the exact powers of two 2^(k n/2) and
+    # 2^(k (n-1)/2).
+    k = math.frexp(hi)[1]
+    k -= k % 2
+    lead_exp, second_exp = k // 2 * n, k // 2 * (n - 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = np.ldexp(lams, -k)
+        x1 = mu ** (n / 2.0)
+        x2 = mu ** ((n - 1) / 2.0)
+        # 2x2 normal equations, solved in closed form
+        a11, a12, a22 = x1 @ x1, x1 @ x2, x2 @ x2
+        b1, b2 = x1 @ counts, x2 @ counts
+        det = a11 * a22 - a12 * a12
+        fit_lead = (a22 * b1 - a12 * b2) / det
+        fit_second = (a11 * b2 - a12 * b1) / det
+    c_lead = _ldexp(float(fit_lead), -lead_exp)
+    c_second = _ldexp(float(fit_second), -second_exp)
 
     if analytic is None:
         analytic = (c_lead, c_second)
     a_lead, a_second = analytic
-    # the law turns where sqrt(lam) = ratio > 0; clamped to the window, a
+    law_lead, law_second = _ldexp(float(a_lead), lead_exp), _ldexp(float(a_second), second_exp)
+    # the law turns where sqrt(mu) = ratio > 0; clamped to the window, a
     # turning point outside it becomes a window end
-    ratio = (1 - n) * a_second / (n * a_lead) if a_lead else 0.0
-    turn = min(max(ratio * ratio, lo), hi) if ratio > 0.0 else lo
+    lo_mu, hi_mu = math.ldexp(lo, -k), math.ldexp(hi, -k)
+    ratio = (1 - n) * law_second / (n * law_lead) if law_lead else 0.0
+    turn = min(max(ratio * ratio, lo_mu), hi_mu) if ratio > 0.0 else lo_mu
     at = np.arange(*np.searchsorted(counting.breakpoints, (lo, hi), side="right"))
-    points = np.concatenate(((lo, hi, turn), counting.breakpoints[at]))
-    law = a_lead * points ** (n / 2.0) + a_second * points ** ((n - 1) / 2.0)
+    points = np.concatenate(((lo, hi, math.ldexp(turn, k)), counting.breakpoints[at]))
+    mu = np.ldexp(points, -k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        law = law_lead * mu ** (n / 2.0) + law_second * mu ** ((n - 1) / 2.0)
     value = counting(points)
     # N just left of each point: the previous prefix sum (0 before the
     # first) at a breakpoint, N itself at the three window points
     left = np.concatenate((value[:3], np.where(at > 0, counting.cumulative[at - 1], 0)))
     remainder_sup = float(np.max(np.maximum(np.abs(value - law), np.abs(left - law))))
+    if not math.isfinite(remainder_sup):
+        raise DomainError(f"Weyl remainder in dimension {n} on ({lo}, {hi}) is not finite")
     return WeylFit(
         n=n,
         c_lead=float(c_lead),

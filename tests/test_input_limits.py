@@ -9,6 +9,7 @@ from kreinspec import extensions as ext
 from kreinspec import special
 from kreinspec import spectra as sp
 from kreinspec.errors import DomainError, InsufficientData
+from oracles import remainder_sup_oracle
 
 INF, NAN = math.inf, math.nan
 UNIT_BALL = sp.BallSpec(2, 1.0)
@@ -248,6 +249,38 @@ def test_bad_weyl_law_raises(analytic):
     with pytest.raises(ValueError, match="analytic must be a pair of finite numbers"):
         an.weyl_fit(STEPS, 2, (1.0, 4.0), analytic=analytic)
 
+
+# Past lambda^n ~ 1e308 the normal equations overflowed at x1 @ x1, and the
+# fit returned NaN coefficients after a RuntimeWarning.  The fit now runs in
+# lambda / 2^k, 2^k near the window top, so this one is finite.
+TWO_STEPS = an.CountingFunction((1.0, 2.0), (1, 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weyl_fit_past_the_double_range_of_lambda_powers():
+    fit = an.weyl_fit(TWO_STEPS, 300, (1.0, 20.0))
+    assert math.isfinite(fit.c_lead) and math.isfinite(fit.c_second)
+    want = remainder_sup_oracle([1.0, 2.0], [1, 3], 300, 1.0, 20.0, fit.c_lead, fit.c_second)
+    assert fit.remainder_sup == pytest.approx(want, rel=1e-12)
+
+
+# Coefficients that are no double even when the fit is scaled: c_lead about
+# -9e-44 * 2^-2000, about -1e15 * 2^149100, and normal equations that
+# overflow in mu^(n/2) itself.
+UNREPRESENTABLE_WEYL_FITS = {
+    "weyl-fit-lead-underflows": lambda: an.weyl_fit(TWO_STEPS, 1000, (1.0, 20.0)),
+    "weyl-fit-lead-overflows": lambda: an.weyl_fit(
+        an.CountingFunction((1e-300, 2e-300), (1, 3)), 300, (1e-300, 5e-300)),
+    "weyl-fit-normal-equations-overflow": lambda: an.weyl_fit(TWO_STEPS, 2000, (1.0, 20.0)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", UNREPRESENTABLE_WEYL_FITS.values(),
+                         ids=UNREPRESENTABLE_WEYL_FITS.keys())
+def test_unrepresentable_weyl_fit_raises_domain_error(call):
+    with pytest.raises(DomainError, match="not a finite double"):
+        call()
 
 # d_{60,l} passes 2^63 - 1 at l = 21; each call raised a bare
 # OverflowError, and the spectra only after a full scan of Bessel zeros.
