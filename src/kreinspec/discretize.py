@@ -184,13 +184,6 @@ class RadialPencil:
     offdiagonal: np.ndarray
     mass: np.ndarray
 
-    def k_matrix(self) -> SymMatrix:
-        a = np.diag(self.diagonal)
-        idx = np.arange(self.diagonal.size - 1)
-        a[idx, idx + 1] = self.offdiagonal
-        a[idx + 1, idx] = self.offdiagonal
-        return SymMatrix(a)
-
     def reduced_tridiagonal(self):
         """Congruence by the inverse mass square root, staying tridiagonal."""
         root = np.sqrt(self.mass)

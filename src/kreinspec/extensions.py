@@ -21,17 +21,18 @@ only in D) is intentionally not asserted anywhere: every matrix here is
 everywhere defined, so domain intersections carry no information in the
 finite model.
 
-Two independent constructions of the Krein extension are always computed and
-cross-checked: the piecewise one (equal to A on D, zero on (A D)^perp) is
-the canonical output because it exercises the direct-sum domain splitting
-literally; the closed form A^(1/2) P A^(1/2), with P the orthogonal
-projector onto A^(1/2) D, validates it.
+The Krein extension is built once, as the closed form A^(1/2) P A^(1/2)
+with P the orthogonal projector onto A^(1/2) D (Ando & Nishio, Tohoku
+Math. J. 22 (1970)), and checked against its definition: equal to A on D
+and zero on ker(S*) = (A D)^perp.  The ambient space is the direct sum of
+D and ker(S*), so those two residuals determine the matrix, and the check
+is complete.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -62,14 +63,12 @@ from .tolerances import DEFAULT, ToleranceProfile
 __all__ = [
     "ExtensionModel",
     "ExtensionResult",
-    "ReducedKrein",
     "BucklingReport",
     "new_model",
     "friedrichs",
     "adjoint_kernel",
     "krein",
     "parametrized_extension",
-    "reduced_krein",
     "buckling_analysis",
     "pencil_values",
     "order_compare",
@@ -106,7 +105,7 @@ class ExtensionResult:
     matrix: SymMatrix
     kind: str                     # "friedrichs" | "krein" | "parametrized"
     kernel_basis: np.ndarray      # N x k, orthonormal (k may be 0)
-    construction_gap: float = 0.0  # krein: piecewise vs closed-form mismatch
+    construction_gap: float = 0.0  # krein: larger of its two defining residuals
     w_basis: np.ndarray | None = None   # parametrized: the subspace W
     b_matrix: SymMatrix | None = None   # parametrized: the parameter B
 
@@ -118,15 +117,6 @@ class ExtensionResult:
         if self.kernel_basis.shape[1] == 0:
             return 0.0
         return max_norm(self.matrix.array @ self.kernel_basis)
-
-
-@dataclass(frozen=True)
-class ReducedKrein:
-    """Krein extension compressed to the complement of its kernel."""
-
-    basis: np.ndarray        # N x d, orthonormal columns spanning (ker S_K)^perp
-    matrix: SymMatrix        # d x d compression, positive definite
-    skinv_residual: float    # inverse-formula defect against compressed A^{-1}
 
 
 @dataclass(frozen=True)
@@ -224,42 +214,35 @@ def _extension_from_action(span: np.ndarray, images: np.ndarray) -> np.ndarray:
 def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> ExtensionResult:
     """The smallest extension: equal to A on D and zero on (A D)^perp.
 
-    Assembled piecewise from that definition, then cross-checked against the
-    independent closed form A^(1/2) P A^(1/2) with P projecting onto
-    A^(1/2) D; a mismatch beyond construction_rel * max|A| is a bug, never a
-    math failure, and raises ConstructionMismatch.
+    Built as the closed form A^(1/2) P A^(1/2) with P projecting onto
+    A^(1/2) D, then checked against that definition: extends_residual and
+    kernel_residual, the latter on the adjoint_kernel basis it returns.  A
+    residual beyond construction_rel * max|A| is a bug, never a math
+    failure, and raises ConstructionMismatch; the larger residual is the
+    result's construction_gap.
 
     `profile` sets only construction_rel and the Gram floor's
     cholesky_pivot_rel; the callees read tolerances.DEFAULT.  It stays
     because the benchmark's tracer reads profile.construction_rel.
     """
-    a = model.A.array
-    q = model.domain_basis
-    kernel = adjoint_kernel(model)
-    span = np.concatenate((q, kernel), axis=1)
-    images = np.concatenate((a @ q, np.zeros_like(kernel)), axis=1)
-    piecewise = SymMatrix(_extension_from_action(span, images))
-
     # P = Q_h Q_h^T from the QR of A^(1/2) Q, so A^(1/2) P A^(1/2) = F F^T
     # with F = A^(1/2) Q_h.  The floor is the Cholesky pivot floor of the
     # Gram matrix Q^T A Q, whose pivots are the squares of |R_jj|.
     root = spd_sqrt(model.A).array
     rel_floor = math.sqrt(model.domain_dim * profile.cholesky_pivot_rel)
-    half_dom = _qr_split(root @ q, rel_floor, NotPositiveDefinite)[0]
+    half_dom = _qr_split(root @ model.domain_basis, rel_floor, NotPositiveDefinite)[0]
     factor = root @ half_dom
-    closed_form = factor @ factor.T
-
-    gap = max_norm(piecewise.array - closed_form)
+    result = ExtensionResult(
+        matrix=SymMatrix(factor @ factor.T),
+        kind="krein",
+        kernel_basis=adjoint_kernel(model),
+    )
+    gap = max(result.extends_residual(model), result.kernel_residual())
     if gap > profile.construction_rel * model.A.norm_max:
         raise ConstructionMismatch(
-            f"piecewise vs closed-form Krein matrices differ by {gap:.3e}"
+            f"Krein matrix misses its defining action by {gap:.3e}"
         )
-    return ExtensionResult(
-        matrix=piecewise,
-        kind="krein",
-        kernel_basis=kernel,
-        construction_gap=gap,
-    )
+    return replace(result, construction_gap=gap)
 
 
 def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult:
@@ -346,25 +329,6 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     )
 
 
-def reduced_krein(model: ExtensionModel) -> ReducedKrein:
-    """Compression of the Krein extension to the complement of its kernel.
-
-    The inverse formula is reported as a residual: the inverse of the
-    compressed Krein matrix should equal the compression of A^{-1} to the
-    same subspace.
-    """
-    kr = krein(model)
-    aq = model.A.array @ model.domain_basis
-    basis = _qr_split(aq, model.ambient_dim * DEFAULT.rank_rel, SingularDecomposition)[0]
-    compressed = SymMatrix(basis.T @ kr.matrix.array @ basis)
-    low = cholesky(compressed)
-    inv_compressed = SymMatrix(_cholesky_inverse(low))
-    a_low = cholesky(model.A)
-    a_inv_compressed = basis.T @ solve_cholesky(a_low, basis)
-    resid = max_norm(inv_compressed.array - a_inv_compressed)
-    return ReducedKrein(basis=basis, matrix=compressed, skinv_residual=float(resid))
-
-
 def _pencil(model: ExtensionModel):
     """The scale s, and A Q, Q^T A^2 Q and Q^T A Q for the rescaled A / s.
 
@@ -395,7 +359,10 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
       krein_vs_pencil      nonzero Krein eigenvalues against pencil values
                            (relative, exact at matrix level up to roundoff)
       unitary_equivalence  inverse of the compressed Krein matrix against
-                           the T operator expressed in the isometry basis
+                           the T operator expressed in the isometry basis;
+                           T = U^T A^{-1} U, so this checks that the Krein
+                           matrix and A^{-1} compressed to ran(A D) are
+                           inverse to each other
       reciprocal_spectrum  eigenvalues of T against reciprocal pencil values
     """
     scale, aq, g_a, g_b = _pencil(model)

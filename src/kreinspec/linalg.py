@@ -6,8 +6,7 @@ contracts around them: exactly symmetric input, ascending eigenvalues, the
 Cholesky pivot floor, the PSD clamp of the square root, and typed errors in
 place of LinAlgError.  Each Cholesky factor is inverted at most once, by one
 solve, and the inverse is then applied by GEMM.  Spectra the library needs
-only the values of come from eigvalsh; the public sym_eigen_values keeps the
-full driver, so it matches sym_eigen bitwise.  Exact symmetry comes from
+only the values of come from eigvalsh.  Exact symmetry comes from
 SymMatrix alone: it is the only code that averages a matrix with its
 transpose, every routine here wraps a plain array in one, and a SymMatrix
 argument is used as is.  The Sturm count for symmetric tridiagonals is
@@ -38,7 +37,6 @@ __all__ = [
     "cholesky",
     "solve_cholesky",
     "sym_eigen",
-    "sym_eigen_values",
     "gen_sym_eigen",
     "gen_sym_eigen_values",
     "spd_sqrt",
@@ -97,14 +95,6 @@ class EigenDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray  # columns orthonormal (B-orthonormal for pencils)
-
-    def residual(self, a) -> float:
-        a = _as_sym(a).array
-        return max_norm(a @ self.vectors - self.vectors * self.values)
-
-    def orthonormality_defect(self) -> float:
-        v = self.vectors
-        return max_norm(v.T @ v - np.eye(v.shape[1]))
 
 
 def cholesky(s) -> np.ndarray:
@@ -166,15 +156,6 @@ def sym_eigen(s) -> EigenDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors, by LAPACK syevd."""
     values, vectors = _eigh(_as_sym(s).array)
     return EigenDecomposition(values=values, vectors=vectors)
-
-
-def sym_eigen_values(s) -> np.ndarray:
-    """Eigenvalues only, ascending.
-
-    Runs the same driver as sym_eigen, so the two agree bitwise; eigvalsh
-    differs in the last bits.
-    """
-    return _eigh(_as_sym(s).array)[0]
 
 
 def _reduce_pencil(a_pen, b_pen):

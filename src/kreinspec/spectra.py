@@ -118,9 +118,9 @@ class Spectrum:
             raise ValueError(f"count must be an integer >= 0 or None, got {count!r}")
         out = []
         for v, m in self.entries:
+            if count is not None and len(out) + m >= count:
+                return out + [v] * (count - len(out))
             out.extend([v] * m)
-            if count is not None and len(out) >= count:
-                return out[:count]
         return out
 
 

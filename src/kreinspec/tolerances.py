@@ -21,7 +21,7 @@ class ToleranceProfile:
     # extension-core
     extension_residual_rel: float = 1e-10  # extends-S and kernel residuals
     adjoint_kernel_rel: float = 1e-11      # orthogonality of ker(S*) columns to A*D
-    construction_rel: float = 1e-9         # piecewise vs Ando-Nishio mismatch
+    construction_rel: float = 1e-9         # Krein closed form against its definition
     rank_rel: float = 1e-12                # spanning-set smallest/largest singular value
     # exact spectra
     merge_rel: float = 1e-11               # cross-channel coincident-eigenvalue merge

@@ -15,7 +15,7 @@ from kreinspec.errors import (
 )
 from kreinspec import discretize as dz
 from kreinspec import extensions as ext
-from kreinspec.linalg import SymMatrix, max_norm, sym_eigen_values
+from kreinspec.linalg import SymMatrix, max_norm, sym_eigen
 
 A2 = [[2.0, 1.0], [1.0, 2.0]]
 E1 = [[1.0], [0.0]]
@@ -141,7 +141,7 @@ class TestKrein:
     def test_hand_case(self, model2):
         kr = ext.krein(model2)
         np.testing.assert_allclose(kr.matrix.array, [[2.0, 1.0], [1.0, 0.5]], atol=1e-13)
-        np.testing.assert_allclose(sym_eigen_values(kr.matrix), [0.0, 2.5], atol=1e-13)
+        np.testing.assert_allclose(sym_eigen(kr.matrix).values, [0.0, 2.5], atol=1e-13)
         assert kr.construction_gap <= 1e-10 * model2.A.norm_max
 
     def test_identity_gives_projector(self):
@@ -161,7 +161,7 @@ class TestKrein:
         scale = m.A.norm_max
         assert kr.extends_residual(m) <= 1e-10 * scale
         assert kr.kernel_residual() <= 1e-10 * scale
-        assert sym_eigen_values(kr.matrix)[0] >= -1e-10 * scale
+        assert sym_eigen(kr.matrix).values[0] >= -1e-10 * scale
         assert kr.kernel_basis.shape[1] == n - d
 
 
@@ -181,7 +181,7 @@ class TestParametrized:
         ker = ext.adjoint_kernel(model2)
         pe = ext.parametrized_extension(model2, ker, [[1.0]])
         assert pe.matrix.array[1, 1] == pytest.approx(13.0 / 11.0, abs=1e-12)
-        assert sym_eigen_values(pe.matrix)[0] > 0.0
+        assert sym_eigen(pe.matrix).values[0] > 0.0
         assert pe.kernel_basis.shape[1] == 0
 
     def test_kernel_equals_parameter_kernel(self):
@@ -217,7 +217,7 @@ class TestParametrized:
         w = ker[:, :2]
         pe = ext.parametrized_extension(m, w, np.diag([0.5, 3.0]))
         assert pe.extends_residual(m) <= 1e-10 * m.A.norm_max
-        assert sym_eigen_values(pe.matrix)[0] >= -1e-10 * m.A.norm_max
+        assert sym_eigen(pe.matrix).values[0] >= -1e-10 * m.A.norm_max
 
 
 class TestParametrizedAssemblyChecks:
@@ -238,26 +238,52 @@ class TestParametrizedAssemblyChecks:
             ext.parametrized_extension(m, w, np.eye(2))
 
 
+class TestKreinConstructionCheck:
+    def test_perturbed_root_raises(self, monkeypatch):
+        # a square root off by 1e-6 max|root| in one entry moves the closed
+        # form off A on D far beyond construction_rel * max|A|
+        m = ext.random_model(3, 12, 8)
+        ext.krein(m)
+        sqrt = ext.spd_sqrt
+
+        def shifted(s):
+            root = sqrt(s).array.copy()
+            root[0, 0] += 1e-6 * max_norm(root)
+            return SymMatrix(root)
+
+        monkeypatch.setattr(ext, "spd_sqrt", shifted)
+        with pytest.raises(ConstructionMismatch, match="defining action"):
+            ext.krein(m)
+
+
+def reduced_krein(model):
+    """The Krein matrix compressed to ran(A D), its orthonormal basis, and
+    the inverse-formula defect: the compression inverted against the
+    compression of A^{-1}, both formed here with plain numpy."""
+    basis = np.linalg.qr(model.A.array @ model.domain_basis)[0]
+    compressed = basis.T @ ext.krein(model).matrix.array @ basis
+    a_inv = basis.T @ np.linalg.solve(model.A.array, basis)
+    return basis, compressed, max_norm(np.linalg.inv(compressed) - a_inv)
+
+
 class TestReducedKrein:
     def test_hand_case(self, model2):
-        rk = ext.reduced_krein(model2)
-        np.testing.assert_allclose(rk.matrix.array, [[2.5]], atol=1e-13)
+        basis, compressed, defect = reduced_krein(model2)
+        np.testing.assert_allclose(compressed, [[2.5]], atol=1e-13)
         direction = np.array([2.0, 1.0]) / math.sqrt(5.0)
         assert min(
-            max_norm(rk.basis[:, 0] - direction), max_norm(rk.basis[:, 0] + direction)
+            max_norm(basis[:, 0] - direction), max_norm(basis[:, 0] + direction)
         ) <= 1e-14
         # compression of A^{-1}: (2,1) A^{-1} (2,1)^T / 5 = 2/5 = 1/2.5
-        assert rk.skinv_residual <= 1e-12
+        assert defect <= 1e-12
 
     def test_identity(self):
-        m = ext.new_model(np.eye(2), E1)
-        rk = ext.reduced_krein(m)
-        np.testing.assert_allclose(rk.matrix.array, [[1.0]], atol=1e-15)
-        assert rk.skinv_residual <= 1e-15
+        _, compressed, defect = reduced_krein(ext.new_model(np.eye(2), E1))
+        np.testing.assert_allclose(compressed, [[1.0]], atol=1e-15)
+        assert defect <= 1e-15
 
     def test_random_inverse_formula(self):
-        rk = ext.reduced_krein(ext.random_model(7, 16, 12))
-        assert rk.skinv_residual <= 1e-9
+        assert reduced_krein(ext.random_model(7, 16, 12))[2] <= 1e-9
 
 
 class TestBuckling:
@@ -287,7 +313,7 @@ class TestBuckling:
         m = ext.random_model(13, 12, 7)
         rep = ext.buckling_analysis(m)
         assert np.all(rep.pencil_values > 0.0)
-        t_norm = max(abs(v) for v in sym_eigen_values(rep.t_matrix))
+        t_norm = max(abs(v) for v in sym_eigen(rep.t_matrix).values)
         assert t_norm <= 1.0 / m.epsilon + 1e-10
         gram = rep.isometry.T @ rep.isometry
         assert max_norm(gram - np.eye(m.domain_dim)) <= 1e-10
@@ -304,11 +330,12 @@ class TestBuckling:
             assert max_norm(kr @ v - lam * v) <= 1e-9 * scale * max_norm(v)
 
     def test_domination_of_reduced_by_ambient(self):
-        # ascending eigenvalues: mu_j(A) <= mu_j(reduced Krein)
+        # ascending eigenvalues: mu_j(A) <= mu_j(reduced Krein), the
+        # pencil values
         for seed in range(5):
             m = ext.random_model(seed + 100, 10, 7)
-            mu_f = sym_eigen_values(m.A)[: m.domain_dim]
-            mu_k = sym_eigen_values(ext.reduced_krein(m).matrix)
+            mu_f = sym_eigen(m.A).values[: m.domain_dim]
+            mu_k = ext.pencil_values(m)
             assert np.all(mu_f <= mu_k + 1e-10 * m.A.norm_max)
 
 
@@ -464,7 +491,6 @@ class TestSymmetrizeOnce:
         monkeypatch.setattr(SymMatrix, "__init__", spy)
         m = ext.random_model(3, 30, 20)
         kr = ext.krein(m)
-        ext.reduced_krein(m)
         ext.buckling_analysis(m)
         pe = ext.parametrized_extension(m, ext.adjoint_kernel(m)[:, :2], np.eye(2))
         ext.pencil_values(m)
@@ -492,7 +518,7 @@ class TestFactorizationCounts:
             return counts
 
         assert lapack_calls(lambda: ext.buckling_analysis(m)) == dict(
-            eigh=3, eigvalsh=2, solve=4)
+            eigh=3, eigvalsh=2, solve=3)
         assert lapack_calls(lambda: ext.pencil_values(interval)) == dict(
             eigh=0, eigvalsh=1, solve=1)
         assert lapack_calls(lambda: ext.order_compare(kr, fr, 1.0)) == dict(

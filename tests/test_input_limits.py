@@ -234,6 +234,12 @@ def test_flattened_counts_at_the_edges():
     assert spectrum.flattened(5) == spectrum.flattened() == [1.0, 1.0, 3.0]
 
 
+def test_flattened_builds_only_the_values_asked_for():
+    # the entry crossing count was built whole: multiplicity 2**62 raised
+    # MemoryError
+    assert sp.Spectrum(((1.0, 1), (2.0, 2**62)), 0).flattened(3) == [1.0, 2.0, 2.0]
+
+
 # The non-finite pairs returned a fit whose remainder slope was NaN; the
 # others failed while unpacking the pair or inside a numpy multiply.
 BAD_LAWS = {

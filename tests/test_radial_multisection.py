@@ -17,17 +17,21 @@ COUNT = 20
 
 
 # Dense eigvalsh is normwise backward stable: it fixes each eigenvalue only to
-# a few eps * ||T|| absolute.  At m = 800 that stays below 1e-11 of the
-# lowest eigenvalue for these channels (at most 6e-12 measured), at m = 4000
-# it reaches 4e-9, so there the comparison allows 8 eps * ||T||.
-@pytest.mark.parametrize("m, atol_eps", [
-    (800, 0.0),
-    pytest.param(4000, 8.0, marks=pytest.mark.slow),
+# a few eps * ||T|| absolute.  At m = 800 and R = 1 that stays below 1e-11 of
+# the lowest eigenvalue for these channels (at most 6e-12 measured); at other
+# radii, and at m = 4000, where it reaches 4e-9, it does not, so there the
+# comparison allows 8 eps * ||T|| (at R = 0.8 and 1.25 at most 1.12 eps * ||T||
+# measured).
+@pytest.mark.parametrize("m, atol_eps, radius", [
+    pytest.param(800, 0.0, 1.0, id="800-0.0"),
+    pytest.param(800, 8.0, 0.8, id="800-8.0-R0.8"),
+    pytest.param(800, 8.0, 1.25, id="800-8.0-R1.25"),
+    pytest.param(4000, 8.0, 1.0, marks=pytest.mark.slow, id="4000-8.0"),
 ])
 @pytest.mark.parametrize("bc", ["dirichlet", "krein"])
 @pytest.mark.parametrize("n, ell", [(2, 1), (3, 2), (4, 4)])
-def test_agrees_with_dense_eigvalsh(n, ell, bc, m, atol_eps):
-    spec = dz.RadialChannelSpec(n, ell, 1.0, m, bc)
+def test_agrees_with_dense_eigvalsh(n, ell, bc, m, atol_eps, radius):
+    spec = dz.RadialChannelSpec(n, ell, radius, m, bc)
     d, e = dz.radial_pencil(spec).reduced_tridiagonal()
     dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     skip = 1 if bc == "krein" else 0
