@@ -254,9 +254,11 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     (lo, hi], and the law's one turning point lambda* = ((n-1) b / (n a))^2,
     which exists when a b < 0 and counts when it lies in the window.  Both
     the fit and the law are evaluated in lambda / 2^k with 2^k near hi, so
-    lambda^(n/2) never overflows on the way.  A coefficient that does not
-    scale back to a double exactly, or a remainder that is not finite,
-    raises DomainError.
+    lambda^(n/2) never overflows on the way.  A fitted coefficient that
+    does not scale back to a double exactly, a law that overflows at the
+    window scale, or a remainder that is not finite, raises DomainError.
+    Where the window is so narrow that the two powers are parallel to
+    rounding, the fit is the minimum-norm least-squares pair.
     """
     _require_dimension(n, 1)
     lo, hi = float(window[0]), float(window[1])
@@ -289,13 +291,22 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
         det = a11 * a22 - a12 * a12
         fit_lead = (a22 * b1 - a12 * b2) / det
         fit_second = (a11 * b2 - a12 * b1) / det
+    if det == 0.0:
+        # a window of a few ulps makes the two columns parallel; take the
+        # minimum-norm least-squares pair
+        fit_lead, fit_second = np.linalg.lstsq(np.column_stack((x1, x2)), counts, rcond=None)[0]
     c_lead = _ldexp(float(fit_lead), -lead_exp)
     c_second = _ldexp(float(fit_second), -second_exp)
 
     if analytic is None:
         analytic = (c_lead, c_second)
     a_lead, a_second = analytic
-    law_lead, law_second = _ldexp(float(a_lead), lead_exp), _ldexp(float(a_second), second_exp)
+    # the law is only evaluated, so a coefficient that underflows at the
+    # window scale is kept as rounded; one that overflows is no double
+    try:
+        law_lead, law_second = math.ldexp(a_lead, lead_exp), math.ldexp(a_second, second_exp)
+    except OverflowError:
+        raise DomainError(f"Weyl law {analytic!r} overflows on ({lo}, {hi})") from None
     # the law turns where sqrt(mu) = ratio > 0; clamped to the window, a
     # turning point outside it becomes a window end
     lo_mu, hi_mu = math.ldexp(lo, -k), math.ldexp(hi, -k)

@@ -21,12 +21,20 @@ only in D) is intentionally not asserted anywhere: every matrix here is
 everywhere defined, so domain intersections carry no information in the
 finite model.
 
-The Krein extension is built once, as the closed form A^(1/2) P A^(1/2)
-with P the orthogonal projector onto A^(1/2) D (Ando & Nishio, Tohoku
-Math. J. 22 (1970)), and checked against its definition: equal to A on D
-and zero on ker(S*) = (A D)^perp.  The ambient space is the direct sum of
-D and ker(S*), so those two residuals determine the matrix, and the check
-is complete.
+Every nonnegative extension here is the closed form
+
+    E = A - A W (W^T A W + B)^{-1} W^T A
+
+for an orthonormal basis W of a subspace of ker(S*) = (A D)^perp and a PSD
+parameter B on it: the shorted-operator identity of Anderson & Trapp (SIAM
+J. Appl. Math. 28 (1975)).  W = {0} gives the Friedrichs extension A, and
+W = ker(S*) with B = 0 the Krein extension (Krein, Mat. Sb. 20 (1947)).
+krein builds that endpoint as the equal closed form A^(1/2) P A^(1/2), with
+P the orthogonal projector onto A^(1/2) D (Ando & Nishio, Tohoku Math. J. 22
+(1970)).  Both constructions are checked against their definition: equal
+to A on D and zero on their kernel, which for the Krein extension is all of
+ker(S*).  The ambient space is the direct sum of D and ker(S*), so for the
+Krein extension the check is complete.
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ from .linalg import (
     gen_sym_eigen,
     gen_sym_eigen_values,
     max_norm,
-    solve_cholesky,
     spd_sqrt,
     sym_eigen,
 )
@@ -105,9 +112,7 @@ class ExtensionResult:
     matrix: SymMatrix
     kind: str                     # "friedrichs" | "krein" | "parametrized"
     kernel_basis: np.ndarray      # N x k, orthonormal (k may be 0)
-    construction_gap: float = 0.0  # krein: larger of its two defining residuals
-    w_basis: np.ndarray | None = None   # parametrized: the subspace W
-    b_matrix: SymMatrix | None = None   # parametrized: the parameter B
+    construction_gap: float = 0.0  # krein, parametrized: larger of the two defining residuals
 
     def extends_residual(self, model: ExtensionModel) -> float:
         q = model.domain_basis
@@ -194,21 +199,20 @@ def adjoint_kernel(model: ExtensionModel) -> np.ndarray:
                      SingularDecomposition, complete=True)[1]
 
 
-def _extension_from_action(span: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The matrix sending span[:, j] to images[:, j], for a square span.
+def _checked(result: ExtensionResult, model: ExtensionModel, rel: float) -> ExtensionResult:
+    """result with its construction_gap, checked against its definition.
 
-    Raises SingularDecomposition when the span is numerically singular
-    (smallest singular value, from LAPACK's SVD, at or below
-    N * rank_rel * largest); the construction fails loudly instead of
-    regularizing.
+    The gap is the larger of extends_residual and kernel_residual.  Beyond
+    rel * max|A| it is a bug, never a math failure, and raises
+    ConstructionMismatch.
     """
-    n = span.shape[0]
-    sing = np.linalg.svd(span, compute_uv=False)
-    if sing[-1] <= n * DEFAULT.rank_rel * sing[0]:
-        raise SingularDecomposition(
-            f"spanning set has singular values {sing[-1]:.3e} .. {sing[0]:.3e}"
-        )
-    return np.linalg.solve(span.T, images.T).T
+    gap = max(result.extends_residual(model), result.kernel_residual())
+    tol = rel * model.A.norm_max
+    if not gap <= tol:
+        raise ConstructionMismatch(
+            f"{result.kind} extension residual {gap:.3e} exceeds {tol:.3e}: "
+            "the matrix misses its defining action")
+    return replace(result, construction_gap=gap)
 
 
 def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> ExtensionResult:
@@ -237,96 +241,58 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
         kind="krein",
         kernel_basis=adjoint_kernel(model),
     )
-    gap = max(result.extends_residual(model), result.kernel_residual())
-    if gap > profile.construction_rel * model.A.norm_max:
-        raise ConstructionMismatch(
-            f"Krein matrix misses its defining action by {gap:.3e}"
-        )
-    return replace(result, construction_gap=gap)
+    return _checked(result, model, profile.construction_rel)
 
 
 def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult:
     """Extension selected by a PSD parameter B on a subspace W of ker(S*).
 
-    The defining action: a domain vector f + A^{-1}(B w + eta) + w, with f
-    in D, w in W and eta in ker(S*) orthogonal to W, is sent to
-    A f + B w + eta.  The assembled matrix is verified symmetric PSD and an
-    extension of A|_D, and its kernel is W applied to ker(B).
+    The defining action: a domain vector f + A^{-1}(W B beta + eta) + W beta,
+    with f in D and eta in ker(S*) orthogonal to W, is sent to
+    A f + W B beta + eta.  The matrix with that action is the closed form
+    A - A W (W^T A W + B)^{-1} W^T A, built from one Cholesky factor of
+    W^T A W + B.  It is checked PSD and against its definition, and its
+    kernel is W applied to ker(B).
 
-    The choices W = ker(S*) with B = 0, and W = {0}, recover the Krein and
-    Friedrichs extensions.
+    W = {0} returns A itself, the Friedrichs extension; W = ker(S*) with
+    B = 0 gives the Krein extension.
     """
     a = model.A.array
     n = model.ambient_dim
-    q = model.domain_basis
     w = np.asarray(w_basis, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
     p = w.shape[1]
-    kernel = adjoint_kernel(model)
-    if p:
-        if max_norm(w.T @ w - np.eye(p)) > DEFAULT.orthonormal_rel:
-            raise NotOrthogonal(
-                f"W basis columns are not orthonormal within {DEFAULT.orthonormal_rel:g}")
-        if max_norm((a @ q).T @ w) > DEFAULT.adjoint_kernel_rel * model.A.norm_max * n:
-            raise NotOrthogonal("W is not inside ker(S*) = ran(A D)^perp")
-    if p:
-        b = b if isinstance(b, SymMatrix) else SymMatrix(np.asarray(b, dtype=float).reshape(p, p))
-        if b.order != p:
-            raise ValueError(f"parameter order {b.order} != dim W = {p}")
-        b_eigen = sym_eigen(b)
-        if b_eigen.values[0] < -DEFAULT.psd_clamp_rel * max(b.norm_max, 1e-300):
-            raise NotPSD(f"parameter has eigenvalue {b_eigen.values[0]:.3e}")
-    else:
-        b, b_eigen = None, None
+    if not p:
+        return ExtensionResult(matrix=model.A, kind="parametrized",
+                               kernel_basis=np.empty((n, 0)))
+    # written as not (... <= tol), so that a NaN in W fails them
+    if not max_norm(w.T @ w - np.eye(p)) <= DEFAULT.orthonormal_rel:
+        raise NotOrthogonal(
+            f"W basis columns are not orthonormal within {DEFAULT.orthonormal_rel:g}")
+    aw = a @ w
+    if not max_norm(aw.T @ model.domain_basis) <= DEFAULT.adjoint_kernel_rel * model.A.norm_max * n:
+        raise NotOrthogonal("W is not inside ker(S*) = ran(A D)^perp")
+    b = b if isinstance(b, SymMatrix) else SymMatrix(np.atleast_2d(b))
+    if b.order != p:
+        raise ValueError(f"parameter order {b.order} != dim W = {p}")
+    b_eigen = sym_eigen(b)
+    if b_eigen.values[0] < -DEFAULT.psd_clamp_rel * max(b.norm_max, 1e-300):
+        raise NotPSD(f"parameter has eigenvalue {b_eigen.values[0]:.3e}")
 
-    # eta directions: ker(S*) part orthogonal to W
-    if p:
-        # W in kernel coordinates is orthonormal, so it never fails the floor
-        eta = kernel @ _qr_split(kernel.T @ w, DEFAULT.rank_rel,
-                                 SingularDecomposition, complete=True)[1]
-    else:
-        eta = kernel
-
-    a_low = cholesky(model.A)
-    pieces_span = [q]
-    pieces_img = [a @ q]
-    if p:
-        wb = w @ b.array
-        pieces_span.append(solve_cholesky(a_low, wb) + w)
-        pieces_img.append(wb)
-    if eta.shape[1]:
-        pieces_span.append(solve_cholesky(a_low, eta))
-        pieces_img.append(eta)
-    span = np.concatenate(pieces_span, axis=1)
-    images = np.concatenate(pieces_img, axis=1)
-    raw = _extension_from_action(span, images)
-
-    scale = model.A.norm_max
-    asymmetry = max_norm(raw - raw.T)
-    if asymmetry > DEFAULT.construction_rel * scale:
-        raise ConstructionMismatch(f"assembled matrix asymmetric by {asymmetry:.3e}")
-    matrix = SymMatrix(raw)
-    values = _eigh(matrix.array, with_vectors=False)[0]
-    if values[0] < -DEFAULT.construction_rel * scale:
-        raise ConstructionMismatch(f"assembled matrix has eigenvalue {values[0]:.3e}")
-    ext_resid = max_norm(matrix.array @ q - a @ q)
-    if ext_resid > DEFAULT.extension_residual_rel * scale * n:
-        raise ConstructionMismatch(f"extension residual {ext_resid:.3e}")
-
-    if p:
-        floor = DEFAULT.psd_clamp_rel * max(b.norm_max, 1.0) * p
-        null_cols = b_eigen.vectors[:, np.abs(b_eigen.values) <= floor]
-        kernel_basis = w @ null_cols
-    else:
-        kernel_basis = np.empty((n, 0))
-    return ExtensionResult(
+    # A W (W^T A W + B)^{-1} W^T A = half^T half with half = L^{-1} (A W)^T
+    half = np.linalg.solve(cholesky(aw.T @ w + b.array), aw.T)
+    matrix = SymMatrix(a - half.T @ half)
+    bottom = _eigh(matrix.array, with_vectors=False)[0][0]
+    if bottom < -DEFAULT.construction_rel * model.A.norm_max:
+        raise ConstructionMismatch(f"parametrized matrix has eigenvalue {bottom:.3e}")
+    floor = DEFAULT.psd_clamp_rel * max(b.norm_max, 1.0) * p
+    result = ExtensionResult(
         matrix=matrix,
         kind="parametrized",
-        kernel_basis=kernel_basis,
-        w_basis=w,
-        b_matrix=b,
+        kernel_basis=w @ b_eigen.vectors[:, np.abs(b_eigen.values) <= floor],
     )
+    return _checked(result, model, DEFAULT.construction_rel)
 
 
 def _pencil(model: ExtensionModel):

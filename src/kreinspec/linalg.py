@@ -35,7 +35,6 @@ __all__ = [
     "SymMatrix",
     "EigenDecomposition",
     "cholesky",
-    "solve_cholesky",
     "sym_eigen",
     "gen_sym_eigen",
     "gen_sym_eigen_values",
@@ -121,11 +120,6 @@ def cholesky(s) -> np.ndarray:
             f"pivot {pivots[j]:.3e} at column {j} below floor {floor:.3e}"
         )
     return low
-
-
-def solve_cholesky(low: np.ndarray, b) -> np.ndarray:
-    """Solve (L L^T) x = b given the factor from cholesky()."""
-    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 def _cholesky_inverse(low: np.ndarray) -> np.ndarray:

@@ -5,6 +5,9 @@ where stated in the individual contracts).  DEFAULT is the one profile the
 library ships, and each check reads its threshold from it at the check site.
 Only extensions.krein still takes a profile argument, and it reads only its
 own two thresholds from it: construction_rel and cholesky_pivot_rel.
+construction_rel bounds both extension constructions against their
+definition: krein reads it from its profile, parametrized_extension from
+DEFAULT.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ class ToleranceProfile:
     psd_clamp_rel: float = 1e-12          # spd_sqrt negative-eigenvalue window
     orthonormal_rel: float = 1e-12        # max|V^T V - I| <= this, for any order
     # extension-core
-    extension_residual_rel: float = 1e-10  # extends-S and kernel residuals
     adjoint_kernel_rel: float = 1e-11      # orthogonality of ker(S*) columns to A*D
-    construction_rel: float = 1e-9         # Krein closed form against its definition
-    rank_rel: float = 1e-12                # spanning-set smallest/largest singular value
+    construction_rel: float = 1e-9         # krein and parametrized against their definition
+    rank_rel: float = 1e-12                # QR column floor: |R_jj| / largest column norm
     # exact spectra
     merge_rel: float = 1e-11               # cross-channel coincident-eigenvalue merge
 

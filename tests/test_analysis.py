@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kreinspec import analysis as an
 from kreinspec import discretize as dz
@@ -352,6 +352,14 @@ class TestRemainderSup:
 
     @settings(max_examples=200, deadline=None)
     @given(case=_remainder_cases())
+    # a one-ulp window, where the normal equations are singular, and a
+    # subnormal law coefficient that underflows at the window scale: both
+    # raised DomainError
+    @example(case=(2, [], [], 0.005, 0.005000000000000001, None))
+    @example(case=(1, [0.01, 0.010000000000000002, 1.0, 2.0, 3.0], [0, 0, 0, 0, 0],
+                   0.01, 0.010000000000000002, None))
+    @example(case=(2, [], [], 0.125, 0.25, (0.0, 5e-324)))
+    @example(case=(3, [], [], 0.125, 0.25, (0.0, 2.225073858507e-311)))
     def test_matches_oracle_and_bounds_dense_samples(self, case):
         n, breakpoints, cumulative, lo, hi, analytic = case
         counting = an.CountingFunction(tuple(breakpoints), tuple(cumulative))

@@ -11,7 +11,6 @@ from kreinspec.errors import (
     NotPositiveDefinite,
     NotPSD,
     RankDeficientBasis,
-    SingularDecomposition,
 )
 from kreinspec import discretize as dz
 from kreinspec import extensions as ext
@@ -108,35 +107,6 @@ class TestAdjointKernel:
         assert max_norm(aq.T @ ker) <= 1e-11 * m.A.norm_max
 
 
-class TestAssemblyRankTest:
-    # square spans U diag(1, ..., 1, s) V^T: the rank floor N * rank_rel is
-    # 3e-12, 2e-11 and 2e-10 at N = 3, 20, 200, and the singular values come
-    # from the SVD, accurate to about eps * s_max at every size
-    @staticmethod
-    def _span(n, s):
-        rng = np.random.default_rng(n)
-        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        sing = np.ones(n)
-        sing[-1] = s
-        span = (u * sing) @ v.T
-        return span, rng.standard_normal((n, n)) @ span
-
-    @pytest.mark.parametrize(
-        "n,s", [(n, s) for n in (3, 20, 200) for s in (0.0, 1e-14, 1e-12)] + [(200, 1e-10)]
-    )
-    def test_singular_span_raises(self, n, s):
-        span, images = self._span(n, s)
-        with pytest.raises(SingularDecomposition):
-            ext._extension_from_action(span, images)
-
-    @pytest.mark.parametrize("n,s", [(3, 1e-10), (20, 1e-10), (3, 1e-9), (20, 1e-9), (200, 1e-9)])
-    def test_regular_span_assembles(self, n, s):
-        span, images = self._span(n, s)
-        matrix = ext._extension_from_action(span, images)
-        assert max_norm(matrix @ span - images) <= 1e-12 * max_norm(images)
-
-
 class TestKrein:
     def test_hand_case(self, model2):
         kr = ext.krein(model2)
@@ -221,21 +191,66 @@ class TestParametrized:
 
 
 class TestParametrizedAssemblyChecks:
-    # each corruption of the assembled matrix trips exactly one of the checks
+    # each corruption of the Cholesky factor of W^T A W + B trips one of the
+    # checks: a factor 10 too small subtracts 100 times the shorted term, and
+    # one 1e-6 too large leaves E off zero on ker(B) = span(W e_0)
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda x: x + np.triu(np.full(x.shape, 1e-6), 1), "asymmetric"),
-        (lambda x: x - 10.0 * np.eye(len(x)), "has eigenvalue"),
-        (lambda x: x + np.eye(len(x)), "extension residual"),
+        (lambda low: low / 10.0, "has eigenvalue"),
+        (lambda low: low * (1.0 + 1e-6), "extension residual"),
     ])
     def test_corrupted_assembly_raises(self, monkeypatch, corrupt, message):
         m = ext.random_model(3, 12, 8)
         w = ext.adjoint_kernel(m)[:, :2]
-        ext.parametrized_extension(m, w, np.eye(2))
-        assemble = ext._extension_from_action
-        monkeypatch.setattr(ext, "_extension_from_action",
-                            lambda span, images: corrupt(assemble(span, images)))
+        b = np.diag([0.0, 1.0])
+        ext.parametrized_extension(m, w, b)
+        factor = ext.cholesky
+        monkeypatch.setattr(ext, "cholesky", lambda s: corrupt(factor(s)))
         with pytest.raises(ConstructionMismatch, match=message):
-            ext.parametrized_extension(m, w, np.eye(2))
+            ext.parametrized_extension(m, w, b)
+
+
+class TestParametrizedDefinition:
+    # the defining action, built with plain numpy and without the closed
+    # form: f + A^{-1}(W B beta + eta) + W beta goes to A f + W B beta + eta
+    # for f in D and eta in ker(S*) orthogonal to W, with W a random
+    # p-dimensional subspace of ker(S*) and B of rank r
+    @pytest.mark.parametrize("seed,n,d,p,r", [
+        (1, 8, 4, 2, 2), (2, 12, 8, 4, 2), (3, 30, 20, 10, 10), (4, 30, 20, 5, 0),
+        (5, 60, 40, 7, 3), (6, 200, 150, 20, 10), (7, 200, 150, 50, 50),
+    ])
+    def test_action_on_the_domain_decomposition(self, seed, n, d, p, r):
+        m = ext.random_model(seed, n, d)
+        rng = np.random.default_rng(seed)
+        a, q = m.A.array, m.domain_basis
+        ker = np.linalg.qr(a @ q, mode="complete")[0][:, d:]
+        turn = np.linalg.qr(rng.standard_normal((n - d, n - d)))[0]
+        w, rest = ker @ turn[:, :p], ker @ turn[:, p:]
+        root = rng.standard_normal((p, r))
+        b = root @ root.T
+        f = q @ rng.standard_normal((d, 5))
+        beta = rng.standard_normal((p, 5))
+        eta = rest @ rng.standard_normal((n - d - p, 5))
+        wb = w @ b @ beta
+        x = f + np.linalg.solve(a, wb + eta) + w @ beta
+        e = ext.parametrized_extension(m, w, b).matrix.array
+        # measured at most 6.0e-15 over these cases
+        assert max_norm(e @ x - (a @ f + wb + eta)) <= 1e-13 * m.A.norm_max * max_norm(x)
+
+    @pytest.mark.parametrize("model", [
+        *(lambda s=s: ext.random_model(s, 200, 150) for s in range(1, 9)),
+        *(lambda length=length: dz.interval_model(dz.Grid1D(0.0, length, 200),
+                                                  dz.PotentialSpec.zero())
+          for length in (0.5, 1.0, 2.0)),
+    ], ids=[f"random-{s}" for s in range(1, 9)] + [f"interval-{x}" for x in (0.5, 1.0, 2.0)])
+    def test_krein_endpoint_agrees_with_krein(self, model):
+        # two independent constructions of the Krein matrix: A^(1/2) P A^(1/2)
+        # and the shorted operator; measured at most 4.9e-14 max|A|
+        m = model()
+        ker = ext.adjoint_kernel(m)
+        pe = ext.parametrized_extension(m, ker, np.zeros((ker.shape[1],) * 2))
+        kr = ext.krein(m)
+        assert max_norm(pe.matrix.array - kr.matrix.array) <= 5e-13 * m.A.norm_max
+        assert pe.kernel_basis.shape[1] == kr.kernel_basis.shape[1] == m.codimension
 
 
 class TestKreinConstructionCheck:
@@ -498,6 +513,17 @@ class TestSymmetrizeOnce:
         assert writeable and all(writeable)
 
 
+def _count_lapack_calls(monkeypatch, names):
+    """A dict of call counts, one per numpy.linalg routine in names."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def call(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+    return counts
+
+
 class TestFactorizationCounts:
     def test_buckling_pencil_and_order_compare(self, monkeypatch):
         # no factor is solved with twice, and value-only spectra skip the
@@ -505,12 +531,7 @@ class TestFactorizationCounts:
         m = ext.random_model(3, 30, 20)
         interval = dz.interval_model(dz.Grid1D(0.0, 1.0, 20), dz.PotentialSpec.zero())
         kr, fr = ext.krein(m), ext.friedrichs(m)
-        counts = {}
-        for name in ("eigh", "eigvalsh", "solve"):
-            def call(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, call)
+        counts = _count_lapack_calls(monkeypatch, ("eigh", "eigvalsh", "solve"))
 
         def lapack_calls(run):
             counts.update(eigh=0, eigvalsh=0, solve=0)
@@ -523,6 +544,15 @@ class TestFactorizationCounts:
             eigh=0, eigvalsh=1, solve=1)
         assert lapack_calls(lambda: ext.order_compare(kr, fr, 1.0)) == dict(
             eigh=0, eigvalsh=1, solve=2)
+
+    def test_parametrized_extension(self, monkeypatch):
+        # one factor of W^T A W + B and one solve with it; no QR or SVD
+        m = ext.random_model(3, 30, 20)
+        w = ext.adjoint_kernel(m)[:, :4]
+        counts = _count_lapack_calls(
+            monkeypatch, ("eigh", "eigvalsh", "solve", "cholesky", "qr", "svd"))
+        ext.parametrized_extension(m, w, np.diag([0.0, 1.0, 2.0, 3.0]))
+        assert counts == dict(eigh=1, eigvalsh=1, solve=1, cholesky=1, qr=0, svd=0)
 
 
 class TestFormIdentity:

@@ -8,7 +8,7 @@ from kreinspec import discretize as dz
 from kreinspec import extensions as ext
 from kreinspec import special
 from kreinspec import spectra as sp
-from kreinspec.errors import DomainError, InsufficientData
+from kreinspec.errors import DomainError, InsufficientData, NotOrthogonal
 from oracles import remainder_sup_oracle
 
 INF, NAN = math.inf, math.nan
@@ -98,6 +98,24 @@ BAD_SHAPES = {
         "orders 12 and 10"),
 }
 
+def _parametrized_31(b, nan_at=None):
+    m = ext.random_model(31, 8, 4)
+    w = ext.adjoint_kernel(m).copy()
+    if nan_at is not None:
+        w[nan_at] = NAN
+    return ext.parametrized_extension(m, w, b)
+
+
+# The NaN passed both W checks, since NaN > tol is False, and failed later
+# in a QR with "only 0 of 4 columns are independent"; the 3 x 3 parameter
+# for a 4-dimensional W failed inside numpy with "cannot reshape".
+BAD_EXTENSION_PARAMETERS = {
+    "parametrized-nan-in-w": (
+        lambda: _parametrized_31(np.eye(4), nan_at=(2, 1)), NotOrthogonal, "not orthonormal"),
+    "parametrized-b-3-for-dim-w-4": (
+        lambda: _parametrized_31(np.eye(3)), ValueError, "parameter order 3 != dim W = 4"),
+}
+
 BAD_INDICES = {
     "tan-root-half-index": lambda: special.tan_fixed_point(2.5),
     "interval-krein-count-past-roots": lambda: sp.interval_krein(UNIT_SEGMENT, 10**12),
@@ -165,6 +183,13 @@ def test_dimensions_and_channels_below_range_raise(call):
 @pytest.mark.parametrize("call, message", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
 def test_bad_shapes_raise_before_any_work(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", BAD_EXTENSION_PARAMETERS.values(),
+                         ids=BAD_EXTENSION_PARAMETERS.keys())
+def test_bad_extension_parameters_raise(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 
