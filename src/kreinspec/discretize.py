@@ -50,10 +50,13 @@ __all__ = [
 # 512 while at most 64 are open, past that 7 each.  A sweep's cost grows
 # with its shifts, but slowly: at m = 800 on a 2-CPU Xeon one takes about
 # 1.2-1.6 ms at 8 shifts, 1.7-2.0 ms at 128 and 2.3-2.6 ms at 511, most of
-# it per-row ufunc calls.  So the rational finish spends a bracket's whole
-# share on rungs around its estimate: a radial solve costs sweeps more than
-# shifts.
+# it per-row ufunc calls.  The rational finish puts at most _RUNGS rungs on
+# each side of its estimate.  With a rung in every cell (252 per side) a
+# soft count-1 call takes 3 sweeps instead of 4, but of 512 shifts instead
+# of 40: over the 14 radial channels at m = 800 the benchmark's job mix
+# took 25.6 ms per job at 16 rungs, 26.8 at 32, 26.3 at 64 and 28.1 at 252.
 _SWEEP_CELLS = 512
+_RUNGS = 16
 
 
 @dataclass(frozen=True)
@@ -232,6 +235,32 @@ def _rational_root(x, y):
         return x[:, 0] + y1 * t2 * t3 * (y2 - y3) / ((y2 - y1) * y3 * t3 - (y3 - y1) * y2 * t2)
 
 
+def _outward_split(lo, hi, count, floor):
+    """count shifts in (lo, hi), geometric in the distance from c, the point
+    of [lo, hi] nearest 0.
+
+    start is the stop at c.  Each side of c gets a share of the shifts in
+    proportion to its log-length log(L / start), L its end's distance from
+    c, and its k-th shift sits at start (L / start)^(k / share) from c, so
+    on each side every cell past start spans one ratio of distances.  c
+    itself is a shift when it lies inside.  An interval within start of c
+    gets the even split.
+    """
+    c = min(max(0.0, lo), hi)
+    start = max(1e-13 * max(abs(c), 1.0), floor)
+    reach = np.log(np.maximum(np.array([c - lo, hi - c]) / start, 1.0))
+    if not reach.sum() > 0.0:
+        return lo + (hi - lo) * (np.arange(1, count + 1) / (count + 1))
+    inner = 1 if lo < c < hi else 0
+    right = round((count - inner) * reach[1] / reach.sum())
+    left = count - inner - right
+    return np.concatenate((
+        c - start * np.exp(reach[0] * np.arange(left) / max(left, 1)),
+        [c] * inner,
+        c + start * np.exp(reach[1] * np.arange(right) / max(right, 1)),
+    ))
+
+
 def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
     """Brackets [a, b) of the eigenvalues with the given 1-based indices.
 
@@ -240,9 +269,13 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
     holds the whole spectrum.  A bracket is open while its width exceeds its
     stop, max(1e-13 relative, floor); is_open(a, b, stop), if given,
     replaces that rule and returns the mask of open brackets.  Each step is
-    one sweep at about _SWEEP_CELLS shifts, shared evenly by the distinct
-    open brackets (all indices share one at first) with at least 7 in each,
-    and every index keeps the sub-interval that holds it.
+    one sweep at about _SWEEP_CELLS shifts, and every index keeps the
+    sub-interval that holds it.  In the first sweep all indices share
+    [lo, hi], and its shifts are geometric in the distance from the point
+    of [lo, hi] nearest 0 (_outward_split): on a fine grid hi is about
+    4/h^2, far above the low eigenvalues, and an even split would leave
+    them all in its first cell.  Later sweeps share their shifts evenly by
+    the distinct open brackets, with at least 7 in each.
 
     A bracket whose end counts differ by 1 and whose last pivot q is
     positive at a and negative at b is isolated: q decreases strictly
@@ -250,11 +283,11 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
     would force a second zero and with it a second eigenvalue.  So q is
     continuous there, and the root of a one-pole fit through q at both ends
     and at the nearer outside neighbour of the last sweep estimates the
-    eigenvalue.  The next sweep places that estimate, geometric rungs on both
-    sides from stop/64 out to the bracket ends, and the 7 interior points of
-    an 8-cell split, so every bracket still shrinks at least 8 times.  The
-    counts alone choose every sub-interval, and a missing or outside
-    estimate falls back to the even split.  Rungs from stop/64 rather than
+    eigenvalue.  The next sweep places that estimate, at most _RUNGS
+    geometric rungs on each side from stop/64 out to the bracket ends, and
+    the 7 interior points of an 8-cell split, so every bracket still
+    shrinks at least 8 times.  The counts alone choose every sub-interval,
+    and a missing or outside estimate falls back to the even split.  Rungs from stop/64 rather than
     stop/4 leave the last bracket a median 0.09 of the floor wide instead of
     0.23, so the midpoint adds little to the count's own rounding; they cost
     0.14 sweeps per radial-fd benchmark job.
@@ -272,7 +305,7 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
     # Open brackets never overlap, so their left ends tell them apart.  Each
     # step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
     # bisections.
-    for _ in range(40):
+    for step in range(40):
         left, first, group = np.unique(a[live], return_index=True, return_inverse=True)
         head = live[first]
         right = b[head]
@@ -280,12 +313,15 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
         grid = np.full((left.size, cells), np.nan)
         est = guess[head]
         fin = np.isfinite(est)
-        grid[~fin, :cells - 1] = (left[~fin, None] + (right - left)[~fin, None]
-                                  * (np.arange(1, cells) / cells))
+        if step:
+            grid[~fin, :cells - 1] = (left[~fin, None] + (right - left)[~fin, None]
+                                      * (np.arange(1, cells) / cells))
+        else:
+            grid[0, :cells - 1] = _outward_split(lo, hi, cells - 1, floor)
         if fin.any():
             est, gap = est[fin, None], stop[head[fin], None] / 64.0
             lf, rf = left[fin, None], right[fin, None]
-            steps = (cells - 8) // 2
+            steps = min((cells - 8) // 2, _RUNGS)
             rungs = np.arange(steps) / max(steps, 1)
             shifts = np.hstack((lf + (rf - lf) * (np.arange(1, 8) / 8), est,
                                 est - gap * ((est - lf) / gap) ** rungs,
@@ -344,9 +380,15 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     one eigenvalue and q_m > 0 > q_m at its ends, q_m has no pole inside it
     (a pole would force a second zero, so a second eigenvalue), and the
     next sweep centres its shifts on the root of a one-pole rational fit to
-    q_m; see _multisect.  The counts alone still choose every bracket.  At
-    m = 800 a count-1 call takes 5 sweeps and a count-20 call 6, on either
-    condition.
+    q_m; see _multisect.  The counts alone still choose every bracket.  The
+    first sweep is geometric in the distance from the point of [lo, hi]
+    nearest 0, where the wanted values lie.  At m = 800 a count-1 call
+    takes 3 sweeps on the hard condition and 4 on the soft one, and a
+    count-20 call 5 on either.  On the hard condition the first bracket of
+    the lowest value also holds the lowest eigenvalue of T_{m-1}, a pole of
+    q_m, so the second sweep is an even split, and one rational sweep
+    closes what it leaves.  On the soft condition that bracket is isolated
+    at once, and the rational finish takes three sweeps of 40 shifts.
 
     The soft endpoint condition carries the channel's one-dimensional kernel
     (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one

@@ -252,7 +252,10 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     A f + W B beta + eta.  The matrix with that action is the closed form
     A - A W (W^T A W + B)^{-1} W^T A, built from one Cholesky factor of
     W^T A W + B.  It is checked PSD and against its definition, and its
-    kernel is W applied to ker(B).
+    kernel is W applied to the eigenvectors v of B whose image E W v, by
+    the closed form, is within half the definition check's bound
+    construction_rel * max|A|: ker(B), and eigenvalues of B too small for
+    that bound to tell from zero.
 
     W = {0} returns A itself, the Friedrichs extension; W = ker(S*) with
     B = 0 gives the Krein extension.
@@ -262,6 +265,8 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     w = np.asarray(w_basis, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
+    if w.shape[0] != n:
+        raise ValueError(f"W rows {w.shape[0]} != ambient dimension {n}")
     p = w.shape[1]
     if not p:
         return ExtensionResult(matrix=model.A, kind="parametrized",
@@ -280,17 +285,25 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     if b_eigen.values[0] < -DEFAULT.psd_clamp_rel * max(b.norm_max, 1e-300):
         raise NotPSD(f"parameter has eigenvalue {b_eigen.values[0]:.3e}")
 
-    # A W (W^T A W + B)^{-1} W^T A = half^T half with half = L^{-1} (A W)^T
-    half = np.linalg.solve(cholesky(aw.T @ w + b.array), aw.T)
+    # A W (W^T A W + B)^{-1} W^T A = half^T half with half = L^{-1} (A W)^T;
+    # the same solve gives L^{-1} V for the eigenvectors V of B
+    half, low_v = np.split(
+        np.linalg.solve(cholesky(aw.T @ w + b.array), np.hstack((aw.T, b_eigen.vectors))),
+        [n], axis=1)
     matrix = SymMatrix(a - half.T @ half)
+    tol = DEFAULT.construction_rel * model.A.norm_max
     bottom = _eigh(matrix.array, with_vectors=False)[0][0]
-    if bottom < -DEFAULT.construction_rel * model.A.norm_max:
+    if bottom < -tol:
         raise ConstructionMismatch(f"parametrized matrix has eigenvalue {bottom:.3e}")
-    floor = DEFAULT.psd_clamp_rel * max(b.norm_max, 1.0) * p
+    # E W v = A W (W^T A W + B)^{-1} B v = b half^T L^{-1} v for each
+    # eigenpair (b, v) of B.  W v is kernel where that closed form is within
+    # half the definition check's bound, so the assembled matrix, a rounding
+    # away from it, passes the check there.
+    action = np.abs(b_eigen.values) * np.max(np.abs(half.T @ low_v), axis=0)
     result = ExtensionResult(
         matrix=matrix,
         kind="parametrized",
-        kernel_basis=w @ b_eigen.vectors[:, np.abs(b_eigen.values) <= floor],
+        kernel_basis=w @ b_eigen.vectors[:, action <= tol / 2],
     )
     return _checked(result, model, DEFAULT.construction_rel)
 

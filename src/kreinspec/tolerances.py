@@ -7,7 +7,7 @@ Only extensions.krein still takes a profile argument, and it reads only its
 own two thresholds from it: construction_rel and cholesky_pivot_rel.
 construction_rel bounds both extension constructions against their
 definition: krein reads it from its profile, parametrized_extension from
-DEFAULT.
+DEFAULT, and parametrized_extension also chooses its kernel by it.
 """
 
 from __future__ import annotations

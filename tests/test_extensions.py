@@ -162,6 +162,27 @@ class TestParametrized:
         assert pe.kernel_basis.shape[1] == 2
         assert max_norm(pe.matrix.array @ pe.kernel_basis) <= 1e-10 * m.A.norm_max
 
+    # E W e_0 = b_0 A W (W^T A W + B)^{-1} e_0 is 1.6e-7 max|A| at b_0 = 1e-6:
+    # not kernel by the definition check's bound, 1e-9 max|A|, though a floor
+    # relative to max|B| = 1e6 took it for kernel and then failed that check
+    # (5.7e-7 against 3.5e-9).  An exact zero of B, on its axis or rotated
+    # off it, is kernel at every scale of the rest of B.
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("b_0, rotated, kernel_dim", [
+        (1e-6, False, 0), (0.0, False, 1), (0.0, True, 1),
+    ])
+    def test_kernel_chosen_by_the_check_bound(self, scale, b_0, rotated, kernel_dim):
+        m = ext.random_model(31, 8, 4)
+        w = ext.adjoint_kernel(m)
+        turn = (np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+                if rotated else np.eye(4))
+        b = turn @ np.diag([b_0, scale, scale, scale]) @ turn.T
+        pe = ext.parametrized_extension(m, w, b)
+        assert pe.kernel_basis.shape[1] == kernel_dim
+        assert pe.construction_gap <= 1e-9 * m.A.norm_max
+        if kernel_dim:
+            assert abs(pe.kernel_basis[:, 0] @ (w @ turn[:, 0])) == pytest.approx(1.0, abs=1e-12)
+
     def test_rejects_indefinite_parameter(self, model2):
         ker = ext.adjoint_kernel(model2)
         with pytest.raises(NotPSD):

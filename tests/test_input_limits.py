@@ -108,8 +108,13 @@ def _parametrized_31(b, nan_at=None):
 
 # The NaN passed both W checks, since NaN > tol is False, and failed later
 # in a QR with "only 0 of 4 columns are independent"; the 3 x 3 parameter
-# for a 4-dimensional W failed inside numpy with "cannot reshape".
+# for a 4-dimensional W failed inside numpy with "cannot reshape"; a W of 5
+# orthonormal rows for 8 dimensions failed inside numpy's matmul.
 BAD_EXTENSION_PARAMETERS = {
+    "parametrized-w-5-rows-for-8": (
+        lambda: ext.parametrized_extension(ext.random_model(31, 8, 4),
+                                           np.ones((5, 1)) / math.sqrt(5), np.eye(1)),
+        ValueError, "W rows 5 != ambient dimension 8"),
     "parametrized-nan-in-w": (
         lambda: _parametrized_31(np.eye(4), nan_at=(2, 1)), NotOrthogonal, "not orthonormal"),
     "parametrized-b-3-for-dim-w-4": (

@@ -84,13 +84,13 @@ def _norm(d, e):
 
 
 # The budgets are the largest counts measured over all 14 channels at R = 1.
-# The krein pencil also brackets its zero mode, until it passes the check
-# |lambda_0| <= bound |lambda_1|; once each bracket is isolated the rational
-# finish closes both in the same sweeps as a Dirichlet index.  Both calls
-# stop at eps ||T||, so they agree to that.
+# A Dirichlet count-1 call takes an even split and one rational sweep after
+# the geometric first sweep; a krein one starts the rational finish at once
+# and takes three narrow sweeps.  Both calls stop at eps ||T||, so they
+# agree to that.
 @pytest.mark.parametrize("bc, most_one, most_twenty", [
-    ("dirichlet", 5, 6),
-    ("krein", 5, 6),
+    pytest.param("dirichlet", 3, 5, id="dirichlet"),
+    pytest.param("krein", 4, 5, id="krein"),
 ])
 @pytest.mark.parametrize("n, ell", [(2, 1), (3, 2), (4, 4)])
 def test_sweep_budget(sweeps, n, ell, bc, most_one, most_twenty):
@@ -112,18 +112,18 @@ def test_sweep_budget(sweeps, n, ell, bc, most_one, most_twenty):
 # the stop contract by the pure-Python count below, the eigvalsh comparison
 # above and the Bessel-zero extrapolation in tests/test_cross_route.py.
 RECORDED_DIRICHLET = {
-    (2, 1, 100): ["0x1.d5bec62b7f406p+3", "0x1.89911aa892b03p+5", "0x1.9d9f217d6fa7cp+6",
-                  "0x1.6280e34c975c6p+7", "0x1.0ea9bfa3f0addp+8"],
-    (2, 1, 800): ["0x1.d5d2549c0d25dp+3", "0x1.89be93de3c235p+5", "0x1.9dfdc7b61616bp+6",
-                  "0x1.63084bec0cfc4p+7", "0x1.0f45725e187f3p+8"],
-    (3, 2, 100): ["0x1.09b6a76995108p+5", "0x1.4ac1dcefaeb83p+6", "0x1.2f7881dafc3b6p+7",
-                  "0x1.e0be95fc4c1bap+7", "0x1.5c8a0111b3b23p+8"],
-    (3, 2, 800): ["0x1.09bd415e5c0d5p+5", "0x1.4ae00171862bap+6", "0x1.2fb4b8faf3036p+7",
-                  "0x1.e165320eb6ee2p+7", "0x1.5d44aec975893p+8"],
-    (4, 4, 100): ["0x1.33b8636ec6462p+6", "0x1.305b37cc7db40p+7", "0x1.ec8ec185fa0bap+7",
-                  "0x1.67b3d8a12e55dp+8", "0x1.ec7f1e7a80fdbp+8"],
-    (4, 4, 800): ["0x1.33c1517f35daap+6", "0x1.307af537f10ecp+7", "0x1.ecfbea4deb093p+7",
-                  "0x1.683ca228c49e8p+8", "0x1.ed9cd341ca7e4p+8"],
+    (2, 1, 100): ["0x1.d5bec62b7f55ep+3", "0x1.89911aa892b00p+5", "0x1.9d9f217d6fa7ep+6",
+                  "0x1.6280e34c975c0p+7", "0x1.0ea9bfa3f0adep+8"],
+    (2, 1, 800): ["0x1.d5d2549c0f296p+3", "0x1.89be93de3be40p+5", "0x1.9dfdc7b615cafp+6",
+                  "0x1.63084bec0d596p+7", "0x1.0f45725e18820p+8"],
+    (3, 2, 100): ["0x1.09b6a76995103p+5", "0x1.4ac1dcefaeb82p+6", "0x1.2f7881dafc3b6p+7",
+                  "0x1.e0be95fc4c1bcp+7", "0x1.5c8a0111b3b1ep+8"],
+    (3, 2, 800): ["0x1.09bd415e5c28fp+5", "0x1.4ae0017185f03p+6", "0x1.2fb4b8faf32d6p+7",
+                  "0x1.e165320eb6e5cp+7", "0x1.5d44aec9754b8p+8"],
+    (4, 4, 100): ["0x1.33b8636ec6484p+6", "0x1.305b37cc7db49p+7", "0x1.ec8ec185fa0c4p+7",
+                  "0x1.67b3d8a12e558p+8", "0x1.ec7f1e7a80fe8p+8"],
+    (4, 4, 800): ["0x1.33c1517f36131p+6", "0x1.307af537f130ap+7", "0x1.ecfbea4deb272p+7",
+                  "0x1.683ca228c4716p+8", "0x1.ed9cd341ca702p+8"],
 }
 
 
@@ -152,17 +152,29 @@ def test_each_value_within_stop_by_independent_count(n, ell, bc):
         assert sturm_count_oracle(d, e, v - w) < k <= sturm_count_oracle(d, e, v + w)
 
 
+def _gershgorin(d, e):
+    """The Gershgorin interval [lo, hi] of the tridiagonal (d, e)."""
+    abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
+    radius = abs_e[:-1] + abs_e[1:]
+    return float(np.min(d - radius)), float(np.max(d + radius))
+
+
 # The zero mode is read only by |lambda_0| <= bound |lambda_1|, so its bracket
 # closes once that check is settled, before index 1's.  While both are open
 # they share one sweep's shifts, but the finish closes both brackets in no
-# more sweeps than a Dirichlet index takes alone.
+# more sweeps than index 1 (index 2 of the pencil) takes alone on the same
+# pencil, with the same interval and stop floor.
 @pytest.mark.parametrize("n, ell", CHANNELS)
 def test_zero_mode_closes_before_first_index(sweeps, n, ell):
-    dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, 800, "dirichlet"), 1)
-    dirichlet = len(sweeps)
+    spec = dz.RadialChannelSpec(n, ell, 1.0, 800, "krein")
+    d, e = dz.radial_pencil(spec).reduced_tridiagonal()
+    lo, hi = _gershgorin(d, e)
+    dz._multisect(lambda shifts: dz.sturm_count(d, e, shifts, last_pivot=True),
+                  lo, hi, np.array([2]), EPS * max(-lo, hi))
+    alone = len(sweeps)
     del sweeps[:]
-    dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, 800, "krein"), 1)
-    assert len(sweeps) <= dirichlet
+    dz.radial_eigenvalues(spec, 1)
+    assert len(sweeps) <= alone
     assert max(sweeps) <= 512
 
 
@@ -197,6 +209,41 @@ def test_stop_contract_by_independent_count(channel, bc, m, radius, count):
     spec = dz.RadialChannelSpec(*channel, radius, m, bc)
     d, e = dz.radial_pencil(spec).reduced_tridiagonal()
     _assert_within_stop(d, e, dz.radial_eigenvalues(spec, count), 1 + skip)
+
+
+@st.composite
+def placed_tridiagonals(draw):
+    """A tridiagonal with entries in [-1, 1] times a scale, moved so that
+    its spectrum lies far above 0, all below 0, or around 0."""
+    m = draw(st.integers(2, 40))
+    unit = st.floats(-1.0, 1.0)
+    d = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+    e = np.array(draw(st.lists(unit, min_size=m - 1, max_size=m - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    place = draw(st.sampled_from(["far", "negative", "around"]))
+    if place == "far":
+        shift = 10.0 ** draw(st.integers(2, 9))
+    elif place == "negative":
+        # before the shift every Gershgorin disc lies below 3
+        shift = -3.0 - draw(st.floats(1e-3, 1e6))
+    else:
+        shift = -float(np.mean(d))
+    return scale * (d + shift), scale * e
+
+
+# The geometric first sweep starts at the point of [lo, hi] nearest 0, but
+# the wanted values need not lie there: each one, low or high in a spectrum
+# far from 0, all negative or around 0, still meets the stop contract.
+@settings(max_examples=80, deadline=None)
+@given(tri=placed_tridiagonals(), first=st.integers(1, 40), count=st.integers(1, 8))
+def test_multisect_stop_contract_off_radial_pencils(tri, first, count):
+    d, e = tri
+    first = min(first, d.size)
+    wanted = np.arange(first, min(first + count, d.size + 1))
+    lo, hi = _gershgorin(d, e)
+    a, b = dz._multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True),
+                         lo, hi, wanted, EPS * _norm(d, e))
+    _assert_within_stop(d, e, 0.5 * (a + b), first)
 
 
 # An off-diagonal cut to 1e-9 of its size near the far end nearly splits T.
