@@ -58,9 +58,8 @@ from .linalg import (
     SymMatrix,
     _cholesky_inverse,
     _eigh,
+    _svd,
     cholesky,
-    gen_sym_eigen,
-    gen_sym_eigen_values,
     max_norm,
     spd_sqrt,
     sym_eigen,
@@ -128,11 +127,11 @@ class ExtensionResult:
 class BucklingReport:
     """Pencil data for P_D A^2|_D u = lambda P_D A|_D u and its companions."""
 
-    pencil_values: np.ndarray
-    pencil_vectors: np.ndarray      # G_b-orthonormal coordinates in D
-    t_matrix: SymMatrix             # d x d, bounded by 1/epsilon in norm
-    polar_modulus: SymMatrix        # |S| = (Q^T A^2 Q)^(1/2)
-    isometry: np.ndarray            # U_S = A Q |S|^{-1}, orthonormal columns
+    pencil_values: np.ndarray       # ascending, squared singular values of A Q L^-T
+    pencil_vectors: np.ndarray      # coordinates in D, orthonormal for Q^T A Q = L L^T
+    t_matrix: SymMatrix             # |S|^-1 Q^T A Q |S|^-1, bounded by 1/epsilon in norm
+    polar_modulus: SymMatrix        # |S| = V Sigma V^T, from A Q = U Sigma V^T
+    isometry: np.ndarray            # U_S = U V^T = A Q |S|^-1, orthonormal columns
     residuals: dict
 
 
@@ -309,30 +308,38 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
 
 
 def _pencil(model: ExtensionModel):
-    """The scale s, and A Q, Q^T A^2 Q and Q^T A Q for the rescaled A / s.
+    """The scale s, and A Q, G_b = Q^T A Q and L^-1 for G_b = L L^T, for A / s.
 
     s is a power of two near max|A|.  Every construction here is exactly
     homogeneous in A, and dividing by a power of two is exact in IEEE
     arithmetic, so working at unit scale and scaling results back commits no
-    extra rounding.  This matters for the pencil: squaring A at physical
-    scale (discretizations carry 1/h^2) otherwise buries the small
-    eigenvalues in assembly noise.
+    extra rounding: a model whose A differs by a power of two gets the same
+    unit-scale data bit for bit, and so pencil values scaled by exactly that
+    power.  The pencil Q^T A^2 Q u = l Q^T A Q u itself is never formed:
+    its values are the squared singular values of A Q L^-T (Van Loan, SIAM
+    J. Numer. Anal. 13 (1976)), which keep the digits that squaring A loses.
     """
     norm = model.A.norm_max
     scale = float(2.0 ** math.frexp(norm)[1]) if norm else 1.0
     q = model.domain_basis
     aq = (model.A.array / scale) @ q
-    return scale, aq, SymMatrix(aq.T @ aq), SymMatrix(q.T @ aq)
+    g_b = SymMatrix(q.T @ aq)
+    low = cholesky(g_b)
+    return scale, aq, g_b, np.linalg.solve(low, np.eye(low.shape[0]))
 
 
 def pencil_values(model: ExtensionModel) -> np.ndarray:
     """Ascending eigenvalues of the compressed pencil Q^T A^2 Q u = l Q^T A Q u."""
-    scale, _, g_a, g_b = _pencil(model)
-    return scale * gen_sym_eigen_values(g_a, g_b)
+    scale, aq, _, low_inv = _pencil(model)
+    return scale * _svd(aq @ low_inv.T, with_vectors=False)[::-1] ** 2
 
 
 def buckling_analysis(model: ExtensionModel) -> BucklingReport:
     """Pencil, polar data, and the identity residuals tying them together.
+
+    The pencil pairs come from one SVD of A Q L^-T, and the polar data of
+    S = A Q from one SVD A Q = U Sigma V^T: |S| = V Sigma V^T and the
+    isometry U V^T (Higham, SIAM J. Sci. Stat. Comput. 7 (1986)).
 
     residuals keys:
       krein_vs_pencil      nonzero Krein eigenvalues against pencil values
@@ -344,15 +351,18 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
                            inverse to each other
       reciprocal_spectrum  eigenvalues of T against reciprocal pencil values
     """
-    scale, aq, g_a, g_b = _pencil(model)
-    pencil = gen_sym_eigen(g_a, g_b)
-    values = scale * pencil.values
+    scale, aq, g_b, low_inv = _pencil(model)
+    _, sigma, vt = _svd(aq @ low_inv.T)
+    unit_values = sigma[::-1] ** 2
+    values = scale * unit_values
+    # L^-T w is orthonormal for Q^T (A / s) Q; 1 / sqrt(s) makes it so for Q^T A Q
+    vectors = low_inv.T @ vt[::-1].T / math.sqrt(scale)
 
-    modulus = spd_sqrt(g_a)
-    mod_low = cholesky(modulus)
-    mod_inv = _cholesky_inverse(mod_low)
+    u, sigma, vt = _svd(aq)
+    modulus = (vt.T * sigma) @ vt
+    mod_inv = (vt.T / sigma) @ vt
     t_tilde = SymMatrix(mod_inv @ g_b.array @ mod_inv)
-    isometry = aq @ mod_inv
+    isometry = u @ vt
 
     kr = krein(model)
     krein_vals = _eigh(kr.matrix.array, with_vectors=False)[0]
@@ -369,14 +379,14 @@ def buckling_analysis(model: ExtensionModel) -> BucklingReport:
     )
 
     t_vals = _eigh(t_tilde.array, with_vectors=False)[0]
-    recips = np.sort(1.0 / pencil.values)
+    recips = 1.0 / unit_values[::-1]
     resid_c = float(np.max(np.abs(t_vals - recips) / np.abs(recips)))
 
     return BucklingReport(
         pencil_values=values,
-        pencil_vectors=pencil.vectors,
+        pencil_vectors=vectors,
         t_matrix=SymMatrix(t_tilde.array / scale),
-        polar_modulus=SymMatrix(scale * modulus.array),
+        polar_modulus=SymMatrix(scale * modulus),
         isometry=isometry,
         residuals={
             "krein_vs_pencil": resid_a,

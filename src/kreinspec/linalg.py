@@ -1,25 +1,25 @@
 """Dense symmetric linear algebra used by every other module.
 
 The factorizations are numpy's LAPACK-backed routines: eigh (syevd),
-eigvalsh, cholesky (potrf) and solve (gesv).  This module adds the library's
-contracts around them: exactly symmetric input, ascending eigenvalues, the
-Cholesky pivot floor, the PSD clamp of the square root, and typed errors in
-place of LinAlgError.  Each Cholesky factor is inverted at most once, by one
-solve, and the inverse is then applied by GEMM.  Spectra the library needs
-only the values of come from eigvalsh.  Exact symmetry comes from
-SymMatrix alone: it is the only code that averages a matrix with its
-transpose, every routine here wraps a plain array in one, and a SymMatrix
-argument is used as is.  The Sturm count for symmetric tridiagonals is
-written out here: numpy has no tridiagonal routine, and radial multisection
-needs the counts at many shifts from one sweep.  It relies on IEEE
-infinities and signed zeros in place of a pivot floor, so it needs no tuning
-constant.  The sweep takes the rows in fixed row blocks: a block's d_i - lam
-for every shift come from one broadcast, each row then costs at most two
-ufunc calls, and the block's sign bits are counted at once, in scratch
-memory of a few row blocks times the number of shifts.  The same sweep can
-also return each shift's last pivot, det(T - lam) / det(T_{m-1} - lam),
-which radial multisection fits to finish an isolated bracket: it costs no
-ufunc call beyond the count's.
+eigvalsh, svd (gesdd), cholesky (potrf) and solve (gesv).  This module adds
+the library's contracts around them: exactly symmetric input, ascending
+eigenvalues, the Cholesky pivot floor, the PSD clamp of the square root, and
+typed errors in place of LinAlgError.  Each Cholesky factor is inverted at
+most once, by one solve, and the inverse is then applied by GEMM.  Spectra
+the library needs only the values of come from eigvalsh, and singular values
+from svd without U and V.  Exact symmetry comes from SymMatrix alone: it is
+the only code that averages a matrix with its transpose, every routine here
+wraps a plain array in one, and a SymMatrix argument is used as is.  The
+Sturm count for symmetric tridiagonals is written out here: numpy has no
+tridiagonal routine, and radial multisection needs the counts at many shifts
+from one sweep.  It relies on IEEE infinities and signed zeros in place of a
+pivot floor, so it needs no tuning constant.  The sweep takes the rows in
+fixed row blocks: a block's d_i - lam for every shift come from one
+broadcast, each row then costs at most two ufunc calls, and the block's sign
+bits are counted at once, in scratch memory of a few row blocks times the
+number of shifts.  The same sweep can also return each shift's last pivot,
+det(T - lam) / det(T_{m-1} - lam), which radial multisection fits to finish
+an isolated bracket: it costs no ufunc call beyond the count's.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "EigenDecomposition",
     "cholesky",
     "sym_eigen",
-    "gen_sym_eigen",
-    "gen_sym_eigen_values",
     "spd_sqrt",
     "sturm_count",
     "max_norm",
@@ -93,7 +91,7 @@ class EigenDecomposition:
     """Full spectral decomposition A = V diag(values) V^T, values ascending."""
 
     values: np.ndarray
-    vectors: np.ndarray  # columns orthonormal (B-orthonormal for pencils)
+    vectors: np.ndarray  # columns orthonormal
 
 
 def cholesky(s) -> np.ndarray:
@@ -146,42 +144,24 @@ def _eigh(a: np.ndarray, with_vectors: bool = True):
     return values, vectors
 
 
+def _svd(a: np.ndarray, with_vectors: bool = True):
+    """Thin LAPACK SVD (gesdd) as (U, s, V^T), or s alone without vectors.
+
+    s is descending.  A non-finite entry or a failure raises NoConvergence;
+    the entries are checked first, as in _eigh.
+    """
+    if not np.all(np.isfinite(a)):
+        raise NoConvergence("singular value decomposition got non-finite entries")
+    try:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=with_vectors)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular value decomposition failed: {exc}") from None
+
+
 def sym_eigen(s) -> EigenDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors, by LAPACK syevd."""
     values, vectors = _eigh(_as_sym(s).array)
     return EigenDecomposition(values=values, vectors=vectors)
-
-
-def _reduce_pencil(a_pen, b_pen):
-    """L^-1 for the Cholesky factor L of B, and the symmetric C = L^-1 A L^-T."""
-    low = cholesky(b_pen)
-    low_inv = np.linalg.solve(low, np.eye(low.shape[0]))
-    # a non-finite A gives a non-finite C, which the eigensolver rejects
-    with np.errstate(invalid="ignore", over="ignore"):
-        c = low_inv @ _as_sym(a_pen).array @ low_inv.T
-    return low_inv, SymMatrix(c)
-
-
-def gen_sym_eigen(a_pen, b_pen) -> EigenDecomposition:
-    """Solve the symmetric-definite pencil A v = lambda B v.
-
-    Reduction by the Cholesky factor of B: with B = L L^T the pencil becomes
-    the ordinary symmetric problem L^-1 A L^-T, and eigenvectors are mapped
-    back through L^-T, which makes them B-orthonormal.
-    """
-    low_inv, c = _reduce_pencil(a_pen, b_pen)
-    eig = sym_eigen(c)
-    return EigenDecomposition(values=eig.values, vectors=low_inv.T @ eig.vectors)
-
-
-def gen_sym_eigen_values(a_pen, b_pen) -> np.ndarray:
-    """Pencil eigenvalues only; same reduction as gen_sym_eigen.
-
-    The reduced matrix goes to eigvalsh rather than to the full driver, so
-    these values agree with gen_sym_eigen(a, b).values only to rounding
-    (about 1e-13 relative on well-conditioned pencils), not bitwise.
-    """
-    return _eigh(_reduce_pencil(a_pen, b_pen)[1].array, with_vectors=False)[0]
 
 
 def spd_sqrt(s) -> SymMatrix:
@@ -216,6 +196,8 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False):
     exactly lam is not counted: the count is of eigenvalues strictly below
     lam.  At an off-diagonal that is exactly zero T splits, and the pivot
     restarts at q_i = d_i - lam, which also keeps 0/0 out of the sweep.
+    A non-finite entry of T, or a NaN shift, raises ValueError: the sign
+    bits would count nothing meaningful.
 
     One sweep over the rows updates every shift at once.  It takes the rows
     in row blocks of _STURM_BLOCK: one broadcast fills a rows-by-shifts
@@ -240,6 +222,8 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False):
         raise ValueError("tridiagonal has no rows")
     if e.size != n - 1:
         raise ValueError(f"offdiag length {e.size} does not match order {n}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("tridiagonal has non-finite entries")
     shifts = np.asarray(lam, dtype=float)
     if np.isnan(shifts).any():
         raise ValueError("shift is NaN")

@@ -6,6 +6,7 @@ import pytest
 from kreinspec import analysis as an
 from kreinspec import discretize as dz
 from kreinspec import extensions as ext
+from kreinspec import linalg as la
 from kreinspec import special
 from kreinspec import spectra as sp
 from kreinspec.errors import DomainError, InsufficientData, NotOrthogonal
@@ -153,6 +154,23 @@ NON_FINITE_SPECTRA = {
     "nan-value": lambda: sp.Spectrum(((NAN, 1), (1.0, 2)), 0, 5.0),
     "inf-value": lambda: sp.Spectrum(((1.0, 1), (INF, 2)), 0, 5.0),
 }
+
+
+# Each returned a count: [0 0] for the NaN diagonal, 0 for the NaN
+# off-diagonal and the infinite diagonal, 1 for the infinite off-diagonal.
+NON_FINITE_TRIDIAGONALS = {
+    "sturm-nan-diagonal": lambda: la.sturm_count([NAN] * 3, [0.1, 0.1], [0.5, 3.0]),
+    "sturm-nan-offdiagonal": lambda: la.sturm_count([1.0, 2.0], [NAN], 0.5),
+    "sturm-inf-diagonal": lambda: la.sturm_count([1.0, INF], [0.5], 0.5),
+    "sturm-inf-offdiagonal": lambda: la.sturm_count([1.0, 2.0], [INF], 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_TRIDIAGONALS.values(),
+                         ids=NON_FINITE_TRIDIAGONALS.keys())
+def test_non_finite_tridiagonal_raises(call):
+    with pytest.raises(ValueError, match="non-finite entries"):
+        call()
 
 
 @pytest.mark.parametrize("call", BAD_COUNTINGS.values(), ids=BAD_COUNTINGS.keys())
