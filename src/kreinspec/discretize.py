@@ -6,18 +6,14 @@ Two builds live here.  The interval build encodes the minimal operator
 usual second-difference operator on all interior nodes, and the restricted
 domain omits the first and last interior node, which pins the boundary
 derivatives at first order and reproduces the codimension-2 deficiency of
-the continuum problem.  The radial build discretizes the reduced channel
-operators -d^2/dr^2 + c/r^2 on (0, R) with either a hard endpoint row or
-the soft derivative condition f'(R) = (l + (n-1)/2) f(R) / R.
+the continuum problem.
 
-The soft endpoint row is produced by eliminating a centered ghost node and
-restoring symmetry with a half-weight mass entry, which keeps the pencil
-symmetric-definite (real spectrum) at the cost of a nonidentity mass matrix.
-
-The channel (n=2, l=0) is excluded: its coefficient c = -1/4 is the
-attractive-critical case with logarithmic behavior at the origin, where this
-plain difference scheme does not converge reliably; the closed-form spectra
-cover that channel exactly.
+The radial build discretizes each channel of the ball,
+-r^(1-n) (r^(n-1) u')' + l (l + n - 2) u / r^2 on (0, R), by finite volumes
+on m cells of width R/m, for every n >= 2 and l >= 0.  Its pencil is
+symmetric tridiagonal with a diagonal mass, and the condition at R, hard
+or soft (u'(R) = l u(R) / R, the profile f = r^((n-1)/2) u meeting
+f'(R) = (l + (n-1)/2) f(R) / R), sets only its last diagonal entry.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConstructionMismatch, InsufficientData, NonMonotoneError, UnsupportedChannel
+from .errors import ConstructionMismatch, InsufficientData, NonMonotoneError
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import Spectrum, _merge_coincident
@@ -162,21 +158,14 @@ class RadialChannelSpec:
             raise ValueError(
                 f"channel needs integers n >= 2 and l >= 0, got n={self.n}, l={self.ell}"
             )
-        if self.n == 2 and self.ell == 0:
-            raise UnsupportedChannel(
-                "channel n=2, l=0 has critical coefficient -1/4; use exact spectra"
-            )
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius {self.radius} is not positive and finite")
         if not (isinstance(self.m, Integral) and self.m >= 8):
             raise ValueError(f"need an integer m >= 8 grid points, got {self.m}")
         if self.bc not in ("dirichlet", "krein"):
             raise ValueError(f"bc must be dirichlet or krein, got {self.bc!r}")
-
-    @property
-    def coefficient(self) -> float:
-        """c_{n,l} = l (l + n - 2) + (n-1)(n-3)/4 in the c / r^2 term."""
-        return self.ell * (self.ell + self.n - 2) + (self.n - 1) * (self.n - 3) / 4.0
+        if self.bc == "krein" and self.ell >= 2 * self.m:
+            raise ValueError(f"the soft end needs l < 2m, got l={self.ell}, m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -196,28 +185,32 @@ class RadialPencil:
 
 
 def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
-    """Assemble the channel operator on (0, R].
+    """Finite volumes for -r^(1-n) (r^(n-1) u')' + l (l + n - 2) u / r^2.
 
-    Hard endpoint: grid r_i = i h with h = R/(m+1), no node at R.  Soft
-    endpoint: h = R/m with a node at r_m = R whose ghost neighbor is
-    eliminated through the centered derivative condition, symmetrized by a
-    half mass weight.  The origin row is truncated (no node at r = 0).
+    Cell i = 1..m is [(i-1) h, i h] with h = R/m on both conditions.  The
+    flux through the face at i h has weight (i h)^(n-1), which is 0 at the
+    origin; the mass is the cell measure, and the angular term is that
+    measure over the squared cell centre (i - 1/2) h.  The condition sets
+    only the flux through the face at R, so only the last diagonal entry:
+    the ghost u_(m+1) = -u_m on the hard end, and u'(R) = l u(R) / R with
+    u(R) = u_m / (1 - h l / (2R)) on the soft one.  The entries are stored
+    after the congruence by D_i = (i^(n-1) h^n)^(-1/2), which turns each
+    into a ratio near 1 over h^2: the plain weights underflow near the
+    origin once n is in the hundreds.
     """
-    m = spec.m
-    c = spec.coefficient
-    if spec.bc == "dirichlet":
-        h = spec.radius / (m + 1)
-    else:
-        h = spec.radius / m
-    r = h * np.arange(1, m + 1)
-    h2 = h * h
-    diag = 2.0 / h2 + c / (r * r)
-    off = np.full(m - 1, -1.0 / h2)
-    mass = np.ones(m)
-    if spec.bc == "krein":
-        alpha = (spec.ell + (spec.n - 1) / 2.0) / spec.radius
-        diag[-1] = (1.0 - h * alpha) / h2 + 0.5 * c / (spec.radius * spec.radius)
-        mass[-1] = 0.5
+    n, ell, m = spec.n, spec.ell, spec.m
+    h2 = (spec.radius / m) ** 2
+    i = np.arange(1.0, m + 1.0)
+    # i (1 - ((i-1)/i)^n) / n without the cancellation at large i; the first
+    # cell takes log1p(-1) = -inf
+    with np.errstate(divide="ignore"):
+        mass = -i * np.expm1(n * np.log1p(-1.0 / i)) / n
+    # flux weights of the faces at (i - 1) h and i h, relative to the latter
+    inner = ((i - 1.0) / i) ** (n - 1)
+    outer = np.ones(m)
+    outer[-1] = 2.0 if spec.bc == "dirichlet" else -2.0 * ell / (2 * m - ell)
+    diag = (inner + outer + ell * (ell + n - 2) * mass / (i - 0.5) ** 2) / h2
+    off = -(i[:-1] / i[1:]) ** ((n - 1) / 2.0) / h2
     return RadialPencil(diagonal=diag, offdiagonal=off, mass=mass)
 
 
@@ -383,19 +376,19 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     q_m; see _multisect.  The counts alone still choose every bracket.  The
     first sweep is geometric in the distance from the point of [lo, hi]
     nearest 0, where the wanted values lie.  At m = 800 a count-1 call
-    takes 3 sweeps on the hard condition and 4 on the soft one, and a
-    count-20 call 5 on either.  On the hard condition the first bracket of
-    the lowest value also holds the lowest eigenvalue of T_{m-1}, a pole of
-    q_m, so the second sweep is an even split, and one rational sweep
-    closes what it leaves.  On the soft condition that bracket is isolated
-    at once, and the rational finish takes three sweeps of 40 shifts.
+    takes 3 sweeps on the hard condition and 4 on the soft one in each
+    channel with n = 2-4 and l = 0-4, and a count-20 call 5 or 6.  On the
+    hard condition the first bracket of the lowest value also holds the
+    lowest eigenvalue of T_{m-1}, a pole of q_m, so the second sweep is
+    usually an even split, and one rational sweep closes what it leaves.
+    On the soft condition that bracket is isolated at once, and the
+    rational finish takes three sweeps of 40 shifts.
 
-    The soft endpoint condition carries the channel's one-dimensional kernel
-    (the discrete image of r^(l + (n-1)/2)), so its pencil has exactly one
-    near-zero eigenvalue, which is dropped.  That eigenvalue is truncation
-    error of order h^2 = (R/m)^2; a kernel candidate above
-    (alpha h / R)^2 / 4 times the first nonzero eigenvalue,
-    alpha = l + (n-1)/2, indicates a broken assembly and raises
+    The soft condition keeps the channel's kernel u = r^l, so its pencil has
+    exactly one near-zero eigenvalue, which is dropped: 0 up to rounding at
+    l = 0, and truncation error of order (R/m)^2 otherwise.  A kernel
+    candidate above the bound below times the first nonzero eigenvalue, up
+    to that eigenvalue's stop width, indicates a broken assembly and raises
     ConstructionMismatch.  Only that check reads the zero mode, so its
     bracket stops once all of it passes the check, or else at the first
     nonzero eigenvalue's stop width.  The pencil has m eigenvalues, so a
@@ -411,10 +404,15 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
     floor = np.finfo(float).eps * max(-lo, hi)
-    # Correct assemblies keep |lambda_0| below a fifth of bound |lambda_1|; a
-    # soft row built with alpha off by 1/2 lands at least 1.87 times above it.
+    # The zero mode is truncation error, which grows with l from exactly 0 at
+    # l = 0 to about (alpha / (m - l/2))^2 / 5 of lambda_1 at large l.  Correct
+    # assemblies stay at or below 0.77 bound (n = 2-300, l < 2m, m = 8-1600);
+    # a soft term with l off by 1/2 or by 1 lands at least 1.25 times above it
+    # for n = 2-5, l = 0-6 and m >= 16, and passes only at m <= 14 with l >= 4.
+    # The zero mode is known only to index 1's stop width, which exceeds
+    # bound lambda_1 at l = 0 from m = 3,400 in (2, 0) and 5,300 in (3, 0).
     alpha = spec.ell + (spec.n - 1) / 2.0
-    bound = (alpha / spec.m) ** 2 / 4.0
+    bound = (spec.ell + 1) / (3.0 * (spec.ell + 20)) * (alpha / (spec.m - spec.ell / 2.0)) ** 2
     wanted = np.arange(1, count + skip + 1)
 
     def is_open(a, b, stop):
@@ -428,7 +426,8 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
                       lo, hi, wanted, floor, is_open)
     out = 0.5 * (a + b)
     if skip:
-        if not abs(out[0]) <= bound * abs(out[1]):
+        stop = max(1e-13 * max(abs(out[1]), 1.0), floor)
+        if not abs(out[0]) <= bound * abs(out[1]) + stop:
             raise ConstructionMismatch(
                 f"expected a zero mode, got lowest eigenvalues {out[0]:.3e}, "
                 f"{out[1]:.3e} (ratio bound {bound:.3e})"

@@ -53,10 +53,6 @@ class BracketFailure(KreinspecError):
     """Root bracketing failed; indicates a programming error, not bad input."""
 
 
-class UnsupportedChannel(KreinspecError):
-    """Radial channel excluded from finite differences (n=2, l=0)."""
-
-
 class NonMonotoneError(KreinspecError):
     """Convergence study errors failed to decrease with refinement."""
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kreinspec.errors import ConstructionMismatch, NonMonotoneError, UnsupportedChannel
+from kreinspec.errors import ConstructionMismatch, NonMonotoneError
 from kreinspec import discretize as dz
 from kreinspec import extensions as ext
 from kreinspec.linalg import max_norm, sym_eigen
@@ -135,20 +135,34 @@ class TestDiscreteKreinSpectrum:
 
 
 class TestRadialPencil:
-    def test_unsupported_channel(self):
-        with pytest.raises(UnsupportedChannel):
-            dz.RadialChannelSpec(n=2, ell=0, radius=1.0, m=100, bc="dirichlet")
-
-    def test_coefficient_values(self):
-        assert dz.RadialChannelSpec(3, 0, 1.0, 50, "krein").coefficient == 0.0
-        assert dz.RadialChannelSpec(2, 1, 1.0, 50, "krein").coefficient == pytest.approx(0.75)
-        assert dz.RadialChannelSpec(3, 1, 1.0, 50, "krein").coefficient == pytest.approx(2.0)
+    def test_soft_end_needs_l_below_twice_m(self):
+        # u(R) = u_m / (1 - h l / (2R)) has no finite value at l = 2m
+        dz.RadialChannelSpec(3, 15, 1.0, 8, "krein")
+        dz.RadialChannelSpec(3, 16, 1.0, 8, "dirichlet")
+        with pytest.raises(ValueError):
+            dz.RadialChannelSpec(3, 16, 1.0, 8, "krein")
 
     def test_mass_entries(self):
-        hard = dz.radial_pencil(dz.RadialChannelSpec(3, 0, 1.0, 30, "dirichlet"))
-        soft = dz.radial_pencil(dz.RadialChannelSpec(3, 0, 1.0, 30, "krein"))
-        assert np.all(hard.mass == 1.0)
-        assert np.all(soft.mass[:-1] == 1.0) and soft.mass[-1] == 0.5
+        # the cell measures ((i h)^n - ((i-1) h)^n) / n after the congruence by
+        # (i^(n-1) h^n)^(-1/2): 1/n in the first cell, the same on both
+        # conditions, and over all cells the ball's measure R^n / n
+        m = 30
+        for n in (2, 3, 4, 300):
+            hard = dz.radial_pencil(dz.RadialChannelSpec(n, 0, 1.0, m, "dirichlet"))
+            soft = dz.radial_pencil(dz.RadialChannelSpec(n, 0, 1.0, m, "krein"))
+            assert np.array_equal(hard.mass, soft.mass)
+            assert hard.mass[0] == pytest.approx(1.0 / n, rel=1e-15)
+            if n < 300:
+                weights = np.arange(1.0, m + 1.0) ** (n - 1)
+                assert np.sum(weights * hard.mass) == pytest.approx(m**n / n, rel=1e-14)
+
+    def test_condition_sets_only_the_last_diagonal_entry(self):
+        spec = dz.RadialChannelSpec(3, 2, 1.0, 40, "dirichlet")
+        hard = dz.radial_pencil(spec)
+        soft = dz.radial_pencil(dataclasses.replace(spec, bc="krein"))
+        assert np.array_equal(hard.offdiagonal, soft.offdiagonal)
+        assert np.array_equal(hard.diagonal[:-1], soft.diagonal[:-1])
+        assert hard.diagonal[-1] != soft.diagonal[-1]
 
     def test_pencil_matrices_consistent(self):
         spec = dz.RadialChannelSpec(3, 1, 2.0, 20, "krein")
@@ -177,14 +191,27 @@ class TestRadialPencil:
         assert ev[0] == pytest.approx(series_bessel_zero(2, 1) ** 2, rel=5e-3)
 
     def test_zero_mode_is_discrete_kernel_vector(self):
-        # the soft pencil's near-null vector matches r^(l + (n-1)/2)
+        # at l = 0 the soft pencil's null vector is u = 1, which the stored
+        # congruence turns into (i^(n-1) h^n)^(1/2): exact up to rounding
+        for n in (2, 3, 4):
+            spec = dz.RadialChannelSpec(n, 0, 1.0, 60, "krein")
+            pencil = dz.radial_pencil(spec)
+            v = np.arange(1.0, spec.m + 1.0) ** ((n - 1) / 2.0)
+            resid = k_matrix(pencil) @ v
+            resid_scale = max_norm(k_matrix(pencil)) * max_norm(v)
+            assert max_norm(resid) <= 1e-12 * resid_scale
+
+    def test_zero_mode_is_near_r_to_the_l(self):
+        # for l >= 1, u = r^l at the cell centres is null only up to the
+        # truncation error: its Rayleigh quotient is 0.025 h^2 lambda_1 here
         spec = dz.RadialChannelSpec(3, 1, 1.0, 60, "krein")
         pencil = dz.radial_pencil(spec)
-        r = (1.0 / spec.m) * np.arange(1, spec.m + 1)
-        v = r**2  # l + (n-1)/2 = 2
-        resid = k_matrix(pencil) @ v
-        resid_scale = max_norm(k_matrix(pencil)) * max_norm(v)
-        assert max_norm(resid) <= 1e-12 * resid_scale
+        i = np.arange(1.0, spec.m + 1.0)
+        h = spec.radius / spec.m
+        v = i**((spec.n - 1) / 2.0) * ((i - 0.5) * h) ** spec.ell
+        quotient = (v @ k_matrix(pencil) @ v) / (v @ (pencil.mass * v))
+        lam1 = dz.radial_eigenvalues(spec, 1)[0]
+        assert 0.0 < quotient <= 0.05 * h * h * lam1
 
     def test_zero_mode_skipped_and_exposed(self):
         spec = dz.RadialChannelSpec(3, 0, 1.0, 400, "krein")
@@ -196,23 +223,34 @@ class TestRadialPencil:
     @pytest.mark.parametrize("m", [16, 100, 800])
     def test_zero_mode_check_accepts_every_channel(self, m):
         for n in (2, 3, 4):
-            for ell in range(5):
-                if (n, ell) != (2, 0):
-                    spec = dz.RadialChannelSpec(n, ell, 1.0, m, "krein")
-                    assert dz.radial_eigenvalues(spec, 1)[0] > 0.0
+            for ell in list(range(5)) + [m // 2, 2 * m - 1]:
+                spec = dz.RadialChannelSpec(n, ell, 1.0, m, "krein")
+                assert dz.radial_eigenvalues(spec, 1)[0] > 0.0
 
+    def test_zero_mode_check_allows_the_stop_width_at_l_zero(self):
+        # at l = 0 the zero mode is rounding, up to half the stop width
+        # eps ||T||, which outgrows bound lambda_1 from m of a few thousand
+        for n in (2, 3):
+            spec = dz.RadialChannelSpec(n, 0, 1.0, 8000, "krein")
+            assert dz.radial_eigenvalues(spec, 1)[0] > 0.0
+
+    # The soft term is -2 l / (2m - l) / h^2 in the last diagonal entry; built
+    # with l + shift it must fail the zero-mode check.  The closest case,
+    # n = 5, l = 6, m = 16 with l - 1/2, lands 1.25 times above the bound.
     @pytest.mark.parametrize("shift", [-0.5, 0.5, 1.0])
     def test_zero_mode_check_rejects_wrong_soft_row(self, monkeypatch, shift):
-        spec = dz.RadialChannelSpec(3, 4, 1.0, 100, "krein")
-        good = dz.radial_pencil(spec)
-        h = spec.radius / spec.m
-        alpha = (spec.ell + (spec.n - 1) / 2.0 + shift) / spec.radius
-        diag = good.diagonal.copy()
-        diag[-1] = (1.0 - h * alpha) / (h * h) + 0.5 * spec.coefficient / spec.radius**2
-        bad = dataclasses.replace(good, diagonal=diag)
-        monkeypatch.setattr(dz, "radial_pencil", lambda s: bad)
-        with pytest.raises(ConstructionMismatch):
-            dz.radial_eigenvalues(spec, 1)
+        for n in (2, 3, 4, 5):
+            for ell in range(7):
+                for m in (16, 17, 24, 100):
+                    spec = dz.RadialChannelSpec(n, ell, 1.0, m, "krein")
+                    good = dz.radial_pencil(spec)
+                    wrong = ell + shift
+                    diag = good.diagonal.copy()
+                    diag[-1] += (2.0 * ell / (2 * m - ell) - 2.0 * wrong / (2 * m - wrong)) * m * m
+                    bad = dataclasses.replace(good, diagonal=diag)
+                    monkeypatch.setattr(dz, "radial_pencil", lambda s: bad)
+                    with pytest.raises(ConstructionMismatch):
+                        dz.radial_eigenvalues(spec, 1)
 
     @pytest.mark.parametrize("bc,top", [("dirichlet", 8), ("krein", 7)])
     def test_count_up_to_pencil_order(self, bc, top):
@@ -238,6 +276,7 @@ class TestConvergenceOrder:
             lambda m: dz.radial_eigenvalues(dz.RadialChannelSpec(3, 0, 1.0, m, "dirichlet"), 1)[0],
             (250, 500, 1000),
             PI**2,
+            spacing=lambda m: 1.0 / m,
         )
         assert rep.order == pytest.approx(2.0, abs=0.3)
         assert rep.richardson == pytest.approx(PI**2, rel=1e-6)

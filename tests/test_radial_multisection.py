@@ -17,13 +17,15 @@ COUNT = 20
 
 
 # Dense eigvalsh is normwise backward stable: it fixes each eigenvalue only to
-# a few eps * ||T|| absolute.  At m = 800 and R = 1 that stays below 1e-11 of
-# the lowest eigenvalue for these channels (at most 6e-12 measured); at other
-# radii, and at m = 4000, where it reaches 4e-9, it does not, so there the
-# comparison allows 8 eps * ||T|| (at R = 0.8 and 1.25 at most 1.12 eps * ||T||
-# measured).
+# a few eps * ||T|| absolute, and at m = 4000 that reaches 4e-9 of the lowest
+# eigenvalue.  So the comparison allows 8 eps * ||T|| (at most 1.2 eps * ||T||
+# measured over R = 0.8, 1 and 1.25 and the channels (2, 0), (2, 1), (3, 0),
+# (3, 2) and (4, 4)).  At R = 1 a relative 1e-11 alone no longer holds: for
+# (2, 1) krein, lambda_1 reads 2.2e-11 apart, and a 50-digit bisection of the
+# same tridiagonal puts the library value 1.3e-11 (0.28 of its stop) and
+# eigvalsh 9.3e-12 from the exact eigenvalue.
 @pytest.mark.parametrize("m, atol_eps, radius", [
-    pytest.param(800, 0.0, 1.0, id="800-0.0"),
+    pytest.param(800, 8.0, 1.0, id="800-8.0-R1"),
     pytest.param(800, 8.0, 0.8, id="800-8.0-R0.8"),
     pytest.param(800, 8.0, 1.25, id="800-8.0-R1.25"),
     pytest.param(4000, 8.0, 1.0, marks=pytest.mark.slow, id="4000-8.0"),
@@ -44,7 +46,7 @@ def test_agrees_with_dense_eigvalsh(n, ell, bc, m, atol_eps, radius):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    channel=st.sampled_from([(2, 1), (3, 0), (3, 2), (4, 4)]),
+    channel=st.sampled_from([(2, 0), (2, 1), (3, 0), (3, 2), (4, 4)]),
     bc=st.sampled_from(["dirichlet", "krein"]),
     m=st.integers(8, 300),
     index=st.integers(0, 7),
@@ -83,11 +85,13 @@ def _norm(d, e):
     return np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
 
 
-# The budgets are the largest counts measured over all 14 channels at R = 1.
-# A Dirichlet count-1 call takes an even split and one rational sweep after
-# the geometric first sweep; a krein one starts the rational finish at once
-# and takes three narrow sweeps.  Both calls stop at eps ||T||, so they
-# agree to that.
+# The budgets are the largest counts measured over these channels at R = 1.
+# Over all 15 channels the count-1 budgets hold, and a Dirichlet count-20
+# call takes 6 sweeps in (2, 0) and (3, 0), 5 elsewhere.  A Dirichlet
+# count-1 call takes an even split and one rational sweep after the
+# geometric first sweep; a krein one starts the rational finish at once and
+# takes three narrow sweeps.  Both calls stop at eps ||T||, so they agree to
+# that.
 @pytest.mark.parametrize("bc, most_one, most_twenty", [
     pytest.param("dirichlet", 3, 5, id="dirichlet"),
     pytest.param("krein", 4, 5, id="krein"),
@@ -105,25 +109,26 @@ def test_sweep_budget(sweeps, n, ell, bc, most_one, most_twenty):
     assert abs(one[0] - twenty[0]) <= EPS * _norm(d, e)
 
 
-# Dirichlet values recorded at the stop max(1e-13 relative, eps ||T||), with
-# the rational finish.  The blocked sweep reproduces every count bit for bit
-# and the shifts are a fixed function of them, so the values must not move
-# by one bit.  Their accuracy rests on bounds independent of this record:
-# the stop contract by the pure-Python count below, the eigvalsh comparison
-# above and the Bessel-zero extrapolation in tests/test_cross_route.py.
+# Dirichlet values of the finite-volume scheme, recorded at the stop
+# max(1e-13 relative, eps ||T||), with the rational finish.  The blocked
+# sweep reproduces every count bit for bit and the shifts are a fixed
+# function of them, so the values must not move by one bit.  Their accuracy
+# rests on bounds independent of this record: the stop contract by the
+# pure-Python count below, the eigvalsh comparison above and the Bessel-zero
+# extrapolation in tests/test_cross_route.py.
 RECORDED_DIRICHLET = {
-    (2, 1, 100): ["0x1.d5bec62b7f55ep+3", "0x1.89911aa892b00p+5", "0x1.9d9f217d6fa7ep+6",
-                  "0x1.6280e34c975c0p+7", "0x1.0ea9bfa3f0adep+8"],
-    (2, 1, 800): ["0x1.d5d2549c0f296p+3", "0x1.89be93de3be40p+5", "0x1.9dfdc7b615cafp+6",
-                  "0x1.63084bec0d596p+7", "0x1.0f45725e18820p+8"],
-    (3, 2, 100): ["0x1.09b6a76995103p+5", "0x1.4ac1dcefaeb82p+6", "0x1.2f7881dafc3b6p+7",
-                  "0x1.e0be95fc4c1bcp+7", "0x1.5c8a0111b3b1ep+8"],
-    (3, 2, 800): ["0x1.09bd415e5c28fp+5", "0x1.4ae0017185f03p+6", "0x1.2fb4b8faf32d6p+7",
-                  "0x1.e165320eb6e5cp+7", "0x1.5d44aec9754b8p+8"],
-    (4, 4, 100): ["0x1.33b8636ec6484p+6", "0x1.305b37cc7db49p+7", "0x1.ec8ec185fa0c4p+7",
-                  "0x1.67b3d8a12e558p+8", "0x1.ec7f1e7a80fe8p+8"],
-    (4, 4, 800): ["0x1.33c1517f36131p+6", "0x1.307af537f130ap+7", "0x1.ecfbea4deb272p+7",
-                  "0x1.683ca228c4716p+8", "0x1.ed9cd341ca702p+8"],
+    (2, 1, 100): ["0x1.d5cd41a5c6c38p+3", "0x1.89a40c458ea9dp+5", "0x1.9db94be4fa26dp+6",
+                  "0x1.629c0e48d443ep+7", "0x1.0ec1b23d82461p+8"],
+    (2, 1, 800): ["0x1.d5d29e4e5fac0p+3", "0x1.89bef89c93f06p+5", "0x1.9dfe58307eae0p+6",
+                  "0x1.6308e76e210e0p+7", "0x1.0f4600767a7e0p+8"],
+    (3, 2, 100): ["0x1.09bb4ab7bbe62p+5", "0x1.4ac8d0d25bf71p+6", "0x1.2f7fb0bca094ap+7",
+                  "0x1.e0cad2df845e2p+7", "0x1.5c933391d4024p+8"],
+    (3, 2, 800): ["0x1.09bd5464928e6p+5", "0x1.4ae01f6b3a88cp+6", "0x1.2fb4da0c9b35ep+7",
+                  "0x1.e1656f0997108p+7", "0x1.5d44e115b3709p+8"],
+    (4, 4, 100): ["0x1.33bea8c924cfcp+6", "0x1.306179bdbcb3cp+7", "0x1.ec98844c2185cp+7",
+                  "0x1.67ba6503bf84ep+8", "0x1.ec86defa7fefdp+8"],
+    (4, 4, 800): ["0x1.33c16b37d758cp+6", "0x1.307b10844b31cp+7", "0x1.ecfc192921846p+7",
+                  "0x1.683cc627e2090p+8", "0x1.ed9d06c2bcc1ap+8"],
 }
 
 
@@ -133,7 +138,7 @@ def test_dirichlet_values_bit_equal_to_recorded(n, ell, m):
     assert [float(v).hex() for v in got] == RECORDED_DIRICHLET[n, ell, m]
 
 
-CHANNELS = [(n, ell) for n in (2, 3, 4) for ell in range(5) if (n, ell) != (2, 0)]
+CHANNELS = [(n, ell) for n in (2, 3, 4) for ell in range(5)]
 
 
 # The stop's contract, checked by the pure-Python count: value k (counted with
