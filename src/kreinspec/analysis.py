@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DomainError, InsufficientData, InsufficientEigenvalues
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
-from .spectra import _require_dimension
+from .spectra import _require_complete_below, _require_dimension
 
 __all__ = [
     "CountingFunction",
@@ -64,9 +64,10 @@ class CountingFunction:
 
     Both are read-only numpy arrays, coerced from any sequence: breakpoints
     finite and strictly ascending (float), cumulative of the same length and
-    nondecreasing from 0 (int64).  Calling it on a scalar returns an int,
-    on an array an int64 array of the same shape, each from one
-    np.searchsorted; a NaN probe raises ValueError.
+    nondecreasing from 0 (int64).  complete_below is None or > 0 (inf
+    allowed).  Calling it on a scalar returns an int, on an array an int64
+    array of the same shape, each from one np.searchsorted; a NaN probe
+    raises ValueError.
     """
 
     breakpoints: np.ndarray   # ascending eigenvalues
@@ -87,6 +88,7 @@ class CountingFunction:
             raise ValueError("breakpoints not strictly ascending")
         if np.any(np.diff(cumulative, prepend=0) < 0):
             raise ValueError("cumulative counts decrease or start below 0")
+        _require_complete_below(self.complete_below)
         for name, arr in (("breakpoints", breakpoints), ("cumulative", cumulative)):
             arr.setflags(write=False)  # a copy, so the caller's array stays writable
             object.__setattr__(self, name, arr)
@@ -254,11 +256,12 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     (lo, hi], and the law's one turning point lambda* = ((n-1) b / (n a))^2,
     which exists when a b < 0 and counts when it lies in the window.  Both
     the fit and the law are evaluated in lambda / 2^k with 2^k near hi, so
-    lambda^(n/2) never overflows on the way.  A fitted coefficient that
-    does not scale back to a double exactly, a law that overflows at the
-    window scale, or a remainder that is not finite, raises DomainError.
-    Where the window is so narrow that the two powers are parallel to
-    rounding, the fit is the minimum-norm least-squares pair.
+    lambda^(n/2) never overflows on the way.  A power that overflows even
+    at the window scale, a fitted coefficient that does not scale back to
+    a double exactly, a law that overflows at the window scale, or a
+    remainder that is not finite, raises DomainError.  The fit is the
+    minimum-norm least-squares pair, which also covers a window so narrow
+    that the two powers are parallel to rounding.
     """
     _require_dimension(n, 1)
     lo, hi = float(window[0]), float(window[1])
@@ -281,20 +284,11 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     k = math.frexp(hi)[1]
     k -= k % 2
     lead_exp, second_exp = k // 2 * n, k // 2 * (n - 1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu = np.ldexp(lams, -k)
-        x1 = mu ** (n / 2.0)
-        x2 = mu ** ((n - 1) / 2.0)
-        # 2x2 normal equations, solved in closed form
-        a11, a12, a22 = x1 @ x1, x1 @ x2, x2 @ x2
-        b1, b2 = x1 @ counts, x2 @ counts
-        det = a11 * a22 - a12 * a12
-        fit_lead = (a22 * b1 - a12 * b2) / det
-        fit_second = (a11 * b2 - a12 * b1) / det
-    if det == 0.0:
-        # a window of a few ulps makes the two columns parallel; take the
-        # minimum-norm least-squares pair
-        fit_lead, fit_second = np.linalg.lstsq(np.column_stack((x1, x2)), counts, rcond=None)[0]
+    with np.errstate(over="ignore"):
+        powers = np.ldexp(lams, -k)[:, None] ** np.array([n / 2.0, (n - 1) / 2.0])
+    if not np.isfinite(powers).all():
+        raise DomainError(f"(lambda / 2^{k})^({n}/2) on ({lo}, {hi}) is not a finite double")
+    fit_lead, fit_second = np.linalg.lstsq(powers, counts, rcond=None)[0]
     c_lead = _ldexp(float(fit_lead), -lead_exp)
     c_second = _ldexp(float(fit_second), -second_exp)
 

@@ -228,22 +228,36 @@ def _rational_root(x, y):
         return x[:, 0] + y1 * t2 * t3 * (y2 - y3) / ((y2 - y1) * y3 * t3 - (y3 - y1) * y2 * t2)
 
 
-def _outward_split(lo, hi, count, floor):
+def _stop_width(x, lo, hi):
+    """Width at which a bracket that reaches |x| closes, for a tridiagonal
+    T with Gershgorin interval [lo, hi]: max(1e-13 |x|, eps ||T||) with
+    ||T|| = max(-lo, hi).
+
+    A Sturm count is exact only for some matrix within about eps ||T|| of T
+    (Demmel, Dhillon & Ren, ETNA 3 (1995)), so a narrower bracket would not
+    be more accurate.  The rule has no absolute part: scaling T by a power
+    of two scales every width, and with it every bracket, by exactly that
+    power.  It is 0 only for T = 0, whose brackets all have width 0.
+    """
+    return np.maximum(1e-13 * np.abs(x), np.finfo(float).eps * max(-lo, hi))
+
+
+def _outward_split(lo, hi, count):
     """count shifts in (lo, hi), geometric in the distance from c, the point
     of [lo, hi] nearest 0.
 
-    start is the stop at c.  Each side of c gets a share of the shifts in
-    proportion to its log-length log(L / start), L its end's distance from
-    c, and its k-th shift sits at start (L / start)^(k / share) from c, so
-    on each side every cell past start spans one ratio of distances.  c
-    itself is a shift when it lies inside.  An interval within start of c
-    gets the even split.
+    start is the stop at c, _stop_width(c).  Each side of c gets a share of
+    the shifts in proportion to its log-length log(L / start), L its end's
+    distance from c, and its k-th shift sits at start (L / start)^(k / share)
+    from c, so on each side every cell past start spans one ratio of
+    distances.  c itself is a shift when it lies inside.  An interval within
+    start of c, T = 0 included, gets the even split.
     """
     c = min(max(0.0, lo), hi)
-    start = max(1e-13 * max(abs(c), 1.0), floor)
-    reach = np.log(np.maximum(np.array([c - lo, hi - c]) / start, 1.0))
-    if not reach.sum() > 0.0:
+    start = _stop_width(c, lo, hi)
+    if not max(c - lo, hi - c) > start:
         return lo + (hi - lo) * (np.arange(1, count + 1) / (count + 1))
+    reach = np.log(np.maximum(np.array([c - lo, hi - c]) / start, 1.0))
     inner = 1 if lo < c < hi else 0
     right = round((count - inner) * reach[1] / reach.sum())
     left = count - inner - right
@@ -254,16 +268,16 @@ def _outward_split(lo, hi, count, floor):
     ))
 
 
-def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
+def _multisect(sweep, lo, hi, wanted, is_open=None):
     """Brackets [a, b) of the eigenvalues with the given 1-based indices.
 
     sweep maps an array of shifts to the Sturm counts there (eigenvalues
     strictly below each shift) and the last LDL^T pivots, and [lo, hi]
     holds the whole spectrum.  A bracket is open while its width exceeds its
-    stop, max(1e-13 relative, floor); is_open(a, b, stop), if given,
-    replaces that rule and returns the mask of open brackets.  Each step is
-    one sweep at about _SWEEP_CELLS shifts, and every index keeps the
-    sub-interval that holds it.  In the first sweep all indices share
+    stop, _stop_width at its end farther from 0; is_open(a, b, stop), if
+    given, replaces that rule and returns the mask of open brackets.  Each
+    step is one sweep at about _SWEEP_CELLS shifts, and every index keeps
+    the sub-interval that holds it.  In the first sweep all indices share
     [lo, hi], and its shifts are geometric in the distance from the point
     of [lo, hi] nearest 0 (_outward_split): on a fine grid hi is about
     4/h^2, far above the low eigenvalues, and an even split would leave
@@ -280,10 +294,10 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
     geometric rungs on each side from stop/64 out to the bracket ends, and
     the 7 interior points of an 8-cell split, so every bracket still
     shrinks at least 8 times.  The counts alone choose every sub-interval,
-    and a missing or outside estimate falls back to the even split.  Rungs from stop/64 rather than
-    stop/4 leave the last bracket a median 0.09 of the floor wide instead of
-    0.23, so the midpoint adds little to the count's own rounding; they cost
-    0.14 sweeps per radial-fd benchmark job.
+    and a missing or outside estimate falls back to the even split.  Rungs
+    from stop/64 rather than stop/4 leave the last bracket a median 0.09 of
+    the stop wide instead of 0.23, so the midpoint adds little to the
+    count's own rounding; they cost 0.14 sweeps per radial-fd benchmark job.
     """
     size = wanted.size
     a, b = np.full(size, lo), np.full(size, hi)
@@ -293,7 +307,7 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
     ca, cb = np.zeros(size, dtype=np.intp), np.full(size, most)
     pa, pb = np.full(size, np.nan), np.full(size, np.nan)
     guess = np.full(size, np.nan)
-    stop = np.full(size, floor)
+    stop = np.zeros(size)  # set after each sweep, first read by the second
     live = np.arange(size)
     # Open brackets never overlap, so their left ends tell them apart.  Each
     # step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
@@ -310,7 +324,7 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
             grid[~fin, :cells - 1] = (left[~fin, None] + (right - left)[~fin, None]
                                       * (np.arange(1, cells) / cells))
         else:
-            grid[0, :cells - 1] = _outward_split(lo, hi, cells - 1, floor)
+            grid[0, :cells - 1] = _outward_split(lo, hi, cells - 1)
         if fin.any():
             est, gap = est[fin, None], stop[head[fin], None] / 64.0
             lf, rf = left[fin, None], right[fin, None]
@@ -352,8 +366,7 @@ def _multisect(sweep, lo, hi, wanted, floor, is_open=None):
                     & (a[live] < root) & (root < b[live])
                     & np.isfinite(np.minimum(near_left, near_right)))
         guess[live] = np.where(isolated, root, np.nan)
-        scale = np.maximum(np.maximum(abs(a), abs(b)), 1.0)
-        stop = np.maximum(1e-13 * scale, floor)
+        stop = _stop_width(np.maximum(abs(a), abs(b)), lo, hi)
         wide = b - a > stop if is_open is None else is_open(a, b, stop)
         live = live[wide[live]]
         if not live.size:
@@ -365,15 +378,12 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     """Lowest nonzero pencil eigenvalues by Sturm multisection.
 
     All wanted indices are bracketed together by _multisect, from the
-    Gershgorin interval [lo, hi] down to a width of max(1e-13 relative,
-    eps ||T||) with ||T|| = max(|lo|, |hi|): a Sturm count is exact only for
-    some matrix within about eps ||T|| of T, so narrower brackets would not
-    be more accurate.  Each step is one sturm_count sweep, which also
-    returns the last LDL^T pivot q_m at every shift.  Once a bracket holds
-    one eigenvalue and q_m > 0 > q_m at its ends, q_m has no pole inside it
-    (a pole would force a second zero, so a second eigenvalue), and the
-    next sweep centres its shifts on the root of a one-pole rational fit to
-    q_m; see _multisect.  The counts alone still choose every bracket.  The
+    Gershgorin interval [lo, hi] down to the width _stop_width gives.  Each
+    step is one sturm_count sweep, which also returns the last LDL^T pivot
+    q_m at every shift.  Once a bracket holds one eigenvalue and
+    q_m > 0 > q_m at its ends, q_m has no pole inside it (a pole would force
+    a second zero, so a second eigenvalue), and the next sweep centres its
+    shifts on the root of a one-pole rational fit to q_m; see _multisect.  The counts alone still choose every bracket.  The
     first sweep is geometric in the distance from the point of [lo, hi]
     nearest 0, where the wanted values lie.  At m = 800 a count-1 call
     takes 3 sweeps on the hard condition and 4 on the soft one in each
@@ -403,7 +413,6 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     radius = abs_e[:-1] + abs_e[1:]
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
-    floor = np.finfo(float).eps * max(-lo, hi)
     # The zero mode is truncation error, which grows with l from exactly 0 at
     # l = 0 to about (alpha / (m - l/2))^2 / 5 of lambda_1 at large l.  Correct
     # assemblies stay at or below 0.77 bound (n = 2-300, l < 2m, m = 8-1600);
@@ -423,10 +432,10 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
         return wide
 
     a, b = _multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True),
-                      lo, hi, wanted, floor, is_open)
+                      lo, hi, wanted, is_open)
     out = 0.5 * (a + b)
     if skip:
-        stop = max(1e-13 * max(abs(out[1]), 1.0), floor)
+        stop = _stop_width(out[1], lo, hi)
         if not abs(out[0]) <= bound * abs(out[1]) + stop:
             raise ConstructionMismatch(
                 f"expected a zero mode, got lowest eigenvalues {out[0]:.3e}, "
@@ -446,11 +455,12 @@ class ConvergenceReport:
 def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceReport:
     """Empirical order of a grid refinement study against a known target.
 
-    `run` maps a size to the computed value; sizes must refine by factors of
-    two, and the target must be finite.  A value that is not finite, or an
-    error of exactly zero at the finest size, leaves no order to fit and
-    raises InsufficientData naming its size; errors that fail to decrease
-    raise NonMonotoneError carrying the measured data.
+    `run` maps a size to the computed value; sizes must be integers >= 1
+    that refine by factors of two, spacing(m) (1/(m + 1) by default) must be
+    finite and positive, and the target must be finite.  A value that is not
+    finite, or an error of exactly zero at the finest size, leaves no order
+    to fit and raises InsufficientData naming its size; errors that fail to
+    decrease raise NonMonotoneError carrying the measured data.
     """
     if not math.isfinite(target):
         raise ValueError(f"target {target} is not finite")
@@ -460,11 +470,16 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 sizes")
+    if sizes[0] < 1:
+        raise ValueError(f"sizes must be >= 1, got {sizes}")
     for a, b in zip(sizes, sizes[1:]):
         if b != 2 * a:
             raise ValueError(f"sizes must double: {a} -> {b}")
     if spacing is None:
         spacing = lambda m: 1.0 / (m + 1)
+    steps = tuple(float(spacing(m)) for m in sizes)
+    if not all(0.0 < h < math.inf for h in steps):
+        raise ValueError(f"spacing must be finite and positive, got {steps}")
     values = tuple(run(m) for m in sizes)
     for m, v in zip(sizes, values):
         if not math.isfinite(v):
@@ -475,10 +490,8 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     # decreasing errors can reach zero only at the finest size
     if errors[-1] == 0.0:
         raise InsufficientData(f"size {sizes[-1]} hits the target exactly: no error to fit")
-    logs_h = np.log([spacing(m) for m in sizes])
-    logs_e = np.log(errors)
-    slope = np.polyfit(logs_h, logs_e, 1)[0]
-    ratio = spacing(sizes[-2]) / spacing(sizes[-1])
+    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    ratio = steps[-2] / steps[-1]
     coarse, fine = values[-2:]
     rich = fine + (fine - coarse) / (ratio**slope - 1.0)
     return ConvergenceReport(

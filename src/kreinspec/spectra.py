@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -80,10 +80,11 @@ class Spectrum:
     """Ascending (value, multiplicity) pairs plus the kernel dimension.
 
     Zero modes never appear among the entries; they are counted by
-    kernel_dim (math.inf for an infinite-dimensional kernel).  When
-    complete_below is set, no eigenvalue below it is missing.  The entries
-    are validated as one pair of numpy arrays, which counting functions
-    built from the spectrum reuse.
+    kernel_dim, an integer >= 0 or math.inf for an infinite-dimensional
+    kernel.  When complete_below is set, it is > 0 (inf allowed) and no
+    eigenvalue below it is missing.  The entries are validated as one pair
+    of numpy arrays, which counting functions built from the spectrum
+    reuse.
     """
 
     entries: tuple
@@ -102,6 +103,11 @@ class Spectrum:
             raise ValueError("spectrum entries not strictly increasing")
         if np.any(mults < 1):
             raise ValueError("nonpositive multiplicity")
+        kernel = self.kernel_dim
+        if not (isinstance(kernel, Real) and kernel >= 0
+                and (kernel == INFINITE or float(kernel).is_integer())):
+            raise ValueError(f"kernel_dim must be an integer >= 0 or inf, got {kernel!r}")
+        _require_complete_below(self.complete_below)
         values.setflags(write=False)
         mults.setflags(write=False)
         # the same entries as arrays, for the counting layer
@@ -157,6 +163,12 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
         kernel_dim=2,
         complete_below=float(vals[-1]),
     )
+
+
+def _require_complete_below(value) -> None:
+    """complete_below is None or a number > 0, inf allowed; NaN is not."""
+    if value is not None and not (isinstance(value, Real) and value > 0.0):
+        raise ValueError(f"complete_below must be None or > 0, got {value!r}")
 
 
 def _require_dimension(n, least: int) -> None:

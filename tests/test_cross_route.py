@@ -62,8 +62,9 @@ def test_channel_converges_at_order_two(n, ell, bc, rel):
 
 
 # Cells of width h = R/m and every entry a ratio over h^2: doubling R divides
-# every value by exactly 4.  Sizes where eps ||T|| sets the stop, not its
-# absolute part 1e-13, so the whole multisection scales by 1/4.
+# every entry, the Gershgorin ends and every Sturm pivot by exactly 4.  The
+# multisection stop has no absolute part (discretize._stop_width), so every
+# shift and bracket scales by 1/4 too, and so does every value, at any size.
 @pytest.mark.parametrize("bc", ["dirichlet", "krein"])
 @pytest.mark.parametrize("n, ell", [(2, 0), (3, 1)])
 def test_doubling_the_radius_quarters_every_value(n, ell, bc):
@@ -71,6 +72,19 @@ def test_doubling_the_radius_quarters_every_value(n, ell, bc):
         values = dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, radius, 400, bc), 20)
         doubled = dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 2 * radius, 400, bc), 20)
         assert np.array_equal(doubled, values / 4)
+
+
+# Coarse grids at large radii put eps ||T|| and the values far below 1, where
+# a stop with an absolute part (1e-13 for |x| < 1) broke the exact scaling:
+# 90 of these 96 doublings were off by up to 6.5e-11 relative.
+@pytest.mark.parametrize("bc", ["dirichlet", "krein"])
+@pytest.mark.parametrize("n, ell", [(2, 0), (3, 0), (3, 1), (4, 2)])
+def test_doubling_a_large_radius_on_coarse_grids_quarters_every_value(n, ell, bc):
+    for m in (8, 16, 32, 64):
+        for radius in (4.0, 16.0, 64.0):
+            values = dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, radius, m, bc), 5)
+            doubled = dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 2 * radius, m, bc), 5)
+            assert np.array_equal(doubled, values / 4)
 
 
 # The entries are ratios near 1 over h^2, so no face weight r^(n-1)

@@ -155,6 +155,88 @@ NON_FINITE_SPECTRA = {
     "inf-value": lambda: sp.Spectrum(((1.0, 1), (INF, 2)), 0, 5.0),
 }
 
+# Each constructed.  A NaN complete_below then read as no limit at all:
+# counting_domination reported the pair below as satisfied with margin inf
+# (with 10.0 in place of NaN it reads violated, margin -8), and weyl_fit
+# fitted past the complete range.  kernel_dim -3 built a spectrum.
+BAD_COMPLETENESS = {
+    "counting-complete-below-nan": lambda: an.counting_domination(
+        an.CountingFunction((1.0, 2.0), (5, 9), complete_below=NAN),
+        an.CountingFunction((1.5, 3.0), (1, 2), complete_below=10.0)),
+    "weyl-fit-complete-below-nan": lambda: an.weyl_fit(
+        an.CountingFunction((1.0, 2.0), (1, 3), complete_below=NAN), 2, (1.0, 4.0)),
+    "counting-complete-below-zero": lambda: an.CountingFunction((1.0,), (1,), complete_below=0.0),
+    "counting-complete-below-negative": lambda: an.CountingFunction((1.0,), (1,), complete_below=-1.0),
+    "spectrum-complete-below-nan": lambda: sp.Spectrum(((1.0, 1),), 0, NAN),
+    "spectrum-complete-below-negative": lambda: sp.Spectrum(((1.0, 1),), 0, -5.0),
+    "spectrum-kernel-negative": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=-3),
+    "spectrum-kernel-nan": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=NAN),
+    "spectrum-kernel-half": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=1.5),
+    "spectrum-kernel-negative-inf": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=-INF),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COMPLETENESS.values(), ids=BAD_COMPLETENESS.keys())
+def test_bad_complete_below_and_kernel_dim_raise(call):
+    with pytest.raises(ValueError, match="complete_below must be None or > 0|kernel_dim must be"):
+        call()
+
+
+def test_completeness_and_kernel_at_the_edges():
+    assert an.CountingFunction((1.0,), (1,), complete_below=INF)(2.0) == 1
+    spectrum = sp.Spectrum(((1.0, 1),), INF, INF)
+    assert spectrum.kernel_dim == INF and spectrum.complete_below == INF
+    assert sp.Spectrum(((1.0, 1),), np.int64(2), None).kernel_dim == 2
+    assert sp.Spectrum(((1.0, 1),), 2.0).kernel_dim == 2
+
+
+def _random_31():
+    return ext.random_model(31, 8, 4)
+
+
+# Input checks that no other test reached.  Each raises ValueError.
+UNREACHED_CHECKS = {
+    "two-term-bad-which": (
+        lambda: an.two_term_ball_coefficients(3, 1.0, "neumann"), "which must be"),
+    "interval-counting-bad-which": (
+        lambda: an.interval_counting(UNIT_SEGMENT, "neumann", 10.0), "which must be"),
+    "ball-spectrum-bad-which": (
+        lambda: sp.ball_spectrum(UNIT_BALL, "neumann", 10.0), "which must be"),
+    "radial-bad-bc": (
+        lambda: dz.RadialChannelSpec(3, 1, 1.0, 10, "neumann"), "bc must be"),
+    "sampled-potential-wrong-length": (
+        lambda: dz.PotentialSpec.sampled([0.0] * 3).values_at(dz.Grid1D(0.0, 1.0, 10)),
+        "3 values for 10 nodes"),
+    "new-model-basis-rows": (
+        lambda: ext.new_model(_random_31().A, np.eye(9, 2)), "basis rows 9 != ambient dimension 8"),
+    "new-model-no-columns": (
+        lambda: ext.new_model(_random_31().A, np.empty((8, 0))), "at least one column"),
+    "sturm-offdiag-length": (
+        lambda: la.sturm_count([1.0, 2.0], [0.5, 0.5], 0.0), "offdiag length 2 does not match order 2"),
+    "spectrum-nonpositive-value": (
+        lambda: sp.Spectrum(((0.0, 1), (1.0, 1)), 0), "nonpositive value"),
+    "spectrum-not-increasing": (
+        lambda: sp.Spectrum(((2.0, 1), (1.0, 1)), 0), "not strictly increasing"),
+    "spectrum-zero-multiplicity": (
+        lambda: sp.Spectrum(((1.0, 0),), 0), "nonpositive multiplicity"),
+}
+
+
+@pytest.mark.parametrize("call, message", UNREACHED_CHECKS.values(), ids=UNREACHED_CHECKS.keys())
+def test_unreached_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_one_dimensional_bases_are_one_column():
+    model = _random_31()
+    column = model.domain_basis[:, :1]
+    assert np.array_equal(ext.new_model(model.A, column[:, 0]).domain_basis,
+                          ext.new_model(model.A, column).domain_basis)
+    w = ext.adjoint_kernel(model)[:, :1]
+    assert np.array_equal(ext.parametrized_extension(model, w[:, 0], np.eye(1)).matrix.array,
+                          ext.parametrized_extension(model, w, np.eye(1)).matrix.array)
+
 
 # Each returned a count: [0 0] for the NaN diagonal, 0 for the NaN
 # off-diagonal and the infinite diagonal, 1 for the infinite off-diagonal.
@@ -267,6 +349,37 @@ def test_non_finite_convergence_data_raise(call, error, message):
         call()
 
 
+# Sizes (-1, -2, -4) raised a bare ZeroDivisionError, and (-4, -8, -16) a
+# RuntimeWarning from np.log, or outside pytest a NaN order; a spacing that
+# is not finite and positive reached np.log and np.polyfit unchecked.
+BAD_STUDY_SIZES = {
+    "convergence-sizes-minus-1": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (-1, -2, -4), 1.0), "sizes must be >= 1"),
+    "convergence-sizes-minus-4": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (-4, -8, -16), 1.0), "sizes must be >= 1"),
+    "convergence-size-0": (
+        lambda: dz.convergence_order(lambda m: 1.0, (0, 0, 0), 1.0), "sizes must be >= 1"),
+    "convergence-spacing-zero": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
+                                     spacing=lambda m: 0.0), "spacing must be finite and positive"),
+    "convergence-spacing-negative": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
+                                     spacing=lambda m: -1.0 / m), "spacing must be finite and positive"),
+    "convergence-spacing-nan": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
+                                     spacing=lambda m: NAN), "spacing must be finite and positive"),
+    "convergence-spacing-inf": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
+                                     spacing=lambda m: INF), "spacing must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_STUDY_SIZES.values(), ids=BAD_STUDY_SIZES.keys())
+def test_bad_study_sizes_and_spacings_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_exact_hit_in_convergence_study_names_its_size():
     # The error 0 at size 400 gave a RuntimeWarning from log(0), and without
     # the warning filter a report with order and Richardson value NaN.
@@ -319,13 +432,16 @@ def test_weyl_fit_past_the_double_range_of_lambda_powers():
 
 
 # Coefficients that are no double even when the fit is scaled: c_lead about
-# -9e-44 * 2^-2000, about -1e15 * 2^149100, and normal equations that
-# overflow in mu^(n/2) itself.
+# -9e-44 * 2^-2000, about -1e15 * 2^149100 and about -2e-89 * 2^-4000 (the
+# last once overflowed the closed-form normal equations), and a power column
+# that overflows at the window scale itself, (lambda / 4)^1500 on (1, 7.9),
+# where a bare least-squares solve raised LinAlgError.
 UNREPRESENTABLE_WEYL_FITS = {
     "weyl-fit-lead-underflows": lambda: an.weyl_fit(TWO_STEPS, 1000, (1.0, 20.0)),
     "weyl-fit-lead-overflows": lambda: an.weyl_fit(
         an.CountingFunction((1e-300, 2e-300), (1, 3)), 300, (1e-300, 5e-300)),
     "weyl-fit-normal-equations-overflow": lambda: an.weyl_fit(TWO_STEPS, 2000, (1.0, 20.0)),
+    "weyl-fit-power-column-overflows": lambda: an.weyl_fit(TWO_STEPS, 3000, (1.0, 7.9)),
 }
 
 
@@ -335,6 +451,12 @@ UNREPRESENTABLE_WEYL_FITS = {
 def test_unrepresentable_weyl_fit_raises_domain_error(call):
     with pytest.raises(DomainError, match="not a finite double"):
         call()
+
+
+def test_overflowing_weyl_law_raises_domain_error():
+    with pytest.raises(DomainError, match=r"Weyl law \(1e\+300, 0.0\) overflows"):
+        an.weyl_fit(TWO_STEPS, 2, (1.0, 1e300), analytic=(1e300, 0.0))
+
 
 # d_{60,l} passes 2^63 - 1 at l = 21; each call raised a bare
 # OverflowError, and the spectra only after a full scan of Bessel zeros.

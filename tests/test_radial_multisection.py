@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kreinspec import discretize as dz
 from kreinspec.linalg import sturm_count
@@ -13,6 +13,7 @@ from kreinspec.linalg import sturm_count
 from oracles import sturm_count_oracle
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 COUNT = 20
 
 
@@ -142,19 +143,14 @@ CHANNELS = [(n, ell) for n in (2, 3, 4) for ell in range(5)]
 
 
 # The stop's contract, checked by the pure-Python count: value k (counted with
-# the zero mode on the krein condition) has its eigenvalue in [v - w, v + w),
-# w = max(1e-13 relative, eps ||T||), however the brackets were shared.
+# the zero mode on the krein condition) has its eigenvalue within the stop
+# width of v (_assert_within_stop), however the brackets were shared.
 @pytest.mark.parametrize("bc", ["dirichlet", "krein"])
 @pytest.mark.parametrize("n, ell", CHANNELS)
 def test_each_value_within_stop_by_independent_count(n, ell, bc):
     spec = dz.RadialChannelSpec(n, ell, 1.0, 800, bc)
     d, e = dz.radial_pencil(spec).reduced_tridiagonal()
-    floor = EPS * _norm(d, e)
-    d, e = d.tolist(), e.tolist()
-    first = 2 if bc == "krein" else 1
-    for k, v in enumerate(dz.radial_eigenvalues(spec, 3).tolist(), start=first):
-        w = max(1e-13 * max(abs(v), 1.0), floor)
-        assert sturm_count_oracle(d, e, v - w) < k <= sturm_count_oracle(d, e, v + w)
+    _assert_within_stop(d, e, dz.radial_eigenvalues(spec, 3), 2 if bc == "krein" else 1)
 
 
 def _gershgorin(d, e):
@@ -168,14 +164,14 @@ def _gershgorin(d, e):
 # closes once that check is settled, before index 1's.  While both are open
 # they share one sweep's shifts, but the finish closes both brackets in no
 # more sweeps than index 1 (index 2 of the pencil) takes alone on the same
-# pencil, with the same interval and stop floor.
+# pencil, with the same interval and stop rule.
 @pytest.mark.parametrize("n, ell", CHANNELS)
 def test_zero_mode_closes_before_first_index(sweeps, n, ell):
     spec = dz.RadialChannelSpec(n, ell, 1.0, 800, "krein")
     d, e = dz.radial_pencil(spec).reduced_tridiagonal()
     lo, hi = _gershgorin(d, e)
     dz._multisect(lambda shifts: dz.sturm_count(d, e, shifts, last_pivot=True),
-                  lo, hi, np.array([2]), EPS * max(-lo, hi))
+                  lo, hi, np.array([2]))
     alone = len(sweeps)
     del sweeps[:]
     dz.radial_eigenvalues(spec, 1)
@@ -185,11 +181,13 @@ def test_zero_mode_closes_before_first_index(sweeps, n, ell):
 
 def _assert_within_stop(d, e, values, first):
     """Value k (1-based, counted with any zero mode) has its eigenvalue in
-    [v - w, v + w), w = max(1e-13 relative, eps ||T||), by the oracle count."""
-    floor = EPS * _norm(d, e)
+    [v - w, v + w), w = max(1e-13 |v|, eps ||T||), by the oracle count.  The
+    rule has no absolute part; the smallest normal double keeps w positive
+    for T = 0, whose eigenvalues are exactly 0."""
+    floor = max(EPS * _norm(d, e), TINY)
     d, e = np.asarray(d).tolist(), np.asarray(e).tolist()
     for k, v in enumerate(np.asarray(values).tolist(), start=first):
-        w = max(1e-13 * max(abs(v), 1.0), floor)
+        w = max(1e-13 * abs(v), floor)
         assert sturm_count_oracle(d, e, v - w) < k <= sturm_count_oracle(d, e, v + w)
 
 
@@ -239,16 +237,43 @@ def placed_tridiagonals(draw):
 # The geometric first sweep starts at the point of [lo, hi] nearest 0, but
 # the wanted values need not lie there: each one, low or high in a spectrum
 # far from 0, all negative or around 0, still meets the stop contract.
+# T = 0 has a stop of 0 and every eigenvalue at the point nearest 0.
 @settings(max_examples=80, deadline=None)
 @given(tri=placed_tridiagonals(), first=st.integers(1, 40), count=st.integers(1, 8))
+@example(tri=(np.zeros(2), np.zeros(1)), first=1, count=2)
 def test_multisect_stop_contract_off_radial_pencils(tri, first, count):
     d, e = tri
     first = min(first, d.size)
     wanted = np.arange(first, min(first + count, d.size + 1))
-    lo, hi = _gershgorin(d, e)
-    a, b = dz._multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True),
-                         lo, hi, wanted, EPS * _norm(d, e))
+    a, b = _brackets(d, e, wanted)
     _assert_within_stop(d, e, 0.5 * (a + b), first)
+
+
+def _brackets(d, e, wanted):
+    """dz._multisect of the tridiagonal (d, e) over its Gershgorin interval."""
+    return dz._multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True),
+                         *_gershgorin(d, e), wanted)
+
+
+def test_zero_tridiagonal_gives_zero_brackets():
+    a, b = _brackets(np.zeros(2), np.zeros(1), np.array([1, 2]))
+    assert np.array_equal(a, [0.0, 0.0]) and np.array_equal(b, [0.0, 0.0])
+
+
+# Scaling T by 2^k scales its Gershgorin interval, every Sturm pivot, every
+# shift and every stop width by exactly 2^k, since the stop has no absolute
+# part; so the brackets scale bit for bit.  Entries below 2^-100 are set to
+# 0, so that no square or pivot leaves the normal range at any k here.
+@settings(max_examples=60, deadline=None)
+@given(tri=placed_tridiagonals(), first=st.integers(1, 40), count=st.integers(1, 8),
+       k=st.integers(-40, 40))
+def test_multisect_brackets_scale_by_powers_of_two(tri, first, count, k):
+    d, e = (np.where(abs(x) < 2.0 ** -100, 0.0, x) for x in tri)
+    first = min(first, d.size)
+    wanted = np.arange(first, min(first + count, d.size + 1))
+    a, b = _brackets(d, e, wanted)
+    a2, b2 = _brackets(np.ldexp(d, k), np.ldexp(e, k), wanted)
+    assert np.array_equal(a2, np.ldexp(a, k)) and np.array_equal(b2, np.ldexp(b, k))
 
 
 # An off-diagonal cut to 1e-9 of its size near the far end nearly splits T.

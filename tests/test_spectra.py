@@ -280,3 +280,15 @@ class TestChannelInterlace:
     def test_single_index(self):
         rep = spx.channel_interlace_report(BallSpec(5, 1.0), 3, 1)
         assert rep.strict
+
+
+# (j / R)^2 with the same zeros j: the scan limit sqrt(lambda_max) R and the
+# cap lambda_max R^2 are the same doubles for R = 1 up to 4 L and R = 2 up to
+# L, and dividing a zero by 2 is exact, so every value is exactly a quarter.
+@pytest.mark.parametrize("which", ["dirichlet", "krein"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_doubling_the_radius_quarters_every_value(n, which):
+    unit = spx.ball_spectrum(BallSpec(n, 1.0), which, 2e3)
+    doubled = spx.ball_spectrum(BallSpec(n, 2.0), which, 5e2)
+    assert [v / 4 for v, _ in unit.entries] == [v for v, _ in doubled.entries]
+    assert [m for _, m in unit.entries] == [m for _, m in doubled.entries]
