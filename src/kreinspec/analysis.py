@@ -343,10 +343,12 @@ def interval_counting(spec: IntervalSpec, which: str, lam_max: float) -> Countin
         spectrum = interval_krein(spec, count)
     else:
         raise ValueError(f"which must be dirichlet or krein, got {which!r}")
-    entries = tuple((v, m) for v, m in spectrum.entries if v <= lam_max)
-    trimmed = Spectrum(entries=entries, kernel_dim=spectrum.kernel_dim,
-                       complete_below=lam_max)
-    return counting_from_spectrum(trimmed)
+    keep = np.searchsorted(spectrum._values, lam_max, side="right")
+    return CountingFunction(
+        breakpoints=spectrum._values[:keep],
+        cumulative=np.cumsum(spectrum._mults[:keep]),
+        complete_below=lam_max,
+    )
 
 
 def ball_counting(spec: BallSpec, which: str, lam_max: float) -> CountingFunction:

@@ -137,11 +137,8 @@ def discrete_krein_spectrum(model: ExtensionModel, count: int) -> Spectrum:
     if not (isinstance(count, Integral) and 1 <= count <= model.domain_dim):
         raise ValueError(f"count must be an integer in 1..{model.domain_dim}, got {count}")
     vals = pencil_values(model)[:count]
-    return Spectrum(
-        entries=_merge_coincident(vals, np.ones(vals.size, dtype=np.int64)),
-        kernel_dim=model.codimension,
-        complete_below=float(vals[-1]),
-    )
+    return Spectrum._from_arrays(*_merge_coincident(vals, np.ones(vals.size, dtype=np.int64)),
+                                 kernel_dim=model.codimension, complete_below=float(vals[-1]))
 
 
 @dataclass(frozen=True)

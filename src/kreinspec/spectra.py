@@ -16,6 +16,17 @@ The paper-style index bookkeeping for the interval merges the zero mode into
 the even branch (index k = 0); here the nonzero spectrum excludes k = 0 and
 the kernel dimension 2 is reported separately, resolving that overlap
 explicitly.
+
+Every builder here assembles its spectrum on numpy arrays and hands them to
+`Spectrum._from_arrays`, which runs the constructor's checks without parsing
+pairs.  `ball_spectrum` also holds the last `_BALL_CACHE_SIZE` = 4 spectra
+it built, keyed by (n, R, condition, lambda_max): one `sandwich_check`
+builds four, and the reports on the same ball ask for two of them again.
+The bound stays small because one spectrum can be large: at lambda = 1e6
+the unit disk's has about 1e5 entries, some 10 MB.  `ball_spectrum` stays a
+plain function, which bench/tracer.py can time.  The Bessel zeros behind
+the spectra are cached separately, per order, in `special`, and shared
+across conditions and radii.
 """
 
 from __future__ import annotations
@@ -84,7 +95,9 @@ class Spectrum:
     kernel.  When complete_below is set, it is > 0 (inf allowed) and no
     eigenvalue below it is missing.  The entries are validated as one pair
     of numpy arrays, which counting functions built from the spectrum
-    reuse.
+    reuse, and stored as a tuple of (float, int) pairs taken from those
+    arrays, so a spectrum is immutable and hashable whatever sequence it
+    was given.
     """
 
     entries: tuple
@@ -93,8 +106,23 @@ class Spectrum:
 
     def __post_init__(self):
         pairs = np.fromiter(self.entries, dtype=_ENTRY, count=len(self.entries))
-        values = np.ascontiguousarray(pairs["value"])
-        mults = np.ascontiguousarray(pairs["mult"])
+        self._hold(pairs["value"], pairs["mult"])
+
+    @classmethod
+    def _from_arrays(cls, values, mults, kernel_dim, complete_below) -> Spectrum:
+        """The spectrum of the given value and multiplicity arrays, under
+        the constructor's checks; the arrays are copied."""
+        spectrum = cls.__new__(cls)
+        object.__setattr__(spectrum, "kernel_dim", kernel_dim)
+        object.__setattr__(spectrum, "complete_below", complete_below)
+        spectrum._hold(values, mults)
+        return spectrum
+
+    def _hold(self, values, mults) -> None:
+        """Check the entries and the kernel, then store the entries both as
+        read-only arrays and as the tuple of pairs."""
+        values = np.array(values, dtype=float)
+        mults = np.array(mults, dtype=np.int64)
         if not np.isfinite(values).all():
             raise ValueError("non-finite value among spectrum entries")
         if np.any(values <= 0.0):
@@ -110,6 +138,7 @@ class Spectrum:
         _require_complete_below(self.complete_below)
         values.setflags(write=False)
         mults.setflags(write=False)
+        object.__setattr__(self, "entries", tuple(zip(values.tolist(), mults.tolist())))
         # the same entries as arrays, for the counting layer
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_mults", mults)
@@ -135,8 +164,11 @@ def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
     if not (isinstance(count, Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count}")
     length = spec.length
-    entries = tuple(((j * math.pi / length) ** 2, 1) for j in range(1, count + 1))
-    return Spectrum(entries=entries, kernel_dim=0, complete_below=entries[-1][0])
+    # squared by libm's pow, as a float ** 2; numpy squares by x * x, which
+    # differs from it in the last bit of about one value in 1,400
+    values = np.array([(j * math.pi / length) ** 2 for j in range(1, count + 1)])
+    return Spectrum._from_arrays(values, np.ones(count, dtype=np.int64), kernel_dim=0,
+                                 complete_below=float(values[-1]))
 
 
 def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
@@ -158,11 +190,8 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
     vals = vals[:count]
     if np.any(vals[1:] <= vals[:-1]):
         raise BracketFailure("even/odd eigenvalue branches failed to alternate")
-    return Spectrum(
-        entries=tuple((v, 1) for v in vals.tolist()),
-        kernel_dim=2,
-        complete_below=float(vals[-1]),
-    )
+    return Spectrum._from_arrays(vals, np.ones(count, dtype=np.int64), kernel_dim=2,
+                                 complete_below=float(vals[-1]))
 
 
 def _require_complete_below(value) -> None:
@@ -186,15 +215,18 @@ def ball_multiplicity(n: int, ell: int) -> int:
     _require_dimension(n, 2)
     if not (isinstance(ell, Integral) and ell >= 0):
         raise DomainError(f"degree must be an integer >= 0, got {ell}")
-    result = comb(n + ell - 1, ell)
-    if ell >= 2:
-        result -= comb(n + ell - 3, ell - 2)
+    result = _harmonics(n, ell)
     if result > 2**63 - 1:
         raise DomainError(f"multiplicity d_{{{n},{ell}}} exceeds 2^63 - 1")
     return result
 
 
-def _merge_coincident(values, mults) -> tuple:
+def _harmonics(n: int, ell: int) -> int:
+    """d_{n,l} for checked n and l, unbounded."""
+    return comb(n + ell - 1, ell) - (comb(n + ell - 3, ell - 2) if ell >= 2 else 0)
+
+
+def _merge_coincident(values, mults) -> tuple[np.ndarray, np.ndarray]:
     """Sort (value, multiplicity) pairs and merge near-coincident values.
 
     The pairs are sorted by value, then multiplicity.  A value joins the
@@ -204,13 +236,14 @@ def _merge_coincident(values, mults) -> tuple:
     group test runs only where np.diff flags one.  Values from distinct
     channels stay separate unless that close; whether distinct integer-order
     zeros can coincide exactly is treated as an open question and settled
-    numerically only.  Returns the ascending (value, multiplicity) entries.
+    numerically only.  Returns the ascending values and their
+    multiplicities as two arrays.
     """
     merge_rel = DEFAULT.merge_rel
     order = np.lexsort((mults, values))
     values, mults = values[order], mults[order]
     if not values.size:
-        return ()
+        return values, mults
     starts = np.ones(values.size, dtype=bool)
     first = values[0]
     for i in (np.flatnonzero(np.diff(values) <= merge_rel * values[1:]) + 1).tolist():
@@ -218,7 +251,13 @@ def _merge_coincident(values, mults) -> tuple:
             first = values[i - 1]
         starts[i] = not values[i] - first <= merge_rel * values[i]
     heads = np.flatnonzero(starts)
-    return tuple(zip(values[heads].tolist(), np.add.reduceat(mults, heads).tolist()))
+    return values[heads], np.add.reduceat(mults, heads)
+
+
+_BALL_CACHE_SIZE = 4
+# (n, R, condition, lambda_max) -> Spectrum, least recently used first.  Not
+# locked: two threads asking for one new key at once each build it.
+_ball_cache: dict = {}
 
 
 def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
@@ -232,12 +271,33 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     that is cached per order: the hard and soft spectra of one ball, and
     repeated calls, reuse it.  Orders above 500 raise DomainError, and so
     does a multiplicity above 2^63 - 1, before any zero is computed.
+
+    The arguments are checked first.  The spectrum itself is then looked up
+    among the last `_BALL_CACHE_SIZE` = 4 built, keyed by (n, R, condition,
+    lambda_max) with R and lambda_max as floats, so BallSpec(3, 1) and
+    BallSpec(3, 1.0) share one; a call that raises caches nothing.  Every
+    caller of equal arguments gets the same immutable object.  The bound is
+    small because at lambda = 1e6 the unit disk's spectrum has about 1e5
+    entries, some 10 MB (100 bytes an entry, measured at R = 0.5).
+    This stays a plain function, not a functools.lru_cache wrapper, because
+    bench/tracer.py wraps only plain functions: behind a wrapper object its
+    `spectra.ball_spectrum` time and repeat share would read 0.
     """
     if not 0.0 < lambda_max < math.inf:
         raise ValueError(f"lambda_max {lambda_max} is not positive and finite")
     if which not in ("dirichlet", "krein"):
         raise ValueError(f"which must be dirichlet or krein, got {which!r}")
-    n, radius = spec.n, spec.radius
+    key = (spec.n, float(spec.radius), which, float(lambda_max))
+    spectrum = _ball_cache.pop(key, None)
+    if spectrum is None:
+        spectrum = _build_ball_spectrum(spec.n, spec.radius, which, lambda_max)
+    _ball_cache[key] = spectrum
+    for stale in list(_ball_cache)[:-_BALL_CACHE_SIZE]:
+        _ball_cache.pop(stale, None)
+    return spectrum
+
+
+def _build_ball_spectrum(n, radius, which: str, lambda_max) -> Spectrum:
     offset = n - 2 if which == "dirichlet" else n  # twice the order shift
     limit = math.sqrt(lambda_max) * radius
     cap = lambda_max * radius * radius
@@ -249,16 +309,13 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     families = _family_zeros(twice_orders, limit)
     zeros = np.concatenate(families) if families else np.empty(0)
     mults = np.repeat(
-        np.array([ball_multiplicity(n, ell) for ell in range(len(families))], dtype=np.int64),
+        np.array([_harmonics(n, ell) for ell in range(len(families))], dtype=np.int64),
         [family.size for family in families],
     )
     keep = zeros * zeros <= cap
     kernel = 0 if which == "dirichlet" else INFINITE
-    return Spectrum(
-        entries=_merge_coincident((zeros[keep] / radius) ** 2, mults[keep]),
-        kernel_dim=kernel,
-        complete_below=lambda_max,
-    )
+    return Spectrum._from_arrays(*_merge_coincident((zeros[keep] / radius) ** 2, mults[keep]),
+                                 kernel_dim=kernel, complete_below=float(lambda_max))
 
 
 @dataclass(frozen=True)

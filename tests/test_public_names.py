@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import types
 
 import pytest
 
@@ -13,6 +14,17 @@ def test_every_public_name_resolves(layer):
     module = importlib.import_module(f"kreinspec.{layer}")
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_callable_is_a_plain_function(layer):
+    # bench/tracer.py times only plain functions; a cache or other decorator
+    # object in place of one would vanish from its spans and layer metrics
+    module = importlib.import_module(f"kreinspec.{layer}")
+    wrapped = [name for name in module.__all__
+               if callable(obj := getattr(module, name)) and not isinstance(obj, type)
+               and not isinstance(obj, types.FunctionType)]
+    assert wrapped == []
 
 
 def test_only_krein_takes_a_tolerance_profile():

@@ -6,13 +6,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kreinspec.errors import BracketFailure, DomainError
+from kreinspec import discretize as dz
 from kreinspec import special
 from kreinspec import spectra as spx
-from kreinspec.spectra import BallSpec, IntervalSpec
+from kreinspec.spectra import BallSpec, IntervalSpec, Spectrum
 
 from oracles import series_bessel_zero, soft_bc_residual_oracle, tan_fixed_point_oracle
 
 PI = math.pi
+
+
+@pytest.fixture
+def empty_caches(monkeypatch):
+    """Empties the ball-spectrum cache and the Bessel zero cache, now and at
+    each call; empty(zeros=False) empties the ball-spectrum cache alone, so
+    the next ball_spectrum rebuilds from warm zeros."""
+    def empty(zeros=True):
+        monkeypatch.setattr(spx, "_ball_cache", {})
+        if zeros:
+            monkeypatch.setattr(special, "_zero_cache", {})
+    empty()
+    return empty
+
+
+def _pairs(values, mults):
+    return tuple(zip(values.tolist(), mults.tolist()))
 
 
 class TestIntervalDirichlet:
@@ -180,12 +198,12 @@ class TestBallSpectrum:
             assert v2 == pytest.approx(v1 / 4.0, rel=1e-13)
             assert m1 == m2
 
-    def test_completeness_against_brute_force(self, monkeypatch):
+    def test_completeness_against_brute_force(self, empty_caches):
         # plain double loop over orders and zero indices through the scalar
         # bessel_zero, each loop ending at the first zero above the cap
         for n, which, cap in ((2, "dirichlet", 200.0), (2, "dirichlet", 4.0e4),
                               (3, "krein", 1.0e4), (4, "dirichlet", 1.0e4)):
-            monkeypatch.setattr(special, "_zero_cache", {})
+            empty_caches()
             s = spx.ball_spectrum(BallSpec(n, 1.0), which, cap)
             shift = (n - 2) / 2.0 if which == "dirichlet" else n / 2.0
             brute = []
@@ -197,20 +215,20 @@ class TestBallSpectrum:
                     k += 1
                 ell += 1
             values, mults = zip(*brute)
-            brute = spx._merge_coincident(np.array(values), np.array(mults))
+            brute = _pairs(*spx._merge_coincident(np.array(values), np.array(mults)))
             assert [m for _, m in s.entries] == [m for _, m in brute]
             for (a, _), (b, _) in zip(s.entries, brute):
                 assert abs(a - b) <= 1e-13 * b  # well inside merge_rel
 
-    def test_warm_cache_gives_the_cold_entries(self, monkeypatch):
+    def test_warm_cache_gives_the_cold_entries(self, empty_caches):
         ball = BallSpec(3, 1.1)
-        monkeypatch.setattr(special, "_zero_cache", {})
         cold = {which: spx.ball_spectrum(ball, which, 3.0e3).entries
                 for which in ("krein", "dirichlet")}
+        empty_caches(zeros=False)
         for which, entries in cold.items():
             assert spx.ball_spectrum(ball, which, 3.0e3).entries == entries
         # zeros cached from a wider reach come from other brackets
-        monkeypatch.setattr(special, "_zero_cache", {})
+        empty_caches()
         spx.ball_spectrum(ball, "dirichlet", 1.2e4)
         for which, entries in cold.items():
             warm = spx.ball_spectrum(ball, which, 3.0e3).entries
@@ -218,13 +236,13 @@ class TestBallSpectrum:
             for (a, _), (b, _) in zip(warm, entries):
                 assert abs(a - b) <= 1e-13 * b
 
-    def test_order_above_500_raises(self, monkeypatch):
-        monkeypatch.setattr(special, "_zero_cache", {})
+    def test_order_above_500_raises(self, empty_caches):
         with pytest.raises(DomainError):
             spx.ball_spectrum(BallSpec(2, 1.0), "dirichlet", 510.0 ** 2)
         with pytest.raises(DomainError):
             spx.ball_spectrum(BallSpec(3, 1.0), "krein", 1.0e20)
         assert special._zero_cache == {}
+        assert spx._ball_cache == {}
 
     def test_interval_is_not_a_ball(self):
         # guard against index confusion between the two exact families
@@ -249,7 +267,7 @@ class TestMergeCoincident:
     def test_joins_the_first_value_of_a_group(self):
         # 1 + 1.2e-11 is within 1e-11 of its predecessor but not of 1.0
         values = np.array([1.0 + 1.2e-11, 1.0, 1.0 + 0.6e-11])
-        merged = spx._merge_coincident(values, np.array([1, 2, 4]))
+        merged = _pairs(*spx._merge_coincident(values, np.array([1, 2, 4])))
         assert merged == ((1.0, 6), (1.0 + 1.2e-11, 1))
 
     @settings(max_examples=200, deadline=None)
@@ -261,7 +279,94 @@ class TestMergeCoincident:
         pairs = [(base * (1.0 + 3e-12 * step), mult) for base, step, mult in draws]
         values = np.array([v for v, _ in pairs], dtype=float)
         mults = np.array([m for _, m in pairs], dtype=np.int64)
-        assert spx._merge_coincident(values, mults) == _merge_reference(pairs, 1e-11)
+        assert _pairs(*spx._merge_coincident(values, mults)) == _merge_reference(pairs, 1e-11)
+
+
+class TestBallSpectrumCache:
+    def test_equal_arguments_share_one_object(self, empty_caches):
+        first = spx.ball_spectrum(BallSpec(3, 1), "krein", 200.0)
+        for spec, lam in ((BallSpec(3, 1.0), 200.0), (BallSpec(3, 1.0), 200),
+                          (BallSpec(np.int64(3), 1), np.float64(200.0))):
+            assert spx.ball_spectrum(spec, "krein", lam) is first
+        assert len(spx._ball_cache) == 1
+
+    def test_each_argument_is_its_own_key(self, empty_caches):
+        calls = [(BallSpec(3, 1.0), "krein", 200.0), (BallSpec(2, 1.0), "krein", 200.0),
+                 (BallSpec(3, 1.5), "krein", 200.0), (BallSpec(3, 1.0), "dirichlet", 200.0),
+                 (BallSpec(3, 1.0), "krein", 300.0)]
+        built = [spx.ball_spectrum(*call) for call in calls]
+        assert len({id(s) for s in built}) == len(calls)
+        # a cold build, up to the 1e-13 that zeros cached from a wider reach
+        # may differ by (see test_warm_cache_gives_the_cold_entries)
+        for call, got in zip(calls, built):
+            empty_caches()
+            cold = spx.ball_spectrum(*call)
+            assert (got.kernel_dim, got.complete_below) == (cold.kernel_dim, cold.complete_below)
+            np.testing.assert_array_equal(got._mults, cold._mults)
+            np.testing.assert_allclose(got._values, cold._values, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("call, error, message", [
+        ((BallSpec(3, 1.0), "krein", math.inf), ValueError, "lambda_max inf is not"),
+        ((BallSpec(3, 1.0), "krein", math.nan), ValueError, "lambda_max nan is not"),
+        ((BallSpec(3, 1.0), "krein", 0.0), ValueError, "lambda_max 0.0 is not"),
+        ((BallSpec(3, 1.0), "neumann", 10.0), ValueError, "which must be dirichlet or krein"),
+        ((BallSpec(2, 1.0), "dirichlet", 510.0 ** 2), DomainError, "order"),
+        ((BallSpec(60, 1.0), "krein", 1e4), DomainError, r"exceeds 2\^63 - 1"),
+    ])
+    def test_invalid_arguments_cache_nothing(self, empty_caches, call, error, message):
+        with pytest.raises(error, match=message):
+            spx.ball_spectrum(*call)
+        assert spx._ball_cache == {}
+
+    def test_holds_the_most_recent_up_to_its_bound(self, empty_caches):
+        ball, bound = BallSpec(2, 1.0), spx._BALL_CACHE_SIZE
+        built = {}
+        for lam in range(10, 10 + 3 * bound):
+            built[lam] = spx.ball_spectrum(ball, "dirichlet", float(lam))
+            assert len(spx._ball_cache) <= bound
+        held = list(built)[-bound:]
+        assert [key[3] for key in spx._ball_cache] == held
+        # a hit makes its entry the most recent, so the next one out is the
+        # second oldest
+        assert spx.ball_spectrum(ball, "dirichlet", held[0]) is built[held[0]]
+        spx.ball_spectrum(ball, "krein", 10.0)
+        assert [key[2:] for key in spx._ball_cache] == (
+            [("dirichlet", lam) for lam in held[2:] + held[:1]] + [("krein", 10.0)])
+
+
+def _library_spectra():
+    model = dz.interval_model(dz.Grid1D(0.0, 1.3, 40), dz.PotentialSpec.zero())
+    return [spx.ball_spectrum(BallSpec(n, 0.9), which, 500.0)
+            for n in (2, 3, 4) for which in ("dirichlet", "krein")] + [
+        spx.interval_dirichlet(IntervalSpec(-1.0, 2.0), 30),
+        spx.interval_krein(IntervalSpec(-1.0, 2.0), 31),
+        dz.discrete_krein_spectrum(model, 20),
+    ]
+
+
+class TestSpectrumEntries:
+    def test_library_spectra_equal_their_public_construction(self):
+        for built in _library_spectra():
+            public = Spectrum(entries=built.entries, kernel_dim=built.kernel_dim,
+                              complete_below=built.complete_below)
+            assert public == built and hash(public) == hash(built)
+            for name in ("_values", "_mults"):
+                mine, theirs = getattr(built, name), getattr(public, name)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+                assert not mine.flags.writeable
+            assert all(type(v) is float and type(m) is int for v, m in built.entries)
+
+    def test_entries_do_not_follow_the_callers_list(self):
+        given = [(1.0, 1), (2, 3)]
+        spectrum = Spectrum(entries=given, kernel_dim=0, complete_below=2.5)
+        given.append((3.0, 1))
+        given[0] = (0.5, 7)
+        assert spectrum.entries == ((1.0, 1), (2.0, 3))
+        assert type(spectrum.entries[1][0]) is float
+        assert spectrum.flattened() == [1.0, 2.0, 2.0, 2.0]
+        assert spectrum.values() == [1.0, 2.0]
+        same = Spectrum(entries=((1.0, 1), (2.0, 3)), kernel_dim=0, complete_below=2.5)
+        assert spectrum == same and hash(spectrum) == hash(same)
 
 
 class TestChannelInterlace:
