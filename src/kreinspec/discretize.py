@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConstructionMismatch, InsufficientData, NonMonotoneError
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
-from .spectra import Spectrum, _merge_coincident
+from .spectra import BallSpec, IntervalSpec, Spectrum, _merge_coincident
 
 __all__ = [
     "Grid1D",
@@ -64,8 +64,7 @@ class Grid1D:
     def __post_init__(self):
         if not (isinstance(self.m, Integral) and self.m >= 8):
             raise ValueError(f"need an integer m >= 8 interior points, got {self.m}")
-        if not -math.inf < self.a < self.b < math.inf:
-            raise ValueError(f"interval ({self.a}, {self.b}) is empty or unbounded")
+        IntervalSpec(self.a, self.b)  # the interval's own check
 
     @property
     def h(self) -> float:
@@ -77,40 +76,34 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Bounded nonnegative potential: zero, constant, or node samples."""
+    """A potential V, bounded and >= 0 as the paper requires: `values` is one
+    float for every node, or a tuple of node samples, all finite and >= 0."""
 
-    kind: str                      # "zero" | "constant" | "sampled"
-    constant: float = 0.0
-    samples: tuple = ()
+    values: float | tuple
+
+    def __post_init__(self):
+        values = float(self.values) if isinstance(self.values, Real) else tuple(map(float, self.values))
+        bad = [v for v in np.atleast_1d(values).tolist() if not 0.0 <= v < math.inf]
+        if bad:
+            raise ValueError(f"potential must be finite and >= 0, got {bad[0]}")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls(kind="zero")
+        return cls(0.0)
 
     @classmethod
     def of_constant(cls, c: float) -> "PotentialSpec":
-        if not (c >= 0.0 and math.isfinite(c)):
-            raise ValueError(f"constant potential must be finite and >= 0, got {c}")
-        return cls(kind="constant", constant=float(c))
+        return cls(c)
 
     @classmethod
     def sampled(cls, values) -> "PotentialSpec":
-        vals = tuple(float(v) for v in values)
-        bad = [v for v in vals if not (v >= 0.0 and math.isfinite(v))]
-        if bad:
-            raise ValueError(f"sampled potential has invalid entries, e.g. {bad[0]}")
-        return cls(kind="sampled", samples=vals)
+        return cls(tuple(values))
 
     def values_at(self, grid: Grid1D) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(grid.m)
-        if self.kind == "constant":
-            return np.full(grid.m, self.constant)
-        if len(self.samples) != grid.m:
-            raise ValueError(
-                f"sampled potential has {len(self.samples)} values for {grid.m} nodes"
-            )
-        return np.array(self.samples)
+        if isinstance(self.values, tuple) and len(self.values) != grid.m:
+            raise ValueError(f"sampled potential has {len(self.values)} values for {grid.m} nodes")
+        return np.full(grid.m, self.values)
 
 
 def interval_model(grid: Grid1D, potential: PotentialSpec) -> ExtensionModel:
@@ -150,13 +143,9 @@ class RadialChannelSpec:
     bc: str  # "dirichlet" | "krein"
 
     def __post_init__(self):
-        if not (isinstance(self.n, Integral) and isinstance(self.ell, Integral)
-                and self.n >= 2 and self.ell >= 0):
-            raise ValueError(
-                f"channel needs integers n >= 2 and l >= 0, got n={self.n}, l={self.ell}"
-            )
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"radius {self.radius} is not positive and finite")
+        BallSpec(self.n, self.radius)  # the ball's own check of n and R
+        if not (isinstance(self.ell, Integral) and self.ell >= 0):
+            raise ValueError(f"channel index must be an integer >= 0, got {self.ell}")
         if not (isinstance(self.m, Integral) and self.m >= 8):
             raise ValueError(f"need an integer m >= 8 grid points, got {self.m}")
         if self.bc not in ("dirichlet", "krein"):

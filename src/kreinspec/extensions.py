@@ -64,7 +64,8 @@ from .linalg import (
     spd_sqrt,
     sym_eigen,
 )
-from .tolerances import DEFAULT, ToleranceProfile
+from .tolerances import (ADJOINT_KERNEL_REL, CHOLESKY_PIVOT_REL, CONSTRUCTION_REL, DEFAULT,
+                         ORTHONORMAL_REL, PSD_CLAMP_REL, RANK_REL, ToleranceProfile)
 
 __all__ = [
     "ExtensionModel",
@@ -172,13 +173,13 @@ def new_model(a, raw_basis) -> ExtensionModel:
     if d < 1:
         raise ValueError("domain must have at least one column")
     eps = float(_eigh(a.array, with_vectors=False)[0][0])
-    if eps <= n * DEFAULT.cholesky_pivot_rel * a.norm_max:
+    if eps <= n * CHOLESKY_PIVOT_REL * a.norm_max:
         raise NotPositiveDefinite(f"bottom eigenvalue {eps:.3e} not positive")
     gram = raw.T @ raw
-    if max_norm(gram - np.eye(d)) <= DEFAULT.orthonormal_rel:
+    if max_norm(gram - np.eye(d)) <= ORTHONORMAL_REL:
         basis = raw.astype(float).copy()
     else:
-        basis = _qr_split(raw, n * DEFAULT.rank_rel, RankDeficientBasis)[0]
+        basis = _qr_split(raw, n * RANK_REL, RankDeficientBasis)[0]
     basis.flags.writeable = False
     return ExtensionModel(A=a, domain_basis=basis, epsilon=eps)
 
@@ -194,7 +195,7 @@ def friedrichs(model: ExtensionModel) -> ExtensionResult:
 def adjoint_kernel(model: ExtensionModel) -> np.ndarray:
     """Orthonormal basis of ran(A D)^perp, the model's ker(S*)."""
     aq = model.A.array @ model.domain_basis
-    return _qr_split(aq, model.ambient_dim * DEFAULT.rank_rel,
+    return _qr_split(aq, model.ambient_dim * RANK_REL,
                      SingularDecomposition, complete=True)[1]
 
 
@@ -224,15 +225,15 @@ def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> Extensi
     failure, and raises ConstructionMismatch; the larger residual is the
     result's construction_gap.
 
-    `profile` sets only construction_rel and the Gram floor's
-    cholesky_pivot_rel; the callees read tolerances.DEFAULT.  It stays
-    because the benchmark's tracer reads profile.construction_rel.
+    `profile` sets only construction_rel; every other threshold, the Gram
+    floor's CHOLESKY_PIVOT_REL included, is a tolerances constant.  It
+    stays because the benchmark's tracer reads profile.construction_rel.
     """
     # P = Q_h Q_h^T from the QR of A^(1/2) Q, so A^(1/2) P A^(1/2) = F F^T
     # with F = A^(1/2) Q_h.  The floor is the Cholesky pivot floor of the
     # Gram matrix Q^T A Q, whose pivots are the squares of |R_jj|.
     root = spd_sqrt(model.A).array
-    rel_floor = math.sqrt(model.domain_dim * profile.cholesky_pivot_rel)
+    rel_floor = math.sqrt(model.domain_dim * CHOLESKY_PIVOT_REL)
     half_dom = _qr_split(root @ model.domain_basis, rel_floor, NotPositiveDefinite)[0]
     factor = root @ half_dom
     result = ExtensionResult(
@@ -253,7 +254,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     W^T A W + B.  It is checked PSD and against its definition, and its
     kernel is W applied to the eigenvectors v of B whose image E W v, by
     the closed form, is within half the definition check's bound
-    construction_rel * max|A|: ker(B), and eigenvalues of B too small for
+    CONSTRUCTION_REL * max|A|: ker(B), and eigenvalues of B too small for
     that bound to tell from zero.
 
     W = {0} returns A itself, the Friedrichs extension; W = ker(S*) with
@@ -271,17 +272,17 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
         return ExtensionResult(matrix=model.A, kind="parametrized",
                                kernel_basis=np.empty((n, 0)))
     # written as not (... <= tol), so that a NaN in W fails them
-    if not max_norm(w.T @ w - np.eye(p)) <= DEFAULT.orthonormal_rel:
+    if not max_norm(w.T @ w - np.eye(p)) <= ORTHONORMAL_REL:
         raise NotOrthogonal(
-            f"W basis columns are not orthonormal within {DEFAULT.orthonormal_rel:g}")
+            f"W basis columns are not orthonormal within {ORTHONORMAL_REL:g}")
     aw = a @ w
-    if not max_norm(aw.T @ model.domain_basis) <= DEFAULT.adjoint_kernel_rel * model.A.norm_max * n:
+    if not max_norm(aw.T @ model.domain_basis) <= ADJOINT_KERNEL_REL * model.A.norm_max * n:
         raise NotOrthogonal("W is not inside ker(S*) = ran(A D)^perp")
     b = b if isinstance(b, SymMatrix) else SymMatrix(np.atleast_2d(b))
     if b.order != p:
         raise ValueError(f"parameter order {b.order} != dim W = {p}")
     b_eigen = sym_eigen(b)
-    if b_eigen.values[0] < -DEFAULT.psd_clamp_rel * max(b.norm_max, 1e-300):
+    if b_eigen.values[0] < -PSD_CLAMP_REL * max(b.norm_max, 1e-300):
         raise NotPSD(f"parameter has eigenvalue {b_eigen.values[0]:.3e}")
 
     # A W (W^T A W + B)^{-1} W^T A = half^T half with half = L^{-1} (A W)^T;
@@ -290,7 +291,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
         np.linalg.solve(cholesky(aw.T @ w + b.array), np.hstack((aw.T, b_eigen.vectors))),
         [n], axis=1)
     matrix = SymMatrix(a - half.T @ half)
-    tol = DEFAULT.construction_rel * model.A.norm_max
+    tol = CONSTRUCTION_REL * model.A.norm_max
     bottom = _eigh(matrix.array, with_vectors=False)[0][0]
     if bottom < -tol:
         raise ConstructionMismatch(f"parametrized matrix has eigenvalue {bottom:.3e}")
@@ -304,7 +305,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
         kind="parametrized",
         kernel_basis=w @ b_eigen.vectors[:, action <= tol / 2],
     )
-    return _checked(result, model, DEFAULT.construction_rel)
+    return _checked(result, model, CONSTRUCTION_REL)
 
 
 def _pencil(model: ExtensionModel):

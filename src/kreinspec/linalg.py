@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite
-from .tolerances import DEFAULT
+from .tolerances import CHOLESKY_PIVOT_REL, PSD_CLAMP_REL
 
 __all__ = [
     "SymMatrix",
@@ -98,14 +98,14 @@ def cholesky(s) -> np.ndarray:
     """Lower-triangular L with L L^T = S, from LAPACK through numpy.
 
     Raises NotPositiveDefinite when LAPACK breaks down or when a pivot
-    diag(L)^2 falls at or below order * cholesky_pivot_rel * max|S|: for
+    diag(L)^2 falls at or below order * CHOLESKY_PIVOT_REL * max|S|: for
     this library that always means an invalid pencil or model rather than a
     borderline matrix, and so does a non-finite entry, checked before LAPACK.
     """
     a = _as_sym(s).array
     if not np.all(np.isfinite(a)):
         raise NotPositiveDefinite("matrix has non-finite entries")
-    floor = a.shape[0] * DEFAULT.cholesky_pivot_rel * max_norm(a)
+    floor = a.shape[0] * CHOLESKY_PIVOT_REL * max_norm(a)
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -167,13 +167,13 @@ def sym_eigen(s) -> EigenDecomposition:
 def spd_sqrt(s) -> SymMatrix:
     """Symmetric PSD square root via the eigendecomposition.
 
-    Eigenvalues below -psd_clamp_rel * max|S| are rejected; the roundoff
+    Eigenvalues below -PSD_CLAMP_REL * max|S| are rejected; the roundoff
     window [-tol, 0] is clamped to zero because discretization matrices are
     PSD only up to rounding.
     """
     s = _as_sym(s)
     eig = sym_eigen(s)
-    lo = -DEFAULT.psd_clamp_rel * max(s.norm_max, 1e-300)
+    lo = -PSD_CLAMP_REL * max(s.norm_max, 1e-300)
     if eig.values[0] < lo:
         raise NotPositiveSemidefinite(
             f"eigenvalue {eig.values[0]:.6e} below clamp window {lo:.3e}"

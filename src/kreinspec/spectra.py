@@ -40,11 +40,9 @@ import numpy as np
 
 from .errors import BracketFailure, DomainError
 from .special import _MAX_ZERO_INDEX, _family_zeros, bessel_zero, tan_fixed_point
-from .tolerances import DEFAULT
+from .tolerances import MERGE_REL
 
 INFINITE = math.inf
-
-_ENTRY = np.dtype([("value", float), ("mult", np.int64)])  # one spectrum entry
 
 __all__ = [
     "IntervalSpec",
@@ -80,8 +78,7 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, Integral) and self.n >= 2):
-            raise ValueError(f"ball dimension must be an integer >= 2, got {self.n}")
+        _require_dimension(self.n, 2)
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius {self.radius} is not positive and finite")
 
@@ -90,14 +87,14 @@ class BallSpec:
 class Spectrum:
     """Ascending (value, multiplicity) pairs plus the kernel dimension.
 
-    Zero modes never appear among the entries; they are counted by
-    kernel_dim, an integer >= 0 or math.inf for an infinite-dimensional
-    kernel.  When complete_below is set, it is > 0 (inf allowed) and no
-    eigenvalue below it is missing.  The entries are validated as one pair
-    of numpy arrays, which counting functions built from the spectrum
-    reuse, and stored as a tuple of (float, int) pairs taken from those
-    arrays, so a spectrum is immutable and hashable whatever sequence it
-    was given.
+    Each multiplicity is an integer from 1 to 2^63 - 1.  Zero modes never
+    appear among the entries; they are counted by kernel_dim, an integer
+    >= 0 or math.inf for an infinite-dimensional kernel.  When
+    complete_below is set, it is > 0 (inf allowed) and no eigenvalue below
+    it is missing.  The entries are validated as one pair of numpy arrays,
+    which counting functions built from the spectrum reuse, and stored as a
+    tuple of (float, int) pairs taken from those arrays, so a spectrum is
+    immutable and hashable whatever sequence it was given.
     """
 
     entries: tuple
@@ -105,8 +102,7 @@ class Spectrum:
     complete_below: float | None = None
 
     def __post_init__(self):
-        pairs = np.fromiter(self.entries, dtype=_ENTRY, count=len(self.entries))
-        self._hold(pairs["value"], pairs["mult"])
+        self._hold([v for v, _ in self.entries], [m for _, m in self.entries])
 
     @classmethod
     def _from_arrays(cls, values, mults, kernel_dim, complete_below) -> Spectrum:
@@ -122,7 +118,7 @@ class Spectrum:
         """Check the entries and the kernel, then store the entries both as
         read-only arrays and as the tuple of pairs."""
         values = np.array(values, dtype=float)
-        mults = np.array(mults, dtype=np.int64)
+        mults = _int64_counts(mults, "multiplicities")
         if not np.isfinite(values).all():
             raise ValueError("non-finite value among spectrum entries")
         if np.any(values <= 0.0):
@@ -194,6 +190,22 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
                                  complete_below=float(vals[-1]))
 
 
+def _int64_counts(counts, what: str) -> np.ndarray:
+    """counts as a new int64 array; ValueError naming `what` unless each is
+    an integer in the int64 range.  What numpy reads as int64 is exact; the
+    rest is converted count by count, so a float among ints rounds none."""
+    exact = np.array(counts)
+    if exact.dtype != np.int64:
+        held = np.array(counts, dtype=object)
+        try:
+            exact = held.astype(np.int64)
+        except (OverflowError, TypeError, ValueError):
+            exact = None
+        if exact is None or not np.array_equal(exact, held):
+            raise ValueError(f"{what} must be integers no larger than 2^63 - 1")
+    return exact
+
+
 def _require_complete_below(value) -> None:
     """complete_below is None or a number > 0, inf allowed; NaN is not."""
     if value is not None and not (isinstance(value, Real) and value > 0.0):
@@ -230,26 +242,25 @@ def _merge_coincident(values, mults) -> tuple[np.ndarray, np.ndarray]:
     """Sort (value, multiplicity) pairs and merge near-coincident values.
 
     The pairs are sorted by value, then multiplicity.  A value joins the
-    group whose first value v0 satisfies value - v0 <= merge_rel * value,
-    with merge_rel from tolerances.DEFAULT, and the multiplicities of a
-    group add; otherwise it starts a group.  Only a value within merge_rel of its predecessor can join, so the
+    group whose first value v0 satisfies value - v0 <= MERGE_REL * value,
+    and the multiplicities of a group add; otherwise it starts a group.
+    Only a value within MERGE_REL of its predecessor can join, so the
     group test runs only where np.diff flags one.  Values from distinct
     channels stay separate unless that close; whether distinct integer-order
     zeros can coincide exactly is treated as an open question and settled
     numerically only.  Returns the ascending values and their
     multiplicities as two arrays.
     """
-    merge_rel = DEFAULT.merge_rel
     order = np.lexsort((mults, values))
     values, mults = values[order], mults[order]
     if not values.size:
         return values, mults
     starts = np.ones(values.size, dtype=bool)
     first = values[0]
-    for i in (np.flatnonzero(np.diff(values) <= merge_rel * values[1:]) + 1).tolist():
+    for i in (np.flatnonzero(np.diff(values) <= MERGE_REL * values[1:]) + 1).tolist():
         if starts[i - 1]:
             first = values[i - 1]
-        starts[i] = not values[i] - first <= merge_rel * values[i]
+        starts[i] = not values[i] - first <= MERGE_REL * values[i]
     heads = np.flatnonzero(starts)
     return values[heads], np.add.reduceat(mults, heads)
 

@@ -248,6 +248,15 @@ class TestCountingDomination:
         assert report.witnesses[0] == 1.0
         assert 1.5 not in report.witnesses and 2.0 in report.witnesses
 
+    @pytest.mark.parametrize("below, cap, witness",
+                             [(0.0, 5.0, 2.5), (-1.0, 5.0, 2.5), (-1.0, None, math.inf)])
+    def test_breakpoints_at_or_below_zero_count_on_the_first_piece(self, below, cap, witness):
+        # N_soft is 5 on all of (0, cap], one piece, probed at half its top
+        # min(u_1, cap); u_1 = inf here, as no breakpoint is positive
+        report = an.counting_domination(an.CountingFunction((below,), (5,), complete_below=cap),
+                                        an.CountingFunction((), ()))
+        assert (report.satisfied, report.margin, report.witnesses) == (False, -5.0, (witness,))
+
     def test_dirichlet_dominates_krein_on_interval(self):
         segment = sp.IntervalSpec(0.0, math.pi)
         report = an.counting_domination(
@@ -514,7 +523,9 @@ class TestSandwichCheck:
 
     def test_violation_lists_first_sixteen_witnesses(self, monkeypatch):
         # N_D,n = N_D,n-1 = N_K,n-1 = 0 and N_K,n(lam) = floor(lam) on [1, 40]:
-        # the lower bound fails by N_K,n(lam) wherever that is positive
+        # the lower bound fails by N_K,n(lam) wherever that is positive, so
+        # on every piece [k, k + 1) and not on (0, 1), probed at 1/2; each
+        # violated piece is named once, by its left end k
         steps = list(range(1, 41))
         fake = {
             (3, "krein"): an.CountingFunction(tuple(map(float, steps)), tuple(steps)),
@@ -525,10 +536,9 @@ class TestSandwichCheck:
         monkeypatch.setattr(an, "ball_counting",
                             lambda spec, which, lam_max: fake[(spec.n, which)])
         report = an.sandwich_check(3, 1.0, 100.0)
-        probes = sorted({k + d for k in steps for d in (-1e-9, 0.0, 1e-9)})
         assert not report.satisfied
         assert report.margin == -40.0
-        assert report.witnesses == tuple(p for p in probes if p >= 1.0)[:16]
+        assert report.witnesses == tuple(map(float, steps[:16]))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_evaluates_each_counting_function_at_most_twice(self, monkeypatch, n):

@@ -47,6 +47,35 @@ class TestGridAndPotential:
         with pytest.raises(ValueError):
             dz.PotentialSpec.sampled([1.0, -2.0])
 
+    def test_potential_is_one_field_of_values(self):
+        assert [f.name for f in dataclasses.fields(dz.PotentialSpec)] == ["values"]
+        assert dz.PotentialSpec.zero() == dz.PotentialSpec(0.0) == dz.PotentialSpec(0)
+        assert dz.PotentialSpec.of_constant(2) == dz.PotentialSpec(2.0)
+        samples = dz.PotentialSpec.sampled(np.arange(3))
+        assert samples == dz.PotentialSpec([0, 1.0, 2]) and samples.values == (0.0, 1.0, 2.0)
+
+
+def _tridiagonal_assembly(grid, v):
+    """The interval model's matrix entry by entry: 2/h^2 + V on the
+    diagonal, -1/h^2 beside it."""
+    h2 = grid.h * grid.h
+    a = np.zeros((grid.m, grid.m))
+    for i in range(grid.m):
+        a[i, i] = 2.0 / h2 + v[i]
+        if i:
+            a[i, i - 1] = a[i - 1, i] = -1.0 / h2
+    return a
+
+
+@pytest.mark.parametrize("values", [0.0, 2.5, tuple(np.linspace(0.0, 50.0, 37) ** 1.5)],
+                         ids=["zero", "constant", "sampled"])
+def test_interval_model_is_the_tridiagonal_assembly(values):
+    grid = dz.Grid1D(-0.3, 1.7, 37)
+    v = np.broadcast_to(values, grid.m)
+    got = dz.interval_model(grid, dz.PotentialSpec(values))
+    assert np.array_equal(got.A.array, _tridiagonal_assembly(grid, v))
+    assert np.array_equal(got.domain_basis, np.eye(grid.m)[:, 1:-1])
+
 
 class TestIntervalModel:
     def test_codimension_two(self):

@@ -15,6 +15,7 @@ from kreinspec.errors import (
 from kreinspec import discretize as dz
 from kreinspec import extensions as ext
 from kreinspec.linalg import SymMatrix, max_norm, sym_eigen
+from kreinspec.tolerances import ToleranceProfile
 
 A2 = [[2.0, 1.0], [1.0, 2.0]]
 E1 = [[1.0], [0.0]]
@@ -290,6 +291,14 @@ class TestKreinConstructionCheck:
         monkeypatch.setattr(ext, "spd_sqrt", shifted)
         with pytest.raises(ConstructionMismatch, match="defining action"):
             ext.krein(m)
+
+    def test_profile_sets_the_construction_threshold(self):
+        # the gap of a correct construction is about 1e-16 max|A|, far
+        # below the default 1e-9 and far above 1e-30
+        m = ext.random_model(3, 12, 8)
+        assert ext.krein(m, ToleranceProfile(construction_rel=1e-9)).construction_gap > 0.0
+        with pytest.raises(ConstructionMismatch, match="defining action"):
+            ext.krein(m, ToleranceProfile(construction_rel=1e-30))
 
 
 def reduced_krein(model):

@@ -10,6 +10,7 @@ from kreinspec import linalg as la
 from kreinspec import special
 from kreinspec import spectra as sp
 from kreinspec.errors import DomainError, InsufficientData, NotOrthogonal
+from kreinspec.tolerances import ToleranceProfile
 from oracles import remainder_sup_oracle
 
 INF, NAN = math.inf, math.nan
@@ -147,6 +148,59 @@ BAD_COUNTINGS = {
     "decreasing-cumulative": lambda: an.CountingFunction((1.0, 2.0), (3, 2)),
     "negative-cumulative": lambda: an.CountingFunction((1.0,), (-1,)),
 }
+
+# The multiplicity 2.7 was stored as 2, and the cumulative counts
+# (1.5, 2.5) as (1, 2), so that function read 2 at 2.0.  2**70 and 2**63
+# raised a bare OverflowError inside np.fromiter, a NaN numpy's own
+# conversion message, and 2**64 - 1 wrapped to -1 and read as decreasing.
+BAD_COUNTS = {
+    "spectrum-fractional-multiplicity": lambda: sp.Spectrum(((1.0, 2.7),), 0),
+    "spectrum-multiplicity-2-to-70": lambda: sp.Spectrum(((1.0, 1), (2.0, 2**70)), 0),
+    "spectrum-multiplicity-2-to-63": lambda: sp.Spectrum(((1.0, 2**63),), 0),
+    "spectrum-nan-multiplicity": lambda: sp.Spectrum(((1.0, NAN),), 0),
+    "counting-fractional-cumulative": lambda: an.CountingFunction([1.0, 2.0], [1.5, 2.5]),
+    "counting-cumulative-2-to-64": lambda: an.CountingFunction((1.0,), np.array([2**64 - 1])),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_non_integer_and_overflowing_counts_raise(call):
+    with pytest.raises(ValueError, match=r"must be integers no larger than 2\^63 - 1"):
+        call()
+
+
+def test_integral_counts_of_any_type_are_kept():
+    top = 2**63 - 1
+    assert sp.Spectrum(((1.0, 2.0), (2.0, np.int32(3)), (3.0, top)), 0).entries == (
+        (1.0, 2), (2.0, 3), (3.0, top))
+    # a float among them must not make numpy round 2^62 + 1 to 2^62
+    assert sp.Spectrum(((1.0, 2.0), (2.0, 2**62 + 1)), 0).entries[1][1] == 2**62 + 1
+    counting = an.CountingFunction((1.0, 2.0), np.array([1.0, 3.0]))
+    assert counting.cumulative.dtype == np.int64 and counting(2.0) == 3
+
+
+# Each constructed: the public constructor took any kind and payload, and
+# interval_model then put V = -1 on the diagonal (241.0 = 2/h^2 - 1 at
+# Grid1D(0, 1, 10)) or a NaN that failed only as NoConvergence in a solve.
+BAD_POTENTIALS = {
+    f"{kind}-{name}": (lambda kind=kind, bad=bad: dz.PotentialSpec(
+        bad if kind == "constant" else (0.0,) * 9 + (bad,)))
+    for kind in ("constant", "sampled")
+    for name, bad in (("negative", -1.0), ("nan", NAN), ("inf", INF), ("minus-inf", -INF))
+}
+
+
+@pytest.mark.parametrize("call", BAD_POTENTIALS.values(), ids=BAD_POTENTIALS.keys())
+def test_negative_or_non_finite_potential_raises(call):
+    with pytest.raises(ValueError, match="potential must be finite and >= 0"):
+        call()
+
+
+@pytest.mark.parametrize("rel", [0.0, -1e-9, NAN, INF])
+def test_construction_threshold_must_be_positive_and_finite(rel):
+    with pytest.raises(ValueError, match="construction_rel .* is not positive and finite"):
+        ToleranceProfile(construction_rel=rel)
+
 
 # Both constructed; the fault showed only later, as a non-finite breakpoint
 # of the counting function built from them.

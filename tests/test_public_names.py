@@ -1,8 +1,11 @@
+import dataclasses
 import importlib
 import inspect
 import types
 
 import pytest
+
+from kreinspec import tolerances
 
 LAYERS = ("linalg", "extensions", "discretize", "special", "spectra", "analysis")
 
@@ -28,8 +31,8 @@ def test_every_public_callable_is_a_plain_function(layer):
 
 
 def test_only_krein_takes_a_tolerance_profile():
-    # every check reads its threshold from tolerances.DEFAULT; krein keeps
-    # its profile for its own two thresholds only
+    # every check reads its threshold from a tolerances constant; krein
+    # keeps its profile, which sets its construction_rel only
     takers = []
     for layer in LAYERS:
         module = importlib.import_module(f"kreinspec.{layer}")
@@ -38,3 +41,13 @@ def test_only_krein_takes_a_tolerance_profile():
             if inspect.isfunction(obj) and "profile" in inspect.signature(obj).parameters:
                 takers.append(f"{layer}.{name}")
     assert takers == ["extensions.krein"]
+
+
+def test_the_tolerance_profile_has_one_field():
+    # the other thresholds are module constants, read at their check sites
+    assert [f.name for f in dataclasses.fields(tolerances.ToleranceProfile)] == [
+        "construction_rel"]
+    assert tolerances.DEFAULT.construction_rel == tolerances.CONSTRUCTION_REL == 1e-9
+    assert (tolerances.CHOLESKY_PIVOT_REL, tolerances.PSD_CLAMP_REL, tolerances.ORTHONORMAL_REL,
+            tolerances.ADJOINT_KERNEL_REL, tolerances.RANK_REL, tolerances.MERGE_REL) == (
+        1e-14, 1e-12, 1e-12, 1e-11, 1e-12, 1e-11)
