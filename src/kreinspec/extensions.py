@@ -90,7 +90,6 @@ class ExtensionModel:
 
     A: SymMatrix
     domain_basis: np.ndarray  # N x d, orthonormal columns spanning D
-    epsilon: float            # smallest eigenvalue of A
 
     @property
     def ambient_dim(self) -> int:
@@ -130,7 +129,7 @@ class BucklingReport:
 
     pencil_values: np.ndarray       # ascending, squared singular values of A Q L^-T
     pencil_vectors: np.ndarray      # coordinates in D, orthonormal for Q^T A Q = L L^T
-    t_matrix: SymMatrix             # |S|^-1 Q^T A Q |S|^-1, bounded by 1/epsilon in norm
+    t_matrix: SymMatrix             # |S|^-1 Q^T A Q |S|^-1, bounded by 1/lambda_min(A) in norm
     polar_modulus: SymMatrix        # |S| = V Sigma V^T, from A Q = U Sigma V^T
     isometry: np.ndarray            # U_S = U V^T = A Q |S|^-1, orthonormal columns
     residuals: dict
@@ -157,8 +156,10 @@ def new_model(a, raw_basis) -> ExtensionModel:
     """Build a model from A and a spanning set of D (columns).
 
     A basis that is already orthonormal is kept as given; any other is
-    replaced by the Q of its Householder QR.  The bottom eigenvalue of A is
-    computed by LAPACK eigvalsh, without eigenvectors, and stored.
+    replaced by the Q of its Householder QR.  A must pass linalg.cholesky,
+    the library's one positive-definiteness rule; the factor is discarded.
+    Its pivot floor is weaker than the same floor on lambda_min(A), which no
+    pivot is below.  A non-finite A raises NotPositiveDefinite.
     """
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     raw = np.asarray(raw_basis, dtype=float)
@@ -172,16 +173,14 @@ def new_model(a, raw_basis) -> ExtensionModel:
         raise NoDeficiency(f"domain dimension {d} leaves no deficiency in {n}")
     if d < 1:
         raise ValueError("domain must have at least one column")
-    eps = float(_eigh(a.array, with_vectors=False)[0][0])
-    if eps <= n * CHOLESKY_PIVOT_REL * a.norm_max:
-        raise NotPositiveDefinite(f"bottom eigenvalue {eps:.3e} not positive")
+    cholesky(a)
     gram = raw.T @ raw
     if max_norm(gram - np.eye(d)) <= ORTHONORMAL_REL:
-        basis = raw.astype(float).copy()
+        basis = raw.copy()
     else:
         basis = _qr_split(raw, n * RANK_REL, RankDeficientBasis)[0]
     basis.flags.writeable = False
-    return ExtensionModel(A=a, domain_basis=basis, epsilon=eps)
+    return ExtensionModel(A=a, domain_basis=basis)
 
 
 def friedrichs(model: ExtensionModel) -> ExtensionResult:

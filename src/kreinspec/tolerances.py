@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# linalg-core
-CHOLESKY_PIVOT_REL = 1e-14   # pivot <= order * this * max|S| fails
+# linalg-core; CHOLESKY_PIVOT_REL is the one positive-definiteness rule
+CHOLESKY_PIVOT_REL = 1e-14   # Cholesky pivot <= order * this * max|S| fails
 PSD_CLAMP_REL = 1e-12        # spd_sqrt negative-eigenvalue window
 ORTHONORMAL_REL = 1e-12      # max|V^T V - I| <= this, for any order
 # extension-core

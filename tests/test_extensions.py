@@ -5,7 +5,6 @@ import pytest
 
 from kreinspec.errors import (
     ConstructionMismatch,
-    NoConvergence,
     NoDeficiency,
     NotOrthogonal,
     NotPositiveDefinite,
@@ -14,7 +13,7 @@ from kreinspec.errors import (
 )
 from kreinspec import discretize as dz
 from kreinspec import extensions as ext
-from kreinspec.linalg import SymMatrix, max_norm, sym_eigen
+from kreinspec.linalg import SymMatrix, cholesky, max_norm, sym_eigen
 from kreinspec.tolerances import ToleranceProfile
 
 A2 = [[2.0, 1.0], [1.0, 2.0]]
@@ -28,12 +27,12 @@ def model2():
 
 class TestNewModel:
     def test_two_by_two(self, model2):
-        assert model2.epsilon == pytest.approx(1.0, abs=1e-12)
         assert model2.domain_dim == 1 and model2.codimension == 1
 
     def test_identity_ambient(self):
         m = ext.new_model(np.eye(3), np.eye(3)[:, :2])
-        assert m.epsilon == pytest.approx(1.0)
+        assert m.A.array.tobytes() == np.eye(3).tobytes()
+        assert m.domain_dim == 2 and m.codimension == 1
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
@@ -57,10 +56,31 @@ class TestNewModel:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_matrix_raises(self, bad):
-        # eigvalsh read the bottom of diag(NaN, 1) as 0, and an inf escaped
-        # as RuntimeWarning from the symmetrizer
-        with pytest.raises(NoConvergence, match="non-finite"):
+        # linalg.cholesky checks the entries before LAPACK; eigvalsh read
+        # the bottom of diag(NaN, 1) as 0
+        with pytest.raises(NotPositiveDefinite, match="non-finite entries"):
             ext.new_model(np.diag([bad, 1.0]), E1)
+
+    def test_one_positive_definiteness_rule(self):
+        # new_model accepts A exactly when linalg.cholesky does; at N = 2 the
+        # pivot floor is 2e-14.  A floor on the bottom eigenvalue rejected
+        # [[1, 1], [1, 1 + 3e-14]], whose bottom eigenvalue is 1.5e-14 but
+        # whose last pivot is 3e-14.
+        def accepts(check, a):
+            try:
+                check(a)
+            except NotPositiveDefinite:
+                return False
+            return True
+
+        verdicts = set()
+        for x in [*np.logspace(-16, -12, 33), 3e-14]:
+            for a in (np.diag([1.0, x]), np.array([[1.0, 1.0], [1.0, 1.0 + x]])):
+                verdict = accepts(cholesky, a)
+                assert accepts(lambda a: ext.new_model(a, E1), a) == verdict, (x, a)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+        ext.new_model([[1.0, 1.0], [1.0, 1.0 + 3e-14]], E1)
 
     def test_full_domain_rejected(self):
         with pytest.raises(NoDeficiency):
@@ -359,7 +379,7 @@ class TestBuckling:
         rep = ext.buckling_analysis(m)
         assert np.all(rep.pencil_values > 0.0)
         t_norm = max(abs(v) for v in sym_eigen(rep.t_matrix).values)
-        assert t_norm <= 1.0 / m.epsilon + 1e-10
+        assert t_norm <= 1.0 / np.linalg.eigvalsh(m.A.array)[0] + 1e-10
         gram = rep.isometry.T @ rep.isometry
         assert max_norm(gram - np.eye(m.domain_dim)) <= 1e-10
 
@@ -627,6 +647,16 @@ def _count_lapack_calls(monkeypatch, names):
 
 
 class TestFactorizationCounts:
+    def test_new_model_checks_a_by_one_cholesky(self, monkeypatch):
+        # no eigensolve; a basis that is not orthonormal costs one QR
+        m = ext.random_model(3, 30, 20)
+        counts = _count_lapack_calls(monkeypatch, ("cholesky", "eigh", "eigvalsh", "qr"))
+        ext.new_model(m.A, m.domain_basis)
+        assert counts == dict(cholesky=1, eigh=0, eigvalsh=0, qr=0)
+        counts.update(cholesky=0)
+        ext.new_model(m.A, 2.0 * m.domain_basis)
+        assert counts == dict(cholesky=1, eigh=0, eigvalsh=0, qr=1)
+
     def test_buckling_pencil_and_order_compare(self, monkeypatch):
         # no factor is solved with twice, and value-only spectra skip the
         # eigenvectors
@@ -742,4 +772,4 @@ class TestSplitMix:
     def test_random_model_bottom_eigenvalue(self):
         for seed in range(3):
             m = ext.random_model(seed, 8, 5)
-            assert m.epsilon >= 0.1 - 1e-12
+            assert np.linalg.eigvalsh(m.A.array)[0] >= 0.1 - 1e-12

@@ -21,6 +21,31 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             la.SymMatrix(np.zeros((2, 3)))
 
+    def test_large_finite_entries_stay_finite(self):
+        # 0.5 * (a + a.T) overflowed here to inf, and cholesky then rejected
+        # this positive-definite matrix as having non-finite entries
+        big = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+        s = la.SymMatrix(big)
+        assert s.array.tobytes() == big.tobytes()
+        la.cholesky(s)
+        # halves are summed where the sum overflows; equal entries, the
+        # subnormal ones too, are kept as given
+        a = np.array([[1.7e308, 1.6e308, 5e-324],
+                      [1.79e308, 3e-320, 1.0],
+                      [5e-324, 0.5, 2.0]])
+        s = la.SymMatrix(a)
+        assert s.array.tobytes() == s.array.T.tobytes()
+        assert s.array[0, 1] == 0.5 * 1.6e308 + 0.5 * 1.79e308
+        assert s.array[1, 2] == 0.75
+        np.testing.assert_array_equal(np.diagonal(s.array), np.diagonal(a))
+        assert s.array[0, 2] == 5e-324
+
+    def test_opposite_infinities_average_to_nan(self):
+        s = la.SymMatrix([[1.7e308, np.inf], [-np.inf, 1.7e308]])
+        assert np.isnan(s.array[0, 1]) and np.isnan(s.array[1, 0])
+        with pytest.raises(NotPositiveDefinite, match="non-finite entries"):
+            la.cholesky(s)
+
 
 class TestCholesky:
     def test_identity(self):
