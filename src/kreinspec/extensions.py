@@ -158,8 +158,10 @@ def new_model(a, raw_basis) -> ExtensionModel:
     A basis that is already orthonormal is kept as given; any other is
     replaced by the Q of its Householder QR.  A must pass linalg.cholesky,
     the library's one positive-definiteness rule; the factor is discarded.
-    Its pivot floor is weaker than the same floor on lambda_min(A), which no
-    pivot is below.  A non-finite A raises NotPositiveDefinite.
+    Its floor bounds pivots, not conditioning: no pivot is below
+    lambda_min(A), but from order 3 on A can pass with lambda_min(A)
+    exponentially far below the floor.  A non-finite A raises
+    NotPositiveDefinite.
     """
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     raw = np.asarray(raw_basis, dtype=float)

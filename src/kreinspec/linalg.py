@@ -66,13 +66,10 @@ class SymMatrix:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        # inf + -inf is NaN, for the typed error of a later routine; where
-        # a + a.T overflows, halves are summed and equal entries kept as is
-        with np.errstate(invalid="ignore", over="raise"):
-            try:
-                sym = 0.5 * (a + a.T)
-            except FloatingPointError:
-                sym = np.where(a == a.T, a, 0.5 * a + 0.5 * a.T)
+        # halves never overflow; pairs equal bit for bit are kept, as a half
+        # of a subnormal rounds.  inf + -inf is NaN, for a later typed error
+        with np.errstate(invalid="ignore"):
+            sym = np.where(a.view(np.int64) == a.T.view(np.int64), a, 0.5 * a + 0.5 * a.T)
         sym.flags.writeable = False
         self.array = sym
         self.order = int(a.shape[0])

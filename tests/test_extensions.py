@@ -20,6 +20,16 @@ A2 = [[2.0, 1.0], [1.0, 2.0]]
 E1 = [[1.0], [0.0]]
 
 
+def unit_staircase_gram(n):
+    """L L^T for L unit lower triangular with -1 below the diagonal.
+
+    Its entries are integers, so a Cholesky factorization recovers L exactly
+    and every pivot is 1; its bottom eigenvalue is at most 4^-(n-2).
+    """
+    low = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    return low @ low.T
+
+
 @pytest.fixture
 def model2():
     return ext.new_model(A2, E1)
@@ -81,6 +91,13 @@ class TestNewModel:
                 verdicts.add(verdict)
         assert verdicts == {False, True}
         ext.new_model([[1.0, 1.0], [1.0, 1.0 + 3e-14]], E1)
+        # the floor bounds pivots, not conditioning: every pivot of L L^T
+        # below is 1, yet its bottom eigenvalue is at most 4^-28, below the
+        # old eigenvalue floor 30 * 1e-14 * 30 = 9e-12
+        a = unit_staircase_gram(30)
+        np.testing.assert_array_equal(np.diagonal(cholesky(a)), np.ones(30))
+        assert np.linalg.eigvalsh(a)[0] <= 9e-12
+        ext.new_model(a, np.eye(30)[:, :15])
 
     def test_full_domain_rejected(self):
         with pytest.raises(NoDeficiency):
@@ -465,6 +482,21 @@ class TestBucklingAccuracy:
         # 5.5e-8 and 3.3e-8
         rep = ext.buckling_analysis(zero_interval(1.0, 400))
         assert all(r <= 2e-11 for r in rep.residuals.values()), rep.residuals
+
+    def test_model_near_singular_beyond_its_pivots(self):
+        # A = L L^T of condition 7e17 passes new_model, since its pivots are
+        # all 1; Q^T A Q, its leading block, has condition 9e9.  krein
+        # passes its definition check (gap 0.6% of its bound), and the
+        # pencil keeps bounded errors and residuals: measured 5.2e-9
+        # against the reference and at most 5.5e-9 in the residuals
+        model = ext.new_model(unit_staircase_gram(30), np.eye(30)[:, :15])
+        assert ext.krein(model).construction_gap <= 1e-9 * model.A.norm_max
+        got = ext.pencil_values(model)
+        want = pencil_reference(model)
+        assert np.max(np.abs(got - want) / want) <= 1e-7
+        rep = ext.buckling_analysis(model)
+        assert np.max(np.abs(rep.pencil_values - want) / want) <= 1e-7
+        assert all(r <= 1e-7 for r in rep.residuals.values()), rep.residuals
 
     def test_power_of_two_rescaling_is_exact(self):
         # doubling the interval divides A by exactly 4: the pencil values

@@ -28,8 +28,8 @@ class TestSymMatrix:
         s = la.SymMatrix(big)
         assert s.array.tobytes() == big.tobytes()
         la.cholesky(s)
-        # halves are summed where the sum overflows; equal entries, the
-        # subnormal ones too, are kept as given
+        # halves are summed; pairs equal bit for bit, the subnormal ones
+        # too, are kept as given
         a = np.array([[1.7e308, 1.6e308, 5e-324],
                       [1.79e308, 3e-320, 1.0],
                       [5e-324, 0.5, 2.0]])
@@ -39,6 +39,15 @@ class TestSymMatrix:
         assert s.array[1, 2] == 0.75
         np.testing.assert_array_equal(np.diagonal(s.array), np.diagonal(a))
         assert s.array[0, 2] == 5e-324
+
+    def test_averages_keep_the_bits_of_a_plus_a_t_over_two(self):
+        # away from overflow and subnormal halves, each average is the
+        # rounded (a + a.T) / 2; 0 against -0 averages to 0
+        a = np.random.default_rng(4).standard_normal((40, 40))
+        a[3, 5], a[5, 3] = 0.0, -0.0
+        s = la.SymMatrix(a)
+        assert s.array.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert not np.signbit(s.array[3, 5]) and not np.signbit(s.array[5, 3])
 
     def test_opposite_infinities_average_to_nan(self):
         s = la.SymMatrix([[1.7e308, np.inf], [-np.inf, 1.7e308]])
