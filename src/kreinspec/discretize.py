@@ -44,9 +44,10 @@ __all__ = [
 
 # Shifts per multisection sweep, shared evenly by the open brackets: at most
 # 512 while at most 64 are open, past that 7 each.  A sweep's cost grows
-# with its shifts, but slowly: at m = 800 on a 2-CPU Xeon one takes about
-# 1.2-1.6 ms at 8 shifts, 1.7-2.0 ms at 128 and 2.3-2.6 ms at 511, most of
-# it per-row ufunc calls.  The rational finish puts at most _RUNGS rungs on
+# with its shifts, but slowly: at m = 800 on a 2-CPU Xeon one takes a median
+# 1.6 ms at 8 shifts, 1.6 ms at 128 and 2.7 ms at 511 (the host's speed
+# varies: the fastest runs took 0.9, 1.0 and 1.7 ms), most of it per-row
+# ufunc calls.  The rational finish puts at most _RUNGS rungs on
 # each side of its estimate.  With a rung in every cell (252 per side) a
 # soft count-1 call takes 3 sweeps instead of 4, but of 512 shifts instead
 # of 40: over the 14 radial channels at m = 800 the benchmark's job mix
@@ -200,18 +201,26 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
     return RadialPencil(diagonal=diag, offdiagonal=off, mass=mass)
 
 
-def _rational_root(x, y):
-    """Root of the one-pole fit y = (alpha x + beta) / (x - mu) through the
-    three points (x[:, i], y[:, i]) of each row, measured from x[:, 0].
-
-    The fit is exact for a one-pole function, as a Halley step is, without
-    its two derivatives.  Coincident nodes or infinite samples give NaN or
-    inf, which callers reject.
+def _isolated_root(x, c, p, below):
+    """Estimate of the eigenvalue in an isolated bracket [x[1], x[2]), else
+    NaN; see _multisect.  x, c and p are columns below - 1 to below + 2 of a
+    sweep row with their counts and last pivots.  The root of the one-pole
+    fit y = (alpha x + beta) / (x - mu), exact for a one-pole function as a
+    Halley step is, is measured from the end with the smaller pivot.
     """
-    t2, t3 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
-    y1, y2, y3 = y.T
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return x[:, 0] + y1 * t2 * t3 * (y2 - y3) / ((y2 - y1) * y3 * t3 - (y3 - y1) * y2 * t2)
+    (xl, xa, xb, xr), (pl, pa, pb, pr) = x, p
+    # the nearer outside neighbour with a known pivot, left on ties
+    near_left = xa - xl if below and not math.isnan(pl) else math.inf
+    near_right = xr - xb if xr != xb and not math.isnan(pr) else math.inf
+    if not (c[2] - c[1] == 1 and pa > 0.0 > pb and min(near_left, near_right) < math.inf):
+        return math.nan
+    (x1, y1), (x2, y2) = ((xa, pa), (xb, pb)) if abs(pa) <= abs(pb) else ((xb, pb), (xa, pa))
+    x3, y3 = (xl, pl) if near_left <= near_right else (xr, pr)
+    t2, t3 = x2 - x1, x3 - x1
+    den = (y2 - y1) * y3 * t3 - (y3 - y1) * y2 * t2
+    # coincident nodes or infinite samples give no root inside
+    root = x1 + y1 * t2 * t3 * (y2 - y3) / den if den else math.nan
+    return root if xa < root < xb else math.nan
 
 
 def _stop_width(x, lo, hi):
@@ -255,7 +264,7 @@ def _outward_split(lo, hi, count):
 
 
 def _multisect(sweep, lo, hi, wanted, is_open=None):
-    """Brackets [a, b) of the eigenvalues with the given 1-based indices.
+    """Brackets [a, b) of the eigenvalues with the given ascending 1-based indices.
 
     sweep maps an array of shifts to the Sturm counts there (eigenvalues
     strictly below each shift) and the last LDL^T pivots, and [lo, hi]
@@ -291,72 +300,67 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
     # never swept, so their pivots are unknown.  No index exceeds `most`.
     most = np.iinfo(np.intp).max
     ca, cb = np.zeros(size, dtype=np.intp), np.full(size, most)
-    pa, pb = np.full(size, np.nan), np.full(size, np.nan)
-    guess = np.full(size, np.nan)
+    pa, pb, guess = np.full((3, size), np.nan)
     stop = np.zeros(size)  # set after each sweep, first read by the second
     live = np.arange(size)
-    # Open brackets never overlap, so their left ends tell them apart.  Each
-    # step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
+    # Each step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
     # bisections.
     for step in range(40):
-        left, first, group = np.unique(a[live], return_index=True, return_inverse=True)
-        head = live[first]
+        # Open brackets never overlap and ascend with the indices, so the
+        # indices that share one are neighbours: a group starts where a changes.
+        left = a[live]
+        first = np.concatenate(([True], left[1:] != left[:-1]))
+        group = first.cumsum() - 1
+        head, left = live[first], left[first]
         right = b[head]
-        cells = max(_SWEEP_CELLS // left.size, 8)
-        grid = np.full((left.size, cells), np.nan)
-        est = guess[head]
-        fin = np.isfinite(est)
+        cells = max(_SWEEP_CELLS // head.size, 8)
+        # One row of points per group: its left end, its shifts sorted with
+        # the unused slots last, and its right end twice.
+        xs = np.full((head.size, cells + 3), np.nan)
+        xs[:, 0], xs[:, -2:] = left, right[:, None]
+        grid = xs[:, 1:-2]
+        lf, rf = left[:, None], right[:, None]
         if step:
-            grid[~fin, :cells - 1] = (left[~fin, None] + (right - left)[~fin, None]
-                                      * (np.arange(1, cells) / cells))
+            grid[:, :-1] = lf + (rf - lf) * (np.arange(1, cells) / cells)
         else:
-            grid[0, :cells - 1] = _outward_split(lo, hi, cells - 1)
+            grid[0, :-1] = _outward_split(lo, hi, cells - 1)
+        est = guess[head, None]
+        fin = np.isfinite(est)
         if fin.any():
-            est, gap = est[fin, None], stop[head[fin], None] / 64.0
-            lf, rf = left[fin, None], right[fin, None]
+            # a row with an estimate trades its even split for the rungs
+            gap = stop[head, None] / 64.0
             steps = min((cells - 8) // 2, _RUNGS)
             rungs = np.arange(steps) / max(steps, 1)
-            shifts = np.hstack((lf + (rf - lf) * (np.arange(1, 8) / 8), est,
-                                est - gap * ((est - lf) / gap) ** rungs,
-                                est + gap * ((rf - est) / gap) ** rungs))
-            shifts[~((lf < shifts) & (shifts < rf))] = np.nan
-            grid[fin, :shifts.shape[1]] = shifts
+            shifts = np.concatenate((lf + (rf - lf) * (np.arange(1, 8) / 8), est,
+                                     est - gap * ((est - lf) / gap) ** rungs,
+                                     est + gap * ((rf - est) / gap) ** rungs,
+                                     np.full((head.size, cells - 8 - 2 * steps), np.nan)), axis=1)
+            shifts[(shifts <= lf) | (shifts >= rf)] = np.nan
+            np.copyto(grid, shifts, where=fin)
         grid.sort(axis=1)
         swept = ~np.isnan(grid)
-        counts, pivots = np.empty(grid.shape, dtype=np.intp), np.empty(grid.shape)
-        counts[swept], pivots[swept] = sweep(grid[swept])
-        # unused slots, sorted last, become copies of the right end
-        grid = np.where(swept, grid, right[:, None])
-        counts = np.where(swept, counts, cb[head, None])
-        pivots = np.where(swept, pivots, pb[head, None])
-        below = np.sum(counts[group] < wanted[live, None], axis=1)
-        xs = np.column_stack((left, grid, right, right))[group]
-        cs = np.column_stack((ca[head], counts, cb[head], cb[head]))[group]
-        ps = np.column_stack((pa[head], pivots, pb[head], pb[head]))[group]
-        rows = np.arange(live.size)
-        a[live], b[live] = xs[rows, below], xs[rows, below + 1]
-        ca[live], cb[live] = cs[rows, below], cs[rows, below + 1]
-        pa[live], pb[live] = ps[rows, below], ps[rows, below + 1]
-        # the nearer outside neighbour with a known pivot, left on ties
-        near_left = np.full(live.size, np.inf)
-        near_left[below > 0] = (xs[rows, below] - xs[rows, below - 1])[below > 0]
-        near_right = xs[rows, below + 2] - xs[rows, below + 1]
-        near_left[np.isnan(ps[rows, below - 1])] = np.inf
-        near_right[(near_right == 0.0) | np.isnan(ps[rows, below + 2])] = np.inf
-        outer = np.where(near_left <= near_right, below - 1, below + 2)
-        # measured from the end with the smaller pivot, the nearer one
-        near = np.where(abs(pa[live]) <= abs(pb[live]), below, below + 1)
-        cols = np.column_stack((near, 2 * below + 1 - near, outer))
-        root = _rational_root(xs[rows[:, None], cols], ps[rows[:, None], cols])
-        isolated = ((cb[live] - ca[live] == 1) & (pa[live] > 0.0) & (pb[live] < 0.0)
-                    & (a[live] < root) & (root < b[live])
-                    & np.isfinite(np.minimum(near_left, near_right)))
-        guess[live] = np.where(isolated, root, np.nan)
+        # the counts and pivots of the points; an unused slot, sorted last,
+        # becomes a copy of the right end
+        cs, ps = np.empty(xs.shape, dtype=np.intp), np.empty(xs.shape)
+        cs[:, 0], ps[:, 0] = ca[head], pa[head]
+        cs[:, 1:], ps[:, 1:] = cb[head, None], pb[head, None]
+        cs[:, 1:-2][swept], ps[:, 1:-2][swept] = sweep(grid[swept])
+        np.copyto(grid, rf, where=~swept)
+        # each index's columns below - 1 to below + 2 of its row (the left
+        # one wraps to the right end when below is 0)
+        below = (cs[group, 1:-2] < wanted[live, None]).sum(1)
+        pick = group[:, None], below[:, None] + np.arange(-1, 3)
+        x, c, p = xs[pick], cs[pick], ps[pick]
+        a[live], b[live] = x[:, 1], x[:, 2]
+        ca[live], cb[live] = c[:, 1], c[:, 2]
+        pa[live], pb[live] = p[:, 1], p[:, 2]
         stop = _stop_width(np.maximum(abs(a), abs(b)), lo, hi)
         wide = b - a > stop if is_open is None else is_open(a, b, stop)
-        live = live[wide[live]]
-        if not live.size:
+        still = live[wide[live]]
+        if not still.size:
             break
+        guess[live] = list(map(_isolated_root, x.tolist(), c.tolist(), p.tolist(), below.tolist()))
+        live = still
     return a, b
 
 
@@ -366,12 +370,10 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     All wanted indices are bracketed together by _multisect, from the
     Gershgorin interval [lo, hi] down to the width _stop_width gives.  Each
     step is one sturm_count sweep, which also returns the last LDL^T pivot
-    q_m at every shift.  Once a bracket holds one eigenvalue and
-    q_m > 0 > q_m at its ends, q_m has no pole inside it (a pole would force
-    a second zero, so a second eigenvalue), and the next sweep centres its
-    shifts on the root of a one-pole rational fit to q_m; see _multisect.  The counts alone still choose every bracket.  The
-    first sweep is geometric in the distance from the point of [lo, hi]
-    nearest 0, where the wanted values lie.  At m = 800 a count-1 call
+    q_m at every shift, and an isolated bracket is finished by a one-pole
+    fit to q_m; the counts alone still choose every bracket.  The first
+    sweep is geometric in the distance from the point of [lo, hi] nearest
+    0, where the wanted values lie.  At m = 800 a count-1 call
     takes 3 sweeps on the hard condition and 4 on the soft one in each
     channel with n = 2-4 and l = 0-4, and a count-20 call 5 or 6.  On the
     hard condition the first bracket of the lowest value also holds the

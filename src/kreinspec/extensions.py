@@ -161,7 +161,7 @@ def new_model(a, raw_basis) -> ExtensionModel:
     Its floor bounds pivots, not conditioning: no pivot is below
     lambda_min(A), but from order 3 on A can pass with lambda_min(A)
     exponentially far below the floor.  A non-finite A raises
-    NotPositiveDefinite.
+    NotPositiveDefinite, and a non-finite basis entry ValueError.
     """
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     raw = np.asarray(raw_basis, dtype=float)
@@ -170,6 +170,10 @@ def new_model(a, raw_basis) -> ExtensionModel:
     n = a.order
     if raw.shape[0] != n:
         raise ValueError(f"basis rows {raw.shape[0]} != ambient dimension {n}")
+    if not np.isfinite(raw).all():
+        i, j = np.argwhere(~np.isfinite(raw))[0]
+        raise ValueError(f"basis has non-finite entries, the first {raw[i, j]} "
+                         f"at row {i}, column {j}")
     d = raw.shape[1]
     if d >= n:
         raise NoDeficiency(f"domain dimension {d} leaves no deficiency in {n}")

@@ -282,6 +282,16 @@ def test_unreached_input_checks_raise(call, message):
         call()
 
 
+# A NaN or an infinite basis entry is a bad input, not a rank-deficient
+# basis: it raises ValueError naming the entry, before the Gram test.
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_basis_raises_value_error(bad):
+    with pytest.raises(ValueError, match=rf"non-finite entries, the first {bad} at row 1, column 0"):
+        ext.new_model(np.eye(3), [[1.0], [bad], [0.0]])
+    with pytest.raises(ValueError, match=rf"non-finite entries, the first {bad} at row 0, column 1"):
+        ext.new_model(np.eye(4), [[1.0, bad], [0.0, 1.0], [bad, bad], [0.0, 0.0]])
+
+
 def test_one_dimensional_bases_are_one_column():
     model = _random_31()
     column = model.domain_basis[:, :1]

@@ -351,3 +351,8 @@ class TestSturmBlocks:
         shifts = rng.uniform(-4.0, 4.0, 7)
         want = [sturm_count_oracle(d, e, lam) for lam in shifts]
         assert la.sturm_count(d, e, shifts).tolist() == want
+        # the same sweep's last pivots, bit for bit, across the block boundary
+        counts, pivots = la.sturm_count(d, e, shifts, last_pivot=True)
+        assert counts.tolist() == want
+        last = [sturm_pivots_oracle(d, e, lam)[-1] for lam in shifts.tolist()]
+        assert [p.hex() for p in pivots.tolist()] == [q.hex() for q in last]

@@ -139,6 +139,61 @@ def test_dirichlet_values_bit_equal_to_recorded(n, ell, m):
     assert [float(v).hex() for v in got] == RECORDED_DIRICHLET[n, ell, m]
 
 
+# Soft-condition values recorded the same way.  These calls also bracket the
+# zero mode, whose bracket closes by its own rule (is_open in
+# radial_eigenvalues), so they pin that path too.
+RECORDED_KREIN = {
+    (2, 1, 100): ["0x1.a5f22f672e8acp+4", "0x1.1b47d4c7ed974p+6", "0x1.0dccced08b81bp+7",
+                  "0x1.b52b9200370d1p+7", "0x1.41cd9a0cd8d0ep+8"],
+    (2, 1, 800): ["0x1.a5fe3cd137f88p+4", "0x1.1b65ebd3aa440p+6", "0x1.0e09a31726cadp+7",
+                  "0x1.b5d4745f844eep+7", "0x1.428b1964a57d9p+8"],
+    (3, 2, 100): ["0x1.869d6114f86cep+5", "0x1.b1e230efbf749p+6", "0x1.76ed95dbf4f69p+7",
+                  "0x1.1df50c3d94f60p+8", "0x1.93e9fe52ad3dap+8"],
+    (3, 2, 800): ["0x1.86a6253d74545p+5", "0x1.b2100627de544p+6", "0x1.77442cc151268p+7",
+                  "0x1.1e66e2c937896p+8", "0x1.94df3323f14a8p+8"],
+    (4, 4, 100): ["0x1.8adfe271aab7cp+6", "0x1.712bbdaad4cecp+7", "0x1.20d751ed394a7p+8",
+                  "0x1.9c3a0ca058268p+8", "0x1.156e11ab70c14p+9"],
+    (4, 4, 800): ["0x1.8ae794b5fa50fp+6", "0x1.7155c33955ddap+7", "0x1.2120186694950p+8",
+                  "0x1.9cec6520f6226p+8", "0x1.1623f20f0188cp+9"],
+}
+
+
+@pytest.mark.parametrize("n, ell, m", list(RECORDED_KREIN))
+def test_krein_values_bit_equal_to_recorded(n, ell, m):
+    got = dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, m, "krein"), 5)
+    assert [float(v).hex() for v in got] == RECORDED_KREIN[n, ell, m]
+
+
+# One count-20 call per condition in channel (3, 2) at m = 800, recorded the
+# same way: its later sweeps share their shifts among many open brackets.
+RECORDED_TWENTY = {
+    "dirichlet": [
+        "0x1.09bd546490192p+5", "0x1.4ae01f6b39d7dp+6", "0x1.2fb4da0c9aebcp+7",
+        "0x1.e1656f0998244p+7", "0x1.5d44e115b39fap+8", "0x1.dd91e9313e9a8p+8",
+        "0x1.38ccf412a44a0p+9", "0x1.8cae4ae5fd44ap+9", "0x1.ea6cbacc2148cp+9",
+        "0x1.2903f9e7f8de3p+10", "0x1.61bfcc0325dffp+10", "0x1.9f699eab42323p+10",
+        "0x1.e2013732d7636p+10", "0x1.14c32ac5ef4a8p+11", "0x1.3afc5a3669e20p+11",
+        "0x1.63ac04b38f18cp+11", "0x1.8ed2027a878cap+11", "0x1.bc6e29417c6aep+11",
+        "0x1.ec804c3aa48e0p+11", "0x1.0f841e0b31772p+12",
+    ],
+    "krein": [
+        "0x1.86a6253d79992p+5", "0x1.b2100627ddf55p+6", "0x1.77442cc150bedp+7",
+        "0x1.1e66e2c9370aep+8", "0x1.94df3323f18fcp+8", "0x1.0f87910e9ad6cp+9",
+        "0x1.5e7c0d73a0c34p+9", "0x1.b74d3bc565236p+9", "0x1.0cfd83af3987ap+10",
+        "0x1.43429b315ad8ep+10", "0x1.7e75bb461fcbcp+10", "0x1.be96b1ba1cc32p+10",
+        "0x1.01d2a27870b7dp+11", "0x1.26d09a686c2fep+11", "0x1.4e451da68271ep+11",
+        "0x1.7830065c658c6p+11", "0x1.a4912bfe57e99p+11", "0x1.d368635c4e909p+11",
+        "0x1.025abf56b1f74p+12", "0x1.1c3c26cbd7679p+12",
+    ],
+}
+
+
+@pytest.mark.parametrize("bc", list(RECORDED_TWENTY))
+def test_count_twenty_values_bit_equal_to_recorded(bc):
+    got = dz.radial_eigenvalues(dz.RadialChannelSpec(3, 2, 1.0, 800, bc), COUNT)
+    assert [float(v).hex() for v in got] == RECORDED_TWENTY[bc]
+
+
 CHANNELS = [(n, ell) for n in (2, 3, 4) for ell in range(5)]
 
 
