@@ -210,9 +210,15 @@ def two_term_ball_coefficients(n: int, radius: float, which: str):
     # the double range while their product need not
     log_v_n, log_v_m = _log_unit_ball_volume(n), _log_unit_ball_volume(n - 1)
     log_r = math.log(radius / (2.0 * math.pi))
-    lead = math.exp(2.0 * log_v_n + n * log_r)
     curvature = (n / 4.0) * math.exp(log_v_n - log_v_m) + (1.0 if which == "krein" else 0.0)
-    second = -math.exp(2.0 * log_v_m + (n - 1) * log_r) * curvature
+    try:
+        lead = math.exp(2.0 * log_v_n + n * log_r)
+        second = -math.exp(2.0 * log_v_m + (n - 1) * log_r) * curvature
+        if second == -math.inf:  # a finite power of R times the curvature
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(f"counting coefficients of the {n}-ball of radius {radius:g} "
+                          "exceed the largest double, about 1.8e308") from None
     return lead, second
 
 

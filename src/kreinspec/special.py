@@ -9,7 +9,10 @@ needed.
 Evaluation is by backward recurrence: integer orders use Miller's algorithm
 normalized through J_0(x) + 2*sum_k J_{2k}(x) = 1, half-integer orders
 recur on spherical Bessel functions and normalize against the closed forms
-sin(x)/x and sin(x)/x^2 - cos(x)/x, whichever is better conditioned.
+sin(x)/x and sin(x)/x^2 - cos(x)/x, whichever is better conditioned.  These
+rules, the orders kept, J' = (J_{nu-1} - J_{nu+1}) / 2 and the sqrt(2x/pi)
+amplitude live once, in `_scan_table`; its loop runs in numpy over a grid,
+or in Python floats at the one point that `bessel_j` and single zeros need.
 
 Every root is refined inside a sign-change bracket by `_halley_batch`, the
 one safeguarded root iteration of the library, which steps many brackets at
@@ -121,57 +124,11 @@ def _tiny_argument_series(order: BesselOrder, x: float) -> float:
     return math.exp(log_lead) * total
 
 
-def _backward_all(parity: int, n_max: int, x: float) -> list:
-    """Orders parity/2 .. n_max + parity/2 at x by one backward recurrence:
-    J_0(x) .. J_{n_max}(x) by Miller's algorithm for parity 0, the spherical
-    j_0(x) .. j_{n_max}(x) (no sqrt(2x/pi) factor) for parity 1."""
-    start = _recurrence_start(n_max, x)
-    out = [0.0] * (n_max + 1)
-    fplus = 0.0
-    f = 1.0e-30
-    norm = 0.0
-    for k in range(start, 0, -1):
-        fminus = ((2.0 * k + parity) / x) * f - fplus
-        fplus = f
-        f = fminus
-        idx = k - 1
-        if idx <= n_max:
-            out[idx] = f
-        if parity == 0 and idx >= 2 and idx % 2 == 0:
-            norm += 2.0 * f
-        if abs(f) > _RESCALE:
-            inv = 1.0 / _RESCALE
-            f *= inv
-            fplus *= inv
-            norm *= inv
-            for j in range(max(idx, 0), n_max + 1):
-                out[j] *= inv
-    if parity == 0:
-        norm += f  # f is now J_0 up to the common factor
-        return [v / norm for v in out]
-    j0 = math.sin(x) / x
-    j1 = math.sin(x) / (x * x) - math.cos(x) / x
-    # f is the unnormalized j_0 and fplus the unnormalized j_1
-    if abs(j0) >= abs(j1) or fplus == 0.0:
-        scale = j0 / f
-    else:
-        scale = j1 / fplus
-    return [v * scale for v in out]
-
-
 def _eval_j_pair(order: BesselOrder, x: float):
-    """(J_nu(x), J_nu'(x)) sharing a single recurrence pass."""
-    if order.is_integer:
-        n = order.twice_order // 2
-        vals = _backward_all(0, n + 1, x)
-        if n == 0:
-            return vals[0], -vals[1]
-        return vals[n], 0.5 * (vals[n - 1] - vals[n + 1])
-    l = (order.twice_order - 1) // 2
-    amp = math.sqrt(2.0 * x / math.pi)
-    vals = _backward_all(1, l + 1, x)
-    below = math.cos(x) / x if l == 0 else vals[l - 1]
-    return amp * vals[l], 0.5 * amp * (below - vals[l + 1])
+    """(J_nu(x), J_nu'(x)) from one recurrence pass: the one-point `_scan_table`."""
+    value, slope = _scan_table(order.twice_order % 2, np.array([order.twice_order // 2]),
+                               np.array([float(x)]))
+    return float(value[0, 0]), float(slope[0, 0])
 
 
 def bessel_j(nu, x: float) -> float:
@@ -264,13 +221,12 @@ def _refine_zero(order: BesselOrder, guess: float) -> float:
 
 def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray,
                    rows: dict):
-    """The backward recurrence of `_backward_all`, run for every argument
-    of x at once.
+    """The backward recurrence over orders, Miller's for integer orders and
+    spherical for half-integer ones, run for every argument of x at once.
 
     Element e is seeded at order starts[e].  rows maps an order index i to
     the row of out that receives the unnormalized values of order
-    i + parity/2.  Rescaling acts on every row of the rescaled elements, as
-    the scalar code rescales every stored order.
+    i + parity/2.  Rescaling acts on every row of the rescaled elements.
     Returns the unnormalized values of orders 0 and 1 (plus parity/2) and,
     for integer orders, the Miller sum 2 * sum_{k>=1} J_{2k}.
     """
@@ -301,40 +257,67 @@ def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarr
     return f, fplus, norm
 
 
+def _backward_one(parity: int, x: float, start: int, out: np.ndarray, rows: dict):
+    """`_backward_pass` at the one argument x, in Python floats: numpy's call
+    overhead on every order would make it 20-25 times slower.  For speed,
+    c = 2k + parity is kept as an exact float and abs(f) <= big is written
+    -big <= f <= big."""
+    stored = [0.0] * len(out)
+    f, fplus, norm = 1.0e-30, 0.0, 0.0
+    big, inv = _RESCALE, 1.0 / _RESCALE
+    top, even, c = max(rows), parity == 0, 2.0 * start + parity
+    for idx in range(start - 1, -1, -1):
+        f, fplus = (c / x) * f - fplus, f
+        c -= 2.0
+        if idx <= top and idx in rows:
+            stored[rows[idx]] = f
+        if even and idx >= 2 and not idx % 2:
+            norm += 2.0 * f
+        if not -big <= f <= big:
+            f *= inv
+            fplus *= inv
+            norm *= inv
+            stored = [v * inv for v in stored]
+    out[:, 0] = stored
+    return f, fplus, norm
+
+
 def _normalized(parity: int, x: np.ndarray, out: np.ndarray, f, fplus, norm) -> np.ndarray:
-    """out scaled like `_backward_all` scales its results: J for
-    integer orders, spherical j (no sqrt(2x/pi) factor) for half-integers."""
+    """out scaled to J for integer orders, by Miller's J_0 + 2 sum_k J_2k = 1,
+    and for half-integer ones to the spherical j (no sqrt(2x/pi) factor),
+    against sin(x)/x or sin(x)/x^2 - cos(x)/x, whichever is larger in modulus."""
     if parity == 0:
         return out / (norm + f)
-    j0 = np.sin(x) / x
-    j1 = np.sin(x) / (x * x) - np.cos(x) / x
+    sin = np.sin(x)
+    j0 = sin / x
+    j1 = sin / (x * x) - np.cos(x) / x
     use_j0 = (np.abs(j0) >= np.abs(j1)) | (fplus == 0.0)
-    scale = np.divide(j0, f, out=np.zeros_like(x), where=use_j0)
-    np.divide(j1, fplus, out=scale, where=~use_j0)
-    return out * scale
+    return out * (np.where(use_j0, j0, j1) / np.where(use_j0, f, fplus))
 
 
 def _scan_table(parity: int, ells: np.ndarray, grid: np.ndarray):
     """(J_nu, J_nu') of each order nu = l + parity/2, l in ells (ascending),
     at every grid point, as two arrays with one row per order, from one
-    recurrence pass.
-
-    The pass stores orders l - 1, l and l + 1, and J' follows the rules of
-    `_eval_j_pair`: J' = (J_{nu-1} - J_{nu+1}) / 2, with J_0' = -J_1, and
-    half-integer orders carry the factor sqrt(2x/pi), with j_{-1} = cos x / x.
+    recurrence pass (`_backward_one` on a grid of one point).  The pass
+    stores orders l - 1, l and l + 1; J' = (J_{nu-1} - J_{nu+1}) / 2, with
+    J_0' = -J_1, and half-integer orders carry sqrt(2x/pi), with j_{-1} = cos x / x.
     """
-    # a mask, not np.unique, which imports numpy.ma on its first call (see
-    # analysis._probe_points)
+    wanted = ells + np.array([[-1], [0], [1]])
+    # a mask, not np.unique, which imports numpy.ma (see analysis._probe_points);
+    # order -1 of l = 0 marks the last entry, the top order, stored anyway
     needed = np.zeros(int(ells[-1]) + 2, dtype=bool)
-    needed[ells] = needed[ells + 1] = True
-    needed[ells[ells > 0] - 1] = True
+    needed[wanted] = True
     stored = np.flatnonzero(needed)
     rows = {order: row for row, order in enumerate(stored.tolist())}
     out = np.zeros((len(stored), len(grid)))
-    table = _normalized(parity, grid, out,
-                        *_backward_pass(parity, grid, _recurrence_start(int(ells[-1]) + 1, grid),
-                                        out, rows))
-    below, mid, above = (table[np.searchsorted(stored, ells + d)] for d in (-1, 0, 1))
+    top = int(ells[-1]) + 1
+    if len(grid) == 1:
+        x = float(grid[0])
+        passed = _backward_one(parity, x, _recurrence_start(top, x), out, rows)
+    else:
+        passed = _backward_pass(parity, grid, _recurrence_start(top, grid), out, rows)
+    table = _normalized(parity, grid, out, *passed)
+    below, mid, above = table[np.searchsorted(stored, wanted)]
     first = (ells == 0)[:, None]
     if parity == 0:
         return mid, np.where(first, -above, 0.5 * (below - above))

@@ -39,7 +39,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import BracketFailure, DomainError
-from .special import _MAX_ZERO_INDEX, _family_zeros, bessel_zero, tan_fixed_point
+from .special import _MAX_TWICE_ORDER, _MAX_ZERO_INDEX, _family_zeros, bessel_zero, tan_fixed_point
 from .tolerances import MERGE_REL
 
 INFINITE = math.inf
@@ -155,11 +155,33 @@ class Spectrum:
         return out
 
 
-def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
-    """First `count` hard-boundary eigenvalues (j pi / L)^2, all simple."""
+_MAX_INTERVAL_COUNT = 2 * _MAX_ZERO_INDEX  # the Krein values of every root of tan t = t
+
+
+def _interval_length(spec: IntervalSpec, count) -> float:
+    """spec.length once `count` values of either condition are known to fit:
+    at most _MAX_INTERVAL_COUNT of them, and k pi / L in [1e-150, 1e150] for
+    k <= count + 2, which bounds the Krein values too (2 t_m < (2m + 1) pi),
+    so that each value lies in [1e-300, 1e300].  DomainError otherwise."""
     if not (isinstance(count, Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count}")
+    if count > _MAX_INTERVAL_COUNT:
+        raise DomainError(f"count {count} exceeds the limit of {_MAX_INTERVAL_COUNT} "
+                          "interval eigenvalues")
     length = spec.length
+    if not 1e-150 <= math.pi / length <= 1e150 / (count + 2):
+        raise DomainError(f"length {length:g} puts the first {count} eigenvalues outside "
+                          "[1e-300, 1e300]")
+    return length
+
+
+def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
+    """First `count` hard-boundary eigenvalues (j pi / L)^2, all simple.
+
+    At most 200,000 of them, all in [1e-300, 1e300]: DomainError otherwise,
+    before any is computed, as in `interval_krein`.
+    """
+    length = _interval_length(spec, count)
     # squared by libm's pow, as a float ** 2; numpy squares by x * x, which
     # differs from it in the last bit of about one value in 1,400
     values = np.array([(j * math.pi / length) ** 2 for j in range(1, count + 1)])
@@ -172,13 +194,11 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
 
     The even branch (2 m pi / L)^2 and odd branch (2 t_m / L)^2 alternate
     strictly: m pi < t_m < (m + 1/2) pi puts exactly one odd value between
-    consecutive even ones.
+    consecutive even ones.  At most 200,000 values, those of the 100,000
+    roots t_m that `tan_fixed_point` gives, all in [1e-300, 1e300]:
+    DomainError otherwise, before any is computed, as in `interval_dirichlet`.
     """
-    if not (isinstance(count, Integral) and count >= 1):
-        raise ValueError(f"count must be an integer >= 1, got {count}")
-    if count > 2 * _MAX_ZERO_INDEX:
-        raise DomainError(f"count {count} needs roots of tan t = t past index {_MAX_ZERO_INDEX}")
-    length = spec.length
+    length = _interval_length(spec, count)
     m = np.arange(1, (count + 1) // 2 + 1)
     vals = np.empty(2 * m.size)
     vals[0::2] = (2.0 * m * np.pi / length) ** 2
@@ -312,8 +332,13 @@ def _build_ball_spectrum(n, radius, which: str, lambda_max) -> Spectrum:
     offset = n - 2 if which == "dirichlet" else n  # twice the order shift
     limit = math.sqrt(lambda_max) * radius
     cap = lambda_max * radius * radius
-    twice_orders = range(offset, math.ceil(2.0 * limit), 2)  # every nu < limit
+    # every nu < limit, cut where the order cap is passed anyway: past it
+    # the limit may exceed what len() counts, or be inf
+    twice_orders = range(offset, math.ceil(2.0 * min(limit, _MAX_TWICE_ORDER)), 2)
     if twice_orders:
+        if twice_orders[-1] > _MAX_TWICE_ORDER:
+            raise DomainError(f"sqrt(lambda_max) R = {limit:g} needs Bessel orders "
+                              f"past the limit {_MAX_TWICE_ORDER // 2}")
         # d_{n,l} grows with l, so an overflow shows in the top channel;
         # checked before the zero scan, which may take seconds
         ball_multiplicity(n, len(twice_orders) - 1)
@@ -349,13 +374,12 @@ def channel_interlace_report(spec: BallSpec, ell: int, k_max: int) -> ChannelInt
     if not (isinstance(k_max, Integral) and k_max >= 1):
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     nu = ell + (spec.n - 2) / 2.0
+    hard = [bessel_zero(nu, k) for k in range(1, k_max + 2)]
+    soft = [bessel_zero(nu + 1.0, k) for k in range(1, k_max + 1)]
     strict = True
     min_gap = math.inf
     witnesses = []
-    for k in range(1, k_max + 1):
-        low = bessel_zero(nu, k)
-        mid = bessel_zero(nu + 1.0, k)
-        high = bessel_zero(nu, k + 1)
+    for k, low, mid, high in zip(range(1, k_max + 1), hard, soft, hard[1:]):
         gap = min(mid - low, high - mid)
         min_gap = min(min_gap, gap)
         if not (low < mid < high):

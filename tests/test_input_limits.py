@@ -541,3 +541,56 @@ def test_overflowing_multiplicity_raises_before_the_zero_scan(call, monkeypatch)
     monkeypatch.setattr(sp, "_family_zeros", no_scan)
     with pytest.raises(DomainError, match=r"exceeds 2\^63 - 1"):
         call()
+
+
+# Each failed with an untyped error: (pi / 1e-160)^2 overflowed in libm's
+# pow (OverflowError) and in numpy's square (a RuntimeWarning, then "non-
+# finite value"), (2 pi / 1e200)^2 and (pi / 1e200)^2 underflowed to 0
+# ("nonpositive value"), the ball's channel range for R = 1e200 overflowed
+# len() and for sqrt(lambda) R = inf math.ceil before the order cap was
+# checked, and exp overflowed in the coefficients for R = 1e300.
+RANGE_LIMITS = {
+    "interval-dirichlet-length-1e-160": (
+        lambda: sp.interval_dirichlet(sp.IntervalSpec(0.0, 1e-160), 1), r"\[1e-300, 1e300\]"),
+    "interval-krein-length-1e-160": (
+        lambda: sp.interval_krein(sp.IntervalSpec(0.0, 1e-160), 1), r"\[1e-300, 1e300\]"),
+    "interval-dirichlet-length-1e200": (
+        lambda: sp.interval_dirichlet(sp.IntervalSpec(0.0, 1e200), 1), r"\[1e-300, 1e300\]"),
+    "interval-krein-length-1e200": (
+        lambda: sp.interval_krein(sp.IntervalSpec(0.0, 1e200), 1), r"\[1e-300, 1e300\]"),
+    "ball-spectrum-radius-1e200": (
+        lambda: sp.ball_spectrum(sp.BallSpec(3, 1e200), "krein", 1.0), "past the limit 500"),
+    "ball-spectrum-limit-inf": (
+        lambda: sp.ball_spectrum(sp.BallSpec(2, 1e300), "dirichlet", 1e300), "past the limit 500"),
+    "two-term-radius-1e300": (
+        lambda: an.two_term_ball_coefficients(3, 1e300, "krein"), "largest double"),
+}
+
+
+@pytest.mark.parametrize("call, message", RANGE_LIMITS.values(), ids=RANGE_LIMITS.keys())
+def test_closed_forms_raise_domain_error_at_their_range_limits(call, message, monkeypatch):
+    def no_roots(*args):
+        raise AssertionError("roots computed before the range check")
+
+    monkeypatch.setattr(sp, "tan_fixed_point", no_roots)
+    monkeypatch.setattr(sp, "_family_zeros", no_roots)
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+class _Unbuilt(int):
+    """A count whose first addition, where the values are built, fails."""
+
+    def __add__(self, other):
+        raise AssertionError("values built before the count check")
+
+
+@pytest.mark.parametrize("which", ["dirichlet", "krein"])
+def test_one_count_limit_for_both_interval_conditions(which):
+    build = getattr(sp, f"interval_{which}")
+    assert len(build(UNIT_SEGMENT, 200_000).entries) == 200_000
+    with pytest.raises(DomainError, match="count 200001 exceeds the limit of 200000"):
+        build(UNIT_SEGMENT, _Unbuilt(200_001))
+    # 318,312 Dirichlet values and 318,314 Krein values at lambda = 1e12
+    with pytest.raises(DomainError, match="exceeds the limit of 200000"):
+        an.interval_counting(UNIT_SEGMENT, which, 1e12)

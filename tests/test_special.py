@@ -128,6 +128,54 @@ class TestBesselZero:
             bessel_zero(0, 100_001)
 
 
+# (twice_order, x, J_nu(x), J_nu'(x)) as recorded while the scalar path still
+# had its own normalization and derivative rules.  The x of 5e-4 takes the
+# power series in bessel_j (J' always comes from the recurrence); then x near
+# 1, near the turning point x ~ nu of orders 100 and 500, and at 1e4.
+RECORDED_VALUES = [
+    (0, 0.0005, "0x1.fffffde7210c8p-1", "-0x1.0624dca5aa40ap-12"),
+    (1, 0.0005, "0x1.244f96076c7b1p-6", "0x1.1d75b5650bd13p+4"),
+    (0, 1.0, "0x1.87c7fdbd7b8f0p-1", "-0x1.c29c9ee970c6dp-2"),
+    (1, 1.0, "0x1.57c14f27a1dc5p-1", "0x1.86c2b0992cf7fp-4"),
+    (5, 0.97, "0x1.795cd0a3f3f68p-5", "0x1.cbbeee9da4ec4p-4"),
+    (200, 100.0, "0x1.8ab7c7e3ae411p-4", "0x1.3548ef0615a82p-6"),
+    (201, 104.0, "0x1.264e0cfa305b9p-3", "0x1.641792859859ep-9"),
+    (1000, 500.0, "0x1.cdad33bfdfaebp-5", "0x1.a9f01eb3b19c4p-8"),
+    (999, 520.0, "-0x1.0de2f7c1dcd71p-4", "-0x1.0ef5dae53ec5bp-10"),
+    (0, 10000.0, "-0x1.d10dd0a51d323p-8", "-0x1.de14236ae3d56p-9"),
+    (1, 10000.0, "-0x1.3f9cce37722b5p-9", "-0x1.f1e0274dda11cp-8"),
+    (600, 10000.0, "0x1.4ba91548d2eafp-8", "-0x1.943f9860023d4p-8"),
+    (1000, 10000.0, "-0x1.c1280ca3be37bp-8", "-0x1.0c05333b4dcd2p-8"),
+]
+
+# (nu, k, j_{nu,k}) recorded with the values above, each from a cold zero
+# cache: the first four by McMahon's expansion and a Halley step on the
+# Taylor series, the last three from the family scan of their order alone.
+RECORDED_ZEROS = [
+    (0.5, 1, "0x1.921fb54442d18p+1"),
+    (2.5, 40, "0x1.019062c7309b1p+7"),
+    (1.5, 7, "0x1.784fad6c5b1dcp+4"),
+    (59.5, 12000, "0x1.273f7be635284p+15"),
+    (3, 1, "0x1.9854928f8b729p+2"),
+    (0, 1, "0x1.33d152e971b40p+1"),
+    (20, 2, "0x1.df62baa84bd59p+4"),
+]
+
+
+class TestRecordedBits:
+    @pytest.mark.parametrize("twice_order, x, value, slope", RECORDED_VALUES)
+    def test_values_and_derivatives(self, twice_order, x, value, slope):
+        assert bessel_j(twice_order / 2.0, x).hex() == value
+        assert _eval_j_pair(BesselOrder(twice_order), x)[1].hex() == slope
+
+    @pytest.mark.parametrize("nu, k, zero", RECORDED_ZEROS)
+    def test_zeros(self, nu, k, zero, monkeypatch):
+        # a family scan seeds its recurrence where its top order needs it, so
+        # a zero cached by a wider family may differ in the last bits
+        monkeypatch.setattr(special, "_zero_cache", {})
+        assert bessel_zero(nu, k).hex() == zero
+
+
 class TestTanFixedPoint:
     def test_frozen_roots(self):
         assert tan_fixed_point(1) == pytest.approx(T1, rel=1e-12)

@@ -97,9 +97,10 @@ def test_integer_orders_keep_the_tail_of_millers_sum(nu, x):
     assert abs(special.bessel_j(nu, x) - want) / scale <= 1e-14
 
 
-def envelope_errors(seed, samples):
-    """Errors of bessel_j at seeded (nu, x) over the public domain: x drawn
-    in turn log-uniform, near the turning point x ~ nu and uniform."""
+def envelope_errors(seed, samples, derivative=0):
+    """Errors of bessel_j, or for derivative=1 of J' from `_eval_j_pair`, at
+    seeded (nu, x) over the public domain: x drawn in turn log-uniform, near
+    the turning point x ~ nu and uniform."""
     rng = random.Random(seed)
     errors = []
     for i in range(samples):
@@ -109,14 +110,25 @@ def envelope_errors(seed, samples):
              min(max(nu, 1.0) * rng.uniform(0.8, 1.5), 1.0e4),
              rng.uniform(1.0e-3, 1.0e4))[i % 3]
         with mpmath.workdps(30):
-            want = float(mpmath.besselj(mpmath.mpf(twice) / 2, x))
+            want = float(mpmath.besselj(mpmath.mpf(twice) / 2, x, derivative=derivative))
         scale = max(abs(want), math.sqrt(2.0 / (math.pi * x)))
-        errors.append((abs(special.bessel_j(nu, x) - want) / scale, nu, x))
+        if derivative:
+            got = special._eval_j_pair(special.BesselOrder(twice), x)[1]
+        else:
+            got = special.bessel_j(nu, x)
+        errors.append((abs(got - want) / scale, nu, x))
     return errors
 
 
 def test_values_over_the_public_domain():
     worst = max(envelope_errors(seed=11, samples=90))
+    assert worst[0] <= VALUE_REL, worst
+
+
+def test_derivatives_over_the_public_domain():
+    # J' = (J_{nu-1} - J_{nu+1}) / 2 with its l = 0 cases, the one derivative
+    # rule of the module, against mpmath; the worst measured was 1.8e-14
+    worst = max(envelope_errors(seed=13, samples=90, derivative=1))
     assert worst[0] <= VALUE_REL, worst
 
 
