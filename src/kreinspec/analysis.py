@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, InsufficientEigenvalues
+from .errors import (DomainError, InsufficientData, InsufficientEigenvalues, _condition,
+                     _int64_counts, _integer, _positive, _require_complete_below)
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
-from .spectra import _int64_counts, _require_complete_below, _require_dimension
 
 __all__ = [
     "CountingFunction",
@@ -190,22 +190,20 @@ def _log_unit_ball_volume(n: int) -> float:
 def unit_ball_volume(n: int) -> float:
     """v_n = pi^(n/2) / Gamma(n/2 + 1), from its logarithm: Gamma(n/2 + 1)
     overflows from n = 342 on, long before v_n underflows."""
-    _require_dimension(n, 1)
+    n = _integer("dimension", n, 1)
     return math.exp(_log_unit_ball_volume(n))
 
 
 def weyl_leading(n: int, volume: float) -> float:
     """Leading counting coefficient (2 pi)^-n v_n |Omega|."""
-    if not 0.0 < volume < math.inf:
-        raise ValueError(f"volume {volume} is not positive and finite")
+    n, volume = _integer("dimension", n, 1), _positive("volume", volume)
     return (2.0 * math.pi) ** (-n) * unit_ball_volume(n) * volume
 
 
 def two_term_ball_coefficients(n: int, radius: float, which: str):
     """(leading, second) counting coefficients for the ball of radius R."""
-    BallSpec(n, radius)  # the ball's own check of n and R
-    if which not in ("dirichlet", "krein"):
-        raise ValueError(f"which must be dirichlet or krein, got {which!r}")
+    ball = BallSpec(n, radius)  # the ball's own check of n and R
+    n, radius, which = ball.n, ball.radius, _condition("which", which)
     # in logarithms: for large n the factors (R / 2 pi)^n and v_n^2 leave
     # the double range while their product need not
     log_v_n, log_v_m = _log_unit_ball_volume(n), _log_unit_ball_volume(n - 1)
@@ -270,7 +268,7 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     minimum-norm least-squares pair, which also covers a window so narrow
     that the two powers are parallel to rounding.
     """
-    _require_dimension(n, 1)
+    n = _integer("dimension", n, 1)
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
         raise InsufficientData(f"empty window ({lo}, {hi})")
@@ -339,17 +337,11 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
 
 def interval_counting(spec: IntervalSpec, which: str, lam_max: float) -> CountingFunction:
     """Counting function of the interval spectra, complete below lam_max."""
-    if not 0.0 < lam_max < math.inf:
-        raise ValueError(f"lam_max {lam_max} is not positive and finite")
-    length = spec.length
-    if which == "dirichlet":
-        count = max(int(math.ceil(length * math.sqrt(lam_max) / math.pi)) + 2, 1)
-        spectrum = interval_dirichlet(spec, count)
-    elif which == "krein":
-        count = max(int(math.ceil(length * math.sqrt(lam_max) / math.pi)) + 4, 2)
-        spectrum = interval_krein(spec, count)
-    else:
-        raise ValueError(f"which must be dirichlet or krein, got {which!r}")
+    lam_max = _positive("lam_max", lam_max)
+    soft = _condition("which", which) == "krein"
+    # two values past lam_max on the hard condition, four on the soft one
+    count = int(math.ceil(spec.length * math.sqrt(lam_max) / math.pi)) + (4 if soft else 2)
+    spectrum = (interval_krein if soft else interval_dirichlet)(spec, count)
     keep = np.searchsorted(spectrum._values, lam_max, side="right")
     return CountingFunction(
         breakpoints=spectrum._values[:keep],
@@ -400,11 +392,8 @@ def universal_inequalities(soft: Spectrum, hard: Spectrum, n: int,
     Margins are normalized by the scale of the quantity they bound, so a
     margin of zero always means a sharp case.
     """
-    _require_dimension(n, 2)
-    if not 0.0 < volume < math.inf:
-        raise ValueError(f"volume {volume} is not positive and finite")
-    if not (isinstance(k_max, Integral) and k_max >= 1):
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
+    n, k_max = _integer("dimension", n, 2), _integer("k_max", k_max, 1)
+    volume = _positive("volume", volume)
     need, need_hard = max(k_max + 1, n + 1, 2), max(k_max, 2)
     lam = np.array(soft.flattened(need))
     mu = np.array(hard.flattened(need_hard))

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConstructionMismatch, InsufficientData, NonMonotoneError
+from .errors import ConstructionMismatch, InsufficientData, NonMonotoneError, _condition, _integer
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import BallSpec, IntervalSpec, Spectrum, _merge_coincident
@@ -63,8 +63,7 @@ class Grid1D:
     m: int  # interior point count
 
     def __post_init__(self):
-        if not (isinstance(self.m, Integral) and self.m >= 8):
-            raise ValueError(f"need an integer m >= 8 interior points, got {self.m}")
+        object.__setattr__(self, "m", _integer("m", self.m, 8))
         IntervalSpec(self.a, self.b)  # the interval's own check
 
     @property
@@ -126,10 +125,9 @@ def discrete_krein_spectrum(model: ExtensionModel, count: int) -> Spectrum:
     These are the compressed-pencil eigenvalues, which agree with the
     nonzero Krein eigenvalues exactly at matrix level; the kernel dimension
     equals the codimension of the restricted domain.  The pencil has
-    domain_dim eigenvalues, so a larger count raises ValueError.
+    domain_dim eigenvalues, so a larger count raises DomainError.
     """
-    if not (isinstance(count, Integral) and 1 <= count <= model.domain_dim):
-        raise ValueError(f"count must be an integer in 1..{model.domain_dim}, got {count}")
+    count = _integer("count", count, 1, model.domain_dim)
     vals = pencil_values(model)[:count]
     return Spectrum._from_arrays(*_merge_coincident(vals, np.ones(vals.size, dtype=np.int64)),
                                  kernel_dim=model.codimension, complete_below=float(vals[-1]))
@@ -144,13 +142,11 @@ class RadialChannelSpec:
     bc: str  # "dirichlet" | "krein"
 
     def __post_init__(self):
-        BallSpec(self.n, self.radius)  # the ball's own check of n and R
-        if not (isinstance(self.ell, Integral) and self.ell >= 0):
-            raise ValueError(f"channel index must be an integer >= 0, got {self.ell}")
-        if not (isinstance(self.m, Integral) and self.m >= 8):
-            raise ValueError(f"need an integer m >= 8 grid points, got {self.m}")
-        if self.bc not in ("dirichlet", "krein"):
-            raise ValueError(f"bc must be dirichlet or krein, got {self.bc!r}")
+        ball = BallSpec(self.n, self.radius)  # the ball's own check of n and R
+        for name, value in (("n", ball.n), ("ell", _integer("channel index", self.ell, 0)),
+                            ("radius", ball.radius), ("m", _integer("m", self.m, 8)),
+                            ("bc", _condition("bc", self.bc))):
+            object.__setattr__(self, name, value)
         if self.bc == "krein" and self.ell >= 2 * self.m:
             raise ValueError(f"the soft end needs l < 2m, got l={self.ell}, m={self.m}")
 
@@ -390,11 +386,10 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     ConstructionMismatch.  Only that check reads the zero mode, so its
     bracket stops once all of it passes the check, or else at the first
     nonzero eigenvalue's stop width.  The pencil has m eigenvalues, so a
-    count that needs more (with the dropped zero mode) raises ValueError.
+    count that needs more (with the dropped zero mode) raises DomainError.
     """
     skip = 1 if spec.bc == "krein" else 0
-    if not (isinstance(count, Integral) and 1 <= count <= spec.m - skip):
-        raise ValueError(f"count must be an integer in 1..{spec.m - skip}, got {count}")
+    count = _integer("count", count, 1, spec.m - skip)
     pencil = radial_pencil(spec)
     d, e = pencil.reduced_tridiagonal()
     abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
@@ -452,14 +447,9 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     """
     if not math.isfinite(target):
         raise ValueError(f"target {target} is not finite")
-    sizes = tuple(sizes)
-    if not all(isinstance(s, Integral) for s in sizes):
-        raise ValueError(f"sizes must be integers, got {sizes}")
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(_integer("size", s, 1) for s in sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 sizes")
-    if sizes[0] < 1:
-        raise ValueError(f"sizes must be >= 1, got {sizes}")
     for a, b in zip(sizes, sizes[1:]):
         if b != 2 * a:
             raise ValueError(f"sizes must double: {a} -> {b}")

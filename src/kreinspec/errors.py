@@ -4,6 +4,11 @@ Every failure mode that callers are expected to handle gets its own class;
 all of them derive from KreinspecError, so one except clause catches the lot.
 """
 
+import sys
+from numbers import Integral, Real
+
+import numpy as np
+
 
 class KreinspecError(Exception):
     """Base class for all library errors."""
@@ -63,3 +68,49 @@ class InsufficientData(KreinspecError):
 
 class InsufficientEigenvalues(KreinspecError):
     """Spectrum too short for the requested inequality checks."""
+
+
+def _integer(name: str, value, least: int, most: int | None = None) -> int:
+    """value as an int; DomainError unless it is an integer (no bool) in least..most."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        number = int(value)
+        if least <= number and (most is None or number <= most):
+            return number
+    limits = f">= {least}" if most is None else f"in {least}..{most}"
+    raise DomainError(f"{name} must be an integer {limits}, got {value!r}")
+
+
+def _positive(name: str, value) -> float:
+    """value as a float; DomainError unless it is a real number, positive and finite."""
+    if isinstance(value, Real) and 0.0 < value <= sys.float_info.max:
+        return float(value)
+    raise DomainError(f"{name} {value!r} is not positive and finite")
+
+
+def _condition(name: str, value) -> str:
+    """value as a str; DomainError unless it is "dirichlet" (hard) or "krein" (soft)."""
+    if isinstance(value, str) and value in ("dirichlet", "krein"):
+        return str(value)
+    raise DomainError(f"{name} must be dirichlet or krein, got {value!r}")
+
+
+def _int64_counts(counts, what: str) -> np.ndarray:
+    """counts as a new int64 array; ValueError naming `what` unless each is
+    an integer in the int64 range.  What numpy reads as int64 is exact; the
+    rest is converted count by count, so a float among ints rounds none."""
+    exact = np.array(counts)
+    if exact.dtype != np.int64:
+        held = np.array(counts, dtype=object)
+        try:
+            exact = held.astype(np.int64)
+        except (OverflowError, TypeError, ValueError):
+            exact = None
+        if exact is None or not np.array_equal(exact, held):
+            raise ValueError(f"{what} must be integers no larger than 2^63 - 1")
+    return exact
+
+
+def _require_complete_below(value) -> None:
+    """complete_below is None or a number > 0, inf allowed; NaN is not."""
+    if value is not None and not (isinstance(value, Real) and value > 0.0):
+        raise ValueError(f"complete_below must be None or > 0, got {value!r}")

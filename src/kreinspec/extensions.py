@@ -45,15 +45,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (
-    ConstructionMismatch,
-    NoDeficiency,
-    NotOrthogonal,
-    NotPositiveDefinite,
-    NotPSD,
-    RankDeficientBasis,
-    SingularDecomposition,
-)
+from .errors import (ConstructionMismatch, NoDeficiency, NotOrthogonal, NotPositiveDefinite, NotPSD,
+                     RankDeficientBasis, SingularDecomposition, _integer, _positive)
 from .linalg import (
     SymMatrix,
     _cholesky_inverse,
@@ -409,8 +402,7 @@ def order_compare(e1: ExtensionResult, e2: ExtensionResult, a: float) -> float:
     certifies E1 <= E2 in the extension order, because PSD order is
     equivalent to the reversed order of resolvents at any positive shift.
     """
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"shift must be positive and finite, got {a}")
+    a = _positive("shift", a)
     n = e1.matrix.order
     if e2.matrix.order != n:
         raise ValueError(f"extensions of orders {n} and {e2.matrix.order} cannot be compared")
@@ -450,9 +442,7 @@ class SplitMix64:
         The i-th draw mixes the state seed + i * gamma (mod 2^64), so all of
         them are computed at once in wrapping uint64 arithmetic.
         """
-        for name, size in (("rows", rows), ("cols", cols)):
-            if not (isinstance(size, Integral) and size >= 0):
-                raise ValueError(f"{name} must be a nonnegative integer, got {size!r}")
+        rows, cols = _integer("rows", rows, 0), _integer("cols", cols, 0)
         count = rows * cols
         steps = np.arange(1, count + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(self._GAMMA)

@@ -34,11 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError
+from .errors import (BracketFailure, DomainError, _condition, _int64_counts, _integer, _positive,
+                     _require_complete_below)
 from .special import _MAX_TWICE_ORDER, _MAX_ZERO_INDEX, _family_zeros, bessel_zero, tan_fixed_point
 from .tolerances import MERGE_REL
 
@@ -78,9 +79,8 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        _require_dimension(self.n, 2)
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"radius {self.radius} is not positive and finite")
+        object.__setattr__(self, "n", _integer("dimension", self.n, 2))
+        object.__setattr__(self, "radius", _positive("radius", self.radius))
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ class Spectrum:
     def flattened(self, count: int | None = None):
         """Eigenvalues repeated by multiplicity, ascending; only the first
         count of them unless count is None."""
-        if count is not None and not (isinstance(count, Integral) and count >= 0):
-            raise ValueError(f"count must be an integer >= 0 or None, got {count!r}")
+        count = None if count is None else _integer("count", count, 0)
         out = []
         for v, m in self.entries:
             if count is not None and len(out) + m >= count:
@@ -158,13 +157,12 @@ class Spectrum:
 _MAX_INTERVAL_COUNT = 2 * _MAX_ZERO_INDEX  # the Krein values of every root of tan t = t
 
 
-def _interval_length(spec: IntervalSpec, count) -> float:
-    """spec.length once `count` values of either condition are known to fit:
-    at most _MAX_INTERVAL_COUNT of them, and k pi / L in [1e-150, 1e150] for
-    k <= count + 2, which bounds the Krein values too (2 t_m < (2m + 1) pi),
-    so that each value lies in [1e-300, 1e300].  DomainError otherwise."""
-    if not (isinstance(count, Integral) and count >= 1):
-        raise ValueError(f"count must be an integer >= 1, got {count}")
+def _interval_size(spec: IntervalSpec, count) -> tuple[int, float]:
+    """count as an int and spec.length, once `count` values of either kind
+    are known to fit: at most _MAX_INTERVAL_COUNT, and k pi / L in [1e-150,
+    1e150] for k <= count + 2, which bounds the Krein values too (2 t_m <
+    (2m + 1) pi), so each lies in [1e-300, 1e300].  DomainError otherwise."""
+    count = _integer("count", count, 1)
     if count > _MAX_INTERVAL_COUNT:
         raise DomainError(f"count {count} exceeds the limit of {_MAX_INTERVAL_COUNT} "
                           "interval eigenvalues")
@@ -172,7 +170,7 @@ def _interval_length(spec: IntervalSpec, count) -> float:
     if not 1e-150 <= math.pi / length <= 1e150 / (count + 2):
         raise DomainError(f"length {length:g} puts the first {count} eigenvalues outside "
                           "[1e-300, 1e300]")
-    return length
+    return count, length
 
 
 def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
@@ -181,7 +179,7 @@ def interval_dirichlet(spec: IntervalSpec, count: int) -> Spectrum:
     At most 200,000 of them, all in [1e-300, 1e300]: DomainError otherwise,
     before any is computed, as in `interval_krein`.
     """
-    length = _interval_length(spec, count)
+    count, length = _interval_size(spec, count)
     # squared by libm's pow, as a float ** 2; numpy squares by x * x, which
     # differs from it in the last bit of about one value in 1,400
     values = np.array([(j * math.pi / length) ** 2 for j in range(1, count + 1)])
@@ -198,7 +196,7 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
     roots t_m that `tan_fixed_point` gives, all in [1e-300, 1e300]:
     DomainError otherwise, before any is computed, as in `interval_dirichlet`.
     """
-    length = _interval_length(spec, count)
+    count, length = _interval_size(spec, count)
     m = np.arange(1, (count + 1) // 2 + 1)
     vals = np.empty(2 * m.size)
     vals[0::2] = (2.0 * m * np.pi / length) ** 2
@@ -210,33 +208,6 @@ def interval_krein(spec: IntervalSpec, count: int) -> Spectrum:
                                  complete_below=float(vals[-1]))
 
 
-def _int64_counts(counts, what: str) -> np.ndarray:
-    """counts as a new int64 array; ValueError naming `what` unless each is
-    an integer in the int64 range.  What numpy reads as int64 is exact; the
-    rest is converted count by count, so a float among ints rounds none."""
-    exact = np.array(counts)
-    if exact.dtype != np.int64:
-        held = np.array(counts, dtype=object)
-        try:
-            exact = held.astype(np.int64)
-        except (OverflowError, TypeError, ValueError):
-            exact = None
-        if exact is None or not np.array_equal(exact, held):
-            raise ValueError(f"{what} must be integers no larger than 2^63 - 1")
-    return exact
-
-
-def _require_complete_below(value) -> None:
-    """complete_below is None or a number > 0, inf allowed; NaN is not."""
-    if value is not None and not (isinstance(value, Real) and value > 0.0):
-        raise ValueError(f"complete_below must be None or > 0, got {value!r}")
-
-
-def _require_dimension(n, least: int) -> None:
-    if not (isinstance(n, Integral) and n >= least):
-        raise DomainError(f"dimension must be an integer >= {least}, got {n}")
-
-
 def ball_multiplicity(n: int, ell: int) -> int:
     """Dimension d_{n,l} of degree-l spherical harmonics in R^n.
 
@@ -244,9 +215,7 @@ def ball_multiplicity(n: int, ell: int) -> int:
     Gamma factors but free of floating-point Gamma evaluations.  Raises
     DomainError when it exceeds 2^63 - 1, the int64 range of a Spectrum.
     """
-    _require_dimension(n, 2)
-    if not (isinstance(ell, Integral) and ell >= 0):
-        raise DomainError(f"degree must be an integer >= 0, got {ell}")
+    n, ell = _integer("dimension", n, 2), _integer("degree", ell, 0)
     result = _harmonics(n, ell)
     if result > 2**63 - 1:
         raise DomainError(f"multiplicity d_{{{n},{ell}}} exceeds 2^63 - 1")
@@ -314,11 +283,8 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     bench/tracer.py wraps only plain functions: behind a wrapper object its
     `spectra.ball_spectrum` time and repeat share would read 0.
     """
-    if not 0.0 < lambda_max < math.inf:
-        raise ValueError(f"lambda_max {lambda_max} is not positive and finite")
-    if which not in ("dirichlet", "krein"):
-        raise ValueError(f"which must be dirichlet or krein, got {which!r}")
-    key = (spec.n, float(spec.radius), which, float(lambda_max))
+    lambda_max, which = _positive("lambda_max", lambda_max), _condition("which", which)
+    key = (spec.n, spec.radius, which, lambda_max)
     spectrum = _ball_cache.pop(key, None)
     if spectrum is None:
         spectrum = _build_ball_spectrum(spec.n, spec.radius, which, lambda_max)
@@ -369,10 +335,7 @@ def channel_interlace_report(spec: BallSpec, ell: int, k_max: int) -> ChannelInt
     Order nu + 1 is exactly the soft-boundary order of the same channel, so
     strictness here is the channelwise hard/soft eigenvalue interlacing.
     """
-    if not (isinstance(ell, Integral) and ell >= 0):
-        raise ValueError(f"channel index must be an integer >= 0, got {ell}")
-    if not (isinstance(k_max, Integral) and k_max >= 1):
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
+    ell, k_max = _integer("channel index", ell, 0), _integer("k_max", k_max, 1)
     nu = ell + (spec.n - 2) / 2.0
     hard = [bessel_zero(nu, k) for k in range(1, k_max + 2)]
     soft = [bessel_zero(nu + 1.0, k) for k in range(1, k_max + 1)]

@@ -10,8 +10,9 @@ parametrized_extension reads CONSTRUCTION_REL, and chooses its kernel by it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .errors import _positive
 
 # linalg-core; CHOLESKY_PIVOT_REL is the one positive-definiteness rule
 CHOLESKY_PIVOT_REL = 1e-14   # Cholesky pivot <= order * this * max|S| fails
@@ -30,8 +31,7 @@ class ToleranceProfile:
     construction_rel: float = CONSTRUCTION_REL  # positive and finite
 
     def __post_init__(self):
-        if not 0.0 < self.construction_rel < math.inf:
-            raise ValueError(f"construction_rel {self.construction_rel!r} is not positive and finite")
+        object.__setattr__(self, "construction_rel", _positive("construction_rel", self.construction_rel))
 
 
 DEFAULT = ToleranceProfile()

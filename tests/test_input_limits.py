@@ -418,11 +418,14 @@ def test_non_finite_convergence_data_raise(call, error, message):
 # is not finite and positive reached np.log and np.polyfit unchecked.
 BAD_STUDY_SIZES = {
     "convergence-sizes-minus-1": (
-        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (-1, -2, -4), 1.0), "sizes must be >= 1"),
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (-1, -2, -4), 1.0),
+        "size must be an integer >= 1, got -1"),
     "convergence-sizes-minus-4": (
-        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (-4, -8, -16), 1.0), "sizes must be >= 1"),
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (-4, -8, -16), 1.0),
+        "size must be an integer >= 1, got -4"),
     "convergence-size-0": (
-        lambda: dz.convergence_order(lambda m: 1.0, (0, 0, 0), 1.0), "sizes must be >= 1"),
+        lambda: dz.convergence_order(lambda m: 1.0, (0, 0, 0), 1.0),
+        "size must be an integer >= 1, got 0"),
     "convergence-spacing-zero": (
         lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
                                      spacing=lambda m: 0.0), "spacing must be finite and positive"),
