@@ -187,36 +187,54 @@ def _log_unit_ball_volume(n: int) -> float:
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
+_MAX_VOLUME_DIMENSION = 435  # v_435 = 4.2e-308, and v_436 = 5.0e-309 is subnormal
+_TINY = 2.0 ** -1022  # the smallest normal double, about 2.2e-308
+
+
 def unit_ball_volume(n: int) -> float:
     """v_n = pi^(n/2) / Gamma(n/2 + 1), from its logarithm: Gamma(n/2 + 1)
-    overflows from n = 342 on, long before v_n underflows."""
-    n = _integer("dimension", n, 1)
+    overflows from n = 342 on, long before v_n underflows.  v_n is a normal
+    double for n <= 435 only: DomainError from n = 436 on."""
+    n = _integer("dimension", n, 1, _MAX_VOLUME_DIMENSION)
     return math.exp(_log_unit_ball_volume(n))
 
 
 def weyl_leading(n: int, volume: float) -> float:
-    """Leading counting coefficient (2 pi)^-n v_n |Omega|."""
-    n, volume = _integer("dimension", n, 1), _positive("volume", volume)
-    return (2.0 * math.pi) ** (-n) * unit_ball_volume(n) * volume
+    """Leading counting coefficient (2 pi)^-n v_n |Omega|.  DomainError
+    where it, or (2 pi)^-n v_n, is below the smallest normal double."""
+    n = _integer("dimension", n, 1, _MAX_VOLUME_DIMENSION)
+    volume = _positive("volume", volume)
+    per_volume = (2.0 * math.pi) ** (-n) * unit_ball_volume(n)
+    lead = per_volume * volume
+    if not min(per_volume, lead) >= _TINY:
+        raise DomainError(f"Weyl coefficient of dimension {n} and volume {volume:g} falls "
+                          "below the smallest normal double, about 2.2e-308")
+    return lead
 
 
 def two_term_ball_coefficients(n: int, radius: float, which: str):
-    """(leading, second) counting coefficients for the ball of radius R."""
+    """(leading, second) counting coefficients for the ball of radius R.
+
+    Each, and the power of R in the second, must be a normal double, from
+    about 2.2e-308 to 1.8e308 in magnitude: DomainError otherwise.
+    """
     ball = BallSpec(n, radius)  # the ball's own check of n and R
     n, radius, which = ball.n, ball.radius, _condition("which", which)
     # in logarithms: for large n the factors (R / 2 pi)^n and v_n^2 leave
     # the double range while their product need not
-    log_v_n, log_v_m = _log_unit_ball_volume(n), _log_unit_ball_volume(n - 1)
-    log_r = math.log(radius / (2.0 * math.pi))
-    curvature = (n / 4.0) * math.exp(log_v_n - log_v_m) + (1.0 if which == "krein" else 0.0)
     try:
+        log_v_n, log_v_m = _log_unit_ball_volume(n), _log_unit_ball_volume(n - 1)
+        log_r = math.log(radius / (2.0 * math.pi))
+        curvature = (n / 4.0) * math.exp(log_v_n - log_v_m) + (1.0 if which == "krein" else 0.0)
         lead = math.exp(2.0 * log_v_n + n * log_r)
-        second = -math.exp(2.0 * log_v_m + (n - 1) * log_r) * curvature
-        if second == -math.inf:  # a finite power of R times the curvature
-            raise OverflowError
-    except OverflowError:
-        raise DomainError(f"counting coefficients of the {n}-ball of radius {radius:g} "
-                          "exceed the largest double, about 1.8e308") from None
+        power = math.exp(2.0 * log_v_m + (n - 1) * log_r)
+        second = -power * curvature
+    except OverflowError:  # in exp, or in n as a float
+        lead = power = second = math.inf
+    if not all(_TINY <= x < math.inf for x in (lead, power, -second)):
+        raise DomainError(f"counting coefficients of the {n}-ball of radius {radius:g} leave "
+                          "the normal doubles, from about 2.2e-308 to the largest double, "
+                          "about 1.8e308")
     return lead, second
 
 

@@ -1,7 +1,14 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the argument rules.
 
 Every failure mode that callers are expected to handle gets its own class;
 all of them derive from KreinspecError, so one except clause catches the lot.
+Each kind of scalar argument has one rule: `_integer` (counts, sizes,
+dimensions, degrees), `_positive` (positive reals) and `_condition`
+("dirichlet" or "krein").  Each raises DomainError naming the argument and
+returns the plain int, float or str that its caller uses in place of the
+input, so no numpy scalar or bool reaches the arithmetic behind it.
+Spectra and counting functions share `_int64_counts` and
+`_require_complete_below`.
 """
 
 import sys
@@ -51,7 +58,7 @@ class SingularDecomposition(KreinspecError):
 
 
 class DomainError(KreinspecError, ValueError):
-    """Argument outside the supported domain of a special function."""
+    """Argument outside its supported domain."""
 
 
 class BracketFailure(KreinspecError):

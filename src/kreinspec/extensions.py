@@ -145,6 +145,15 @@ def _qr_split(columns: np.ndarray, rel_floor: float, error, complete: bool = Fal
     return q[:, :d], (q[:, d:] if complete else None)
 
 
+def _columns(matrix, what: str) -> np.ndarray:
+    """matrix as a float array of columns, a 1-D one as one column;
+    ValueError naming `what` and the shape unless it is 1-D or 2-D."""
+    columns = np.asarray(matrix, dtype=float)
+    if columns.ndim not in (1, 2):
+        raise ValueError(f"{what} must be 1-D or 2-D, got shape {columns.shape}")
+    return columns[:, None] if columns.ndim == 1 else columns
+
+
 def new_model(a, raw_basis) -> ExtensionModel:
     """Build a model from A and a spanning set of D (columns).
 
@@ -154,12 +163,11 @@ def new_model(a, raw_basis) -> ExtensionModel:
     Its floor bounds pivots, not conditioning: no pivot is below
     lambda_min(A), but from order 3 on A can pass with lambda_min(A)
     exponentially far below the floor.  A non-finite A raises
-    NotPositiveDefinite, and a non-finite basis entry ValueError.
+    NotPositiveDefinite, and a non-finite basis entry, or a basis that is
+    not 1-D or 2-D, ValueError.
     """
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
-    raw = np.asarray(raw_basis, dtype=float)
-    if raw.ndim == 1:
-        raw = raw[:, None]
+    raw = _columns(raw_basis, "basis")
     n = a.order
     if raw.shape[0] != n:
         raise ValueError(f"basis rows {raw.shape[0]} != ambient dimension {n}")
@@ -260,9 +268,7 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     """
     a = model.A.array
     n = model.ambient_dim
-    w = np.asarray(w_basis, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
+    w = _columns(w_basis, "W")
     if w.shape[0] != n:
         raise ValueError(f"W rows {w.shape[0]} != ambient dimension {n}")
     p = w.shape[1]

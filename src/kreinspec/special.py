@@ -95,10 +95,6 @@ class BesselOrder:
     def nu(self) -> float:
         return self.twice_order / 2.0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_order % 2 == 0
-
 
 def _coerce_order(nu) -> BesselOrder:
     if isinstance(nu, BesselOrder):

@@ -270,7 +270,8 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     sqrt(lambda_max) * R come from one batched computation in `special`
     that is cached per order: the hard and soft spectra of one ball, and
     repeated calls, reuse it.  Orders above 500 raise DomainError, and so
-    does a multiplicity above 2^63 - 1, before any zero is computed.
+    do a radius above 1e150, where a value could fall below 1e-300, and a
+    multiplicity above 2^63 - 1, all before any zero is computed.
 
     The arguments are checked first.  The spectrum itself is then looked up
     among the last `_BALL_CACHE_SIZE` = 4 built, keyed by (n, R, condition,
@@ -305,6 +306,9 @@ def _build_ball_spectrum(n, radius, which: str, lambda_max) -> Spectrum:
         if twice_orders[-1] > _MAX_TWICE_ORDER:
             raise DomainError(f"sqrt(lambda_max) R = {limit:g} needs Bessel orders "
                               f"past the limit {_MAX_TWICE_ORDER // 2}")
+        # each value (j / R)^2 has j > 2.4, as the interval's have k pi > 3
+        if radius > 1e150:
+            raise DomainError(f"radius {radius:g} above 1e150 puts eigenvalues below 1e-300")
         # d_{n,l} grows with l, so an overflow shows in the top channel;
         # checked before the zero scan, which may take seconds
         ball_multiplicity(n, len(twice_orders) - 1)

@@ -4,7 +4,9 @@ All tolerances are relative to the max-norm of the input (times the order
 where stated in the individual contracts).  Each check site reads its
 threshold from a module constant here.  The one threshold a caller can set
 is extensions.krein's: its `profile`, a ToleranceProfile, sets only its
-construction_rel, and stays because the benchmark's tracer reads it.
+construction_rel, and stays because the benchmark's tracer reads it.  The
+profile checks that value by errors._positive (DomainError unless it is
+positive and finite) and stores it as a plain float.
 parametrized_extension reads CONSTRUCTION_REL, and chooses its kernel by it.
 """
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,7 +91,9 @@ BELOW_RANGE = {
 }
 
 # The negative size returned an empty matrix and moved the stream back; the
-# orders 12 and 10 failed inside numpy with "could not be broadcast".
+# orders 12 and 10 failed inside numpy with "could not be broadcast"; a
+# scalar basis or W raised IndexError, and a 3-D one failed inside numpy's
+# matmul.
 BAD_SHAPES = {
     "uniform-matrix-negative-rows": (
         lambda: ext.SplitMix64(1).uniform_matrix(-1, 2), "rows .* got -1"),
@@ -98,6 +101,17 @@ BAD_SHAPES = {
         lambda: ext.order_compare(ext.friedrichs(ext.random_model(1, 12, 6)),
                                   ext.friedrichs(ext.random_model(1, 10, 5)), 1.0),
         "orders 12 and 10"),
+    "new-model-scalar-basis": (
+        lambda: ext.new_model(np.eye(3), 1.0), r"basis must be 1-D or 2-D, got shape \(\)"),
+    "new-model-3-d-basis": (
+        lambda: ext.new_model(np.eye(3), np.ones((3, 1, 1))),
+        r"basis must be 1-D or 2-D, got shape \(3, 1, 1\)"),
+    "parametrized-scalar-w": (
+        lambda: ext.parametrized_extension(ext.random_model(31, 8, 4), 1.0, 0.0),
+        r"W must be 1-D or 2-D, got shape \(\)"),
+    "parametrized-3-d-w": (
+        lambda: ext.parametrized_extension(ext.random_model(31, 8, 4), np.ones((8, 1, 1)), 0.0),
+        r"W must be 1-D or 2-D, got shape \(8, 1, 1\)"),
 }
 
 def _parametrized_31(b, nan_at=None):
@@ -567,6 +581,9 @@ RANGE_LIMITS = {
         lambda: sp.ball_spectrum(sp.BallSpec(2, 1e300), "dirichlet", 1e300), "past the limit 500"),
     "two-term-radius-1e300": (
         lambda: an.two_term_ball_coefficients(3, 1e300, "krein"), "largest double"),
+    # 1,244 values from 5.78e-310 up, subnormal doubles
+    "ball-spectrum-radius-1e155": (
+        lambda: sp.ball_spectrum(sp.BallSpec(2, 1e155), "dirichlet", 1e-306), "below 1e-300"),
 }
 
 
@@ -597,3 +614,101 @@ def test_one_count_limit_for_both_interval_conditions(which):
     # 318,312 Dirichlet values and 318,314 Krein values at lambda = 1e12
     with pytest.raises(DomainError, match="exceeds the limit of 200000"):
         an.interval_counting(UNIT_SEGMENT, which, 1e12)
+
+
+# Each returned 0.0, -0.0 or a subnormal double without a word, and the
+# volume of the 10^400-ball raised a bare OverflowError.
+WEYL_UNDERFLOWS = {
+    "two-term-400-ball": (
+        lambda: an.two_term_ball_coefficients(400, 1.0, "krein"), "normal doubles"),
+    "two-term-radius-1e-300": (
+        lambda: an.two_term_ball_coefficients(3, 1e-300, "krein"), "normal doubles"),
+    "two-term-170-ball-subnormal-lead": (
+        lambda: an.two_term_ball_coefficients(170, 1.0, "krein"), "normal doubles"),
+    "ball-volume-436-subnormal": (
+        lambda: an.unit_ball_volume(436), r"dimension must be an integer in 1\.\.435"),
+    "ball-volume-453": (
+        lambda: an.unit_ball_volume(453), r"dimension must be an integer in 1\.\.435"),
+    "ball-volume-10-to-400": (
+        lambda: an.unit_ball_volume(10**400), r"dimension must be an integer in 1\.\.435"),
+    "weyl-leading-300": (
+        lambda: an.weyl_leading(300, 1.0), "below the smallest normal double"),
+}
+
+
+@pytest.mark.parametrize("call, message", WEYL_UNDERFLOWS.values(), ids=WEYL_UNDERFLOWS.keys())
+def test_weyl_coefficients_below_the_normal_doubles_raise(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_last_normal_unit_ball_volume():
+    mpmath = pytest.importorskip("mpmath")
+    want = mpmath.pi ** mpmath.mpf(435 / 2) / mpmath.gamma(mpmath.mpf(435 / 2) + 1)
+    assert an.unit_ball_volume(435) == pytest.approx(float(want), rel=1e-12)
+
+
+def _typed_bits(x):
+    """x with each number replaced by its type and exact bits."""
+    if isinstance(x, np.ndarray):
+        return ("ndarray", x.dtype.str, x.shape, x.tobytes())
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, _typed_bits(dataclasses.astuple(x)))
+    if isinstance(x, (tuple, list)):
+        return (type(x).__name__, tuple(map(_typed_bits, x)))
+    return (type(x).__name__, x.hex() if type(x) is float else repr(x))
+
+
+INTERVAL_MODEL = dz.interval_model(dz.Grid1D(0.0, 1.0, 10), dz.PotentialSpec.zero())
+
+
+def _soft_channel(n=3, ell=1, m=16, count=2):
+    return dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, m, "krein"), count)
+
+
+# One row per site that checks an integer, as (call, a valid value).  At the
+# parent of this table weyl_leading and weyl_fit wrapped np.uint8 (weyl_fit
+# then raised a bare TypeError), random_model and uniform_matrix raised
+# OverflowError on numpy sizes, two_term_ball_coefficients returned its second
+# coefficient as np.float64, the interval builders raised TypeError on True,
+# and radial_eigenvalues returned one value for the count True.
+INTEGER_SITES = {
+    "ball-dimension": (lambda k: sp.BallSpec(k, 1.0), 3),
+    "flattened-count": (lambda k: sp.Spectrum(((1.0, 2), (3.0, 1)), 0).flattened(k), 2),
+    "interval-dirichlet-count": (lambda k: sp.interval_dirichlet(UNIT_SEGMENT, k), 5),
+    "interval-krein-count": (lambda k: sp.interval_krein(UNIT_SEGMENT, k), 5),
+    "multiplicity-dimension": (lambda k: sp.ball_multiplicity(k, 4), 5),
+    "multiplicity-degree": (lambda k: sp.ball_multiplicity(3, k), 4),
+    "interlace-channel": (lambda k: sp.channel_interlace_report(UNIT_BALL, k, 3), 2),
+    "interlace-k-max": (lambda k: sp.channel_interlace_report(UNIT_BALL, 1, k), 3),
+    "ball-volume-dimension": (an.unit_ball_volume, 3),
+    "weyl-leading-dimension": (lambda k: an.weyl_leading(k, 2.0), 3),
+    "two-term-dimension": (lambda k: an.two_term_ball_coefficients(k, 1.0, "krein"), 3),
+    "weyl-fit-dimension": (lambda k: an.weyl_fit(TWO_STEPS, k, (1.0, 4.0)), 2),
+    "inequalities-dimension": (lambda k: _disk_inequalities(k, math.pi, 4), 2),
+    "inequalities-k-max": (lambda k: _disk_inequalities(2, math.pi, k), 4),
+    "grid-size": (lambda k: dz.Grid1D(0.0, 1.0, k), 10),
+    "discrete-krein-count": (lambda k: dz.discrete_krein_spectrum(INTERVAL_MODEL, k), 3),
+    "radial-dimension": (lambda k: _soft_channel(n=k), 3),
+    "radial-channel": (lambda k: _soft_channel(ell=k), 1),
+    "radial-size": (lambda k: _soft_channel(m=k), 16),
+    "radial-count": (lambda k: _soft_channel(count=k), 2),
+    "convergence-size": (
+        lambda k: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (k, 200, 400), 1.0), 100),
+    "uniform-matrix-rows": (lambda k: ext.SplitMix64(5).uniform_matrix(k, 3), 4),
+    "uniform-matrix-cols": (lambda k: ext.SplitMix64(5).uniform_matrix(4, k), 3),
+    "random-model-sizes": (lambda k: ext.random_model(1, 2 * k, k).domain_basis, 3),
+}
+
+
+@pytest.mark.parametrize("call, value", INTEGER_SITES.values(), ids=INTEGER_SITES.keys())
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integers_give_the_int_result_bit_for_bit(call, value, kind):
+    assert _typed_bits(call(kind(value))) == _typed_bits(call(value))
+
+
+@pytest.mark.parametrize("call, value", INTEGER_SITES.values(), ids=INTEGER_SITES.keys())
+@pytest.mark.parametrize("bad", [True, 2.5], ids=["bool", "half"])
+def test_bools_and_fractions_raise_domain_error(call, value, bad):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(bad)
