@@ -666,9 +666,9 @@ def _soft_channel(n=3, ell=1, m=16, count=2):
     return dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, m, "krein"), count)
 
 
-# One row per site that checks an integer, as (call, a valid value).  At the
-# parent of this table weyl_leading and weyl_fit wrapped np.uint8 (weyl_fit
-# then raised a bare TypeError), random_model and uniform_matrix raised
+# One row per site that checks an integer, as (call, a valid value).  Before
+# one rule checked them all, weyl_leading and weyl_fit wrapped np.uint8
+# (weyl_fit then raised a bare TypeError), random_model and uniform_matrix raised
 # OverflowError on numpy sizes, two_term_ball_coefficients returned its second
 # coefficient as np.float64, the interval builders raised TypeError on True,
 # and radial_eigenvalues returned one value for the count True.
