@@ -357,8 +357,13 @@ def interval_counting(spec: IntervalSpec, which: str, lam_max: float) -> Countin
     """Counting function of the interval spectra, complete below lam_max."""
     lam_max = _positive("lam_max", lam_max)
     soft = _condition("which", which) == "krein"
+    # about L sqrt(lam_max) / pi values lie below lam_max
+    below = spec.length * math.sqrt(lam_max) / math.pi
+    if below == math.inf:
+        raise DomainError(f"lam_max {lam_max:g} on length {spec.length:g} puts more "
+                          "interval eigenvalues below it than the largest double")
     # two values past lam_max on the hard condition, four on the soft one
-    count = int(math.ceil(spec.length * math.sqrt(lam_max) / math.pi)) + (4 if soft else 2)
+    count = int(math.ceil(below)) + (4 if soft else 2)
     spectrum = (interval_krein if soft else interval_dirichlet)(spec, count)
     keep = np.searchsorted(spectrum._values, lam_max, side="right")
     return CountingFunction(

@@ -44,14 +44,15 @@ __all__ = [
 
 # Shifts per multisection sweep, shared evenly by the open brackets: at most
 # 512 while at most 64 are open, past that 7 each.  A sweep's cost grows
-# with its shifts, but slowly: at m = 800 on a 2-CPU Xeon one takes a median
-# 1.6 ms at 8 shifts, 1.6 ms at 128 and 2.7 ms at 511 (the host's speed
-# varies: the fastest runs took 0.9, 1.0 and 1.7 ms), most of it per-row
-# ufunc calls.  The rational finish puts at most _RUNGS rungs on
-# each side of its estimate.  With a rung in every cell (252 per side) a
-# soft count-1 call takes 3 sweeps instead of 4, but of 512 shifts instead
-# of 40: over the 14 radial channels at m = 800 the benchmark's job mix
-# took 25.6 ms per job at 16 rungs, 26.8 at 32, 26.3 at 64 and 28.1 at 252.
+# with its shifts, but slowly: at m = 800 on a 2-CPU Xeon one twisted at the
+# middle row takes a median 0.99 ms at 8 shifts, 1.27 ms at 128 and 1.94 ms
+# at 511 (the forward sweep 1.51, 1.78 and 2.26 ms), most of it per-step
+# ufunc calls.  The rational finish puts at most _RUNGS rungs on each side
+# of its estimate.  On the forward sweep, with a rung in every cell (252 per
+# side) a soft count-1 call took 3 sweeps instead of 4, but of 512 shifts
+# instead of 40: over the 14 radial channels at m = 800 the benchmark's job
+# mix took 25.6 ms per job at 16 rungs, 26.8 at 32, 26.3 at 64 and 28.1 at
+# 252.
 _SWEEP_CELLS = 512
 _RUNGS = 16
 
@@ -200,22 +201,35 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
 def _isolated_root(x, c, p, below):
     """Estimate of the eigenvalue in an isolated bracket [x[1], x[2]), else
     NaN; see _multisect.  x, c and p are columns below - 1 to below + 2 of a
-    sweep row with their counts and last pivots.  The root of the one-pole
-    fit y = (alpha x + beta) / (x - mu), exact for a one-pole function as a
-    Halley step is, is measured from the end with the smaller pivot.
+    sweep row with their counts and pivots.  The pivot's reciprocal is fitted
+    by z = a + b x + w / (lam - x) through the bracket ends and both outside
+    neighbours, or with b = 0 through the one neighbour whose pivot is known.
+    Then (lam - x) z is a polynomial of degree two below the number of
+    points, so its divided difference over all of them is 0; that is linear
+    in lam, and solved for it.
     """
     (xl, xa, xb, xr), (pl, pa, pb, pr) = x, p
-    # the nearer outside neighbour with a known pivot, left on ties
-    near_left = xa - xl if below and not math.isnan(pl) else math.inf
-    near_right = xr - xb if xr != xb and not math.isnan(pr) else math.inf
-    if not (c[2] - c[1] == 1 and pa > 0.0 > pb and min(near_left, near_right) < math.inf):
+    if not (c[2] - c[1] == 1 and pa > 0.0 > pb):
         return math.nan
-    (x1, y1), (x2, y2) = ((xa, pa), (xb, pb)) if abs(pa) <= abs(pb) else ((xb, pb), (xa, pa))
-    x3, y3 = (xl, pl) if near_left <= near_right else (xr, pr)
-    t2, t3 = x2 - x1, x3 - x1
-    den = (y2 - y1) * y3 * t3 - (y3 - y1) * y2 * t2
-    # coincident nodes or infinite samples give no root inside
-    root = x1 + y1 * t2 * t3 * (y2 - y3) / den if den else math.nan
+    # an outside neighbour is known unless it is a Gershgorin end (NaN), the
+    # wrapped left column or the repeated right end; a zero pivot has no 1/p
+    points = [(xa, pa), (xb, pb)] + [(xo, po) for xo, po, known in (
+        (xl, pl, below), (xr, pr, xr != xb)) if known and not math.isnan(po) and po]
+    if len(points) < 3:
+        return math.nan
+    # measured from the end with the smaller pivot; the weights of the
+    # divided difference are 1 / prod(x_i - x_j) over j != i
+    origin = xa if abs(pa) <= abs(pb) else xb
+    num = den = 0.0
+    for i, (xi, w) in enumerate(points):
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                w *= xi - xj
+        if not w:  # coincident points
+            return math.nan
+        num += (xi - origin) / w
+        den += 1.0 / w
+    root = origin + num / den if den else math.nan
     return root if xa < root < xb else math.nan
 
 
@@ -263,36 +277,44 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
     """Brackets [a, b) of the eigenvalues with the given ascending 1-based indices.
 
     sweep maps an array of shifts to the Sturm counts there (eigenvalues
-    strictly below each shift) and the last LDL^T pivots, and [lo, hi]
-    holds the whole spectrum.  A bracket is open while its width exceeds its
-    stop, _stop_width at its end farther from 0; is_open(a, b, stop), if
-    given, replaces that rule and returns the mask of open brackets.  Each
-    step is one sweep at about _SWEEP_CELLS shifts, and every index keeps
-    the sub-interval that holds it.  In the first sweep all indices share
-    [lo, hi], and its shifts are geometric in the distance from the point
-    of [lo, hi] nearest 0 (_outward_split): on a fine grid hi is about
-    4/h^2, far above the low eigenvalues, and an even split would leave
-    them all in its first cell.  Later sweeps share their shifts evenly by
-    the distinct open brackets, with at least 7 in each.
+    strictly below each shift) and a pivot q, the twist element of
+    sturm_count: 1 / q(x) = ((T - x)^-1)_kk = sum_j v_j(k)^2 / (lambda_j - x)
+    for one row k, and [lo, hi] holds the whole spectrum.  A bracket is open
+    while its width exceeds its stop, _stop_width at its end farther from 0;
+    is_open(a, b, stop), if given, replaces that rule and returns the mask
+    of open brackets.  Each step is one sweep at about _SWEEP_CELLS shifts,
+    and every index keeps the sub-interval that holds it.  In the first
+    sweep all indices share [lo, hi], and its shifts are geometric in the
+    distance from the point of [lo, hi] nearest 0 (_outward_split): on a
+    fine grid hi is about 4/h^2, far above the low eigenvalues, and an even
+    split would leave them all in its first cell.  Later sweeps share their
+    shifts evenly by the distinct open brackets, with at least 7 in each.
 
-    A bracket whose end counts differ by 1 and whose last pivot q is
-    positive at a and negative at b is isolated: q decreases strictly
-    between its poles, which interlace the eigenvalues, so a pole in (a, b]
-    would force a second zero and with it a second eigenvalue.  So q is
-    continuous there, and the root of a one-pole fit through q at both ends
-    and at the nearer outside neighbour of the last sweep estimates the
-    eigenvalue.  The next sweep places that estimate, at most _RUNGS
-    geometric rungs on each side from stop/64 out to the bracket ends, and
-    the 7 interior points of an 8-cell split, so every bracket still
-    shrinks at least 8 times.  The counts alone choose every sub-interval,
-    and a missing or outside estimate falls back to the even split.  Rungs
-    from stop/64 rather than stop/4 leave the last bracket a median 0.09 of
-    the stop wide instead of 0.23, so the midpoint adds little to the
-    count's own rounding; they cost 0.14 sweeps per radial-fd benchmark job.
+    A bracket whose end counts differ by 1 and whose q is positive at a and
+    negative at b is isolated: q decreases strictly between its poles, which
+    interlace the eigenvalues, so a pole in (a, b] would force a second zero
+    and with it a second eigenvalue.  So q is continuous there, and 1 / q is
+    the one pole w / (lambda - x) plus terms smooth near lambda.  The root
+    of a fit 1 / q = a + b x + w / (lambda - x) through both ends and both
+    outside neighbours of the last sweep (b = 0 when only one neighbour is
+    known) estimates the eigenvalue; the line takes the smooth terms' slope.
+    That slope matters where v(k) is small, near a node of the eigenvector:
+    two poles of q then flank lambda closely, and in the (4, 4) Dirichlet
+    count-20 call at m = 800 a fit with b = 0 missed lambda_14 by 115 stop
+    widths on its last sweep but one, which took a sixth sweep.  The next
+    sweep places the estimate, at most _RUNGS geometric rungs on each side
+    from stop/64 out to the bracket ends, and the 7 interior points of an
+    8-cell split, so every bracket still shrinks at least 8 times.  The
+    counts alone choose every sub-interval, and a missing or outside
+    estimate falls back to the even split.  Rungs from stop/64 rather than
+    stop/4 left the last bracket a median 0.09 of the stop wide instead of
+    0.23 on the forward sweep (the count-20 calls of the 15 radial channels
+    at m = 800 now end a median 0.058 wide), so the midpoint adds little to
+    the count's own rounding.
     """
     size = wanted.size
     a, b = np.full(size, lo), np.full(size, hi)
-    # Counts and last pivots at the bracket ends; the Gershgorin ends are
+    # Counts and pivots at the bracket ends; the Gershgorin ends are
     # never swept, so their pivots are unknown.  No index exceeds `most`.
     most = np.iinfo(np.intp).max
     ca, cb = np.zeros(size, dtype=np.intp), np.full(size, most)
@@ -365,18 +387,17 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
 
     All wanted indices are bracketed together by _multisect, from the
     Gershgorin interval [lo, hi] down to the width _stop_width gives.  Each
-    step is one sturm_count sweep, which also returns the last LDL^T pivot
-    q_m at every shift, and an isolated bracket is finished by a one-pole
-    fit to q_m; the counts alone still choose every bracket.  The first
-    sweep is geometric in the distance from the point of [lo, hi] nearest
-    0, where the wanted values lie.  At m = 800 a count-1 call
-    takes 3 sweeps on the hard condition and 4 on the soft one in each
-    channel with n = 2-4 and l = 0-4, and a count-20 call 5 or 6.  On the
-    hard condition the first bracket of the lowest value also holds the
-    lowest eigenvalue of T_{m-1}, a pole of q_m, so the second sweep is
-    usually an even split, and one rational sweep closes what it leaves.
-    On the soft condition that bracket is isolated at once, and the
-    rational finish takes three sweeps of 40 shifts.
+    step is one sturm_count sweep twisted at the middle row k = m // 2,
+    which runs the rows above and below k side by side in half the steps of
+    a forward sweep and also returns the twist element gamma_k at every
+    shift; an isolated bracket is finished by a rational fit to gamma_k, and
+    the counts alone still choose every bracket.  The first sweep is
+    geometric in the distance from the point of [lo, hi] nearest 0, where
+    the wanted values lie.  The poles of gamma_k, the eigenvalues of T
+    without row k, lie far from the lowest eigenvalue on both conditions,
+    so its first bracket is isolated at once: at m = 800 a count-1 call
+    takes 3 sweeps (511, 40 and 40 shifts) in each channel with n = 2-4 and
+    l = 0-4, R = 0.8, 1 and 1.25, and a count-20 call 4 or 5.
 
     The soft condition keeps the channel's kernel u = r^l, so its pencil has
     exactly one near-zero eigenvalue, which is dropped: 0 up to rounding at
@@ -414,7 +435,7 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
                        and not max(-a[0], b[0]) <= bound * a[1])
         return wide
 
-    a, b = _multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True),
+    a, b = _multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True, twist=d.size // 2),
                       lo, hi, wanted, is_open)
     out = 0.5 * (a + b)
     if skip:

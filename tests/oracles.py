@@ -129,6 +129,31 @@ def sturm_count_oracle(diag, offdiag, lam: float) -> int:
     return sum(math.copysign(1.0, q) < 0.0 for q in sturm_pivots_oracle(diag, offdiag, lam))
 
 
+def twisted_sturm_oracle(diag, offdiag, lam: float, twist: int) -> tuple:
+    """(count, gamma) of the twisted factorization of T - lam I at row k = twist.
+
+    Rows 0..k-1 take sturm_pivots_oracle forward and rows m-1..k+1 take it
+    on the reversed rows, and row k the twist element
+    gamma = (d_k - lam) - e_{k-1}^2 / q_{k-1} - e_k^2 / p_{k+1}, each term
+    present where its part has rows and its e^2 is nonzero, a zero pivot
+    dividing as in sturm_pivots_oracle.  The count is the pivots and gamma
+    whose sign bit is set.
+    """
+    d = [float(x) for x in diag]
+    e = [float(x) for x in offdiag]
+    k = twist
+    forward = sturm_pivots_oracle(d[:k], e[:max(k - 1, 0)], lam)
+    backward = sturm_pivots_oracle(d[:k:-1], e[:k:-1], lam)
+    gamma = (d[k] + 0.0) - lam
+    for part, link in ((forward, e[k - 1] if k else 0.0), (backward, e[k] if backward else 0.0)):
+        e2 = link * link
+        if part and e2 != 0.0:
+            prev = part[-1]
+            gamma -= math.copysign(math.inf, prev) if prev == 0.0 else e2 / prev
+    count = sum(math.copysign(1.0, q) < 0.0 for q in forward + backward + [gamma])
+    return count, gamma
+
+
 def universal_inequalities_oracle(lam, mu, n: int, volume: float, k_max: int) -> list:
     """The reports of analysis.universal_inequalities, each inequality
     evaluated literally in plain loops over Python floats.

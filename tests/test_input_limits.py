@@ -581,6 +581,9 @@ RANGE_LIMITS = {
         lambda: sp.ball_spectrum(sp.BallSpec(2, 1e300), "dirichlet", 1e300), "past the limit 500"),
     "two-term-radius-1e300": (
         lambda: an.two_term_ball_coefficients(3, 1e300, "krein"), "largest double"),
+    # L sqrt(lam_max) / pi = 1e450 / pi values below lam_max
+    "interval-counting-limit-inf": (
+        lambda: an.interval_counting(sp.IntervalSpec(0.0, 1e300), "dirichlet", 1e300), "lam_max"),
     # 1,244 values from 5.78e-310 up, subnormal doubles
     "ball-spectrum-radius-1e155": (
         lambda: sp.ball_spectrum(sp.BallSpec(2, 1e155), "dirichlet", 1e-306), "below 1e-300"),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kreinspec.errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite
+from kreinspec.errors import (DomainError, NoConvergence, NotPositiveDefinite,
+                              NotPositiveSemidefinite)
 from kreinspec import linalg as la
-from oracles import sturm_count_oracle, sturm_pivots_oracle
+from oracles import sturm_count_oracle, sturm_pivots_oracle, twisted_sturm_oracle
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -242,6 +243,33 @@ class TestSturmCount:
         assert cases > 15000
         assert wrong == 0
 
+    def test_integer_tridiagonals_match_eigvalsh_at_every_twist(self):
+        # every twist k of every case: counts away from the eigenvalues
+        # match, and the counts over a grid that hits integer eigenvalues
+        # exactly never decrease
+        rng = np.random.default_rng(11)
+        cases = wrong = falls = 0
+        grid = np.arange(-6.0, 6.01, 0.25)
+        for _ in range(800):
+            n = int(rng.integers(1, 10))
+            d = rng.integers(-2, 3, n).astype(float)
+            e = rng.integers(-2, 3, n - 1).astype(float)
+            vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            away = np.min(np.abs(grid[:, None] - vals), axis=1) >= 1e-6
+            want = np.sum(vals < grid[away, None], axis=1)
+            for k in range(n):
+                got = la.sturm_count(d, e, grid, twist=k)
+                cases += int(away.sum())
+                wrong += int(np.sum(got[away] != want))
+                falls += int(np.any(np.diff(got) < 0))
+        assert cases > 90_000
+        assert wrong == 0 and falls == 0
+
+    @pytest.mark.parametrize("twist", [-1, 3, 1.0, True])
+    def test_twist_outside_the_rows_raises(self, twist):
+        with pytest.raises(DomainError, match="twist must be an integer in 0..2"):
+            la.sturm_count([1.0, 2.0, 3.0], [0.5, 0.5], 0.0, twist=twist)
+
     @pytest.mark.parametrize("d, e, lam, want", [
         ([1.0, 2.0], [0.0], 1.0, 0),
         ([1.0, 2.0], [0.0], 2.0, 1),
@@ -294,6 +322,16 @@ BOUNDARY_CASES = block_boundary_cases()
 BOUNDARY_SHIFTS = np.array([-3.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, 3.0])
 
 
+def twists_of(n):
+    """Twists 0, 1, n // 2, n - 2 and n - 1 (the default), those that make a
+    part exactly one row block of two parts (BLOCK // 2 steps) or of one
+    (BLOCK) long, and BLOCK - 1, between the zero off-diagonals of the
+    boundary cases: those inside 0..n-1."""
+    half = BLOCK // 2
+    return sorted({k for k in (0, 1, n // 2, n - 2, n - 1, half, n - 1 - half, BLOCK,
+                               n - 1 - BLOCK, BLOCK - 1) if 0 <= k < n})
+
+
 class TestSturmBlocks:
     def test_cases_hit_the_block_boundary(self):
         # the constructed cases hold what the counts below are claimed on
@@ -336,6 +374,42 @@ class TestSturmBlocks:
         grid_counts, grid_pivots = la.sturm_count(d, e, shifts.reshape(3, 4), last_pivot=True)
         assert grid_counts.tolist() == counts.reshape(3, 4).tolist()
         assert [p.hex() for p in grid_pivots.ravel().tolist()] == [w.hex() for w in want]
+
+    @pytest.mark.parametrize("d, e", [case[1:] for case in BOUNDARY_CASES],
+                             ids=[case[0] for case in BOUNDARY_CASES])
+    def test_twisted_counts_and_elements_equal_scalar_reference(self, d, e):
+        # counts and twist elements bit for bit at the twists of twists_of,
+        # by one shift and by an array of them; at twist n - 1 they are the
+        # default's
+        shifts = np.concatenate((BOUNDARY_SHIFTS, [0.0, -0.0, np.inf, -np.inf]))
+        for k in twists_of(d.size):
+            want = [twisted_sturm_oracle(d, e, lam, k) for lam in shifts.tolist()]
+            counts, gammas = la.sturm_count(d, e, shifts, last_pivot=True, twist=k)
+            assert counts.tolist() == [c for c, _ in want]
+            assert [g.hex() for g in gammas.tolist()] == [g.hex() for _, g in want]
+            assert la.sturm_count(d, e, shifts, twist=k).tolist() == counts.tolist()
+            if k == d.size - 1:
+                default = la.sturm_count(d, e, shifts, last_pivot=True)
+                assert default[0].tolist() == counts.tolist()
+                assert [p.hex() for p in default[1].tolist()] == [g.hex() for _, g in want]
+            scalar = [la.sturm_count(d, e, lam, last_pivot=True, twist=k) for lam in shifts]
+            assert all(type(c) is int and type(g) is float for c, g in scalar)
+            assert [(c, g.hex()) for c, g in scalar] == [(c, g.hex()) for c, g in want]
+
+    def test_twist_cases_hold_zero_pivots_and_splits_at_the_twist(self):
+        # the constructed cases hold what the twisted counts are claimed on:
+        # at the shift 1 both parts of tridiag(1; 1) end in a zero pivot next
+        # to an odd twist of an odd order, and the zero off-diagonals at
+        # BLOCK - 2 and BLOCK - 1 flank twists BLOCK - 1 and BLOCK
+        n = 2 * BLOCK + 1
+        k = BLOCK - 1
+        forward = sturm_pivots_oracle(np.ones(k), np.ones(k - 1), 1.0)
+        backward = sturm_pivots_oracle(np.ones(n - 1 - k), np.ones(n - 2 - k), 1.0)
+        assert forward[-1] == 0.0 and backward[-1] == 0.0
+        assert twisted_sturm_oracle(np.ones(n), np.ones(n - 1), 1.0, k)[1] == -np.inf
+        split = dict((case[0], case[2]) for case in BOUNDARY_CASES)[f"{n}-zero-offdiagonals"]
+        assert split[k - 1] == split[k] == 0.0
+        assert {BLOCK - 1, BLOCK, n // 2, n - 2, n - 1} <= set(twists_of(n))
 
     @settings(max_examples=60, deadline=None)
     @given(

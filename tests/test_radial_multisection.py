@@ -69,6 +69,32 @@ def test_counts_never_decrease(channel, bc, m, index, steps, spread):
     assert 0 <= counts[0] and counts[-1] <= m
 
 
+# The same at any twist: the twisted count is a Sturm count of its own, and
+# radial multisection sweeps at twist m // 2.
+@settings(max_examples=60, deadline=None)
+@given(
+    channel=st.sampled_from([(2, 0), (2, 1), (3, 0), (3, 2), (4, 4)]),
+    bc=st.sampled_from(["dirichlet", "krein"]),
+    m=st.integers(8, 300),
+    index=st.integers(0, 7),
+    where=st.floats(0.0, 1.0),
+    steps=st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=40),
+    spread=st.lists(st.floats(-1.0, 2.0), max_size=10),
+)
+def test_twisted_counts_never_decrease(channel, bc, m, index, where, steps, spread):
+    d, e = dz.radial_pencil(dz.RadialChannelSpec(*channel, 1.0, m, bc)).reduced_tridiagonal()
+    dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    lam = dense[min(index, m - 1)]
+    shifts = np.sort(np.concatenate((
+        lam + np.spacing(abs(lam)) * np.array(steps, dtype=float),
+        dense[0] + (dense[-1] - dense[0]) * np.array(spread),
+    )))
+    for twist in (m // 2, min(int(where * m), m - 1)):
+        counts = sturm_count(d, e, shifts, twist=twist)
+        assert np.all(np.diff(counts) >= 0)
+        assert 0 <= counts[0] and counts[-1] <= m
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     calls = []
@@ -86,13 +112,12 @@ def _norm(d, e):
     return np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
 
 
-# The budgets are the largest counts measured over these channels at R = 1.
-# Over all 15 channels the count-1 budgets hold, and a Dirichlet count-20
-# call takes 6 sweeps in (2, 0) and (3, 0), 5 elsewhere.  A Dirichlet
-# count-1 call takes an even split and one rational sweep after the
-# geometric first sweep; a krein one starts the rational finish at once and
-# takes three narrow sweeps.  Both calls stop at eps ||T||, so they agree to
-# that.
+# The budgets were the largest counts measured over these channels at R = 1
+# on the forward sweep; the sweep twisted at m // 2 stays within them.  Over
+# all 15 channels at R = 0.8, 1 and 1.25 a count-1 call now takes 3 sweeps
+# on both conditions: the geometric first sweep isolates the lowest value,
+# and two rational sweeps of 40 shifts close it.  A count-20 call takes 4
+# or 5.  Both calls stop at eps ||T||, so they agree to that.
 @pytest.mark.parametrize("bc, most_one, most_twenty", [
     pytest.param("dirichlet", 3, 5, id="dirichlet"),
     pytest.param("krein", 4, 5, id="krein"),
@@ -111,25 +136,26 @@ def test_sweep_budget(sweeps, n, ell, bc, most_one, most_twenty):
 
 
 # Dirichlet values of the finite-volume scheme, recorded at the stop
-# max(1e-13 relative, eps ||T||), with the rational finish.  The blocked
-# sweep reproduces every count bit for bit and the shifts are a fixed
-# function of them, so the values must not move by one bit.  Their accuracy
+# max(1e-13 relative, eps ||T||), with the sweep twisted at m // 2 and the
+# rational finish.  The blocked sweep reproduces every count bit for bit and
+# the shifts are a fixed function of them, so the values must not move by
+# one bit.  Their accuracy
 # rests on bounds independent of this record: the stop contract by the
 # pure-Python count below, the eigvalsh comparison above and the Bessel-zero
 # extrapolation in tests/test_cross_route.py.
 RECORDED_DIRICHLET = {
-    (2, 1, 100): ["0x1.d5cd41a5c6c38p+3", "0x1.89a40c458ea9dp+5", "0x1.9db94be4fa26dp+6",
-                  "0x1.629c0e48d443ep+7", "0x1.0ec1b23d82461p+8"],
-    (2, 1, 800): ["0x1.d5d29e4e5fac0p+3", "0x1.89bef89c93f06p+5", "0x1.9dfe58307eae0p+6",
-                  "0x1.6308e76e210e0p+7", "0x1.0f4600767a7e0p+8"],
-    (3, 2, 100): ["0x1.09bb4ab7bbe62p+5", "0x1.4ac8d0d25bf71p+6", "0x1.2f7fb0bca094ap+7",
-                  "0x1.e0cad2df845e2p+7", "0x1.5c933391d4024p+8"],
-    (3, 2, 800): ["0x1.09bd5464928e6p+5", "0x1.4ae01f6b3a88cp+6", "0x1.2fb4da0c9b35ep+7",
-                  "0x1.e1656f0997108p+7", "0x1.5d44e115b3709p+8"],
-    (4, 4, 100): ["0x1.33bea8c924cfcp+6", "0x1.306179bdbcb3cp+7", "0x1.ec98844c2185cp+7",
-                  "0x1.67ba6503bf84ep+8", "0x1.ec86defa7fefdp+8"],
-    (4, 4, 800): ["0x1.33c16b37d758cp+6", "0x1.307b10844b31cp+7", "0x1.ecfc192921846p+7",
-                  "0x1.683cc627e2090p+8", "0x1.ed9d06c2bcc1ap+8"],
+    (2, 1, 100): ["0x1.d5cd41a5c6bd2p+3", "0x1.89a40c458eac0p+5", "0x1.9db94be4fa13bp+6",
+                  "0x1.629c0e48d444ap+7", "0x1.0ec1b23d8245cp+8"],
+    (2, 1, 800): ["0x1.d5d29e4e6f0b9p+3", "0x1.89bef89c93c4cp+5", "0x1.9dfe58307d956p+6",
+                  "0x1.6308e76e20f23p+7", "0x1.0f4600767a7acp+8"],
+    (3, 2, 100): ["0x1.09bb4ab7bb938p+5", "0x1.4ac8d0d25bfd4p+6", "0x1.2f7fb0bca093dp+7",
+                  "0x1.e0cad2df84588p+7", "0x1.5c933391d401fp+8"],
+    (3, 2, 800): ["0x1.09bd54649358ep+5", "0x1.4ae01f6b3a082p+6", "0x1.2fb4da0c98a9ep+7",
+                  "0x1.e1656f0995716p+7", "0x1.5d44e115af4b6p+8"],
+    (4, 4, 100): ["0x1.33bea8c925cbap+6", "0x1.306179bdbcb6ap+7", "0x1.ec98844c225f8p+7",
+                  "0x1.67ba6503bf851p+8", "0x1.ec86defa7fef9p+8"],
+    (4, 4, 800): ["0x1.33c16b37c5535p+6", "0x1.307b10844bc54p+7", "0x1.ecfc192921732p+7",
+                  "0x1.683cc627e242ep+8", "0x1.ed9d06c2bccacp+8"],
 }
 
 
@@ -143,18 +169,18 @@ def test_dirichlet_values_bit_equal_to_recorded(n, ell, m):
 # zero mode, whose bracket closes by its own rule (is_open in
 # radial_eigenvalues), so they pin that path too.
 RECORDED_KREIN = {
-    (2, 1, 100): ["0x1.a5f22f672e8acp+4", "0x1.1b47d4c7ed974p+6", "0x1.0dccced08b81bp+7",
-                  "0x1.b52b9200370d1p+7", "0x1.41cd9a0cd8d0ep+8"],
-    (2, 1, 800): ["0x1.a5fe3cd137f88p+4", "0x1.1b65ebd3aa440p+6", "0x1.0e09a31726cadp+7",
-                  "0x1.b5d4745f844eep+7", "0x1.428b1964a57d9p+8"],
-    (3, 2, 100): ["0x1.869d6114f86cep+5", "0x1.b1e230efbf749p+6", "0x1.76ed95dbf4f69p+7",
-                  "0x1.1df50c3d94f60p+8", "0x1.93e9fe52ad3dap+8"],
-    (3, 2, 800): ["0x1.86a6253d74545p+5", "0x1.b2100627de544p+6", "0x1.77442cc151268p+7",
-                  "0x1.1e66e2c937896p+8", "0x1.94df3323f14a8p+8"],
-    (4, 4, 100): ["0x1.8adfe271aab7cp+6", "0x1.712bbdaad4cecp+7", "0x1.20d751ed394a7p+8",
-                  "0x1.9c3a0ca058268p+8", "0x1.156e11ab70c14p+9"],
-    (4, 4, 800): ["0x1.8ae794b5fa50fp+6", "0x1.7155c33955ddap+7", "0x1.2120186694950p+8",
-                  "0x1.9cec6520f6226p+8", "0x1.1623f20f0188cp+9"],
+    (2, 1, 100): ["0x1.a5f22f672ead8p+4", "0x1.1b47d4c7ed98cp+6", "0x1.0dccced08b84cp+7",
+                  "0x1.b52b9200370c8p+7", "0x1.41cd9a0cd8ce1p+8"],
+    (2, 1, 800): ["0x1.a5fe3cd138553p+4", "0x1.1b65ebd3a98bcp+6", "0x1.0e09a317272d7p+7",
+                  "0x1.b5d4745f85452p+7", "0x1.428b1964a581ep+8"],
+    (3, 2, 100): ["0x1.869d6114f8507p+5", "0x1.b1e230efbf736p+6", "0x1.76ed95dbf4f4ap+7",
+                  "0x1.1df50c3d94f5dp+8", "0x1.93e9fe52ad3eep+8"],
+    (3, 2, 800): ["0x1.86a6253d7582cp+5", "0x1.b2100627e56dep+6", "0x1.77442cc15057fp+7",
+                  "0x1.1e66e2c937ac0p+8", "0x1.94df3323f17bdp+8"],
+    (4, 4, 100): ["0x1.8adfe271aab1ap+6", "0x1.712bbdaad4ceap+7", "0x1.20d751ed39492p+8",
+                  "0x1.9c3a0ca058245p+8", "0x1.156e11ab70c08p+9"],
+    (4, 4, 800): ["0x1.8ae794b5f87cap+6", "0x1.7155c33954b56p+7", "0x1.212018669482ap+8",
+                  "0x1.9cec6520f614ep+8", "0x1.1623f20f01a52p+9"],
 }
 
 
@@ -168,22 +194,22 @@ def test_krein_values_bit_equal_to_recorded(n, ell, m):
 # same way: its later sweeps share their shifts among many open brackets.
 RECORDED_TWENTY = {
     "dirichlet": [
-        "0x1.09bd546490192p+5", "0x1.4ae01f6b39d7dp+6", "0x1.2fb4da0c9aebcp+7",
-        "0x1.e1656f0998244p+7", "0x1.5d44e115b39fap+8", "0x1.dd91e9313e9a8p+8",
-        "0x1.38ccf412a44a0p+9", "0x1.8cae4ae5fd44ap+9", "0x1.ea6cbacc2148cp+9",
-        "0x1.2903f9e7f8de3p+10", "0x1.61bfcc0325dffp+10", "0x1.9f699eab42323p+10",
-        "0x1.e2013732d7636p+10", "0x1.14c32ac5ef4a8p+11", "0x1.3afc5a3669e20p+11",
-        "0x1.63ac04b38f18cp+11", "0x1.8ed2027a878cap+11", "0x1.bc6e29417c6aep+11",
-        "0x1.ec804c3aa48e0p+11", "0x1.0f841e0b31772p+12",
+        "0x1.09bd54648f5bap+5", "0x1.4ae01f6b3dbd4p+6", "0x1.2fb4da0c9b746p+7",
+        "0x1.e1656f0995b40p+7", "0x1.5d44e115b3668p+8", "0x1.dd91e931404aap+8",
+        "0x1.38ccf412a4060p+9", "0x1.8cae4ae5fd3ccp+9", "0x1.ea6cbacc21626p+9",
+        "0x1.2903f9e7f8ddap+10", "0x1.61bfcc03269c6p+10", "0x1.9f699eab40e0ep+10",
+        "0x1.e2013732d7504p+10", "0x1.14c32ac5ef385p+11", "0x1.3afc5a3669ccap+11",
+        "0x1.63ac04b38f0dep+11", "0x1.8ed2027a87870p+11", "0x1.bc6e29417c6e4p+11",
+        "0x1.ec804c3aa48cep+11", "0x1.0f841e0b31a6cp+12",
     ],
     "krein": [
-        "0x1.86a6253d79992p+5", "0x1.b2100627ddf55p+6", "0x1.77442cc150bedp+7",
-        "0x1.1e66e2c9370aep+8", "0x1.94df3323f18fcp+8", "0x1.0f87910e9ad6cp+9",
-        "0x1.5e7c0d73a0c34p+9", "0x1.b74d3bc565236p+9", "0x1.0cfd83af3987ap+10",
-        "0x1.43429b315ad8ep+10", "0x1.7e75bb461fcbcp+10", "0x1.be96b1ba1cc32p+10",
-        "0x1.01d2a27870b7dp+11", "0x1.26d09a686c2fep+11", "0x1.4e451da68271ep+11",
-        "0x1.7830065c658c6p+11", "0x1.a4912bfe57e99p+11", "0x1.d368635c4e909p+11",
-        "0x1.025abf56b1f74p+12", "0x1.1c3c26cbd7679p+12",
+        "0x1.86a6253d72efdp+5", "0x1.b2100627d5fbcp+6", "0x1.77442cc1512c9p+7",
+        "0x1.1e66e2c937986p+8", "0x1.94df3323f191bp+8", "0x1.0f87910e9ae25p+9",
+        "0x1.5e7c0d73a0f5cp+9", "0x1.b74d3bc567b54p+9", "0x1.0cfd83af399c2p+10",
+        "0x1.43429b315a412p+10", "0x1.7e75bb461fa26p+10", "0x1.be96b1ba1c7b2p+10",
+        "0x1.01d2a27870eaep+11", "0x1.26d09a686c2ddp+11", "0x1.4e451da6826c4p+11",
+        "0x1.7830065c65882p+11", "0x1.a4912bfe57ceap+11", "0x1.d368635c4e9c4p+11",
+        "0x1.025abf56b1daap+12", "0x1.1c3c26cbd767cp+12",
     ],
 }
 
@@ -331,16 +357,18 @@ def test_multisect_brackets_scale_by_powers_of_two(tri, first, count, k):
     assert np.array_equal(a2, np.ldexp(a, k)) and np.array_equal(b2, np.ldexp(b, k))
 
 
-# An off-diagonal cut to 1e-9 of its size near the far end nearly splits T.
-# The low eigenvalues then belong to the long first block, and each sits
-# within far less than the stop of a pole of the last pivot, an eigenvalue of
-# T_{m-1}.  So no bracket around them is ever isolated, every sweep falls
-# back to the even split, and the counts alone must still meet the stop.
+# The two off-diagonals of the twist row k = m // 2, cut to 1e-9 of their
+# size, nearly split T into the rows before k, row k and the rows after it.
+# The low eigenvalues then belong to the two long blocks, and each sits
+# within far less than the stop of a pole of the twist element, an
+# eigenvalue of T without row k.  So no bracket around them is ever
+# isolated, every sweep falls back to the even split, and the counts alone
+# must still meet the stop.
 def test_fit_defeated_by_near_split_falls_back_to_even_split(monkeypatch):
     spec = dz.RadialChannelSpec(3, 1, 1.0, 200, "dirichlet")
     good = dz.radial_pencil(spec)
     off = good.offdiagonal.copy()
-    off[-10] *= 1e-9
+    off[spec.m // 2 - 1:spec.m // 2 + 1] *= 1e-9
     near_split = dataclasses.replace(good, offdiagonal=off)
     monkeypatch.setattr(dz, "radial_pencil", lambda s: near_split)
     shifts = []
