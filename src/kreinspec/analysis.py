@@ -284,12 +284,14 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     a double exactly, a law that overflows at the window scale, or a
     remainder that is not finite, raises DomainError.  The fit is the
     minimum-norm least-squares pair, which also covers a window so narrow
-    that the two powers are parallel to rounding.
+    that the two powers are parallel to rounding.  A window that is not
+    0 < lo < hi < inf, or whose top passes complete_below, raises
+    InsufficientData before any sampling.
     """
     n = _integer("dimension", n, 1)
     lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi):
-        raise InsufficientData(f"empty window ({lo}, {hi})")
+    if not (0.0 < lo < hi < math.inf):
+        raise InsufficientData(f"empty window ({lo}, {hi}): need 0 < lo < hi < inf")
     if counting.complete_below is not None and hi > counting.complete_below * (1 + 1e-12):
         raise InsufficientData(
             f"window top {hi} beyond complete range {counting.complete_below}"

@@ -118,6 +118,7 @@ def _int64_counts(counts, what: str) -> np.ndarray:
 
 
 def _require_complete_below(value) -> None:
-    """complete_below is None or a number > 0, inf allowed; NaN is not."""
-    if value is not None and not (isinstance(value, Real) and value > 0.0):
+    """complete_below is None or a number > 0, inf allowed; NaN and bools are not."""
+    if value is not None and not (isinstance(value, Real) and not isinstance(value, bool)
+                                  and value > 0.0):
         raise ValueError(f"complete_below must be None or > 0, got {value!r}")

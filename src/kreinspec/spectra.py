@@ -23,7 +23,7 @@ pairs.  `ball_spectrum` also holds the last `_BALL_CACHE_SIZE` = 4 spectra
 it built, keyed by (n, R, condition, lambda_max): one `sandwich_check`
 builds four, and the reports on the same ball ask for two of them again.
 The bound stays small because one spectrum can be large: at lambda = 1e6
-the unit disk's has about 1e5 entries, some 10 MB.  `ball_spectrum` stays a
+the unit disk's has about 1.2e5 entries, some 2 MB.  `ball_spectrum` stays a
 plain function, which bench/tracer.py can time.  The Bessel zeros behind
 the spectra are cached separately, per order, in `special`, and shared
 across conditions and radii.
@@ -83,40 +83,40 @@ class BallSpec:
         object.__setattr__(self, "radius", _positive("radius", self.radius))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Spectrum:
     """Ascending (value, multiplicity) pairs plus the kernel dimension.
 
     Each multiplicity is an integer from 1 to 2^63 - 1.  Zero modes never
     appear among the entries; they are counted by kernel_dim, an integer
-    >= 0 or math.inf for an infinite-dimensional kernel.  When
+    >= 0 (not a bool) or math.inf for an infinite-dimensional kernel.  When
     complete_below is set, it is > 0 (inf allowed) and no eigenvalue below
-    it is missing.  The entries are validated as one pair of numpy arrays,
-    which counting functions built from the spectrum reuse, and stored as a
-    tuple of (float, int) pairs taken from those arrays, so a spectrum is
-    immutable and hashable whatever sequence it was given.
+    it is missing.  The entries are validated and stored once, as a pair of
+    read-only numpy arrays, which counting functions built from the
+    spectrum reuse; `entries` rebuilds the tuple of (float, int) pairs from
+    them on each read.  A spectrum is immutable, and equal spectra hash
+    alike, whatever sequence it was given.
     """
 
-    entries: tuple
+    _values: np.ndarray
+    _mults: np.ndarray
     kernel_dim: float
-    complete_below: float | None = None
+    complete_below: float | None
 
-    def __post_init__(self):
-        self._hold([v for v, _ in self.entries], [m for _, m in self.entries])
+    def __init__(self, entries, kernel_dim, complete_below=None):
+        self._hold([v for v, _ in entries], [m for _, m in entries], kernel_dim, complete_below)
 
     @classmethod
     def _from_arrays(cls, values, mults, kernel_dim, complete_below) -> Spectrum:
         """The spectrum of the given value and multiplicity arrays, under
         the constructor's checks; the arrays are copied."""
         spectrum = cls.__new__(cls)
-        object.__setattr__(spectrum, "kernel_dim", kernel_dim)
-        object.__setattr__(spectrum, "complete_below", complete_below)
-        spectrum._hold(values, mults)
+        spectrum._hold(values, mults, kernel_dim, complete_below)
         return spectrum
 
-    def _hold(self, values, mults) -> None:
-        """Check the entries and the kernel, then store the entries both as
-        read-only arrays and as the tuple of pairs."""
+    def _hold(self, values, mults, kernel, complete_below) -> None:
+        """Check the entries, the kernel and complete_below, then store them,
+        the entries as read-only arrays."""
         values = np.array(values, dtype=float)
         mults = _int64_counts(mults, "multiplicities")
         if not np.isfinite(values).all():
@@ -127,17 +127,32 @@ class Spectrum:
             raise ValueError("spectrum entries not strictly increasing")
         if np.any(mults < 1):
             raise ValueError("nonpositive multiplicity")
-        kernel = self.kernel_dim
-        if not (isinstance(kernel, Real) and kernel >= 0
+        if not (isinstance(kernel, Real) and not isinstance(kernel, bool) and kernel >= 0
                 and (kernel == INFINITE or float(kernel).is_integer())):
             raise ValueError(f"kernel_dim must be an integer >= 0 or inf, got {kernel!r}")
-        _require_complete_below(self.complete_below)
+        _require_complete_below(complete_below)
         values.setflags(write=False)
         mults.setflags(write=False)
-        object.__setattr__(self, "entries", tuple(zip(values.tolist(), mults.tolist())))
-        # the same entries as arrays, for the counting layer
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_mults", mults)
+        object.__setattr__(self, "kernel_dim", kernel)
+        object.__setattr__(self, "complete_below", complete_below)
+
+    @property
+    def entries(self) -> tuple:
+        """The (value, multiplicity) pairs as a tuple of (float, int)."""
+        return tuple(zip(self._values.tolist(), self._mults.tolist()))
+
+    def _key(self) -> tuple:
+        # every value is finite and > 0, so equal values have equal bits
+        return (self._values.tobytes(), self._mults.tobytes(), self.kernel_dim,
+                self.complete_below)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def values(self):
         return self._values.tolist()
@@ -147,7 +162,7 @@ class Spectrum:
         count of them unless count is None."""
         count = None if count is None else _integer("count", count, 0)
         out = []
-        for v, m in self.entries:
+        for v, m in zip(self._values.tolist(), self._mults.tolist()):
             if count is not None and len(out) + m >= count:
                 return out + [v] * (count - len(out))
             out.extend([v] * m)
@@ -278,8 +293,9 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     lambda_max) with R and lambda_max as floats, so BallSpec(3, 1) and
     BallSpec(3, 1.0) share one; a call that raises caches nothing.  Every
     caller of equal arguments gets the same immutable object.  The bound is
-    small because at lambda = 1e6 the unit disk's spectrum has about 1e5
-    entries, some 10 MB (100 bytes an entry, measured at R = 0.5).
+    small because at lambda = 1e6 the unit disk's spectrum has about 1.2e5
+    entries, some 2 MB (16 bytes an entry, its two arrays, measured at
+    R = 0.5).
     This stays a plain function, not a functools.lru_cache wrapper, because
     bench/tracer.py wraps only plain functions: behind a wrapper object its
     `spectra.ball_spectrum` time and repeat share would read 0.

@@ -226,7 +226,9 @@ NON_FINITE_SPECTRA = {
 # Each constructed.  A NaN complete_below then read as no limit at all:
 # counting_domination reported the pair below as satisfied with margin inf
 # (with 10.0 in place of NaN it reads violated, margin -8), and weyl_fit
-# fitted past the complete range.  kernel_dim -3 built a spectrum.
+# fitted past the complete range.  kernel_dim -3 built a spectrum.  A
+# Python True passed as kernel_dim (and was stored) and as complete_below
+# (read as 1), while np.True_ raised.
 BAD_COMPLETENESS = {
     "counting-complete-below-nan": lambda: an.counting_domination(
         an.CountingFunction((1.0, 2.0), (5, 9), complete_below=NAN),
@@ -237,10 +239,15 @@ BAD_COMPLETENESS = {
     "counting-complete-below-negative": lambda: an.CountingFunction((1.0,), (1,), complete_below=-1.0),
     "spectrum-complete-below-nan": lambda: sp.Spectrum(((1.0, 1),), 0, NAN),
     "spectrum-complete-below-negative": lambda: sp.Spectrum(((1.0, 1),), 0, -5.0),
+    "spectrum-complete-below-true": lambda: sp.Spectrum(((1.0, 1),), 0, True),
+    "spectrum-complete-below-numpy-true": lambda: sp.Spectrum(((1.0, 1),), 0, np.True_),
+    "counting-complete-below-true": lambda: an.CountingFunction((1.0,), (1,), complete_below=True),
     "spectrum-kernel-negative": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=-3),
     "spectrum-kernel-nan": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=NAN),
     "spectrum-kernel-half": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=1.5),
     "spectrum-kernel-negative-inf": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=-INF),
+    "spectrum-kernel-true": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=True),
+    "spectrum-kernel-numpy-true": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=np.True_),
 }
 
 
@@ -502,6 +509,21 @@ def test_bad_weyl_law_raises(analytic):
 # fit returned NaN coefficients after a RuntimeWarning.  The fit now runs in
 # lambda / 2^k, 2^k near the window top, so this one is finite.
 TWO_STEPS = an.CountingFunction((1.0, 2.0), (1, 3))
+
+# A window with an infinite top reached np.linspace: under the RuntimeWarning
+# filter it raised "invalid value encountered in multiply", and without it
+# ValueError "NaN probe of a counting function".
+UNBOUNDED_WINDOWS = {
+    "weyl-fit-window-to-inf": lambda: an.weyl_fit(TWO_STEPS, 2, (1.0, INF)),
+    "weyl-fit-window-to-inf-complete-inf": lambda: an.weyl_fit(
+        an.CountingFunction((1.0, 2.0), (1, 3), complete_below=INF), 2, (1.0, INF)),
+}
+
+
+@pytest.mark.parametrize("call", UNBOUNDED_WINDOWS.values(), ids=UNBOUNDED_WINDOWS.keys())
+def test_unbounded_weyl_window_raises_insufficient_data(call):
+    with pytest.raises(InsufficientData, match="empty window"):
+        call()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -367,6 +368,33 @@ class TestSpectrumEntries:
         assert spectrum.values() == [1.0, 2.0]
         same = Spectrum(entries=((1.0, 1), (2.0, 3)), kernel_dim=0, complete_below=2.5)
         assert spectrum == same and hash(spectrum) == hash(same)
+
+    def test_equality_reads_every_field(self):
+        base = Spectrum(((1.0, 1), (2.0, 3)), 0, 2.5)
+        alike = Spectrum(((1, 1), (2.0, np.int64(3))), 0.0, 2.5)
+        assert base == alike and hash(base) == hash(alike)
+        for other in (Spectrum(((1.0, 1), (2.0, 2)), 0, 2.5),
+                      Spectrum(((1.0, 1), (2.5, 3)), 0, 2.5),
+                      Spectrum(((1.0, 1),), 0, 2.5),
+                      Spectrum(((1.0, 1), (2.0, 3)), 1, 2.5),
+                      Spectrum(((1.0, 1), (2.0, 3)), 0, None)):
+            assert base != other
+        assert base != base.entries
+
+    def test_one_copy_of_the_entries(self):
+        # the two arrays take 1.6 MB; with a tuple of (float, int) pairs
+        # stored beside them the spectrum kept 10.4 MB
+        values, mults = np.arange(1.0, 100_001.0), np.ones(100_000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            spectrum = Spectrum._from_arrays(values, mults, 0, None)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 3_000_000
+        first, second = spectrum.entries, spectrum.entries
+        assert first == second and len(first) == 100_000
+        assert all(type(v) is float and type(m) is int for v, m in first)
 
 
 class TestChannelInterlace:
