@@ -19,12 +19,14 @@ f'(R) = (l + (n-1)/2) f(R) / R), sets only its last diagonal entry.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
-from .errors import ConstructionMismatch, InsufficientData, NonMonotoneError, _condition, _integer
+from .errors import (ConstructionMismatch, DomainError, InsufficientData, NonMonotoneError, _condition,
+                     _integer)
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import BallSpec, IntervalSpec, Spectrum, _merge_coincident
@@ -78,16 +80,20 @@ class Grid1D:
 @dataclass(frozen=True)
 class PotentialSpec:
     """A potential V, bounded and >= 0 as the paper requires: `values` is one
-    float for every node, or a tuple of node samples, all finite and >= 0."""
+    float for every node, or a tuple of node samples, all real numbers (no
+    bool, no str), finite and >= 0."""
 
     values: float | tuple
 
     def __post_init__(self):
-        values = float(self.values) if isinstance(self.values, Real) else tuple(map(float, self.values))
-        bad = [v for v in np.atleast_1d(values).tolist() if not 0.0 <= v < math.inf]
+        scalar = isinstance(self.values, str) or not isinstance(self.values, Iterable)
+        samples = [self.values] if scalar else list(self.values)
+        bad = [v for v in samples
+               if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v < math.inf)]
         if bad:
-            raise ValueError(f"potential must be finite and >= 0, got {bad[0]}")
-        object.__setattr__(self, "values", values)
+            raise ValueError(f"potential must be finite and >= 0, got {bad[0]!r}")
+        values = tuple(map(float, samples))
+        object.__setattr__(self, "values", values[0] if scalar else values)
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
@@ -149,7 +155,7 @@ class RadialChannelSpec:
                             ("bc", _condition("bc", self.bc))):
             object.__setattr__(self, name, value)
         if self.bc == "krein" and self.ell >= 2 * self.m:
-            raise ValueError(f"the soft end needs l < 2m, got l={self.ell}, m={self.m}")
+            raise DomainError(f"the soft end needs l < 2m, got l={self.ell}, m={self.m}")
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,8 @@ def _integer(name: str, value, least: int, most: int | None = None) -> int:
 
 
 def _positive(name: str, value) -> float:
-    """value as a float; DomainError unless it is a real number, positive and finite."""
-    if isinstance(value, Real) and 0.0 < value <= sys.float_info.max:
+    """value as a float; DomainError unless it is a real number (no bool), positive and finite."""
+    if isinstance(value, Real) and not isinstance(value, bool) and 0.0 < value <= sys.float_info.max:
         return float(value)
     raise DomainError(f"{name} {value!r} is not positive and finite")
 

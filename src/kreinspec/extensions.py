@@ -427,7 +427,7 @@ class SplitMix64:
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
-        if not isinstance(seed, Integral):
+        if not isinstance(seed, Integral) or isinstance(seed, bool):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         self._state = int(seed) & self._MASK
 

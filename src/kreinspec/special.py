@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError
+from .errors import BracketFailure, DomainError, _integer, _positive
 
 __all__ = ["BesselOrder", "bessel_j", "bessel_zero", "tan_fixed_point"]
 
@@ -81,15 +82,13 @@ def _recurrence_start(n_max, x):
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Order nu = twice_order / 2; only integers and half-integers exist."""
+    """Order nu = twice_order / 2 in 0..500, twice_order an int in 0..1000 (no bool)."""
 
     twice_order: int
 
     def __post_init__(self):
-        if self.twice_order < 0:
-            raise DomainError(f"negative order {self.twice_order / 2}")
-        if self.twice_order > _MAX_TWICE_ORDER:
-            raise DomainError(f"order {self.twice_order / 2} exceeds 500")
+        object.__setattr__(self, "twice_order",
+                           _integer("twice the order", self.twice_order, 0, _MAX_TWICE_ORDER))
 
     @property
     def nu(self) -> float:
@@ -99,9 +98,9 @@ class BesselOrder:
 def _coerce_order(nu) -> BesselOrder:
     if isinstance(nu, BesselOrder):
         return nu
-    twice = 2.0 * float(nu)
+    twice = 2.0 * float(nu) if isinstance(nu, Real) and not isinstance(nu, bool) else math.nan
     if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-12:
-        raise DomainError(f"order {nu} is neither integer nor half-integer")
+        raise DomainError(f"order {nu!r} is neither integer nor half-integer")
     return BesselOrder(int(round(twice)))
 
 
@@ -128,10 +127,11 @@ def _eval_j_pair(order: BesselOrder, x: float):
 
 
 def bessel_j(nu, x: float) -> float:
-    """J_nu(x) for integer or half-integer nu <= 500 and 0 < x <= 1e4."""
-    order = _coerce_order(nu)
-    if not (0.0 < x <= _MAX_X):
-        raise DomainError(f"argument {x} outside (0, {_MAX_X:g}]")
+    """J_nu(x) for an integer or half-integer nu <= 500 (a real number or a
+    `BesselOrder`) and a real 0 < x <= 1e4; DomainError otherwise, and for bools."""
+    order, x = _coerce_order(nu), _positive("argument", x)
+    if x > _MAX_X:
+        raise DomainError(f"argument {x!r} above {_MAX_X:g}")
     if x <= 1e-3:
         return _tiny_argument_series(order, x)
     return _eval_j_pair(order, x)[0]
@@ -439,10 +439,8 @@ _zero_cache: dict = {}
 
 
 def _family_zeros(twice_orders, x_max: float) -> list:
-    """For each order twice_orders[i] / 2 (ascending, all of one parity), an
-    ascending array of its zeros, complete below x_max; cached per order."""
-    if len(twice_orders):
-        BesselOrder(twice_orders[-1])  # orders above 500 raise DomainError
+    """For each order twice_orders[i] / 2 (ascending, of one parity, in 0..500 as
+    its caller checked), its ascending zeros, complete below x_max; cached per order."""
     missing = [t for t in twice_orders if t not in _zero_cache or _zero_cache[t][1] <= x_max]
     if missing:
         zeros, complete = _solve_family(missing[0] % 2, np.array(missing) // 2, x_max)
@@ -453,16 +451,15 @@ def _family_zeros(twice_orders, x_max: float) -> list:
 
 
 def bessel_zero(nu, k: int) -> float:
-    """k-th positive zero j_{nu,k}, accurate to about 1e-11 relative.
+    """k-th positive zero j_{nu,k}, accurate to about 1e-11 relative, for nu
+    as in `bessel_j` and an integer k (no bool, no float) in 1..100000.
 
     The asymptotic expansion seeds a Halley iteration inside a sign-change
     bracket whenever its terms certify themselves by rapid decay; otherwise
     (large order, small index) every zero of the order up to the k-th is
     found by the batched scan of `_family_zeros` and cached.
     """
-    order = _coerce_order(nu)
-    if not (1 <= k <= _MAX_ZERO_INDEX and k == int(k)):
-        raise DomainError(f"zero index {k} is not an integer in 1..{_MAX_ZERO_INDEX}")
+    order, k = _coerce_order(nu), _integer("zero index", k, 1, _MAX_ZERO_INDEX)
     beta, terms = _mcmahon_terms(order, k)
     guess = beta - sum(terms)
     if _mcmahon_is_reliable(terms):
@@ -473,7 +470,7 @@ def bessel_zero(nu, k: int) -> float:
     while True:
         zeros, complete = _zero_cache.get(order.twice_order, ((), 0.0))
         if len(zeros) >= k:
-            return float(zeros[int(k) - 1])
+            return float(zeros[k - 1])
         # widen the reach past the order at least twofold, so that ascending
         # calls k = 1, 2, ... recompute O(log k) times
         x_max = max(x_max, order.nu + 2.0 * (complete - order.nu))
@@ -488,16 +485,17 @@ def _tan_pair(t):
 def tan_fixed_point(m):
     """m-th positive root of tan t = t, inside (m pi, (2m+1) pi / 2).
 
-    m is one index, which gives a float, or an integer array of indices,
-    which gives a float array of roots of the same shape.  Halley's method
-    runs on the pole-free form f(t) = t cos t - sin t = 0 from the guess
+    m is one index, which gives a float, or an array of indices, which gives
+    a float array of roots of the same shape; each is in 1..100000 and of an
+    integer dtype (no bool, no float), else DomainError.  Halley's method runs
+    on the pole-free form f(t) = t cos t - sin t = 0 from the guess
     (2m+1) pi/2 - 1/((2m+1) pi/2), safeguarded by the enclosing bracket.
     f solves t f'' = 2 f' - t f, so f'' = -sin t - t cos t comes from the
     values of f and f'.
     """
     index = np.asarray(m)
-    if not np.all((1 <= index) & (index <= _MAX_ZERO_INDEX) & (index == np.floor(index))):
-        raise DomainError(f"root index {m} is not an integer in 1..{_MAX_ZERO_INDEX}")
+    if index.dtype.kind not in "iu" or not np.all((1 <= index) & (index <= _MAX_ZERO_INDEX)):
+        raise DomainError(f"root index must be an integer in 1..{_MAX_ZERO_INDEX}, got {m!r}")
     ms = index.reshape(-1).astype(int)
     lo = ms * np.pi
     hi = (2 * ms + 1) * np.pi / 2.0

@@ -65,6 +65,8 @@ class IntervalSpec:
     b: float
 
     def __post_init__(self):
+        if not all(isinstance(end, Real) and not isinstance(end, bool) for end in (self.a, self.b)):
+            raise DomainError(f"interval ends must be real numbers, got ({self.a!r}, {self.b!r})")
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"interval ({self.a}, {self.b}) is empty or unbounded")
 
@@ -354,8 +356,9 @@ def channel_interlace_report(spec: BallSpec, ell: int, k_max: int) -> ChannelInt
 
     Order nu + 1 is exactly the soft-boundary order of the same channel, so
     strictness here is the channelwise hard/soft eigenvalue interlacing.
+    k_max is at most 99,999, as j_{nu,k_max+1} is the last zero it reads.
     """
-    ell, k_max = _integer("channel index", ell, 0), _integer("k_max", k_max, 1)
+    ell, k_max = _integer("channel index", ell, 0), _integer("k_max", k_max, 1, _MAX_ZERO_INDEX - 1)
     nu = ell + (spec.n - 2) / 2.0
     hard = [bessel_zero(nu, k) for k in range(1, k_max + 2)]
     soft = [bessel_zero(nu + 1.0, k) for k in range(1, k_max + 1)]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ def _disk_inequalities(n, volume, k_max):
 # Each call either returned a wrong answer or failed with an untyped error
 # (OverflowError from math.ceil, IndexError, a NaN conversion message): a
 # NaN or infinite leading coefficient, a negative one for radius -1, and
-# the isoperimetric bound reported as satisfied for volume -1.
+# the isoperimetric bound reported as satisfied for volume -1.  True was
+# read as 1.0 (a unit ball, lambda_max 1, J_0(1)), and the str argument
+# raised a bare TypeError.
 BAD_SIZES = {
     "radial-radius-inf": lambda: dz.radial_eigenvalues(
         dz.RadialChannelSpec(3, 1, INF, 10, "dirichlet"), 2),
@@ -44,6 +47,10 @@ BAD_SIZES = {
     "weyl-volume-inf": lambda: an.weyl_leading(2, INF),
     "two-term-radius-negative": lambda: an.two_term_ball_coefficients(3, -1.0, "krein"),
     "inequalities-volume-negative": lambda: _disk_inequalities(2, -1.0, 4),
+    "ball-radius-true": lambda: sp.BallSpec(3, True),
+    "ball-lambda-true": lambda: sp.ball_spectrum(UNIT_BALL, "dirichlet", True),
+    "bessel-argument-true": lambda: special.bessel_j(0, True),
+    "bessel-argument-str": lambda: special.bessel_j(0, "1"),
 }
 
 # Each call passed its checks and then failed with a bare TypeError inside
@@ -61,6 +68,7 @@ NON_INTEGER_COUNTS = {
         dz.interval_model(dz.Grid1D(0.0, 1.0, 10), dz.PotentialSpec.zero()), 2.5),
     "random-model-half-size": lambda: ext.random_model(1, 4.5, 2),
     "random-model-half-seed": lambda: ext.random_model(1.5, 4, 2),
+    "random-model-bool-seed": lambda: ext.random_model(True, 4, 2),
     "radial-half-dimension": lambda: dz.RadialChannelSpec(3.5, 1, 1.0, 100, "dirichlet"),
     "radial-half-angular-index": lambda: dz.RadialChannelSpec(3, 1.5, 1.0, 100, "dirichlet"),
     "ball-float-dimension": lambda: sp.BallSpec(3.0, 1.0),
@@ -137,12 +145,21 @@ BAD_EXTENSION_PARAMETERS = {
         lambda: _parametrized_31(np.eye(3)), ValueError, "parameter order 3 != dim W = 4"),
 }
 
+# The str orders were read as numbers (j_{1/2,1} = pi and J_1(1)), the bool
+# ones as 0 and 1; the order 3.5 built and then failed in bessel_j with a
+# bare IndexError; the soft end at l = 2m raised a plain ValueError.
 BAD_INDICES = {
     "tan-root-half-index": lambda: special.tan_fixed_point(2.5),
     "interval-krein-count-past-roots": lambda: sp.interval_krein(UNIT_SEGMENT, 10**12),
     "zero-half-index": lambda: special.bessel_zero(0, 2.5),
     "zero-order-nan": lambda: special.bessel_zero(NAN, 1),
     "value-order-inf": lambda: special.bessel_j(INF, 1.0),
+    "zero-order-str": lambda: special.bessel_zero("0.5", 1),
+    "value-order-str": lambda: special.bessel_j("1", 1.0),
+    "zero-order-bool": lambda: special.bessel_zero(False, 1),
+    "value-order-numpy-bool": lambda: special.bessel_j(np.True_, 1.0),
+    "value-twice-order-3.5": lambda: special.bessel_j(special.BesselOrder(3.5), 1.0),
+    "radial-soft-end-at-2m": lambda: dz.RadialChannelSpec(3, 32, 1.0, 16, "krein"),
 }
 
 
@@ -196,11 +213,14 @@ def test_integral_counts_of_any_type_are_kept():
 # Each constructed: the public constructor took any kind and payload, and
 # interval_model then put V = -1 on the diagonal (241.0 = 2/h^2 - 1 at
 # Grid1D(0, 1, 10)) or a NaN that failed only as NoConvergence in a solve.
+# The str "12" was read as the samples (1.0, 2.0) or as 12.0, and a bool as
+# 1.0, except np.True_ as the whole potential, which raised a bare TypeError.
 BAD_POTENTIALS = {
     f"{kind}-{name}": (lambda kind=kind, bad=bad: dz.PotentialSpec(
         bad if kind == "constant" else (0.0,) * 9 + (bad,)))
     for kind in ("constant", "sampled")
-    for name, bad in (("negative", -1.0), ("nan", NAN), ("inf", INF), ("minus-inf", -INF))
+    for name, bad in (("negative", -1.0), ("nan", NAN), ("inf", INF), ("minus-inf", -INF),
+                      ("str", "12"), ("bool", True), ("numpy-bool", np.True_))
 }
 
 
@@ -389,10 +409,53 @@ def test_bad_indices_and_orders_raise_domain_error(call):
         call()
 
 
-def test_integral_float_index_matches_int():
-    # order 100 takes the scan path, which indexes the cached zeros by k
-    assert special.bessel_zero(100, 2.0) == special.bessel_zero(100, 2)
-    assert special.tan_fixed_point(3.0) == special.tan_fixed_point(3)
+# An integral float index was read as its int; it is no integer here, as at
+# every other integer site.  Order 100 takes the scan path, which indexes
+# the cached zeros by k.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: special.bessel_zero(100, 2.0), id="zero-index"),
+    pytest.param(lambda: special.tan_fixed_point(3.0), id="tan-root-index"),
+    pytest.param(lambda: special.tan_fixed_point(np.array([1.0, 2.0])), id="tan-root-indices"),
+])
+def test_integral_float_index_raises(call):
+    with pytest.raises(DomainError, match=r"must be an integer in 1\.\.100000, got"):
+        call()
+
+
+# Both built an interval: ("a", "b") raised a bare TypeError in the
+# comparison, and (False, True) was read as (0, 1).
+NON_REAL_ENDS = {
+    "str-ends": lambda: sp.IntervalSpec("a", "b"),
+    "bool-ends": lambda: sp.IntervalSpec(False, True),
+    "numpy-bool-ends": lambda: sp.IntervalSpec(np.False_, np.True_),
+    "grid-bool-end": lambda: dz.Grid1D(0.0, True, 10),
+}
+
+
+@pytest.mark.parametrize("call", NON_REAL_ENDS.values(), ids=NON_REAL_ENDS.keys())
+def test_interval_ends_must_be_real_numbers(call):
+    with pytest.raises(DomainError, match="interval ends must be real numbers"):
+        call()
+
+
+def test_interlace_k_max_past_the_zero_index_raises_at_once(monkeypatch):
+    # k_max = 100,000 asks for j_{nu,100001}, past bessel_zero's index
+    # limit: the call computed about 200,000 zeros, for minutes, first
+    def no_zeros(*args):
+        raise AssertionError("zeros computed before the k_max check")
+
+    monkeypatch.setattr(sp, "bessel_zero", no_zeros)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"k_max must be an integer in 1\.\.99999, got 100000"):
+        sp.channel_interlace_report(UNIT_BALL, 0, 100_000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_seeds_are_masked_to_64_bits():
+    # every integer seed but a bool (see NON_INTEGER_COUNTS), negative and
+    # numpy ones included
+    assert ext.SplitMix64(-1).next_u64() == ext.SplitMix64(2**64 - 1).next_u64()
+    assert ext.SplitMix64(2**64 + 7).next_u64() == ext.SplitMix64(np.uint8(7)).next_u64()
 
 
 def test_numpy_integer_dimensions_match_int():
@@ -696,7 +759,9 @@ def _soft_channel(n=3, ell=1, m=16, count=2):
 # (weyl_fit then raised a bare TypeError), random_model and uniform_matrix raised
 # OverflowError on numpy sizes, two_term_ball_coefficients returned its second
 # coefficient as np.float64, the interval builders raised TypeError on True,
-# and radial_eigenvalues returned one value for the count True.
+# and radial_eigenvalues returned one value for the count True.  Before the
+# Bessel layer used the same rule, BesselOrder kept numpy ints, True and 2.5
+# as given, and bessel_zero and tan_fixed_point read the index True as 1.
 INTEGER_SITES = {
     "ball-dimension": (lambda k: sp.BallSpec(k, 1.0), 3),
     "flattened-count": (lambda k: sp.Spectrum(((1.0, 2), (3.0, 1)), 0).flattened(k), 2),
@@ -723,6 +788,9 @@ INTEGER_SITES = {
     "uniform-matrix-rows": (lambda k: ext.SplitMix64(5).uniform_matrix(k, 3), 4),
     "uniform-matrix-cols": (lambda k: ext.SplitMix64(5).uniform_matrix(4, k), 3),
     "random-model-sizes": (lambda k: ext.random_model(1, 2 * k, k).domain_basis, 3),
+    "bessel-twice-order": (special.BesselOrder, 3),
+    "zero-index": (lambda k: special.bessel_zero(100, k), 2),
+    "tan-root-index": (special.tan_fixed_point, 3),
 }
 
 

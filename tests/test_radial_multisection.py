@@ -95,6 +95,54 @@ def test_twisted_counts_never_decrease(channel, bc, m, index, where, steps, spre
         assert 0 <= counts[0] and counts[-1] <= m
 
 
+def _reduced(n, ell, radius, m, bc):
+    return dz.radial_pencil(dz.RadialChannelSpec(n, ell, radius, m, bc)).reduced_tridiagonal()
+
+
+# The two conditions of a channel share every entry but the last diagonal
+# one, where the soft end weight -2l/(2m - l) <= 0 is below the hard 2, so
+# T_K <= T_D and they differ by rank one: count_D <= count_K <= count_D + 1
+# at every shift, the Krein count including its zero mode (the discrete
+# j_{nu,k} < j_{nu+1,k} < j_{nu,k+1}).  On the hard condition the diagonal
+# grows with l and nothing else changes, so count_{D,l+1} <= count_{D,l}.
+# Proven bit for bit: the interlacing on the forward sweep (twist None, the
+# last row).  Its pivots q_1 .. q_{m-1} are the same bits on both
+# conditions, and the last, fl(fl(d_m - lam) - t) with the same t, is
+# monotone in d_m, which rounding keeps at d_K <= d_D.  Measured only: the
+# interlacing at the twist m // 2 and the order in l on either sweep.  With
+# shifts at every eigenvalue of either matrix and its neighbouring doubles,
+# n = 2-4 and m = 16, 101 and 800, the interlacing held at all 38,400
+# shifts (l = 0-4) and the order in l at all 52,488 (l = 0-6).
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    ell=st.integers(0, 6),
+    radius=st.floats(0.25, 4.0),
+    m=st.integers(8, 100),
+    source=st.integers(0, 2),
+    index=st.integers(0, 7),
+    steps=st.lists(st.integers(-2**20, 2**20), max_size=20),
+    spread=st.lists(st.floats(-0.1, 1.1), max_size=8),
+)
+def test_conditions_interlace_and_hard_counts_fall_with_l(n, ell, radius, m, source, index,
+                                                          steps, spread):
+    hard, soft, higher = (_reduced(n, ell + up, radius, m, bc)
+                          for up, bc in ((0, "dirichlet"), (0, "krein"), (1, "dirichlet")))
+    d, e = (hard, soft, higher)[source]
+    dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    lam = dense[index]
+    shifts = np.concatenate((
+        dense, np.nextafter(dense, -np.inf), np.nextafter(dense, np.inf),
+        lam + np.spacing(abs(lam)) * np.array(steps, dtype=float),
+        dense[0] + (dense[-1] - dense[0]) * np.array(spread),
+    ))
+    for twist in (None, m // 2):
+        count_d, count_k, count_higher = (sturm_count(*tri, shifts, twist=twist)
+                                          for tri in (hard, soft, higher))
+        assert np.all(count_d <= count_k) and np.all(count_k <= count_d + 1)
+        assert np.all(count_higher <= count_d)
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     calls = []
