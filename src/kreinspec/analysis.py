@@ -36,8 +36,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (DomainError, InsufficientData, InsufficientEigenvalues, _condition,
-                     _int64_counts, _integer, _positive, _require_complete_below)
+from .errors import (_MAX_DOUBLE, DomainError, InsufficientData, InsufficientEigenvalues,
+                     _condition, _int64_counts, _integer, _positive, _real, _require_complete_below)
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
 
@@ -289,7 +289,7 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     InsufficientData before any sampling.
     """
     n = _integer("dimension", n, 1)
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _real("window end", window[0]), _real("window end", window[1])
     if not (0.0 < lo < hi < math.inf):
         raise InsufficientData(f"empty window ({lo}, {hi}): need 0 < lo < hi < inf")
     if counting.complete_below is not None and hi > counting.complete_below * (1 + 1e-12):
@@ -297,7 +297,8 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
             f"window top {hi} beyond complete range {counting.complete_below}"
         )
     if analytic is not None and not (
-        len(analytic) == 2 and all(isinstance(c, Real) and math.isfinite(c) for c in analytic)
+        len(analytic) == 2 and all(isinstance(c, Real) and not isinstance(c, bool)
+                                   and abs(c) <= _MAX_DOUBLE for c in analytic)
     ):
         raise ValueError(f"analytic must be a pair of finite numbers, got {analytic!r}")
     lams = np.exp(np.linspace(math.log(lo), math.log(hi), _WEYL_SAMPLES))

@@ -25,8 +25,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (ConstructionMismatch, DomainError, InsufficientData, NonMonotoneError, _condition,
-                     _integer)
+from .errors import (_MAX_DOUBLE, ConstructionMismatch, DomainError, InsufficientData,
+                     NonMonotoneError, _condition, _integer, _real)
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import BallSpec, IntervalSpec, Spectrum, _merge_coincident
@@ -89,7 +89,7 @@ class PotentialSpec:
         scalar = isinstance(self.values, str) or not isinstance(self.values, Iterable)
         samples = [self.values] if scalar else list(self.values)
         bad = [v for v in samples
-               if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v < math.inf)]
+               if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v <= _MAX_DOUBLE)]
         if bad:
             raise ValueError(f"potential must be finite and >= 0, got {bad[0]!r}")
         values = tuple(map(float, samples))
@@ -472,6 +472,7 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     to fit and raises InsufficientData naming its size; errors that fail to
     decrease raise NonMonotoneError carrying the measured data.
     """
+    target = _real("target", target)
     if not math.isfinite(target):
         raise ValueError(f"target {target} is not finite")
     sizes = tuple(_integer("size", s, 1) for s in sizes)

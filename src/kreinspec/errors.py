@@ -3,18 +3,24 @@
 Every failure mode that callers are expected to handle gets its own class;
 all of them derive from KreinspecError, so one except clause catches the lot.
 Each kind of scalar argument has one rule: `_integer` (counts, sizes,
-dimensions, degrees), `_positive` (positive reals) and `_condition`
-("dirichlet" or "krein").  Each raises DomainError naming the argument and
-returns the plain int, float or str that its caller uses in place of the
-input, so no numpy scalar or bool reaches the arithmetic behind it.
+dimensions, degrees), `_positive` (positive reals), `_real` (reals whose
+range the caller checks) and `_condition` ("dirichlet" or "krein").  Each
+raises DomainError naming the argument and returns the plain int, float or
+str that its caller uses in place of the input, so no numpy scalar or bool
+reaches the arithmetic behind it.  Reals are compared with _MAX_DOUBLE
+before float() sees them: int/float comparisons are exact, and float() of
+an int past the doubles raises OverflowError.
 Spectra and counting functions share `_int64_counts` and
 `_require_complete_below`.
 """
 
+import math
 import sys
 from numbers import Integral, Real
 
 import numpy as np
+
+_MAX_DOUBLE = sys.float_info.max
 
 
 class KreinspecError(Exception):
@@ -89,9 +95,18 @@ def _integer(name: str, value, least: int, most: int | None = None) -> int:
 
 def _positive(name: str, value) -> float:
     """value as a float; DomainError unless it is a real number (no bool), positive and finite."""
-    if isinstance(value, Real) and not isinstance(value, bool) and 0.0 < value <= sys.float_info.max:
+    if isinstance(value, Real) and not isinstance(value, bool) and 0.0 < value <= _MAX_DOUBLE:
         return float(value)
     raise DomainError(f"{name} {value!r} is not positive and finite")
+
+
+def _real(name: str, value) -> float:
+    """value as a float, +-inf past the doubles; DomainError unless a real number (no bool)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise DomainError(f"{name} {value!r} is not a real number")
+    if abs(value) > _MAX_DOUBLE:  # an int or fraction that float() would not convert
+        return math.inf if value > 0 else -math.inf
+    return float(value)
 
 
 def _condition(name: str, value) -> str:

@@ -47,7 +47,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, _integer, _positive
+from .errors import _MAX_DOUBLE, BracketFailure, DomainError, _integer, _positive
 
 __all__ = ["BesselOrder", "bessel_j", "bessel_zero", "tan_fixed_point"]
 
@@ -62,8 +62,8 @@ _STOP_REL = 5e-15           # a root is done once its step is this small relativ
 _TAYLOR_TERMS = 26          # terms of the Taylor series of J_nu on which a zero is refined
 
 
-def _recurrence_start(n_max, x):
-    """Start order for backward recurrence; elementwise for numpy arrays.
+def _recurrence_start(n_max, x: np.ndarray) -> np.ndarray:
+    """Start order for backward recurrence, elementwise for the numpy array x.
 
     The seed must sit well past the turning point k = x, where the wanted
     solution decays like an Airy tail.  The margin bounds two errors by the
@@ -73,11 +73,8 @@ def _recurrence_start(n_max, x):
     |J_seed(x)| below 2e-16 (mpmath, x <= 4000), beneath rounding; 9 x^(1/3)
     left it near 5e-13 for x around 100.
     """
-    if isinstance(x, np.ndarray):
-        margin = np.maximum(40, np.ceil(11.0 * x ** (1.0 / 3.0)).astype(int))
-        return np.maximum(n_max, np.ceil(x).astype(int)) + margin
-    margin = max(40, int(math.ceil(11.0 * x ** (1.0 / 3.0))))
-    return max(n_max, int(math.ceil(x))) + margin
+    margin = np.maximum(40, np.ceil(11.0 * x ** (1.0 / 3.0)).astype(int))
+    return np.maximum(n_max, np.ceil(x).astype(int)) + margin
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,8 @@ class BesselOrder:
 def _coerce_order(nu) -> BesselOrder:
     if isinstance(nu, BesselOrder):
         return nu
-    twice = 2.0 * float(nu) if isinstance(nu, Real) and not isinstance(nu, bool) else math.nan
+    real = isinstance(nu, Real) and not isinstance(nu, bool) and abs(nu) <= _MAX_DOUBLE
+    twice = 2.0 * float(nu) if real else math.nan
     if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-12:
         raise DomainError(f"order {nu!r} is neither integer nor half-integer")
     return BesselOrder(int(round(twice)))
@@ -253,11 +251,12 @@ def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarr
     return f, fplus, norm
 
 
-def _backward_one(parity: int, x: float, start: int, out: np.ndarray, rows: dict):
-    """`_backward_pass` at the one argument x, in Python floats: numpy's call
-    overhead on every order would make it 20-25 times slower.  For speed,
-    c = 2k + parity is kept as an exact float and abs(f) <= big is written
-    -big <= f <= big."""
+def _backward_one(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray, rows: dict):
+    """`_backward_pass` on a grid x of one point, in Python floats: numpy's
+    call overhead on every order would make it 20-25 times slower.  For
+    speed, c = 2k + parity is kept as an exact float and abs(f) <= big is
+    written -big <= f <= big."""
+    x, start = float(x[0]), int(starts[0])
     stored = [0.0] * len(out)
     f, fplus, norm = 1.0e-30, 0.0, 0.0
     big, inv = _RESCALE, 1.0 / _RESCALE
@@ -294,9 +293,10 @@ def _normalized(parity: int, x: np.ndarray, out: np.ndarray, f, fplus, norm) -> 
 def _scan_table(parity: int, ells: np.ndarray, grid: np.ndarray):
     """(J_nu, J_nu') of each order nu = l + parity/2, l in ells (ascending),
     at every grid point, as two arrays with one row per order, from one
-    recurrence pass (`_backward_one` on a grid of one point).  The pass
-    stores orders l - 1, l and l + 1; J' = (J_{nu-1} - J_{nu+1}) / 2, with
-    J_0' = -J_1, and half-integer orders carry sqrt(2x/pi), with j_{-1} = cos x / x.
+    recurrence pass seeded by `_recurrence_start`: `_backward_one` on a grid
+    of one point, `_backward_pass` otherwise.  The pass stores orders l - 1,
+    l and l + 1; J' = (J_{nu-1} - J_{nu+1}) / 2, with J_0' = -J_1, and
+    half-integer orders carry sqrt(2x/pi), with j_{-1} = cos x / x.
     """
     wanted = ells + np.array([[-1], [0], [1]])
     # a mask, not np.unique, which imports numpy.ma (see analysis._probe_points);
@@ -306,13 +306,9 @@ def _scan_table(parity: int, ells: np.ndarray, grid: np.ndarray):
     stored = np.flatnonzero(needed)
     rows = {order: row for row, order in enumerate(stored.tolist())}
     out = np.zeros((len(stored), len(grid)))
-    top = int(ells[-1]) + 1
-    if len(grid) == 1:
-        x = float(grid[0])
-        passed = _backward_one(parity, x, _recurrence_start(top, x), out, rows)
-    else:
-        passed = _backward_pass(parity, grid, _recurrence_start(top, grid), out, rows)
-    table = _normalized(parity, grid, out, *passed)
+    starts = _recurrence_start(int(ells[-1]) + 1, grid)
+    recur = _backward_one if len(grid) == 1 else _backward_pass
+    table = _normalized(parity, grid, out, *recur(parity, grid, starts, out, rows))
     below, mid, above = table[np.searchsorted(stored, wanted)]
     first = (ells == 0)[:, None]
     if parity == 0:

@@ -38,9 +38,10 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (BracketFailure, DomainError, _condition, _int64_counts, _integer, _positive,
-                     _require_complete_below)
-from .special import _MAX_TWICE_ORDER, _MAX_ZERO_INDEX, _family_zeros, bessel_zero, tan_fixed_point
+from .errors import (_MAX_DOUBLE, BracketFailure, DomainError, _condition, _int64_counts, _integer,
+                     _positive, _require_complete_below)
+from .special import (_MAX_TWICE_ORDER, _MAX_ZERO_INDEX, BesselOrder, _family_zeros, bessel_zero,
+                      tan_fixed_point)
 from .tolerances import MERGE_REL
 
 INFINITE = math.inf
@@ -67,12 +68,13 @@ class IntervalSpec:
     def __post_init__(self):
         if not all(isinstance(end, Real) and not isinstance(end, bool) for end in (self.a, self.b)):
             raise DomainError(f"interval ends must be real numbers, got ({self.a!r}, {self.b!r})")
-        if not -math.inf < self.a < self.b < math.inf:
+        if not -_MAX_DOUBLE <= self.a < self.b <= _MAX_DOUBLE:
             raise ValueError(f"interval ({self.a}, {self.b}) is empty or unbounded")
 
     @property
     def length(self) -> float:
-        return self.b - self.a
+        # of the ends as doubles: int ends may differ by more than the largest double
+        return float(self.b) - float(self.a)
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,10 @@ class Spectrum:
     def _hold(self, values, mults, kernel, complete_below) -> None:
         """Check the entries, the kernel and complete_below, then store them,
         the entries as read-only arrays."""
-        values = np.array(values, dtype=float)
+        try:
+            values = np.array(values, dtype=float)
+        except OverflowError:  # an int past the doubles
+            raise ValueError("non-finite value among spectrum entries") from None
         mults = _int64_counts(mults, "multiplicities")
         if not np.isfinite(values).all():
             raise ValueError("non-finite value among spectrum entries")
@@ -130,7 +135,7 @@ class Spectrum:
         if np.any(mults < 1):
             raise ValueError("nonpositive multiplicity")
         if not (isinstance(kernel, Real) and not isinstance(kernel, bool) and kernel >= 0
-                and (kernel == INFINITE or float(kernel).is_integer())):
+                and (kernel == INFINITE or (kernel <= _MAX_DOUBLE and float(kernel).is_integer()))):
             raise ValueError(f"kernel_dim must be an integer >= 0 or inf, got {kernel!r}")
         _require_complete_below(complete_below)
         values.setflags(write=False)
@@ -357,18 +362,13 @@ def channel_interlace_report(spec: BallSpec, ell: int, k_max: int) -> ChannelInt
     Order nu + 1 is exactly the soft-boundary order of the same channel, so
     strictness here is the channelwise hard/soft eigenvalue interlacing.
     k_max is at most 99,999, as j_{nu,k_max+1} is the last zero it reads.
+    Both orders are checked, as `BesselOrder`s, before any zero is computed.
     """
     ell, k_max = _integer("channel index", ell, 0), _integer("k_max", k_max, 1, _MAX_ZERO_INDEX - 1)
-    nu = ell + (spec.n - 2) / 2.0
-    hard = [bessel_zero(nu, k) for k in range(1, k_max + 2)]
-    soft = [bessel_zero(nu + 1.0, k) for k in range(1, k_max + 1)]
-    strict = True
-    min_gap = math.inf
-    witnesses = []
-    for k, low, mid, high in zip(range(1, k_max + 1), hard, soft, hard[1:]):
-        gap = min(mid - low, high - mid)
-        min_gap = min(min_gap, gap)
-        if not (low < mid < high):
-            strict = False
-            witnesses.append(k)
-    return ChannelInterlaceReport(strict=strict, min_gap=min_gap, witnesses=tuple(witnesses))
+    hard_order, soft_order = BesselOrder(2 * ell + spec.n - 2), BesselOrder(2 * ell + spec.n)
+    hard = np.array([bessel_zero(hard_order, k) for k in range(1, k_max + 2)])
+    soft = np.array([bessel_zero(soft_order, k) for k in range(1, k_max + 1)])
+    bad = ~((hard[:-1] < soft) & (soft < hard[1:]))
+    gaps = np.minimum(soft - hard[:-1], hard[1:] - soft)
+    return ChannelInterlaceReport(strict=not bad.any(), min_gap=float(gaps.min()),
+                                  witnesses=tuple((np.flatnonzero(bad) + 1).tolist()))

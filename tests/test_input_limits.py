@@ -51,6 +51,10 @@ BAD_SIZES = {
     "ball-lambda-true": lambda: sp.ball_spectrum(UNIT_BALL, "dirichlet", True),
     "bessel-argument-true": lambda: special.bessel_j(0, True),
     "bessel-argument-str": lambda: special.bessel_j(0, "1"),
+    # an int end past the doubles built an interval, and the grid spacing
+    # or the spectra of it raised a bare OverflowError
+    "interval-huge-int-end": lambda: sp.IntervalSpec(0, 10**400),
+    "grid-huge-int-end": lambda: dz.Grid1D(0, 10**400, 8),
 }
 
 # Each call passed its checks and then failed with a bare TypeError inside
@@ -162,6 +166,19 @@ BAD_INDICES = {
     "radial-soft-end-at-2m": lambda: dz.RadialChannelSpec(3, 32, 1.0, 16, "krein"),
 }
 
+# Each raised a bare OverflowError, converting the int to a float.
+HUGE_ORDERS = {
+    "value-order-huge-int": lambda: special.bessel_j(10**400, 1.0),
+    "zero-order-huge-int": lambda: special.bessel_zero(10**400, 1),
+    "zero-order-huge-negative-int": lambda: special.bessel_zero(-10**400, 1),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_ORDERS.values(), ids=HUGE_ORDERS.keys())
+def test_orders_past_the_doubles_are_no_half_integers(call):
+    with pytest.raises(DomainError, match="neither integer nor half-integer"):
+        call()
+
 
 STEPS = an.counting_from_spectrum(sp.Spectrum(((1.0, 1), (2.0, 3)), 0, 5.0))
 
@@ -215,12 +232,14 @@ def test_integral_counts_of_any_type_are_kept():
 # Grid1D(0, 1, 10)) or a NaN that failed only as NoConvergence in a solve.
 # The str "12" was read as the samples (1.0, 2.0) or as 12.0, and a bool as
 # 1.0, except np.True_ as the whole potential, which raised a bare TypeError.
+# 10**400 raised a bare OverflowError.
 BAD_POTENTIALS = {
     f"{kind}-{name}": (lambda kind=kind, bad=bad: dz.PotentialSpec(
         bad if kind == "constant" else (0.0,) * 9 + (bad,)))
     for kind in ("constant", "sampled")
     for name, bad in (("negative", -1.0), ("nan", NAN), ("inf", INF), ("minus-inf", -INF),
-                      ("str", "12"), ("bool", True), ("numpy-bool", np.True_))
+                      ("str", "12"), ("bool", True), ("numpy-bool", np.True_),
+                      ("huge-int", 10**400))
 }
 
 
@@ -241,6 +260,8 @@ def test_construction_threshold_must_be_positive_and_finite(rel):
 NON_FINITE_SPECTRA = {
     "nan-value": lambda: sp.Spectrum(((NAN, 1), (1.0, 2)), 0, 5.0),
     "inf-value": lambda: sp.Spectrum(((1.0, 1), (INF, 2)), 0, 5.0),
+    # raised a bare OverflowError
+    "huge-int-value": lambda: sp.Spectrum(((10**400, 1),), 0),
 }
 
 # Each constructed.  A NaN complete_below then read as no limit at all:
@@ -268,6 +289,8 @@ BAD_COMPLETENESS = {
     "spectrum-kernel-negative-inf": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=-INF),
     "spectrum-kernel-true": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=True),
     "spectrum-kernel-numpy-true": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=np.True_),
+    # raised a bare OverflowError
+    "spectrum-kernel-huge-int": lambda: sp.Spectrum(((1.0, 1),), kernel_dim=10**400),
 }
 
 
@@ -451,6 +474,17 @@ def test_interlace_k_max_past_the_zero_index_raises_at_once(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_interlace_soft_order_past_the_cap_raises_at_once(monkeypatch):
+    # nu = 500 is the last order, so nu + 1 is past the cap: the call
+    # computed all 2001 zeros of nu = 500 first (over a second, cold) and
+    # only then raised, at the first zero of nu + 1
+    monkeypatch.setattr(special, "_zero_cache", {})
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"twice the order must be an integer in 0\.\.1000, got 1002"):
+        sp.channel_interlace_report(sp.BallSpec(2, 1.0), 500, 2000)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_seeds_are_masked_to_64_bits():
     # every integer seed but a bool (see NON_INTEGER_COUNTS), negative and
     # numpy ones included
@@ -486,6 +520,17 @@ NON_FINITE_STUDIES = {
         ValueError, "target nan is not finite"),
     "convergence-inf-target": (
         lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), INF),
+        ValueError, "target inf is not finite"),
+    # True was read as 1 (order 1.07), "1" raised a bare TypeError and
+    # 10**400 a bare OverflowError
+    "convergence-bool-target": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (8, 16, 32), True),
+        DomainError, "target True is not a real number"),
+    "convergence-str-target": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (8, 16, 32), "1"),
+        DomainError, "target '1' is not a real number"),
+    "convergence-huge-int-target": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (8, 16, 32), 10**400),
         ValueError, "target inf is not finite"),
 }
 
@@ -559,6 +604,9 @@ BAD_LAWS = {
     "weyl-fit-inf-second": (1.0, -INF),
     "weyl-fit-three-coefficients": (1.0, 0.0, 0.0),
     "weyl-fit-string-coefficient": ("1", 0.0),
+    # accepted as (1, 0), and a bare OverflowError
+    "weyl-fit-bool-coefficients": (True, False),
+    "weyl-fit-huge-int-coefficient": (10**400, 0.0),
 }
 
 
@@ -580,6 +628,8 @@ UNBOUNDED_WINDOWS = {
     "weyl-fit-window-to-inf": lambda: an.weyl_fit(TWO_STEPS, 2, (1.0, INF)),
     "weyl-fit-window-to-inf-complete-inf": lambda: an.weyl_fit(
         an.CountingFunction((1.0, 2.0), (1, 3), complete_below=INF), 2, (1.0, INF)),
+    # raised a bare OverflowError
+    "weyl-fit-window-to-huge-int": lambda: an.weyl_fit(TWO_STEPS, 2, (1, 10**400)),
 }
 
 
@@ -587,6 +637,21 @@ UNBOUNDED_WINDOWS = {
 def test_unbounded_weyl_window_raises_insufficient_data(call):
     with pytest.raises(InsufficientData, match="empty window"):
         call()
+
+
+# True and the strs were read as numbers and fitted (c_lead 0.244 on a disk
+# counting function); np.True_ was read as 1, the empty window (1, 1).
+NON_REAL_WINDOWS = {
+    "weyl-fit-bool-window-end": ((True, 1e3), "window end True is not a real number"),
+    "weyl-fit-numpy-bool-window-end": ((1.0, np.True_), "window end .*True_? is not a real number"),
+    "weyl-fit-str-window": (("1", "1000"), "window end '1' is not a real number"),
+}
+
+
+@pytest.mark.parametrize("window, message", NON_REAL_WINDOWS.values(), ids=NON_REAL_WINDOWS.keys())
+def test_weyl_window_ends_must_be_real_numbers(window, message):
+    with pytest.raises(DomainError, match=message):
+        an.weyl_fit(TWO_STEPS, 2, window)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -660,6 +725,9 @@ RANGE_LIMITS = {
         lambda: sp.interval_dirichlet(sp.IntervalSpec(0.0, 1e200), 1), r"\[1e-300, 1e300\]"),
     "interval-krein-length-1e200": (
         lambda: sp.interval_krein(sp.IntervalSpec(0.0, 1e200), 1), r"\[1e-300, 1e300\]"),
+    # int ends whose difference is past the doubles: a bare OverflowError
+    "interval-krein-int-length-past-the-doubles": (
+        lambda: sp.interval_krein(sp.IntervalSpec(-10**308, 10**308), 1), r"\[1e-300, 1e300\]"),
     "ball-spectrum-radius-1e200": (
         lambda: sp.ball_spectrum(sp.BallSpec(3, 1e200), "krein", 1.0), "past the limit 500"),
     "ball-spectrum-limit-inf": (

@@ -260,6 +260,24 @@ class TestBatchedZeros:
         np.testing.assert_allclose(values[:, cols], want[..., 0], rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(derivs[:, cols], want[..., 1], rtol=1e-14, atol=1e-15)
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_one_point_loop_matches_the_grid_loop_bit_for_bit(self, parity):
+        # _scan_table runs either loop at the seed _recurrence_start gives;
+        # at one point both must store the same rows and return the same
+        # f, fplus and Miller sum, rescalings included
+        rng = np.random.default_rng(23 + parity)
+        points = np.r_[1e-3, 1e4, 10.0 ** rng.uniform(-3.0, 4.0, 40)]
+        for x, top in zip(points.tolist(), rng.integers(0, 501, len(points)).tolist()):
+            grid = np.array([x])
+            orders = np.unique(np.r_[0, top, top + 1, rng.integers(0, top + 2, 5)])
+            rows = {order: row for row, order in enumerate(orders.tolist())}
+            starts = special._recurrence_start(top + 1, grid)
+            out_one, out_grid = np.zeros((2, len(orders), 1))
+            one = special._backward_one(parity, grid, starts, out_one, rows)
+            many = special._backward_pass(parity, grid, starts, out_grid, rows)
+            assert out_one.tobytes() == out_grid.tobytes()
+            assert np.array(one).tobytes() == np.concatenate(many).tobytes()
+
     def test_family_zeros_are_cached_with_their_reach(self, monkeypatch):
         monkeypatch.setattr(special, "_zero_cache", {})
         twice_orders = list(range(3, 60, 2))
