@@ -37,7 +37,8 @@ from numbers import Real
 import numpy as np
 
 from .errors import (_MAX_DOUBLE, DomainError, InsufficientData, InsufficientEigenvalues,
-                     _condition, _int64_counts, _integer, _positive, _real, _require_complete_below)
+                     _condition, _int64_counts, _integer, _positive, _real, _require_complete_below,
+                     _shown)
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
 
@@ -247,7 +248,7 @@ def _ldexp(x: float, exp: int) -> float:
             return y
     except OverflowError:
         pass
-    raise DomainError(f"Weyl coefficient {x!r} * 2^{exp} is not a finite double")
+    raise DomainError(f"Weyl coefficient {_shown(x)} * 2^{exp} is not a finite double")
 
 
 _WEYL_SAMPLES = 240  # log-uniform sample points of weyl_fit
@@ -300,7 +301,7 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
         len(analytic) == 2 and all(isinstance(c, Real) and not isinstance(c, bool)
                                    and abs(c) <= _MAX_DOUBLE for c in analytic)
     ):
-        raise ValueError(f"analytic must be a pair of finite numbers, got {analytic!r}")
+        raise ValueError(f"analytic must be a pair of finite numbers, got {_shown(analytic)}")
     lams = np.exp(np.linspace(math.log(lo), math.log(hi), _WEYL_SAMPLES))
     counts = counting(lams).astype(float)
     # Fit and evaluate in mu = lambda / 2^k, 2^k near hi with k even: the
@@ -326,7 +327,7 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     try:
         law_lead, law_second = math.ldexp(a_lead, lead_exp), math.ldexp(a_second, second_exp)
     except OverflowError:
-        raise DomainError(f"Weyl law {analytic!r} overflows on ({lo}, {hi})") from None
+        raise DomainError(f"Weyl law {_shown(analytic)} overflows on ({lo}, {hi})") from None
     # the law turns where sqrt(mu) = ratio > 0; clamped to the window, a
     # turning point outside it becomes a window end
     lo_mu, hi_mu = math.ldexp(lo, -k), math.ldexp(hi, -k)

@@ -26,7 +26,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import (_MAX_DOUBLE, ConstructionMismatch, DomainError, InsufficientData,
-                     NonMonotoneError, _condition, _integer, _real)
+                     NonMonotoneError, _condition, _integer, _real, _shown)
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import BallSpec, IntervalSpec, Spectrum, _merge_coincident
@@ -47,8 +47,8 @@ __all__ = [
 # Shifts per multisection sweep, shared evenly by the open brackets: at most
 # 512 while at most 64 are open, past that 7 each.  A sweep's cost grows
 # with its shifts, but slowly: at m = 800 on a 2-CPU Xeon one twisted at the
-# middle row takes a median 0.99 ms at 8 shifts, 1.27 ms at 128 and 1.94 ms
-# at 511 (the forward sweep 1.51, 1.78 and 2.26 ms), most of it per-step
+# middle row takes a median 0.44 ms at 8 shifts, 0.62 ms at 128 and 1.34 ms
+# at 511 (the forward sweep 0.72, 0.88 and 1.66 ms), most of it per-step
 # ufunc calls.  The rational finish puts at most _RUNGS rungs on each side
 # of its estimate.  On the forward sweep, with a rung in every cell (252 per
 # side) a soft count-1 call took 3 sweeps instead of 4, but of 512 shifts
@@ -91,7 +91,7 @@ class PotentialSpec:
         bad = [v for v in samples
                if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v <= _MAX_DOUBLE)]
         if bad:
-            raise ValueError(f"potential must be finite and >= 0, got {bad[0]!r}")
+            raise ValueError(f"potential must be finite and >= 0, got {_shown(bad[0])}")
         values = tuple(map(float, samples))
         object.__setattr__(self, "values", values[0] if scalar else values)
 
@@ -155,7 +155,8 @@ class RadialChannelSpec:
                             ("bc", _condition("bc", self.bc))):
             object.__setattr__(self, name, value)
         if self.bc == "krein" and self.ell >= 2 * self.m:
-            raise DomainError(f"the soft end needs l < 2m, got l={self.ell}, m={self.m}")
+            raise DomainError("the soft end needs l < 2m, "
+                              f"got l={_shown(self.ell)}, m={_shown(self.m)}")
 
 
 @dataclass(frozen=True)
@@ -204,39 +205,47 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
     return RadialPencil(diagonal=diag, offdiagonal=off, mass=mass)
 
 
-def _isolated_root(x, c, p, below):
-    """Estimate of the eigenvalue in an isolated bracket [x[1], x[2]), else
-    NaN; see _multisect.  x, c and p are columns below - 1 to below + 2 of a
-    sweep row with their counts and pivots.  The pivot's reciprocal is fitted
-    by z = a + b x + w / (lam - x) through the bracket ends and both outside
-    neighbours, or with b = 0 through the one neighbour whose pivot is known.
-    Then (lam - x) z is a polynomial of degree two below the number of
-    points, so its divided difference over all of them is 0; that is linear
-    in lam, and solved for it.
+def _isolated_roots(x, c, p, below):
+    """Estimate of the eigenvalue in each isolated bracket [x[:, 1], x[:, 2]),
+    else NaN; see _multisect.  Row r of x, c and p holds columns
+    below[r] - 1 to below[r] + 2 of a sweep row with their counts and
+    pivots.  The pivot's reciprocal is fitted by z = a + b x + w / (lam - x)
+    through the bracket ends and both outside neighbours, or with b = 0
+    through the one neighbour whose pivot is known.  Then (lam - x) z is a
+    polynomial of degree two below the number of points, so its divided
+    difference over all of them is 0; that is linear in lam, and solved for
+    it.  All brackets are taken in one pass, and each gets the bits of the
+    same fit taken alone, in Python floats: its points in the order a, b,
+    left, right, each product and sum in that order, an unknown point a
+    factor 1 in the others' products and 0 in the sums.  A zero weight
+    (coincident points) makes a sum infinite, and a zero sum of weights the
+    root infinite or NaN; either way no root falls inside the bracket, so
+    neither needs a test of its own.
     """
-    (xl, xa, xb, xr), (pl, pa, pb, pr) = x, p
-    if not (c[2] - c[1] == 1 and pa > 0.0 > pb):
-        return math.nan
+    xa, xb, pa, pb = x[:, 1], x[:, 2], p[:, 1], p[:, 2]
     # an outside neighbour is known unless it is a Gershgorin end (NaN), the
     # wrapped left column or the repeated right end; a zero pivot has no 1/p
-    points = [(xa, pa), (xb, pb)] + [(xo, po) for xo, po, known in (
-        (xl, pl, below), (xr, pr, xr != xb)) if known and not math.isnan(po) and po]
-    if len(points) < 3:
-        return math.nan
-    # measured from the end with the smaller pivot; the weights of the
-    # divided difference are 1 / prod(x_i - x_j) over j != i
-    origin = xa if abs(pa) <= abs(pb) else xb
-    num = den = 0.0
-    for i, (xi, w) in enumerate(points):
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                w *= xi - xj
-        if not w:  # coincident points
-            return math.nan
-        num += (xi - origin) / w
-        den += 1.0 / w
-    root = origin + num / den if den else math.nan
-    return root if xa < root < xb else math.nan
+    known = abs(p) > 0.0
+    known[:, 0] &= below > 0
+    known[:, 3] &= x[:, 3] != xb
+    with np.errstate(all="ignore"):
+        # the weights of the divided difference are 1 / prod(x_i - x_j) over
+        # the known j != i; an unknown i divides by inf, so that its 1 / w
+        # and (x_i - origin) / w are zeros, which change a sum at most in the
+        # sign of a zero, and a zero num or den leaves no root inside
+        factor = x[:, :, None] - x[:, None, :]
+        factor.reshape(-1, 16)[:, ::5] = 1.0
+        factor = np.where(known[:, None, :], factor, 1.0)
+        w = p * factor[:, :, 1] * factor[:, :, 2] * factor[:, :, 0] * factor[:, :, 3]
+        # measured from the end with the smaller pivot
+        origin = np.where(abs(pa) <= abs(pb), xa, xb)[:, None]
+        parts = np.empty((2,) + x.shape)
+        parts[0], parts[1] = x - origin, 1.0
+        parts /= np.where(known, w, np.inf)
+        num, den = parts[:, :, 1] + parts[:, :, 2] + parts[:, :, 0] + parts[:, :, 3]
+        root = origin[:, 0] + num / den
+    fit = (c[:, 2] - c[:, 1] == 1) & (pa > 0.0) & (pb < 0.0) & (known[:, 0] | known[:, 3])
+    return np.where(fit & (xa < root) & (root < xb), root, np.nan)
 
 
 def _stop_width(x, lo, hi):
@@ -319,13 +328,13 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
     the count's own rounding.
     """
     size = wanted.size
-    a, b = np.full(size, lo), np.full(size, hi)
-    # Counts and pivots at the bracket ends; the Gershgorin ends are
-    # never swept, so their pivots are unknown.  No index exceeds `most`.
-    most = np.iinfo(np.intp).max
-    ca, cb = np.zeros(size, dtype=np.intp), np.full(size, most)
-    pa, pb, guess = np.full((3, size), np.nan)
-    stop = np.zeros(size)  # set after each sweep, first read by the second
+    # One row per index: its bracket's left end a, the count and pivot
+    # there, the same at its right end b, its estimate and its stop.  The
+    # Gershgorin ends are never swept, so their pivots are unknown and the
+    # count at hi is inf; counts are exact in doubles.
+    state = np.empty((size, 8))
+    state[:] = lo, 0.0, np.nan, hi, np.inf, np.nan, np.nan, 0.0
+    a, b = state[:, 0], state[:, 3]
     live = np.arange(size)
     # Each step shrinks a bracket at least 8 = 2^3 times: 40 steps match 120
     # bisections.
@@ -333,59 +342,58 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
         # Open brackets never overlap and ascend with the indices, so the
         # indices that share one are neighbours: a group starts where a changes.
         left = a[live]
-        first = np.concatenate(([True], left[1:] != left[:-1]))
+        first = np.empty(live.size, dtype=bool)
+        first[0] = True
+        np.not_equal(left[1:], left[:-1], first[1:])
         group = first.cumsum() - 1
-        head, left = live[first], left[first]
-        right = b[head]
-        cells = max(_SWEEP_CELLS // head.size, 8)
-        # One row of points per group: its left end, its shifts sorted with
-        # the unused slots last, and its right end twice.
-        xs = np.full((head.size, cells + 3), np.nan)
-        xs[:, 0], xs[:, -2:] = left, right[:, None]
-        grid = xs[:, 1:-2]
-        lf, rf = left[:, None], right[:, None]
+        rows = state[live[first]]
+        lf, rf, est = rows[:, 0:1], rows[:, 3:4], rows[:, 6:7]
+        width = rf - lf
+        cells = max(_SWEEP_CELLS // rows.shape[0], 8)
+        # One row of points per group, each with its count and pivot: the
+        # left end, the shifts sorted with the unused slots last, and the
+        # right end twice.
+        points = np.empty((rows.shape[0], cells + 3, 3))
+        points[:, 0], points[:, 1:] = rows[:, :3], rows[:, None, 3:6]
+        grid = points[:, 1:-2, 0]
+        grid[:, -1] = np.nan
         if step:
-            grid[:, :-1] = lf + (rf - lf) * (np.arange(1, cells) / cells)
+            grid[:, :-1] = lf + width * (np.arange(1, cells) / cells)
         else:
             grid[0, :-1] = _outward_split(lo, hi, cells - 1)
-        est = guess[head, None]
         fin = np.isfinite(est)
         if fin.any():
             # a row with an estimate trades its even split for the rungs
-            gap = stop[head, None] / 64.0
+            gap = rows[:, 7:8] / 64.0
             steps = min((cells - 8) // 2, _RUNGS)
             rungs = np.arange(steps) / max(steps, 1)
-            shifts = np.concatenate((lf + (rf - lf) * (np.arange(1, 8) / 8), est,
+            shifts = np.concatenate((lf + width * (np.arange(1, 8) / 8), est,
                                      est - gap * ((est - lf) / gap) ** rungs,
                                      est + gap * ((rf - est) / gap) ** rungs,
-                                     np.full((head.size, cells - 8 - 2 * steps), np.nan)), axis=1)
+                                     np.full((rows.shape[0], cells - 8 - 2 * steps), np.nan)),
+                                    axis=1)
             shifts[(shifts <= lf) | (shifts >= rf)] = np.nan
             np.copyto(grid, shifts, where=fin)
         grid.sort(axis=1)
-        swept = ~np.isnan(grid)
-        # the counts and pivots of the points; an unused slot, sorted last,
-        # becomes a copy of the right end
-        cs, ps = np.empty(xs.shape, dtype=np.intp), np.empty(xs.shape)
-        cs[:, 0], ps[:, 0] = ca[head], pa[head]
-        cs[:, 1:], ps[:, 1:] = cb[head, None], pb[head, None]
-        cs[:, 1:-2][swept], ps[:, 1:-2][swept] = sweep(grid[swept])
-        np.copyto(grid, rf, where=~swept)
+        unused = np.isnan(grid)
+        swept = ~unused
+        points[:, 1:-2, 1][swept], points[:, 1:-2, 2][swept] = sweep(grid[swept])
+        # an unused slot, sorted last, becomes a copy of the right end
+        np.copyto(grid, rf, where=unused)
         # each index's columns below - 1 to below + 2 of its row (the left
         # one wraps to the right end when below is 0)
-        below = (cs[group, 1:-2] < wanted[live, None]).sum(1)
-        pick = group[:, None], below[:, None] + np.arange(-1, 3)
-        x, c, p = xs[pick], cs[pick], ps[pick]
-        a[live], b[live] = x[:, 1], x[:, 2]
-        ca[live], cb[live] = c[:, 1], c[:, 2]
-        pa[live], pb[live] = p[:, 1], p[:, 2]
+        below = (points[group, 1:-2, 1] < wanted[live, None]).sum(1)
+        near = points[group[:, None], below[:, None] + np.arange(-1, 3)]
+        state[live, :6] = near[:, 1:3].reshape(-1, 6)
         stop = _stop_width(np.maximum(abs(a), abs(b)), lo, hi)
+        state[:, 7] = stop
         wide = b - a > stop if is_open is None else is_open(a, b, stop)
         still = live[wide[live]]
         if not still.size:
             break
-        guess[live] = list(map(_isolated_root, x.tolist(), c.tolist(), p.tolist(), below.tolist()))
+        state[live, 6] = _isolated_roots(near[:, :, 0], near[:, :, 1], near[:, :, 2], below)
         live = still
-    return a, b
+    return a.copy(), b.copy()
 
 
 def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
@@ -480,7 +488,7 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
         raise ValueError("need at least 3 sizes")
     for a, b in zip(sizes, sizes[1:]):
         if b != 2 * a:
-            raise ValueError(f"sizes must double: {a} -> {b}")
+            raise ValueError(f"sizes must double: {_shown(a)} -> {_shown(b)}")
     if spacing is None:
         spacing = lambda m: 1.0 / (m + 1)
     steps = tuple(float(spacing(m)) for m in sizes)
@@ -489,13 +497,13 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
     values = tuple(run(m) for m in sizes)
     for m, v in zip(sizes, values):
         if not math.isfinite(v):
-            raise InsufficientData(f"size {m} gave the value {v}: no error to fit")
+            raise InsufficientData(f"size {_shown(m)} gave the value {v}: no error to fit")
     errors = tuple(abs(v - target) for v in values)
     if any(e2 >= e1 for e1, e2 in zip(errors, errors[1:])):
-        raise NonMonotoneError(f"errors not decreasing: sizes={sizes} errors={errors}")
+        raise NonMonotoneError(f"errors not decreasing: sizes={_shown(sizes)} errors={errors}")
     # decreasing errors can reach zero only at the finest size
     if errors[-1] == 0.0:
-        raise InsufficientData(f"size {sizes[-1]} hits the target exactly: no error to fit")
+        raise InsufficientData(f"size {_shown(sizes[-1])} hits the target exactly: no error to fit")
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     ratio = steps[-2] / steps[-1]
     coarse, fine = values[-2:]

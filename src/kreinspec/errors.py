@@ -7,9 +7,11 @@ dimensions, degrees), `_positive` (positive reals), `_real` (reals whose
 range the caller checks) and `_condition` ("dirichlet" or "krein").  Each
 raises DomainError naming the argument and returns the plain int, float or
 str that its caller uses in place of the input, so no numpy scalar or bool
-reaches the arithmetic behind it.  Reals are compared with _MAX_DOUBLE
-before float() sees them: int/float comparisons are exact, and float() of
-an int past the doubles raises OverflowError.
+reaches the arithmetic behind it.  Every argument message shows the value
+through `_shown`, which keeps an int too long for decimal from replacing
+the site's error by Python's own ValueError.  Reals are compared with
+_MAX_DOUBLE before float() sees them: int/float comparisons are exact, and
+float() of an int past the doubles raises OverflowError.
 Spectra and counting functions share `_int64_counts` and
 `_require_complete_below`.
 """
@@ -83,6 +85,20 @@ class InsufficientEigenvalues(KreinspecError):
     """Spectrum too short for the requested inequality checks."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an argument message.  An int of more than
+    sys.get_int_max_str_digits() digits has no decimal repr; it is shown as
+    "<int of N bits>", also inside a tuple, and any other value whose repr
+    raises ValueError as "<type name>"."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{size}>"
+
+
 def _integer(name: str, value, least: int, most: int | None = None) -> int:
     """value as an int; DomainError unless it is an integer (no bool) in least..most."""
     if isinstance(value, Integral) and not isinstance(value, bool):
@@ -90,20 +106,20 @@ def _integer(name: str, value, least: int, most: int | None = None) -> int:
         if least <= number and (most is None or number <= most):
             return number
     limits = f">= {least}" if most is None else f"in {least}..{most}"
-    raise DomainError(f"{name} must be an integer {limits}, got {value!r}")
+    raise DomainError(f"{name} must be an integer {limits}, got {_shown(value)}")
 
 
 def _positive(name: str, value) -> float:
     """value as a float; DomainError unless it is a real number (no bool), positive and finite."""
     if isinstance(value, Real) and not isinstance(value, bool) and 0.0 < value <= _MAX_DOUBLE:
         return float(value)
-    raise DomainError(f"{name} {value!r} is not positive and finite")
+    raise DomainError(f"{name} {_shown(value)} is not positive and finite")
 
 
 def _real(name: str, value) -> float:
     """value as a float, +-inf past the doubles; DomainError unless a real number (no bool)."""
     if not isinstance(value, Real) or isinstance(value, bool):
-        raise DomainError(f"{name} {value!r} is not a real number")
+        raise DomainError(f"{name} {_shown(value)} is not a real number")
     if abs(value) > _MAX_DOUBLE:  # an int or fraction that float() would not convert
         return math.inf if value > 0 else -math.inf
     return float(value)
@@ -113,7 +129,7 @@ def _condition(name: str, value) -> str:
     """value as a str; DomainError unless it is "dirichlet" (hard) or "krein" (soft)."""
     if isinstance(value, str) and value in ("dirichlet", "krein"):
         return str(value)
-    raise DomainError(f"{name} must be dirichlet or krein, got {value!r}")
+    raise DomainError(f"{name} must be dirichlet or krein, got {_shown(value)}")
 
 
 def _int64_counts(counts, what: str) -> np.ndarray:
@@ -136,4 +152,4 @@ def _require_complete_below(value) -> None:
     """complete_below is None or a number > 0, inf allowed; NaN and bools are not."""
     if value is not None and not (isinstance(value, Real) and not isinstance(value, bool)
                                   and value > 0.0):
-        raise ValueError(f"complete_below must be None or > 0, got {value!r}")
+        raise ValueError(f"complete_below must be None or > 0, got {_shown(value)}")

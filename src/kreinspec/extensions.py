@@ -46,7 +46,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (ConstructionMismatch, NoDeficiency, NotOrthogonal, NotPositiveDefinite, NotPSD,
-                     RankDeficientBasis, SingularDecomposition, _integer, _positive)
+                     RankDeficientBasis, SingularDecomposition, _integer, _positive, _shown)
 from .linalg import (
     SymMatrix,
     _cholesky_inverse,
@@ -428,7 +428,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         if not isinstance(seed, Integral) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+            raise ValueError(f"seed must be an integer, got {_shown(seed)}")
         self._state = int(seed) & self._MASK
 
     def next_u64(self) -> int:

@@ -14,18 +14,20 @@ Sturm count for symmetric tridiagonals is written out here: numpy has no
 tridiagonal routine, and radial multisection needs the counts at many shifts
 from one sweep.  It relies on IEEE infinities and signed zeros in place of a
 pivot floor, so it needs no tuning constant.  The sweep takes the rows in
-fixed row blocks: a block's d_i - lam for every shift come from one copy and
-one subtraction, each step then costs two ufunc calls and nothing else, and
-the block's sign bits are counted at once, in scratch memory of a few row
-blocks times the number of shifts.  A count twisted at row k takes the rows
-above k forward and those below it backward in the same steps, as two lanes
-of one buffer, so a twist at the middle row halves the steps: at m = 800 on
-a 2-CPU Xeon a sweep took a median 1.08 ms at 40 shifts and 1.94 ms at 511,
-against 1.63 and 2.26 ms forward, mostly call overhead.  The same sweep can
-also return each shift's twist element 1 / ((T - lam)^-1)_kk, at the
-default twist the last pivot det(T - lam) / det(T_{m-1} - lam), which radial
-multisection fits to finish an isolated bracket: it costs no ufunc call
-beyond the count's.
+fixed row blocks: a block's d_i - lam for every shift come from one copy of
+its diagonal entries and one subtraction of a block of shifts made once per
+sweep, each step then costs two ufunc calls and nothing else, and the
+block's sign bits are added at once into a byte per row and shift, in
+scratch memory of a few row blocks times the number of shifts.  A count
+twisted at row k takes the rows above k forward and those below it backward
+in the same steps, as two lanes of one buffer, so a twist at the middle row
+halves the steps: at m = 800 on a 2-CPU Xeon (Python 3.11, numpy 2.4) a
+sweep took a median 0.48 ms at 40 shifts and 1.34 ms at 511, against 0.77
+and 1.66 ms forward, mostly call overhead at the fewer shifts.  The same
+sweep can also return each shift's twist element 1 / ((T - lam)^-1)_kk, at
+the default twist the last pivot det(T - lam) / det(T_{m-1} - lam), which
+radial multisection fits to finish an isolated bracket: it costs no ufunc
+call beyond the count's.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ __all__ = [
     "max_norm",
 ]
 
-# Rows per row block of the Sturm sweep, shared by its lanes; at most 255,
-# so a block's sign bits sum in uint8.
+# Rows per row block of the Sturm sweep, shared by its lanes.  Of 16, 32, 64
+# and 96, 64 took the least time at m = 800 and 511 shifts.
 _STURM_BLOCK = 64
 
 
@@ -219,17 +221,22 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False, twist=None):
 
     One sweep over the rows updates every shift at once, the two parts side
     by side: each step takes a forward and a backward row, so twist m // 2
-    takes about half as many steps as the default.  The rows come in row
-    blocks of _STURM_BLOCK rows, so of half as many steps while both parts
-    run: a copy of the shifts and one subtraction fill a
+    takes about half as many steps as the default.  The longer part's rows
+    past the shorter one's then run alone, but a single such row, as at an
+    even order and twist m // 2, is taken with the twist element, so that
+    sweep is one run of paired steps.  The rows come in
+    row blocks of _STURM_BLOCK rows, so of half as many steps while both
+    parts run: a copy of the block's diagonal entries and one subtraction
+    of a block of shifts, made once per sweep, fill a
     steps-by-parts-by-shifts buffer with d_i - lam, each step with a
     nonzero off-diagonal then turns its rows into pivots in place by two
     ufunc calls (a row where T splits already is its pivot), and the
-    block's sign bits are summed at once.  Below a few hundred shifts a step
-    costs mostly the overhead of those two calls, so at m = 800 on a 2-CPU
-    Xeon a sweep twisted at m // 2 took a median 0.41 of the forward
-    sweep's time at one shift, 0.65 at 8 to 40 shifts and 0.86 at 511.
-    Scratch memory is about two row blocks by the number of shifts.
+    block's sign bits are added at once into a byte per row and shift,
+    totalled every 255 blocks and at the end.  Below a few hundred shifts a
+    step costs mostly the overhead of those two calls, so at m = 800 on a
+    2-CPU Xeon a sweep twisted at m // 2 took a median 0.33 of the forward
+    sweep's time at one shift, 0.62 at 8 to 40 shifts and 0.80 at 511.
+    Scratch memory is about four row blocks by the number of shifts.
 
     With last_pivot=True the result is the pair (counts, pivots), pivots
     holding each shift's twist element (a float for one shift), taken from
@@ -252,35 +259,45 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False, twist=None):
         raise ValueError("tridiagonal has non-finite entries")
     k = n - 1 if twist is None else _integer("twist", twist, 0, n - 1)
     shifts = np.asarray(lam, dtype=float)
-    if np.isnan(shifts).any():
-        raise ValueError("shift is NaN")
     s = shifts.reshape(-1)
-    e2 = e * e
-    # Lane 0 holds rows 0..k-1 and lane 1 rows m-1..k+1: step j of a lane
-    # is its j-th row, with the e^2 that links it to the lane's row before
-    # (none at step 0)
+    if np.isnan(s).any():
+        raise ValueError("shift is NaN")
+    # link[i] is the e^2 between row i and row i - 1, 0 at both ends: the
+    # forward lane reads row i's at link[i], the backward lane at link[i + 1]
+    link = np.zeros(n + 1)
+    np.multiply(e, e, link[1:-1])
+    # Lane 0 holds rows 0..k-1 and lane 1 rows m-1..k+1, run side by side
+    # while both have rows; ends holds each lane's last pivot
     top, bottom = k, n - 1 - k
-    rows = np.zeros((2, max(top, bottom)))
-    links = np.zeros_like(rows)
-    rows[0, :top], rows[1, :bottom] = d[:k], d[:k:-1]
-    links[0, 1:top], links[1, 1:bottom] = e2[:k][:-1], e2[:k:-1]
-    # Both lanes run while both have rows, then the longer one alone; ends
-    # holds each lane's last pivot
-    count = np.zeros(s.shape, dtype=np.intp)
-    ends = np.zeros((2, s.size))
     shared = min(top, bottom)
+    count = np.zeros(s.size, dtype=np.intp)
     with np.errstate(divide="ignore", over="ignore"):
         if shared:
-            ends[:] = _sweep_lanes(rows[:, :shared], links[:, :shared], s, count, ends)
-        if rows.shape[1] > shared:
-            lane = slice(1, 2) if bottom > top else slice(0, 1)
-            ends[lane] = _sweep_lanes(rows[lane, shared:], links[lane, shared:], s, count,
-                                      ends[lane])
+            rows, links = np.empty((2, shared, 2))
+            rows[:, 0], rows[:, 1] = d[:shared], d[n - 1:n - 1 - shared:-1]
+            links[:, 0], links[:, 1] = link[:shared], link[n:n - shared:-1]
+            ends = _sweep_lanes(rows, links, s, count, 0.0)
+        else:
+            ends = np.zeros((2, s.size))
+        if top != bottom:
+            # the longer lane's other rows run alone; one such row, as at an
+            # even order and twist m // 2, is taken here like the twist row
+            lane = 0 if top > bottom else 1
+            rows, links = ((d[shared:k], link[shared:k]) if lane == 0 else
+                           (d[n - 1 - shared:k:-1], link[n - shared:k + 1:-1]))
+            if rows.size > 1:
+                ends[lane] = _sweep_lanes(rows[:, None], links[:, None], s, count, ends[lane])[0]
+            else:
+                last = rows[0] - s
+                if links[0]:  # e^2 is never -0 or NaN
+                    last -= links[0] / ends[lane]
+                count += np.signbit(last)
+                ends[lane] = last
         gamma = d[k] - s
-        if top and e2[k - 1]:  # e^2 is never -0 or NaN
-            gamma -= e2[k - 1] / ends[0]
-        if bottom and e2[k]:
-            gamma -= e2[k] / ends[1]
+        if link[k]:
+            gamma -= link[k] / ends[0]
+        if link[k + 1]:
+            gamma -= link[k + 1] / ends[1]
     count += np.signbit(gamma)
     if shifts.ndim == 0:
         count = int(count[0])
@@ -293,29 +310,36 @@ def _sweep_lanes(rows, links, s, count, carry):
     """Pivots of one sweep's lanes over their steps, the sign bits added to
     count; returns each lane's last pivot.
 
-    rows and links are the (lanes, steps) diagonal entries and e^2 of each
+    rows and links are the (steps, lanes) diagonal entries and e^2 of each
     step, and carry each lane's pivot before the first step.  A step is two
     ufunc calls over all its lanes, or over the one lane with a link when
     the other has none; a step with no link is its own pivots, which also
     keeps 0/0 out.
     """
-    lanes, steps = rows.shape
+    steps, lanes = rows.shape
     per = _STURM_BLOCK // lanes  # steps per row block
-    # row 0 of q carries the last pivots of the previous row block
+    # row 0 of q carries the last pivots of the previous row block; shifts
+    # holds lam in every row of a block, so that d_i - lam is one
+    # subtraction of whole blocks (a column broadcast across the shifts
+    # costs numpy about three times as much)
     q = np.empty((min(steps, per) + 1, lanes, s.size))
     q[0] = carry
-    table = np.empty_like(q[1:])
+    table, shifts = np.empty((2,) + q[1:].shape)
+    shifts[...] = s
     tmp = np.empty_like(q[0])
     sign = np.empty(table.shape, dtype=bool)
-    linked = links.all(0).tolist()
+    # each row block adds its sign bits here, at most 255 before they are
+    # totalled
+    signs = np.zeros(table.shape, dtype=np.uint8)
+    linked = links.all(1).tolist()
     pivots, e2s = list(q), list(table)
     divide, subtract = np.divide, np.subtract
-    for start in range(0, steps, per):
+    for block_index, start in enumerate(range(0, steps, per)):
         size = min(per, steps - start)
         block = q[1:size + 1]
-        block[...] = s  # then d_i - lam in place: faster than broadcasting both
-        subtract(rows.T[start:start + size, :, None], block, block)
-        table[:size] = links.T[start:start + size, :, None]
+        block[...] = rows[start:start + size, :, None]
+        subtract(block, shifts[:size], block)
+        table[:size] = links[start:start + size, :, None]
         for both, e2i, prev, row in zip(linked[start:start + size], e2s, pivots, pivots[1:]):
             if both:
                 subtract(row, divide(e2i, prev, tmp), row)
@@ -323,6 +347,10 @@ def _sweep_lanes(rows, links, s, count, carry):
                 lane = 0 if e2i[0, 0] else 1
                 subtract(row[lane], divide(e2i[lane], prev[lane], tmp[lane]), row[lane])
         np.signbit(block, sign[:size])
-        count += sign[:size].view(np.uint8).sum(axis=(0, 1), dtype=np.uint8)
+        np.add(signs[:size], sign[:size].view(np.uint8), signs[:size])
+        if block_index % 255 == 254:
+            count += signs.sum(axis=(0, 1), dtype=np.intp)
+            signs[...] = 0
         q[0] = q[size]
+    count += signs.sum(axis=(0, 1), dtype=np.intp)
     return q[0]

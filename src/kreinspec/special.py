@@ -47,7 +47,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import _MAX_DOUBLE, BracketFailure, DomainError, _integer, _positive
+from .errors import _MAX_DOUBLE, BracketFailure, DomainError, _integer, _positive, _shown
 
 __all__ = ["BesselOrder", "bessel_j", "bessel_zero", "tan_fixed_point"]
 
@@ -98,7 +98,7 @@ def _coerce_order(nu) -> BesselOrder:
     real = isinstance(nu, Real) and not isinstance(nu, bool) and abs(nu) <= _MAX_DOUBLE
     twice = 2.0 * float(nu) if real else math.nan
     if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-12:
-        raise DomainError(f"order {nu!r} is neither integer nor half-integer")
+        raise DomainError(f"order {_shown(nu)} is neither integer nor half-integer")
     return BesselOrder(int(round(twice)))
 
 
@@ -129,7 +129,7 @@ def bessel_j(nu, x: float) -> float:
     `BesselOrder`) and a real 0 < x <= 1e4; DomainError otherwise, and for bools."""
     order, x = _coerce_order(nu), _positive("argument", x)
     if x > _MAX_X:
-        raise DomainError(f"argument {x!r} above {_MAX_X:g}")
+        raise DomainError(f"argument {_shown(x)} above {_MAX_X:g}")
     if x <= 1e-3:
         return _tiny_argument_series(order, x)
     return _eval_j_pair(order, x)[0]
@@ -491,7 +491,7 @@ def tan_fixed_point(m):
     """
     index = np.asarray(m)
     if index.dtype.kind not in "iu" or not np.all((1 <= index) & (index <= _MAX_ZERO_INDEX)):
-        raise DomainError(f"root index must be an integer in 1..{_MAX_ZERO_INDEX}, got {m!r}")
+        raise DomainError(f"root index must be an integer in 1..{_MAX_ZERO_INDEX}, got {_shown(m)}")
     ms = index.reshape(-1).astype(int)
     lo = ms * np.pi
     hi = (2 * ms + 1) * np.pi / 2.0

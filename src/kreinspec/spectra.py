@@ -39,7 +39,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import (_MAX_DOUBLE, BracketFailure, DomainError, _condition, _int64_counts, _integer,
-                     _positive, _require_complete_below)
+                     _positive, _require_complete_below, _shown)
 from .special import (_MAX_TWICE_ORDER, _MAX_ZERO_INDEX, BesselOrder, _family_zeros, bessel_zero,
                       tan_fixed_point)
 from .tolerances import MERGE_REL
@@ -67,9 +67,10 @@ class IntervalSpec:
 
     def __post_init__(self):
         if not all(isinstance(end, Real) and not isinstance(end, bool) for end in (self.a, self.b)):
-            raise DomainError(f"interval ends must be real numbers, got ({self.a!r}, {self.b!r})")
+            raise DomainError("interval ends must be real numbers, "
+                              f"got ({_shown(self.a)}, {_shown(self.b)})")
         if not -_MAX_DOUBLE <= self.a < self.b <= _MAX_DOUBLE:
-            raise ValueError(f"interval ({self.a}, {self.b}) is empty or unbounded")
+            raise ValueError(f"interval ({_shown(self.a)}, {_shown(self.b)}) is empty or unbounded")
 
     @property
     def length(self) -> float:
@@ -136,7 +137,7 @@ class Spectrum:
             raise ValueError("nonpositive multiplicity")
         if not (isinstance(kernel, Real) and not isinstance(kernel, bool) and kernel >= 0
                 and (kernel == INFINITE or (kernel <= _MAX_DOUBLE and float(kernel).is_integer()))):
-            raise ValueError(f"kernel_dim must be an integer >= 0 or inf, got {kernel!r}")
+            raise ValueError(f"kernel_dim must be an integer >= 0 or inf, got {_shown(kernel)}")
         _require_complete_below(complete_below)
         values.setflags(write=False)
         mults.setflags(write=False)
@@ -186,7 +187,7 @@ def _interval_size(spec: IntervalSpec, count) -> tuple[int, float]:
     (2m + 1) pi), so each lies in [1e-300, 1e300].  DomainError otherwise."""
     count = _integer("count", count, 1)
     if count > _MAX_INTERVAL_COUNT:
-        raise DomainError(f"count {count} exceeds the limit of {_MAX_INTERVAL_COUNT} "
+        raise DomainError(f"count {_shown(count)} exceeds the limit of {_MAX_INTERVAL_COUNT} "
                           "interval eigenvalues")
     length = spec.length
     if not 1e-150 <= math.pi / length <= 1e150 / (count + 2):
@@ -240,7 +241,7 @@ def ball_multiplicity(n: int, ell: int) -> int:
     n, ell = _integer("dimension", n, 2), _integer("degree", ell, 0)
     result = _harmonics(n, ell)
     if result > 2**63 - 1:
-        raise DomainError(f"multiplicity d_{{{n},{ell}}} exceeds 2^63 - 1")
+        raise DomainError(f"multiplicity d_{{{n},{_shown(ell)}}} exceeds 2^63 - 1")
     return result
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from kreinspec import analysis as an
 from kreinspec import discretize as dz
+from kreinspec import errors
 from kreinspec import extensions as ext
 from kreinspec import linalg as la
 from kreinspec import special
@@ -873,3 +874,46 @@ def test_numpy_integers_give_the_int_result_bit_for_bit(call, value, kind):
 def test_bools_and_fractions_raise_domain_error(call, value, bad):
     with pytest.raises(DomainError, match="must be an integer"):
         call(bad)
+
+
+# An int of more than sys.get_int_max_str_digits() digits (4,300 by default)
+# has no decimal repr.  Each message put it in decimal, so each site raised
+# Python's "Exceeds the limit (4300 digits) for integer string conversion"
+# ValueError in place of its own error.  The messages now name the int by
+# its bit length.
+LONG_INT = 10**5000
+LONG_INT_SITES = {
+    "integer-rule": (lambda: errors._integer("count", LONG_INT, 0, 5), DomainError,
+                     "count must be an integer in 0..5"),
+    "positive-rule": (lambda: errors._positive("radius", LONG_INT), DomainError,
+                      "radius .* is not positive and finite"),
+    "zero-index": (lambda: special.bessel_zero(0, LONG_INT), DomainError,
+                   "zero index must be an integer"),
+    "zero-order": (lambda: special.bessel_zero(LONG_INT, 1), DomainError,
+                   "neither integer nor half-integer"),
+    "tan-root-index": (lambda: special.tan_fixed_point(LONG_INT), DomainError,
+                       "root index must be an integer"),
+    "interval-end": (lambda: sp.IntervalSpec(0, LONG_INT), ValueError,
+                     "is empty or unbounded"),
+    "interval-count": (lambda: sp.interval_dirichlet(UNIT_SEGMENT, LONG_INT), DomainError,
+                       "exceeds the limit"),
+    "potential": (lambda: dz.PotentialSpec(LONG_INT), ValueError,
+                  "potential must be finite and >= 0"),
+    "spectrum-kernel": (lambda: sp.Spectrum(((1.0, 1),), kernel_dim=LONG_INT), ValueError,
+                        "kernel_dim must be an integer >= 0 or inf"),
+    "soft-channel": (lambda: dz.RadialChannelSpec(3, LONG_INT, 1.0, 16, "krein"), DomainError,
+                     "the soft end needs l < 2m"),
+    "study-sizes": (lambda: dz.convergence_order(lambda m: 1.0, (LONG_INT, LONG_INT, 1), 1.0),
+                    ValueError, "sizes must double"),
+    "weyl-law": (lambda: an.weyl_fit(TWO_STEPS, 2, (1.0, 4.0), analytic=(LONG_INT, 0.0)),
+                 ValueError, "analytic must be a pair of finite numbers"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LONG_INT_SITES.values(),
+                         ids=LONG_INT_SITES.keys())
+def test_ints_too_long_for_decimal_keep_the_site_error(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert "<int of 16610 bits>" in str(raised.value)
+    assert "integer string conversion" not in str(raised.value)

@@ -430,3 +430,72 @@ class TestSturmBlocks:
         assert counts.tolist() == want
         last = [sturm_pivots_oracle(d, e, lam)[-1] for lam in shifts.tolist()]
         assert [p.hex() for p in pivots.tolist()] == [q.hex() for q in last]
+
+
+def folded_row_cases():
+    """Even orders n, whose twist n // 2 leaves one row more above the twist
+    than below it.  At the shift 1 the pivots of tridiag(1; 1) are +0 on
+    even rows, so that extra row, n // 2 - 1, ends on an exact zero pivot
+    when n // 2 is odd and on -inf when it is even; a zero link
+    e_{n//2 - 2} makes the extra row its own pivot, d - lam."""
+    cases = []
+    for n in (2, 4, 6, 10, 2 * BLOCK + 2, 4 * BLOCK):
+        cases.append((f"{n}-ones", np.ones(n), np.ones(n - 1)))
+        if n >= 4:
+            e = np.ones(n - 1)
+            e[n // 2 - 2] = 0.0
+            cases.append((f"{n}-zero-link", np.ones(n), e))
+        rng = np.random.default_rng(n)
+        e = rng.integers(-2, 3, n - 1).astype(float)
+        if n >= 4:
+            e[n // 2 - 2] = 0.0
+        cases.append((f"{n}-integers-zero-link", rng.integers(-2, 3, n).astype(float), e))
+    return cases
+
+
+FOLDED_CASES = folded_row_cases()
+
+
+class TestFoldedRow:
+    def test_cases_hold_a_zero_link_and_zero_pivots_in_the_extra_row(self):
+        for n in (6, 10, 2 * BLOCK + 2):
+            k = n // 2
+            assert sturm_pivots_oracle(np.ones(k), np.ones(k - 1), 1.0)[-1] == 0.0
+            assert twisted_sturm_oracle(np.ones(n), np.ones(n - 1), 1.0, k)[1] == -np.inf
+        k = 2 * BLOCK
+        assert sturm_pivots_oracle(np.ones(k), np.ones(k - 1), 1.0)[-1] == -np.inf
+        links = dict((case[0], case[2]) for case in FOLDED_CASES)
+        assert links["10-zero-link"][3] == 0.0 and links["10-integers-zero-link"][3] == 0.0
+
+    @pytest.mark.parametrize("d, e", [case[1:] for case in FOLDED_CASES],
+                             ids=[case[0] for case in FOLDED_CASES])
+    def test_counts_and_twist_elements_equal_scalar_reference(self, d, e):
+        # the twists n // 2 and n // 2 - 1 leave the upper and the lower lane
+        # one row longer, which is taken with the twist element; 1 and n - 2
+        # leave the longer lane several rows to run alone
+        shifts = np.concatenate((BOUNDARY_SHIFTS, [0.0, -0.0, np.inf, -np.inf]))
+        for k in sorted({d.size // 2, d.size // 2 - 1, 1, d.size - 2} & set(range(d.size))):
+            want = [twisted_sturm_oracle(d, e, lam, k) for lam in shifts.tolist()]
+            counts, gammas = la.sturm_count(d, e, shifts, last_pivot=True, twist=k)
+            assert counts.tolist() == [c for c, _ in want]
+            assert [g.hex() for g in gammas.tolist()] == [g.hex() for _, g in want]
+            scalar = [la.sturm_count(d, e, lam, last_pivot=True, twist=k) for lam in shifts]
+            assert [(c, g.hex()) for c, g in scalar] == [(c, g.hex()) for c, g in want]
+
+
+# Each row block adds its sign bits into one byte per row and shift, totalled
+# every 255 blocks.  These sweeps run 257 blocks in one lane, forward, and in
+# two, at the middle twist.
+def test_sweeps_of_more_than_255_row_blocks_equal_scalar_reference():
+    n = 257 * BLOCK + 2
+    assert (n - 2) // BLOCK > 255 and (n // 2 - 1) // (BLOCK // 2) > 255
+    rng = np.random.default_rng(11)
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    shifts = np.array([-3.0, -0.5, 0.0, 0.7, 2.0, 5.0])
+    for twist in (None, n // 2):
+        k = n - 1 if twist is None else twist
+        want = [twisted_sturm_oracle(d, e, lam, k) for lam in shifts.tolist()]
+        counts, gammas = la.sturm_count(d, e, shifts, last_pivot=True, twist=twist)
+        assert counts.tolist() == [c for c, _ in want]
+        assert [g.hex() for g in gammas.tolist()] == [g.hex() for _, g in want]

@@ -2,6 +2,7 @@
 tridiagonal, its sweep budget, and the Sturm count on radial pencils."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from kreinspec import discretize as dz
 from kreinspec.linalg import sturm_count
 
-from oracles import sturm_count_oracle
+from oracles import isolated_root_oracle, sturm_count_oracle
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -268,6 +269,68 @@ def test_count_twenty_values_bit_equal_to_recorded(bc):
     assert [float(v).hex() for v in got] == RECORDED_TWENTY[bc]
 
 
+# Count-20 calls of three channels at m = 800, R = 1, both conditions: the
+# number of shifts of each sweep and the values, recorded with the scalar
+# rational finish and the step bookkeeping before it was vectorized.  The
+# later sweeps share about 512 shifts among up to 20 open brackets, so these
+# pin the many-bracket bookkeeping that the count-5 records do not reach.
+RECORDED_TWENTY_SWEEPS = {
+    (2, 1, "dirichlet"): [511, 480, 480, 512, 80],
+    (3, 2, "dirichlet"): [511, 480, 480, 512],
+    (4, 4, "dirichlet"): [511, 480, 480, 510, 80],
+    (2, 1, "krein"): [511, 480, 480, 504, 80],
+    (3, 2, "krein"): [511, 480, 480, 504],
+    (4, 4, "krein"): [511, 479, 480, 510],
+}
+RECORDED_TWENTY_VALUES = {
+    (2, 1, "dirichlet"): [
+        "0x1.d5d29e4e6a480p+3", "0x1.89bef89c94186p+5", "0x1.9dfe58307e8a8p+6",
+        "0x1.6308e76e21947p+7", "0x1.0f4600767a7eap+8", "0x1.80c3d36fdc03ep+8",
+        "0x1.02febc45f9bf2p+9", "0x1.4f793551533cep+9", "0x1.a5d108df21f8dp+9",
+        "0x1.0302f09eed978p+10", "0x1.380baf723f532p+10", "0x1.72028c31e95b0p+10",
+        "0x1.b0e74d2fa5a31p+10", "0x1.f4b9b3c4c2e20p+10", "0x1.1ebcbe28a399ep+11",
+        "0x1.45932f1dc6674p+11", "0x1.6ee005f81410bp+11", "0x1.9aa31970f9546p+11",
+        "0x1.c8dc3dc51cb06p+11", "0x1.f98b44b47a0fcp+11",
+    ],
+    (3, 2, "dirichlet"): RECORDED_TWENTY["dirichlet"],
+    (4, 4, "dirichlet"): [
+        "0x1.33c16b37cd492p+6", "0x1.307b10844be0ep+7", "0x1.ecfc19291e9aap+7",
+        "0x1.683cc627e706ep+8", "0x1.ed9d06c2bc2a4p+8", "0x1.4355bf56e5458p+9",
+        "0x1.99b6c29a395fcp+9", "0x1.f9f2bbdb52ceep+9", "0x1.320512f2c30aap+10",
+        "0x1.6bfe8dcb1986cp+10", "0x1.aae5bf77963aep+10", "0x1.eeba866aeb522p+10",
+        "0x1.1bbe59eead882p+11", "0x1.4296076a7241cp+11", "0x1.6be42af9903bap+11",
+        "0x1.97a8a04953ce0p+11", "0x1.c5e33fbea5704p+11", "0x1.f693deb1e15e4p+11",
+        "0x1.14dd27cb93c3bp+12", "0x1.2fab310d1225ep+12",
+    ],
+    (2, 1, "krein"): [
+        "0x1.a5fe3cd136d93p+4", "0x1.1b65ebd3aadb1p+6", "0x1.0e09a31726c06p+7",
+        "0x1.b5d4745f88368p+7", "0x1.428b1964a57dap+8", "0x1.bde7921d4d657p+8",
+        "0x1.267fb0820a0f0p+9", "0x1.77e908ee7fb80p+9", "0x1.d32f883bc3632p+9",
+        "0x1.1c296bc5b71b1p+10", "0x1.53a94a4c70150p+10", "0x1.9017292fc528fp+10",
+        "0x1.d172ccb7e349ap+10", "0x1.0bddfa074150ap+11", "0x1.31792ca613a30p+11",
+        "0x1.598ad8c0114e4p+11", "0x1.8412d65ad19bcp+11", "0x1.b110fafb860f3p+11",
+        "0x1.e08519a82410ep+11", "0x1.093781741db94p+12",
+    ],
+    (3, 2, "krein"): RECORDED_TWENTY["krein"],
+    (4, 4, "krein"): [
+        "0x1.8ae794b60a2b8p+6", "0x1.7155c33955008p+7", "0x1.21201866945b6p+8",
+        "0x1.9cec6520f62bep+8", "0x1.1623f20f01b02p+9", "0x1.67a3cac2b9cd6p+9",
+        "0x1.c2fa60d827bf8p+9", "0x1.1414f6c6562dep+10", "0x1.4b99c1ae9f4dcp+10",
+        "0x1.880bcc163b0d6p+10", "0x1.c96b235757ffep+10", "0x1.07dbdbff30148p+11",
+        "0x1.2d78b37c03a48p+11", "0x1.558bff6d65bcep+11", "0x1.8015a18a72eacp+11",
+        "0x1.ad1576f404b82p+11", "0x1.dc8b58d822d15p+11", "0x1.073b8e6f15228p+12",
+        "0x1.216c4ab8134e6p+12", "0x1.3cd7c8f6d0357p+12",
+    ],
+}
+
+
+@pytest.mark.parametrize("n, ell, bc", list(RECORDED_TWENTY_SWEEPS))
+def test_count_twenty_sweeps_and_values_bit_equal_to_recorded(sweeps, n, ell, bc):
+    got = dz.radial_eigenvalues(dz.RadialChannelSpec(n, ell, 1.0, 800, bc), COUNT)
+    assert sweeps == RECORDED_TWENTY_SWEEPS[n, ell, bc]
+    assert [float(v).hex() for v in got] == RECORDED_TWENTY_VALUES[n, ell, bc]
+
+
 CHANNELS = [(n, ell) for n in (2, 3, 4) for ell in range(5)]
 
 
@@ -438,3 +501,82 @@ def test_fit_defeated_by_near_split_falls_back_to_even_split(monkeypatch):
         even = (split[:, -1:] - split[:, :1]) / 168
         np.testing.assert_allclose(steps, even * np.ones_like(steps), rtol=0,
                                    atol=4 * np.spacing(np.max(s)))
+
+
+PIVOTS = st.one_of(st.floats(-1e3, 1e3),
+                   st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300]))
+
+
+@st.composite
+def finish_rows(draw):
+    """One row (x, c, p, below) of the rational finish: the left neighbour,
+    the bracket ends a and b and the right neighbour, with counts and
+    pivots.  The pivots follow 1 / (w / (lam - x) + alpha + beta x) with lam
+    in (a, b), or are drawn freely; then a neighbour may lose its pivot (a
+    Gershgorin end is NaN) or get a zero one, the left column may wrap
+    (below = 0, where it holds the row's right end), the right neighbour may
+    repeat b, and points may coincide."""
+    xa = draw(st.one_of(st.floats(-1e4, 1e4), st.floats(-1.0, 1.0)))
+    gap = st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 10.0))
+    xl, xb = xa - draw(gap), xa + draw(gap)
+    xr = xb + draw(gap)
+    below = draw(st.integers(0, 3))
+    if below == 0:
+        xl = xr + draw(gap)
+    x = [xl, xa, xb, xr]
+    if draw(st.booleans()):
+        lam = xa + draw(st.floats(0.0, 1.0)) * (xb - xa)
+        w, alpha = draw(st.floats(1e-3, 1e3)), draw(st.floats(-1.0, 1.0))
+        beta = draw(st.floats(-1e-3, 1e-3))
+        with np.errstate(all="ignore"):
+            p = [float(1.0 / (w / np.float64(lam - xi) + alpha + beta * xi)) for xi in x]
+    else:
+        p = [draw(PIVOTS) for _ in x]
+    for side in (0, 3):
+        p[side] = draw(st.sampled_from([p[side]] * 3 + [math.nan, 0.0]))
+    ca = draw(st.integers(0, 5))
+    cb = ca + draw(st.sampled_from([1, 1, 1, 0, 2]))
+    c = [ca - draw(st.integers(0, 1)), ca, cb, cb + draw(st.integers(0, 1))]
+    return x, c, p, below
+
+
+def _pole_row(x, c, below, lam=0.1):
+    """A finish row whose pivots are 1 / (1 / (lam - x) + 0.1 + 0.01 x), the
+    reciprocal of one pole at lam in (x[1], x[2]) plus a line."""
+    return x, c, [1.0 / (1.0 / (lam - xi) + 0.1 + 0.01 * xi) for xi in x], below
+
+
+# The finish takes every bracket of a sweep in one vectorized pass, and each
+# must get the bits the scalar reference gives it alone, whatever the others
+# in its batch are.  The examples hold a NaN (Gershgorin) neighbour, the
+# wrapped left column, a zero neighbour pivot and coincident points, each
+# beside a bracket whose fit lands inside.
+FIT = _pole_row([-1.3, -0.35, 0.55, 1.7], [3, 4, 5, 6], 2)
+NAN_LEFT = (FIT[0], FIT[1], [math.nan] + FIT[2][1:], 2)
+WRAPPED = _pole_row([2.9, -0.35, 0.55, 1.7], [9, 0, 1, 2], 0)
+ZERO_RIGHT = (FIT[0], FIT[1], FIT[2][:3] + [0.0], 2)
+COINCIDENT = _pole_row([-0.35, -0.35, 0.55, 1.7], [4, 4, 5, 6], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(finish_rows(), min_size=1, max_size=12))
+@example(rows=[FIT, NAN_LEFT])
+@example(rows=[WRAPPED, FIT])
+@example(rows=[FIT, ZERO_RIGHT])
+@example(rows=[COINCIDENT, FIT, NAN_LEFT, WRAPPED, ZERO_RIGHT])
+def test_vectorized_finish_bit_equal_to_scalar_reference(rows):
+    x, c, p, below = (np.array(part, dtype=float) for part in zip(*rows))
+    got = dz._isolated_roots(x, c, p, below.astype(np.intp))
+    want = [isolated_root_oracle(*row) for row in rows]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_finish_examples_reach_each_case():
+    # the examples above reach what they are claimed to: each bracket but the
+    # coincident one fits inside, through four points or through the three
+    # it keeps; NAN_LEFT and WRAPPED both drop the left neighbour
+    fit, nan_left, wrapped, zero_right = (isolated_root_oracle(*row)
+                                          for row in (FIT, NAN_LEFT, WRAPPED, ZERO_RIGHT))
+    assert all(-0.35 < r < 0.55 for r in (fit, nan_left, zero_right))
+    assert nan_left == wrapped and len({fit, nan_left, zero_right}) == 3
+    assert math.isnan(isolated_root_oracle(*COINCIDENT))
