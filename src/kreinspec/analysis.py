@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import (_MAX_DOUBLE, DomainError, InsufficientData, InsufficientEigenvalues,
-                     _condition, _int64_counts, _integer, _positive, _real, _require_complete_below,
-                     _shown)
+from .errors import (DomainError, InsufficientData, InsufficientEigenvalues, _condition, _double,
+                     _int64_counts, _integer, _positive, _real, _require_complete_below, _shown)
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
 
@@ -66,7 +64,7 @@ class CountingFunction:
     Both are read-only numpy arrays, coerced from any sequence: breakpoints
     finite and strictly ascending (float), cumulative of the same length,
     integers nondecreasing from 0 (int64).  complete_below is None or > 0 (inf
-    allowed).  Calling it on a scalar returns an int, on an array an int64
+    allowed), stored as a float.  Calling it on a scalar returns an int, on an array an int64
     array of the same shape, each from one np.searchsorted; a NaN probe
     raises ValueError.
     """
@@ -89,7 +87,7 @@ class CountingFunction:
             raise ValueError("breakpoints not strictly ascending")
         if np.any(np.diff(cumulative, prepend=0) < 0):
             raise ValueError("cumulative counts decrease or start below 0")
-        _require_complete_below(self.complete_below)
+        object.__setattr__(self, "complete_below", _require_complete_below(self.complete_below))
         for name, arr in (("breakpoints", breakpoints), ("cumulative", cumulative)):
             arr.setflags(write=False)  # a copy, so the caller's array stays writable
             object.__setattr__(self, name, arr)
@@ -297,11 +295,13 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
         raise InsufficientData(
             f"window top {hi} beyond complete range {counting.complete_below}"
         )
-    if analytic is not None and not (
-        len(analytic) == 2 and all(isinstance(c, Real) and not isinstance(c, bool)
-                                   and abs(c) <= _MAX_DOUBLE for c in analytic)
-    ):
-        raise ValueError(f"analytic must be a pair of finite numbers, got {_shown(analytic)}")
+    if analytic is not None:
+        try:
+            pair = tuple(map(_double, analytic)) if len(analytic) == 2 else ()
+        except TypeError:  # no len(), as a number has none
+            pair = ()
+        if not (len(pair) == 2 and all(c is not None and math.isfinite(c) for c in pair)):
+            raise ValueError(f"analytic must be a pair of finite numbers, got {_shown(analytic)}")
     lams = np.exp(np.linspace(math.log(lo), math.log(hi), _WEYL_SAMPLES))
     counts = counting(lams).astype(float)
     # Fit and evaluate in mu = lambda / 2^k, 2^k near hi with k even: the
@@ -319,15 +319,13 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     c_lead = _ldexp(float(fit_lead), -lead_exp)
     c_second = _ldexp(float(fit_second), -second_exp)
 
-    if analytic is None:
-        analytic = (c_lead, c_second)
-    a_lead, a_second = analytic
+    a_lead, a_second = (c_lead, c_second) if analytic is None else pair
     # the law is only evaluated, so a coefficient that underflows at the
     # window scale is kept as rounded; one that overflows is no double
     try:
         law_lead, law_second = math.ldexp(a_lead, lead_exp), math.ldexp(a_second, second_exp)
     except OverflowError:
-        raise DomainError(f"Weyl law {_shown(analytic)} overflows on ({lo}, {hi})") from None
+        raise DomainError(f"Weyl law {(a_lead, a_second)} overflows on ({lo}, {hi})") from None
     # the law turns where sqrt(mu) = ratio > 0; clamped to the window, a
     # turning point outside it becomes a window end
     lo_mu, hi_mu = math.ldexp(lo, -k), math.ldexp(hi, -k)
@@ -349,8 +347,8 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
         n=n,
         c_lead=float(c_lead),
         c_second=float(c_second),
-        analytic_lead=float(a_lead),
-        analytic_second=float(a_second),
+        analytic_lead=a_lead,
+        analytic_second=a_second,
         window=(lo, hi),
         remainder_sup=remainder_sup,
         samples=_WEYL_SAMPLES,

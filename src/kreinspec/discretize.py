@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import (_MAX_DOUBLE, ConstructionMismatch, DomainError, InsufficientData,
-                     NonMonotoneError, _condition, _integer, _real, _shown)
+from .errors import (ConstructionMismatch, DomainError, InsufficientData, NonMonotoneError,
+                     _condition, _double, _integer, _real, _shown)
 from .extensions import ExtensionModel, new_model, pencil_values
 from .linalg import SymMatrix, sturm_count
 from .spectra import BallSpec, IntervalSpec, Spectrum, _merge_coincident
@@ -67,7 +66,9 @@ class Grid1D:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _integer("m", self.m, 8))
-        IntervalSpec(self.a, self.b)  # the interval's own check
+        ends = IntervalSpec(self.a, self.b)  # the interval's own check, and its doubles
+        object.__setattr__(self, "a", ends.a)
+        object.__setattr__(self, "b", ends.b)
 
     @property
     def h(self) -> float:
@@ -86,14 +87,15 @@ class PotentialSpec:
     values: float | tuple
 
     def __post_init__(self):
-        scalar = isinstance(self.values, str) or not isinstance(self.values, Iterable)
-        samples = [self.values] if scalar else list(self.values)
-        bad = [v for v in samples
-               if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v <= _MAX_DOUBLE)]
-        if bad:
-            raise ValueError(f"potential must be finite and >= 0, got {_shown(bad[0])}")
-        values = tuple(map(float, samples))
-        object.__setattr__(self, "values", values[0] if scalar else values)
+        values = self.values
+        scalar = (isinstance(values, str) or not isinstance(values, Iterable)
+                  or isinstance(values, np.ndarray) and values.ndim == 0)
+        samples = [values] if scalar else list(values)
+        read = [_double(v) for v in samples]
+        for v, x in zip(samples, read):
+            if x is None or not 0.0 <= x < math.inf:
+                raise ValueError(f"potential must be finite and >= 0, got {_shown(v)}")
+        object.__setattr__(self, "values", read[0] if scalar else tuple(read))
 
     @classmethod
     def zero(cls) -> "PotentialSpec":

@@ -9,20 +9,17 @@ raises DomainError naming the argument and returns the plain int, float or
 str that its caller uses in place of the input, so no numpy scalar or bool
 reaches the arithmetic behind it.  Every argument message shows the value
 through `_shown`, which keeps an int too long for decimal from replacing
-the site's error by Python's own ValueError.  Reals are compared with
-_MAX_DOUBLE before float() sees them: int/float comparisons are exact, and
-float() of an int past the doubles raises OverflowError.
+the site's error by Python's own ValueError.  Every real argument is read
+by `_double` alone, as float() of a real number (no bool), +-inf past the
+doubles; each site range-checks that double, never the raw input.
 Spectra and counting functions share `_int64_counts` and
 `_require_complete_below`.
 """
 
 import math
-import sys
 from numbers import Integral, Real
 
 import numpy as np
-
-_MAX_DOUBLE = sys.float_info.max
 
 
 class KreinspecError(Exception):
@@ -109,20 +106,31 @@ def _integer(name: str, value, least: int, most: int | None = None) -> int:
     raise DomainError(f"{name} must be an integer {limits}, got {_shown(value)}")
 
 
+def _double(value) -> float | None:
+    """value as a float, +-inf for an int or fraction past the doubles; None
+    unless it is a real number (no bool)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # the sign of an int or fraction is exact
+        return math.inf if value > 0 else -math.inf
+
+
 def _positive(name: str, value) -> float:
     """value as a float; DomainError unless it is a real number (no bool), positive and finite."""
-    if isinstance(value, Real) and not isinstance(value, bool) and 0.0 < value <= _MAX_DOUBLE:
-        return float(value)
+    number = _double(value)
+    if number is not None and 0.0 < number < math.inf:
+        return number
     raise DomainError(f"{name} {_shown(value)} is not positive and finite")
 
 
 def _real(name: str, value) -> float:
     """value as a float, +-inf past the doubles; DomainError unless a real number (no bool)."""
-    if not isinstance(value, Real) or isinstance(value, bool):
+    number = _double(value)
+    if number is None:
         raise DomainError(f"{name} {_shown(value)} is not a real number")
-    if abs(value) > _MAX_DOUBLE:  # an int or fraction that float() would not convert
-        return math.inf if value > 0 else -math.inf
-    return float(value)
+    return number
 
 
 def _condition(name: str, value) -> str:
@@ -148,8 +156,11 @@ def _int64_counts(counts, what: str) -> np.ndarray:
     return exact
 
 
-def _require_complete_below(value) -> None:
-    """complete_below is None or a number > 0, inf allowed; NaN and bools are not."""
-    if value is not None and not (isinstance(value, Real) and not isinstance(value, bool)
-                                  and value > 0.0):
+def _require_complete_below(value) -> float | None:
+    """complete_below as a float, or None; ValueError unless None or a number > 0 (inf allowed)."""
+    if value is None:
+        return None
+    number = _double(value)
+    if number is None or not number > 0.0:
         raise ValueError(f"complete_below must be None or > 0, got {_shown(value)}")
+    return number

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import _MAX_DOUBLE, BracketFailure, DomainError, _integer, _positive, _shown
+from .errors import BracketFailure, DomainError, _double, _integer, _positive, _shown
 
 __all__ = ["BesselOrder", "bessel_j", "bessel_zero", "tan_fixed_point"]
 
@@ -95,8 +94,8 @@ class BesselOrder:
 def _coerce_order(nu) -> BesselOrder:
     if isinstance(nu, BesselOrder):
         return nu
-    real = isinstance(nu, Real) and not isinstance(nu, bool) and abs(nu) <= _MAX_DOUBLE
-    twice = 2.0 * float(nu) if real else math.nan
+    number = _double(nu)
+    twice = math.nan if number is None else 2.0 * number
     if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-12:
         raise DomainError(f"order {_shown(nu)} is neither integer nor half-integer")
     return BesselOrder(int(round(twice)))

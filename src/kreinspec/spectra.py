@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from numbers import Real
 
 import numpy as np
 
-from .errors import (_MAX_DOUBLE, BracketFailure, DomainError, _condition, _int64_counts, _integer,
+from .errors import (BracketFailure, DomainError, _condition, _double, _int64_counts, _integer,
                      _positive, _require_complete_below, _shown)
 from .special import (_MAX_TWICE_ORDER, _MAX_ZERO_INDEX, BesselOrder, _family_zeros, bessel_zero,
                       tan_fixed_point)
@@ -66,16 +65,18 @@ class IntervalSpec:
     b: float
 
     def __post_init__(self):
-        if not all(isinstance(end, Real) and not isinstance(end, bool) for end in (self.a, self.b)):
+        a, b = _double(self.a), _double(self.b)
+        if a is None or b is None:
             raise DomainError("interval ends must be real numbers, "
                               f"got ({_shown(self.a)}, {_shown(self.b)})")
-        if not -_MAX_DOUBLE <= self.a < self.b <= _MAX_DOUBLE:
+        if not -math.inf < a < b < math.inf:
             raise ValueError(f"interval ({_shown(self.a)}, {_shown(self.b)}) is empty or unbounded")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def length(self) -> float:
-        # of the ends as doubles: int ends may differ by more than the largest double
-        return float(self.b) - float(self.a)
+        return self.b - self.a
 
 
 @dataclass(frozen=True)
@@ -93,19 +94,19 @@ class Spectrum:
     """Ascending (value, multiplicity) pairs plus the kernel dimension.
 
     Each multiplicity is an integer from 1 to 2^63 - 1.  Zero modes never
-    appear among the entries; they are counted by kernel_dim, an integer
-    >= 0 (not a bool) or math.inf for an infinite-dimensional kernel.  When
-    complete_below is set, it is > 0 (inf allowed) and no eigenvalue below
-    it is missing.  The entries are validated and stored once, as a pair of
-    read-only numpy arrays, which counting functions built from the
-    spectrum reuse; `entries` rebuilds the tuple of (float, int) pairs from
-    them on each read.  A spectrum is immutable, and equal spectra hash
-    alike, whatever sequence it was given.
+    appear among the entries; they are counted by kernel_dim, a real number
+    (not a bool) equal to a double that is an integer >= 0 or inf, kept as
+    an int or math.inf.  When complete_below is set, it is a float > 0 (inf
+    allowed) and no eigenvalue below it is missing.  The entries are
+    validated and stored once, as a pair of read-only numpy arrays, which
+    counting functions built from the spectrum reuse; `entries` rebuilds the
+    tuple of (float, int) pairs from them on each read.  A spectrum is
+    immutable, and equal spectra hash alike, whatever sequence it was given.
     """
 
     _values: np.ndarray
     _mults: np.ndarray
-    kernel_dim: float
+    kernel_dim: int | float
     complete_below: float | None
 
     def __init__(self, entries, kernel_dim, complete_below=None):
@@ -135,15 +136,15 @@ class Spectrum:
             raise ValueError("spectrum entries not strictly increasing")
         if np.any(mults < 1):
             raise ValueError("nonpositive multiplicity")
-        if not (isinstance(kernel, Real) and not isinstance(kernel, bool) and kernel >= 0
-                and (kernel == INFINITE or (kernel <= _MAX_DOUBLE and float(kernel).is_integer()))):
+        dim = _double(kernel)  # dim == kernel: 10**400 reads inf, and is no kernel_dim
+        if dim is None or not (0.0 <= dim == kernel and (dim == INFINITE or dim.is_integer())):
             raise ValueError(f"kernel_dim must be an integer >= 0 or inf, got {_shown(kernel)}")
-        _require_complete_below(complete_below)
+        complete_below = _require_complete_below(complete_below)
         values.setflags(write=False)
         mults.setflags(write=False)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_mults", mults)
-        object.__setattr__(self, "kernel_dim", kernel)
+        object.__setattr__(self, "kernel_dim", dim if dim == INFINITE else int(dim))
         object.__setattr__(self, "complete_below", complete_below)
 
     @property

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,11 @@ BAD_SIZES = {
     # or the spectra of it raised a bare OverflowError
     "interval-huge-int-end": lambda: sp.IntervalSpec(0, 10**400),
     "grid-huge-int-end": lambda: dz.Grid1D(0, 10**400, 8),
+    # int ends that round to one double were accepted as an interval of
+    # length 0.0, and its spectra raised a bare ZeroDivisionError
+    "interval-ends-one-double": lambda: sp.IntervalSpec(2**53, 2**53 + 1),
+    "interval-dirichlet-ends-one-double": lambda: sp.interval_dirichlet(
+        sp.IntervalSpec(2**53, 2**53 + 1), 3),
 }
 
 # Each call passed its checks and then failed with a bare TypeError inside
@@ -233,14 +239,14 @@ def test_integral_counts_of_any_type_are_kept():
 # Grid1D(0, 1, 10)) or a NaN that failed only as NoConvergence in a solve.
 # The str "12" was read as the samples (1.0, 2.0) or as 12.0, and a bool as
 # 1.0, except np.True_ as the whole potential, which raised a bare TypeError.
-# 10**400 raised a bare OverflowError.
+# 10**400 raised a bare OverflowError, and a 0-d array a bare TypeError.
 BAD_POTENTIALS = {
     f"{kind}-{name}": (lambda kind=kind, bad=bad: dz.PotentialSpec(
         bad if kind == "constant" else (0.0,) * 9 + (bad,)))
     for kind in ("constant", "sampled")
     for name, bad in (("negative", -1.0), ("nan", NAN), ("inf", INF), ("minus-inf", -INF),
                       ("str", "12"), ("bool", True), ("numpy-bool", np.True_),
-                      ("huge-int", 10**400))
+                      ("huge-int", 10**400), ("zero-d-array", np.array(1.0)))
 }
 
 
@@ -608,6 +614,9 @@ BAD_LAWS = {
     # accepted as (1, 0), and a bare OverflowError
     "weyl-fit-bool-coefficients": (True, False),
     "weyl-fit-huge-int-coefficient": (10**400, 0.0),
+    # a bare TypeError from len()
+    "weyl-fit-number": 5,
+    "weyl-fit-zero-d-array": np.array(5.0),
 }
 
 
@@ -917,3 +926,82 @@ def test_ints_too_long_for_decimal_keep_the_site_error(call, error, message):
         call()
     assert "<int of 16610 bits>" in str(raised.value)
     assert "integer string conversion" not in str(raised.value)
+
+
+# Each stored the end it was given: float32 ends computed the spacing in
+# float32 (h = 0.13333333), and interval_model's entries differed by 1.6e-6
+# from those of the float64 ends.
+def test_float32_grid_ends_build_the_float64_model():
+    a, b = np.float32(0.1), np.float32(1.3)
+    grid, want = dz.Grid1D(a, b, 8), dz.Grid1D(float(a), float(b), 8)
+    assert _typed_bits(grid) == _typed_bits(want) and type(grid.h) is float
+    zero = dz.PotentialSpec.zero()
+    assert _typed_bits(dz.interval_model(grid, zero).A.array) == _typed_bits(
+        dz.interval_model(want, zero).A.array)
+
+
+# complete_below 10**400 was stored as that int, and weyl_fit and
+# counting_domination on it raised a bare OverflowError.  It reads inf, as
+# every real past the doubles does: the spectrum is complete below every
+# double.
+HUGE_COMPLETENESS = {
+    "spectrum-weyl-fit": lambda c: an.weyl_fit(
+        an.counting_from_spectrum(sp.Spectrum(((1.0, 1), (2.0, 3)), 0, c)), 2, (1.0, 4.0)),
+    "spectrum-domination": lambda c: an.counting_domination(
+        an.counting_from_spectrum(sp.Spectrum(((2.0, 1),), 0, c)),
+        an.counting_from_spectrum(sp.Spectrum(((1.0, 1),), 0, c))),
+    "counting-weyl-fit": lambda c: an.weyl_fit(
+        an.CountingFunction((1.0, 2.0), (1, 3), complete_below=c), 2, (1.0, 4.0)),
+    "counting-domination": lambda c: an.counting_domination(
+        an.CountingFunction((2.0,), (1,), complete_below=c),
+        an.CountingFunction((1.0,), (1,), complete_below=c)),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_COMPLETENESS.values(), ids=HUGE_COMPLETENESS.keys())
+def test_complete_below_past_the_doubles_reads_inf(call):
+    assert _typed_bits(call(10**400)) == _typed_bits(call(INF))
+
+
+SHIFT_PAIR = ext.friedrichs(_random_31()), ext.krein(_random_31())
+
+# One row per site that reads a real, as (call, a value exact in float16).
+# Each compared its input with the largest double before converting it; for
+# float32 and float16 that comparison overflowed in the cast, and under the
+# RuntimeWarning filter raised.  The interval and grid ends, the kernel
+# dimension and complete_below were also stored as given, not as doubles.
+REAL_SITES = {
+    "ball-radius": (lambda x: sp.BallSpec(2, x), 1.5),
+    "ball-lambda-max": (lambda x: sp.ball_spectrum(UNIT_BALL, "krein", x), 100.0),
+    "interval-counting-lam-max": (
+        lambda x: an.interval_counting(UNIT_SEGMENT, "dirichlet", x), 50.0),
+    "ball-counting-lam-max": (lambda x: an.ball_counting(UNIT_BALL, "dirichlet", x), 50.0),
+    "weyl-leading-volume": (lambda x: an.weyl_leading(2, x), 3.0),
+    "inequalities-volume": (lambda x: _disk_inequalities(2, x, 4), 3.140625),
+    "shift": (lambda x: ext.order_compare(*SHIFT_PAIR, x), 0.5),
+    "construction-rel": (lambda x: (ToleranceProfile(x),
+                                    ext.krein(_random_31(), ToleranceProfile(x)).matrix.array),
+                         2.0**-10),
+    "bessel-argument": (lambda x: special.bessel_j(0, x), 2.5),
+    "value-order": (lambda x: special.bessel_j(x, 2.5), 1.5),
+    "zero-order": (lambda x: special.bessel_zero(x, 2), 1.5),
+    "interval-end": (lambda x: sp.interval_krein(sp.IntervalSpec(-0.5, x), 3), 1.25),
+    "grid-end": (lambda x: dz.Grid1D(x, 2.0, 8), 0.75),
+    "potential": (lambda x: dz.PotentialSpec(x), 0.5),
+    "sampled-potential": (lambda x: dz.PotentialSpec.sampled((0.0, x)), 0.5),
+    "weyl-window-end": (lambda x: an.weyl_fit(TWO_STEPS, 2, (1.0, x)), 4.0),
+    "weyl-law": (lambda x: an.weyl_fit(TWO_STEPS, 2, (1.0, 4.0), analytic=(x, 0.0)), 0.5),
+    "convergence-target": (
+        lambda x: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (8, 16, 32), x), 1.0),
+    "spectrum-complete-below": (lambda x: sp.Spectrum(((1.0, 1),), 0, x), 5.0),
+    "counting-complete-below": (
+        lambda x: an.CountingFunction((1.0,), (1,), complete_below=x), 5.0),
+    "spectrum-kernel": (lambda x: sp.Spectrum(((1.0, 1),), x), 2.0),
+}
+
+
+@pytest.mark.parametrize("call, value", REAL_SITES.values(), ids=REAL_SITES.keys())
+@pytest.mark.parametrize("kind", [np.float64, np.float32, np.float16, np.longdouble, Fraction])
+def test_real_types_give_the_float_result_bit_for_bit(call, value, kind):
+    assert float(kind(value)) == value
+    assert _typed_bits(call(kind(value))) == _typed_bits(call(value))
