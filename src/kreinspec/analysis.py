@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InsufficientData, InsufficientEigenvalues, _condition, _double,
-                     _int64_counts, _integer, _positive, _real, _require_complete_below, _shown)
+from .errors import (DomainError, InsufficientData, InsufficientEigenvalues, _condition,
+                     _int64_counts, _integer, _pair, _positive, _real, _require_complete_below,
+                     _shown)
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
 
@@ -283,12 +284,16 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
     a double exactly, a law that overflows at the window scale, or a
     remainder that is not finite, raises DomainError.  The fit is the
     minimum-norm least-squares pair, which also covers a window so narrow
-    that the two powers are parallel to rounding.  A window that is not
+    that the two powers are parallel to rounding.  A window that is not a
+    pair of real numbers (lo, hi) raises DomainError; one that is not
     0 < lo < hi < inf, or whose top passes complete_below, raises
     InsufficientData before any sampling.
     """
     n = _integer("dimension", n, 1)
-    lo, hi = _real("window end", window[0]), _real("window end", window[1])
+    ends = _pair(window, lambda end: _real("window end", end))
+    if ends is None:
+        raise DomainError(f"window must be a pair (lo, hi), got {_shown(window)}")
+    lo, hi = ends
     if not (0.0 < lo < hi < math.inf):
         raise InsufficientData(f"empty window ({lo}, {hi}): need 0 < lo < hi < inf")
     if counting.complete_below is not None and hi > counting.complete_below * (1 + 1e-12):
@@ -296,11 +301,8 @@ def weyl_fit(counting: CountingFunction, n: int, window, analytic=None) -> WeylF
             f"window top {hi} beyond complete range {counting.complete_below}"
         )
     if analytic is not None:
-        try:
-            pair = tuple(map(_double, analytic)) if len(analytic) == 2 else ()
-        except TypeError:  # no len(), as a number has none
-            pair = ()
-        if not (len(pair) == 2 and all(c is not None and math.isfinite(c) for c in pair)):
+        pair = _pair(analytic)
+        if not (pair and all(c is not None and math.isfinite(c) for c in pair)):
             raise ValueError(f"analytic must be a pair of finite numbers, got {_shown(analytic)}")
     lams = np.exp(np.linspace(math.log(lo), math.log(hi), _WEYL_SAMPLES))
     counts = counting(lams).astype(float)

@@ -207,47 +207,39 @@ def radial_pencil(spec: RadialChannelSpec) -> RadialPencil:
     return RadialPencil(diagonal=diag, offdiagonal=off, mass=mass)
 
 
-def _isolated_roots(x, c, p, below):
-    """Estimate of the eigenvalue in each isolated bracket [x[:, 1], x[:, 2]),
-    else NaN; see _multisect.  Row r of x, c and p holds columns
-    below[r] - 1 to below[r] + 2 of a sweep row with their counts and
-    pivots.  The pivot's reciprocal is fitted by z = a + b x + w / (lam - x)
-    through the bracket ends and both outside neighbours, or with b = 0
-    through the one neighbour whose pivot is known.  Then (lam - x) z is a
-    polynomial of degree two below the number of points, so its divided
-    difference over all of them is 0; that is linear in lam, and solved for
-    it.  All brackets are taken in one pass, and each gets the bits of the
-    same fit taken alone, in Python floats: its points in the order a, b,
-    left, right, each product and sum in that order, an unknown point a
-    factor 1 in the others' products and 0 in the sums.  A zero weight
-    (coincident points) makes a sum infinite, and a zero sum of weights the
-    root infinite or NaN; either way no root falls inside the bracket, so
-    neither needs a test of its own.
+def _isolated_root(x, c, p, below):
+    """Estimate of the eigenvalue in the isolated bracket [x[1], x[2]), else
+    NaN; see _multisect.  x, c and p are columns below - 1 to below + 2 of a
+    sweep row with their counts and pivots, as Python floats.  The pivot's
+    reciprocal is fitted by z = a + b x + w / (lam - x) through the bracket
+    ends and both outside neighbours, or with b = 0 through the one
+    neighbour whose pivot is known.  Then (lam - x) z is a polynomial of
+    degree two below the number of points, so its divided difference over
+    all of them is 0; that is linear in lam, and solved for it.
     """
-    xa, xb, pa, pb = x[:, 1], x[:, 2], p[:, 1], p[:, 2]
+    (xl, xa, xb, xr), (pl, pa, pb, pr) = x, p
+    if not (c[2] - c[1] == 1 and pa > 0.0 > pb):
+        return math.nan
     # an outside neighbour is known unless it is a Gershgorin end (NaN), the
     # wrapped left column or the repeated right end; a zero pivot has no 1/p
-    known = abs(p) > 0.0
-    known[:, 0] &= below > 0
-    known[:, 3] &= x[:, 3] != xb
-    with np.errstate(all="ignore"):
-        # the weights of the divided difference are 1 / prod(x_i - x_j) over
-        # the known j != i; an unknown i divides by inf, so that its 1 / w
-        # and (x_i - origin) / w are zeros, which change a sum at most in the
-        # sign of a zero, and a zero num or den leaves no root inside
-        factor = x[:, :, None] - x[:, None, :]
-        factor.reshape(-1, 16)[:, ::5] = 1.0
-        factor = np.where(known[:, None, :], factor, 1.0)
-        w = p * factor[:, :, 1] * factor[:, :, 2] * factor[:, :, 0] * factor[:, :, 3]
-        # measured from the end with the smaller pivot
-        origin = np.where(abs(pa) <= abs(pb), xa, xb)[:, None]
-        parts = np.empty((2,) + x.shape)
-        parts[0], parts[1] = x - origin, 1.0
-        parts /= np.where(known, w, np.inf)
-        num, den = parts[:, :, 1] + parts[:, :, 2] + parts[:, :, 0] + parts[:, :, 3]
-        root = origin[:, 0] + num / den
-    fit = (c[:, 2] - c[:, 1] == 1) & (pa > 0.0) & (pb < 0.0) & (known[:, 0] | known[:, 3])
-    return np.where(fit & (xa < root) & (root < xb), root, np.nan)
+    points = [(xa, pa), (xb, pb)] + [(xo, po) for xo, po, known in (
+        (xl, pl, below), (xr, pr, xr != xb)) if known and not math.isnan(po) and po]
+    if len(points) < 3:
+        return math.nan
+    # measured from the end with the smaller pivot; the weights of the
+    # divided difference are 1 / prod(x_i - x_j) over j != i
+    origin = xa if abs(pa) <= abs(pb) else xb
+    num = den = 0.0
+    for i, (xi, w) in enumerate(points):
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                w *= xi - xj
+        if not w:  # coincident points
+            return math.nan
+        num += (xi - origin) / w
+        den += 1.0 / w
+    root = origin + num / den if den else math.nan
+    return root if xa < root < xb else math.nan
 
 
 def _stop_width(x, lo, hi):
@@ -311,10 +303,10 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
     negative at b is isolated: q decreases strictly between its poles, which
     interlace the eigenvalues, so a pole in (a, b] would force a second zero
     and with it a second eigenvalue.  So q is continuous there, and 1 / q is
-    the one pole w / (lambda - x) plus terms smooth near lambda.  The root
-    of a fit 1 / q = a + b x + w / (lambda - x) through both ends and both
-    outside neighbours of the last sweep (b = 0 when only one neighbour is
-    known) estimates the eigenvalue; the line takes the smooth terms' slope.
+    the one pole w / (lambda - x) plus terms smooth near lambda.  For each
+    bracket still open, `_isolated_root` fits that pole and a line through
+    both ends and both outside neighbours of the last sweep; its root
+    estimates the eigenvalue, and the line takes the smooth terms' slope.
     That slope matters where v(k) is small, near a node of the eigenvector:
     two poles of q then flank lambda closely, and in the (4, 4) Dirichlet
     count-20 call at m = 800 a fit with b = 0 missed lambda_14 by 115 stop
@@ -390,11 +382,14 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
         stop = _stop_width(np.maximum(abs(a), abs(b)), lo, hi)
         state[:, 7] = stop
         wide = b - a > stop if is_open is None else is_open(a, b, stop)
-        still = live[wide[live]]
-        if not still.size:
+        keep = wide[live]
+        live = live[keep]
+        if not live.size:
             break
-        state[live, 6] = _isolated_roots(near[:, :, 0], near[:, :, 1], near[:, :, 2], below)
-        live = still
+        # a closed bracket's estimate is never read, so only the open get one
+        for row, (x, c, p), k in zip(live, near[keep].transpose(0, 2, 1).tolist(),
+                                     below[keep].tolist()):
+            state[row, 6] = _isolated_root(x, c, p, k)
     return a.copy(), b.copy()
 
 
@@ -475,16 +470,22 @@ class ConvergenceReport:
 def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceReport:
     """Empirical order of a grid refinement study against a known target.
 
-    `run` maps a size to the computed value; sizes must be integers >= 1
-    that refine by factors of two, spacing(m) (1/(m + 1) by default) must be
-    finite and positive, and the target must be finite.  A value that is not
-    finite, or an error of exactly zero at the finest size, leaves no order
-    to fit and raises InsufficientData naming its size; errors that fail to
-    decrease raise NonMonotoneError carrying the measured data.
+    `run` maps a size to the computed value, a real number; sizes must be a
+    sequence of integers >= 1 that refine by factors of two, spacing(m)
+    (1/(m + 1) by default) must be a finite positive real number, and the
+    target must be finite; each breach raises ValueError.  Every value and
+    spacing is read by `_double`.  A value that is not finite, as one past
+    the doubles, or an error of exactly zero at the finest size, leaves no
+    order to fit and raises InsufficientData naming its size; errors that
+    fail to decrease raise NonMonotoneError carrying the measured data.
     """
     target = _real("target", target)
     if not math.isfinite(target):
         raise ValueError(f"target {target} is not finite")
+    try:
+        sizes = tuple(sizes)
+    except TypeError:  # not iterable, as a number
+        raise ValueError(f"sizes must be a sequence of integers, got {_shown(sizes)}") from None
     sizes = tuple(_integer("size", s, 1) for s in sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 sizes")
@@ -493,13 +494,17 @@ def convergence_order(run, sizes, target: float, spacing=None) -> ConvergenceRep
             raise ValueError(f"sizes must double: {_shown(a)} -> {_shown(b)}")
     if spacing is None:
         spacing = lambda m: 1.0 / (m + 1)
-    steps = tuple(float(spacing(m)) for m in sizes)
-    if not all(0.0 < h < math.inf for h in steps):
-        raise ValueError(f"spacing must be finite and positive, got {steps}")
-    values = tuple(run(m) for m in sizes)
-    for m, v in zip(sizes, values):
-        if not math.isfinite(v):
-            raise InsufficientData(f"size {_shown(m)} gave the value {v}: no error to fit")
+    spaced = tuple(spacing(m) for m in sizes)
+    steps = tuple(map(_double, spaced))
+    if not all(h is not None and 0.0 < h < math.inf for h in steps):
+        raise ValueError(f"spacing must be finite and positive, got {_shown(spaced)}")
+    returned = tuple(run(m) for m in sizes)
+    values = tuple(map(_double, returned))
+    for m, v, value in zip(sizes, returned, values):
+        if value is None:
+            raise ValueError(f"size {_shown(m)} gave {_shown(v)}, not a real number")
+        if not math.isfinite(value):
+            raise InsufficientData(f"size {_shown(m)} gave the value {value}: no error to fit")
     errors = tuple(abs(v - target) for v in values)
     if any(e2 >= e1 for e1, e2 in zip(errors, errors[1:])):
         raise NonMonotoneError(f"errors not decreasing: sizes={_shown(sizes)} errors={errors}")

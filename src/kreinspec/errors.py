@@ -11,7 +11,8 @@ reaches the arithmetic behind it.  Every argument message shows the value
 through `_shown`, which keeps an int too long for decimal from replacing
 the site's error by Python's own ValueError.  Every real argument is read
 by `_double` alone, as float() of a real number (no bool), +-inf past the
-doubles; each site range-checks that double, never the raw input.
+doubles; each site range-checks that double, never the raw input.  A pair,
+as a window or a law, is read by `_pair`, its items by the same rules.
 Spectra and counting functions share `_int64_counts` and
 `_require_complete_below`.
 """
@@ -115,6 +116,17 @@ def _double(value) -> float | None:
         return float(value)
     except OverflowError:  # the sign of an int or fraction is exact
         return math.inf if value > 0 else -math.inf
+
+
+def _pair(value, read=_double) -> tuple | None:
+    """value's two items, each through read (`_double` unless given); None
+    unless value has exactly two items, as a sized iterable that is not a
+    number has."""
+    try:
+        items = tuple(value) if len(value) == 2 else ()
+    except TypeError:  # no len(), as a number has none
+        return None
+    return tuple(map(read, items)) if len(items) == 2 else None
 
 
 def _positive(name: str, value) -> float:

@@ -3,8 +3,7 @@
 These are deliberately independent of the library code paths they check:
 Bessel values come from the alternating power series with compensated
 summation (trustworthy for x <= 12), roots from plain bisection on those
-series, Sturm pivots one shift and one row at a time in Python floats, the
-rational finish of radial multisection one bracket at a time, and
+series, Sturm pivots one shift and one row at a time in Python floats, and
 whatever else a test freezes as an expected value was produced by one of the
 functions in here.
 """
@@ -153,43 +152,6 @@ def twisted_sturm_oracle(diag, offdiag, lam: float, twist: int) -> tuple:
             gamma -= math.copysign(math.inf, prev) if prev == 0.0 else e2 / prev
     count = sum(math.copysign(1.0, q) < 0.0 for q in forward + backward + [gamma])
     return count, gamma
-
-
-def isolated_root_oracle(x, c, p, below):
-    """Estimate of the eigenvalue in an isolated bracket [x[1], x[2]), else
-    NaN, one bracket at a time in Python floats.
-
-    x, c and p are columns below - 1 to below + 2 of a multisection sweep
-    row with their counts and pivots.  The pivot's reciprocal is fitted by
-    z = a + b x + w / (lam - x) through the bracket ends and both outside
-    neighbours, or with b = 0 through the one neighbour whose pivot is
-    known.  Then (lam - x) z is a polynomial of degree two below the number
-    of points, so its divided difference over all of them is 0; that is
-    linear in lam, and solved for it.
-    """
-    (xl, xa, xb, xr), (pl, pa, pb, pr) = x, p
-    if not (c[2] - c[1] == 1 and pa > 0.0 > pb):
-        return math.nan
-    # an outside neighbour is known unless it is a Gershgorin end (NaN), the
-    # wrapped left column or the repeated right end; a zero pivot has no 1/p
-    points = [(xa, pa), (xb, pb)] + [(xo, po) for xo, po, known in (
-        (xl, pl, below), (xr, pr, xr != xb)) if known and not math.isnan(po) and po]
-    if len(points) < 3:
-        return math.nan
-    # measured from the end with the smaller pivot; the weights of the
-    # divided difference are 1 / prod(x_i - x_j) over j != i
-    origin = xa if abs(pa) <= abs(pb) else xb
-    num = den = 0.0
-    for i, (xi, w) in enumerate(points):
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                w *= xi - xj
-        if not w:  # coincident points
-            return math.nan
-        num += (xi - origin) / w
-        den += 1.0 / w
-    root = origin + num / den if den else math.nan
-    return root if xa < root < xb else math.nan
 
 
 def universal_inequalities_oracle(lam, mu, n: int, volume: float, k_max: int) -> list:

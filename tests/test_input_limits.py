@@ -539,6 +539,24 @@ NON_FINITE_STUDIES = {
     "convergence-huge-int-target": (
         lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (8, 16, 32), 10**400),
         ValueError, "target inf is not finite"),
+    # a run value "x" raised a bare TypeError, 10**400 + m a bare
+    # OverflowError, and True was read as 1
+    "convergence-str-value": (
+        lambda: dz.convergence_order(lambda m: "x", (8, 16, 32), 1.0),
+        ValueError, "size 8 gave 'x', not a real number"),
+    "convergence-bool-value": (
+        lambda: dz.convergence_order(lambda m: m > 8, (8, 16, 32), 1.0),
+        ValueError, "size 8 gave False, not a real number"),
+    "convergence-huge-int-value": (
+        lambda: dz.convergence_order(lambda m: 10**400 + m, (8, 16, 32), 1.0),
+        InsufficientData, "size 8 gave the value inf"),
+    # bare TypeErrors
+    "convergence-complex-value": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0j / m, (8, 16, 32), 1.0),
+        ValueError, r"size 8 gave \(1\+0.125j\), not a real number"),
+    "convergence-array-value": (
+        lambda: dz.convergence_order(lambda m: np.full(2, 1.0 + 1.0 / m), (8, 16, 32), 1.0),
+        ValueError, "size 8 gave array.*, not a real number"),
 }
 
 
@@ -562,6 +580,10 @@ BAD_STUDY_SIZES = {
     "convergence-size-0": (
         lambda: dz.convergence_order(lambda m: 1.0, (0, 0, 0), 1.0),
         "size must be an integer >= 1, got 0"),
+    # a bare TypeError
+    "convergence-sizes-number": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, 100, 1.0),
+        "sizes must be a sequence of integers, got 100"),
     "convergence-spacing-zero": (
         lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
                                      spacing=lambda m: 0.0), "spacing must be finite and positive"),
@@ -574,6 +596,15 @@ BAD_STUDY_SIZES = {
     "convergence-spacing-inf": (
         lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
                                      spacing=lambda m: INF), "spacing must be finite and positive"),
+    # a str was read as its number, an array raised a bare TypeError
+    "convergence-spacing-str": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
+                                     spacing=lambda m: str(1.0 / m)),
+        "spacing must be finite and positive, got \\('0.01', "),
+    "convergence-spacing-array": (
+        lambda: dz.convergence_order(lambda m: 1.0 + 1.0 / m, (100, 200, 400), 1.0,
+                                     spacing=lambda m: np.full(2, 1.0 / m)),
+        "spacing must be finite and positive, got \\(array"),
 }
 
 
@@ -650,11 +681,17 @@ def test_unbounded_weyl_window_raises_insufficient_data(call):
 
 
 # True and the strs were read as numbers and fitted (c_lead 0.244 on a disk
-# counting function); np.True_ was read as 1, the empty window (1, 1).
+# counting function); np.True_ was read as 1, the empty window (1, 1).  A
+# number or None raised a bare TypeError, one end a bare IndexError, and
+# three ends were fitted on the first two.
 NON_REAL_WINDOWS = {
     "weyl-fit-bool-window-end": ((True, 1e3), "window end True is not a real number"),
     "weyl-fit-numpy-bool-window-end": ((1.0, np.True_), "window end .*True_? is not a real number"),
     "weyl-fit-str-window": (("1", "1000"), "window end '1' is not a real number"),
+    "weyl-fit-number-window": (5, r"window must be a pair \(lo, hi\), got 5"),
+    "weyl-fit-none-window": (None, r"window must be a pair \(lo, hi\), got None"),
+    "weyl-fit-one-end-window": ((1.0,), r"window must be a pair \(lo, hi\), got \(1.0,\)"),
+    "weyl-fit-three-end-window": ((1.0, 2.0, 3.0), r"window must be a pair \(lo, hi\)"),
 }
 
 

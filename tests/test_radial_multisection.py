@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from kreinspec import discretize as dz
 from kreinspec.linalg import sturm_count
 
-from oracles import isolated_root_oracle, sturm_count_oracle
+from oracles import sturm_count_oracle
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -508,14 +508,16 @@ PIVOTS = st.one_of(st.floats(-1e3, 1e3),
 
 
 @st.composite
-def finish_rows(draw):
-    """One row (x, c, p, below) of the rational finish: the left neighbour,
-    the bracket ends a and b and the right neighbour, with counts and
-    pivots.  The pivots follow 1 / (w / (lam - x) + alpha + beta x) with lam
-    in (a, b), or are drawn freely; then a neighbour may lose its pivot (a
-    Gershgorin end is NaN) or get a zero one, the left column may wrap
-    (below = 0, where it holds the row's right end), the right neighbour may
-    repeat b, and points may coincide."""
+def finish_rows(draw, exact=False):
+    """One row (x, c, p, below) of the rational finish, and its pole: the
+    left neighbour, the bracket ends a and b and the right neighbour, with
+    counts and pivots.  The pivots follow 1 / (w / (lam - x) + alpha + beta x)
+    with lam in [a, b], beta 0 or not, and then the pole is (lam, beta); or
+    they are drawn freely, and the pole is None.  Then a neighbour may lose
+    its pivot (a Gershgorin end is NaN) or get a zero one, the left column
+    may wrap (below = 0, where it holds the row's right end), the right
+    neighbour may repeat b, and points may coincide.  exact=True always
+    takes the pole, with end counts 1 apart."""
     xa = draw(st.one_of(st.floats(-1e4, 1e4), st.floats(-1.0, 1.0)))
     gap = st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 10.0))
     xl, xb = xa - draw(gap), xa + draw(gap)
@@ -524,33 +526,32 @@ def finish_rows(draw):
     if below == 0:
         xl = xr + draw(gap)
     x = [xl, xa, xb, xr]
-    if draw(st.booleans()):
+    pole = None
+    if exact or draw(st.booleans()):
         lam = xa + draw(st.floats(0.0, 1.0)) * (xb - xa)
         w, alpha = draw(st.floats(1e-3, 1e3)), draw(st.floats(-1.0, 1.0))
-        beta = draw(st.floats(-1e-3, 1e-3))
+        beta = draw(st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
         with np.errstate(all="ignore"):
             p = [float(1.0 / (w / np.float64(lam - xi) + alpha + beta * xi)) for xi in x]
+        pole = lam, beta
     else:
         p = [draw(PIVOTS) for _ in x]
     for side in (0, 3):
         p[side] = draw(st.sampled_from([p[side]] * 3 + [math.nan, 0.0]))
     ca = draw(st.integers(0, 5))
-    cb = ca + draw(st.sampled_from([1, 1, 1, 0, 2]))
+    cb = ca + (1 if exact else draw(st.sampled_from([1, 1, 1, 0, 2])))
     c = [ca - draw(st.integers(0, 1)), ca, cb, cb + draw(st.integers(0, 1))]
-    return x, c, p, below
+    return (x, c, p, below), pole
 
 
-def _pole_row(x, c, below, lam=0.1):
-    """A finish row whose pivots are 1 / (1 / (lam - x) + 0.1 + 0.01 x), the
-    reciprocal of one pole at lam in (x[1], x[2]) plus a line."""
-    return x, c, [1.0 / (1.0 / (lam - xi) + 0.1 + 0.01 * xi) for xi in x], below
+def _pole_row(x, c, below, beta=0.01):
+    """A finish row whose pivots are 1 / (1 / (0.1 - x) + 0.1 + beta x), the
+    reciprocal of one pole at 0.1 in (x[1], x[2]) plus a line."""
+    return x, c, [1.0 / (1.0 / (0.1 - xi) + 0.1 + beta * xi) for xi in x], below
 
 
-# The finish takes every bracket of a sweep in one vectorized pass, and each
-# must get the bits the scalar reference gives it alone, whatever the others
-# in its batch are.  The examples hold a NaN (Gershgorin) neighbour, the
-# wrapped left column, a zero neighbour pivot and coincident points, each
-# beside a bracket whose fit lands inside.
+# Rows that hold a NaN (Gershgorin) neighbour, the wrapped left column, a
+# zero neighbour pivot and coincident points.
 FIT = _pole_row([-1.3, -0.35, 0.55, 1.7], [3, 4, 5, 6], 2)
 NAN_LEFT = (FIT[0], FIT[1], [math.nan] + FIT[2][1:], 2)
 WRAPPED = _pole_row([2.9, -0.35, 0.55, 1.7], [9, 0, 1, 2], 0)
@@ -558,25 +559,62 @@ ZERO_RIGHT = (FIT[0], FIT[1], FIT[2][:3] + [0.0], 2)
 COINCIDENT = _pole_row([-0.35, -0.35, 0.55, 1.7], [4, 4, 5, 6], 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(finish_rows(), min_size=1, max_size=12))
-@example(rows=[FIT, NAN_LEFT])
-@example(rows=[WRAPPED, FIT])
-@example(rows=[FIT, ZERO_RIGHT])
-@example(rows=[COINCIDENT, FIT, NAN_LEFT, WRAPPED, ZERO_RIGHT])
-def test_vectorized_finish_bit_equal_to_scalar_reference(rows):
-    x, c, p, below = (np.array(part, dtype=float) for part in zip(*rows))
-    got = dz._isolated_roots(x, c, p, below.astype(np.intp))
-    want = [isolated_root_oracle(*row) for row in rows]
-    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+@settings(max_examples=100, deadline=None)
+@given(drawn=finish_rows())
+@example(drawn=(FIT, None))
+@example(drawn=(WRAPPED, None))
+@example(drawn=(COINCIDENT, None))
+def test_finish_estimate_lies_inside_its_bracket(drawn):
+    (x, c, p, below), _ = drawn
+    root = dz._isolated_root(x, c, p, below)
+    assert math.isnan(root) or x[1] < root < x[2]
+
+
+def _points_fitted(x, p, below):
+    """The points (x, p) the finish fits: both bracket ends, and each outside
+    neighbour with a known, nonzero pivot that is not the wrapped left
+    column or the repeated right end."""
+    return [(x[1], p[1]), (x[2], p[2])] + [
+        (xo, po) for xo, po, known in ((x[0], p[0], below), (x[3], p[3], x[3] != x[2]))
+        if known and not math.isnan(po) and po]
+
+
+# On rows whose pivots are the exact reciprocal of one pole plus a line, the
+# fit through four distinct points (or three when the line is flat) is exact
+# up to rounding, which the divided difference amplifies by spread / gap, the
+# ratio of the fitted points' extent to their closest pair's distance.  Over
+# 1.6 million random rows from finish_rows' ranges, the error read at most
+# 0.77 of eps (max |x| + spread) spread / gap, and the fit never missed the
+# bracket; the bound allows 4 of it, and held over 20,000 hypothesis
+# examples.  Most drawn rows are not isolated brackets, or keep too few
+# points, so the filter check is off.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(drawn=finish_rows(exact=True))
+@example(drawn=(FIT, (0.1, 0.01)))
+@example(drawn=(_pole_row(WRAPPED[0], WRAPPED[1], 0, beta=0.0), (0.1, 0.0)))
+def test_finish_recovers_an_exact_pole(drawn):
+    (x, c, p, below), (lam, beta) = drawn
+    fitted = _points_fitted(x, p, below)
+    enough = len(fitted) == 4 or len(fitted) == 3 and beta == 0.0
+    assume(p[1] > 0.0 > p[2] and x[1] < lam < x[2] and enough)
+    xs = [xi for xi, _ in fitted]
+    spread = max(xs) - min(xs)
+    gap = min(abs(u - v) for i, u in enumerate(xs) for v in xs[i + 1:])
+    # the weights p_i prod (x_i - x_j) must stay normal doubles: below that
+    # they lose digits, and at 0 they read as coincident points
+    assume(min(abs(pi) for _, pi in fitted) * gap ** (len(fitted) - 1) > 1e-290)
+    bound = 4.0 * EPS * (max(map(abs, xs)) + spread) * spread / gap
+    root = dz._isolated_root(x, c, p, below)
+    # where rounding may move the root by the bracket's width, it may miss it
+    assert abs(root - lam) <= bound or math.isnan(root) and bound >= x[2] - x[1]
 
 
 def test_finish_examples_reach_each_case():
     # the examples above reach what they are claimed to: each bracket but the
     # coincident one fits inside, through four points or through the three
     # it keeps; NAN_LEFT and WRAPPED both drop the left neighbour
-    fit, nan_left, wrapped, zero_right = (isolated_root_oracle(*row)
+    fit, nan_left, wrapped, zero_right = (dz._isolated_root(*row)
                                           for row in (FIT, NAN_LEFT, WRAPPED, ZERO_RIGHT))
     assert all(-0.35 < r < 0.55 for r in (fit, nan_left, zero_right))
     assert nan_left == wrapped and len({fit, nan_left, zero_right}) == 3
-    assert math.isnan(isolated_root_oracle(*COINCIDENT))
+    assert math.isnan(dz._isolated_root(*COINCIDENT))

@@ -170,8 +170,7 @@ class TestRecordedBits:
 
     @pytest.mark.parametrize("nu, k, zero", RECORDED_ZEROS)
     def test_zeros(self, nu, k, zero, monkeypatch):
-        # a family scan seeds its recurrence where its top order needs it, so
-        # a zero cached by a wider family may differ in the last bits
+        # computed here, not read from what another test cached
         monkeypatch.setattr(special, "_zero_cache", {})
         assert bessel_zero(nu, k).hex() == zero
 
@@ -249,10 +248,10 @@ class TestBatchedZeros:
         grid = special._SCAN_STEP * np.arange(1, 88)
         values, derivs = special._scan_table(parity, ells, grid)
         assert values.shape == derivs.shape == (len(ells), len(grid))
-        # The scan seeds every order where the top one needs it.  Integer
-        # orders are normalized by Miller's sum, cut off at the seed, so they
-        # match the scalar recurrence to rounding only where it seeds at the
-        # same order, above the top order; below it they differ by about
+        # The scan seeds each point past x, the scalar recurrence past its
+        # order too.  Integer orders are normalized by Miller's sum, cut off
+        # at the seed, so they match it to rounding only where both seed at
+        # the same order, above the top order; below it they differ by about
         # J_seed(x), up to 1.3e-13 here.
         cols = grid > ells[-1] if parity == 0 else grid > 0.0
         want = np.array([[_eval_j_pair(BesselOrder(2 * ell + parity), x)
@@ -290,6 +289,25 @@ class TestBatchedZeros:
         for short, full in zip(first, wider):
             assert full is not short and len(full) > len(short)
             assert full[:len(short)].tolist() == pytest.approx(short.tolist(), rel=1e-14)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("added, reach", [
+        pytest.param((50,), 60.0, id="with-50"), pytest.param((100,), 60.0, id="with-100"),
+        pytest.param((200,), 60.0, id="with-200"),
+        pytest.param((50, 100, 200), 240.0, id="with-all-reach-240")])
+    def test_zeros_of_an_order_do_not_depend_on_the_family(self, parity, added, reach,
+                                                            monkeypatch):
+        # the scan seeds each grid point past x alone, so each order's zeros
+        # are the same bits scanned alone, beside larger orders, or further
+        ells = [0, 1, 7, 20]
+        twice = [2 * ell + parity for ell in ells]
+        monkeypatch.setattr(special, "_zero_cache", {})
+        alone = special._family_zeros(twice, 60.0)
+        monkeypatch.setattr(special, "_zero_cache", {})
+        wider = special._family_zeros(twice + [2 * ell + parity for ell in added], reach)
+        for short, full in zip(alone, wider):
+            assert len(full) >= len(short) > 0
+            assert full[:len(short)].tobytes() == short.tobytes()
 
 
 class TestTaylorSeries:

@@ -237,6 +237,21 @@ class TestBallSpectrum:
             for (a, _), (b, _) in zip(warm, entries):
                 assert abs(a - b) <= 1e-13 * b
 
+    @pytest.mark.parametrize("n, which, other, wider", [(2, "dirichlet", "krein", 4.0e4),
+                                                        (3, "dirichlet", "krein", 2.0e4),
+                                                        (3, "krein", "dirichlet", 2.0e4)])
+    def test_equal_spectra_cold_warm_and_after_the_other_condition(self, empty_caches, n,
+                                                                    which, other, wider):
+        # each zero's bits depend only on its order and index, not on what
+        # the zero cache held: a wider reach, or the other condition's orders
+        ball = BallSpec(n, 1.0)
+        cold = spx.ball_spectrum(ball, which, 1.0e4)
+        for first in ((ball, which, wider), (ball, other, 1.0e4)):
+            empty_caches()
+            spx.ball_spectrum(*first)
+            empty_caches(zeros=False)
+            assert spx.ball_spectrum(ball, which, 1.0e4) == cold
+
     def test_order_above_500_raises(self, empty_caches):
         with pytest.raises(DomainError):
             spx.ball_spectrum(BallSpec(2, 1.0), "dirichlet", 510.0 ** 2)
