@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, InsufficientData, InsufficientEigenvalues, _condition,
-                     _int64_counts, _integer, _pair, _positive, _real, _require_complete_below,
-                     _shown)
+                     _int64_counts, _integer, _pair, _positive, _real, _reals,
+                     _require_complete_below, _shown)
 from .special import bessel_zero
 from .spectra import BallSpec, IntervalSpec, Spectrum, ball_spectrum, interval_dirichlet, interval_krein
 
@@ -66,8 +66,8 @@ class CountingFunction:
     finite and strictly ascending (float), cumulative of the same length,
     integers nondecreasing from 0 (int64).  complete_below is None or > 0 (inf
     allowed), stored as a float.  Calling it on a scalar returns an int, on an array an int64
-    array of the same shape, each from one np.searchsorted; a NaN probe
-    raises ValueError.
+    array of the same shape, each from one np.searchsorted; a NaN probe, or
+    one that is not a real number (`errors._reals`), raises ValueError.
     """
 
     breakpoints: np.ndarray   # ascending eigenvalues
@@ -94,7 +94,7 @@ class CountingFunction:
             object.__setattr__(self, name, arr)
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
+        lam = _reals("probes", lam)
         if np.any(np.isnan(lam)):
             raise ValueError("NaN probe of a counting function")
         idx = np.searchsorted(self.breakpoints, lam, side="right")

@@ -159,6 +159,11 @@ class RadialChannelSpec:
         if self.bc == "krein" and self.ell >= 2 * self.m:
             raise DomainError("the soft end needs l < 2m, "
                               f"got l={_shown(self.ell)}, m={_shown(self.m)}")
+        # the pencil divides by h^2 = (R/m)^2, and no scaling recovers an
+        # entry that left the normal doubles there
+        if not 2.0 ** -511 <= self.radius / self.m <= 2.0 ** 511:
+            raise DomainError(f"radius {_shown(self.radius)} over m={_shown(self.m)} cells "
+                              "puts h^2 or 1/h^2 outside the normal doubles")
 
 
 @dataclass(frozen=True)
@@ -423,7 +428,12 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     skip = 1 if spec.bc == "krein" else 0
     count = _integer("count", count, 1, spec.m - skip)
     pencil = radial_pencil(spec)
-    d, e = pencil.reduced_tridiagonal()
+    # T's entries are near 1/h^2, whose square under- or overflows in the
+    # Sturm pivots at radii like 1e100 and 1e-100; scaled by a power of two
+    # near h^2 they are near 1, and every count, stop and bracket scales
+    # exactly with them, so the brackets are divided back at the end
+    scale = 2.0 ** round(2.0 * math.log2(spec.radius / spec.m))
+    d, e = (scale * x for x in pencil.reduced_tridiagonal())
     abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
     radius = abs_e[:-1] + abs_e[1:]
     lo = float(np.min(d - radius))
@@ -453,10 +463,10 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
         stop = _stop_width(out[1], lo, hi)
         if not abs(out[0]) <= bound * abs(out[1]) + stop:
             raise ConstructionMismatch(
-                f"expected a zero mode, got lowest eigenvalues {out[0]:.3e}, "
-                f"{out[1]:.3e} (ratio bound {bound:.3e})"
+                f"expected a zero mode, got lowest eigenvalues {out[0] / scale:.3e}, "
+                f"{out[1] / scale:.3e} (ratio bound {bound:.3e})"
             )
-    return out[skip:]
+    return out[skip:] / scale
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ through `_shown`, which keeps an int too long for decimal from replacing
 the site's error by Python's own ValueError.  Every real argument is read
 by `_double` alone, as float() of a real number (no bool), +-inf past the
 doubles; each site range-checks that double, never the raw input.  A pair,
-as a window or a law, is read by `_pair`, its items by the same rules.
+as a window or a law, is read by `_pair`, its items by the same rules,
+and an array of reals, as shifts or probes, by `_reals`.
 Spectra and counting functions share `_int64_counts` and
 `_require_complete_below`.
 """
@@ -143,6 +144,19 @@ def _real(name: str, value) -> float:
     if number is None:
         raise DomainError(f"{name} {_shown(value)} is not a real number")
     return number
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array of its own shape, each entry read as `_double`
+    reads one; ValueError naming the argument unless it is a real number or
+    an array of them (no bool, str or complex)."""
+    held = np.asarray(value)
+    if held.dtype.kind in "iuf":
+        return held.astype(float, copy=False)
+    reals = [_double(v) for v in held.reshape(-1).tolist()] if held.dtype.kind == "O" else [None]
+    if None in reals:
+        raise ValueError(f"{name} must be real numbers, got {_shown(value)}")
+    return np.array(reals, dtype=float).reshape(held.shape)
 
 
 def _condition(name: str, value) -> str:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite, _integer
+from .errors import NoConvergence, NotPositiveDefinite, NotPositiveSemidefinite, _integer, _reals
 from .tolerances import CHOLESKY_PIVOT_REL, PSD_CLAMP_REL
 
 __all__ = [
@@ -205,7 +205,8 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False, twist=None):
     lam.  At an off-diagonal that is exactly zero T splits, and the pivot
     restarts at q_i = d_i - lam, which also keeps 0/0 out of the sweep.
     A non-finite entry of T, or a NaN shift, raises ValueError: the sign
-    bits would count nothing meaningful.
+    bits would count nothing meaningful.  So do diag or offdiag arrays that
+    are not 1-D, and shifts that are not real numbers (`errors._reals`).
 
     twist is the row k (0-based) of the twisted factorization
     T - lam = N_k Gamma N_k^T (Marques, Riedy & Voemel, SIAM J. Sci. Comput.
@@ -250,6 +251,8 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False, twist=None):
     # + 0.0 turns a -0 diagonal entry into +0, so no pivot is ever -0
     d = np.asarray(diag, dtype=float) + 0.0
     e = np.asarray(offdiag, dtype=float)
+    if d.ndim != 1 or e.ndim != 1:
+        raise ValueError(f"diag and offdiag must be 1-D, got shapes {d.shape} and {e.shape}")
     n = d.size
     if n < 1:
         raise ValueError("tridiagonal has no rows")
@@ -258,7 +261,7 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False, twist=None):
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal has non-finite entries")
     k = n - 1 if twist is None else _integer("twist", twist, 0, n - 1)
-    shifts = np.asarray(lam, dtype=float)
+    shifts = _reals("shifts", lam)
     s = shifts.reshape(-1)
     if np.isnan(s).any():
         raise ValueError("shift is NaN")

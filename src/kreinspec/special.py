@@ -27,12 +27,15 @@ batch per call.  Bessel zeros reach it by two routes:
   evaluation of J and J' there.
 * Whole zero sets come from `_family_zeros`: for the orders l + p/2 of one
   parity p it finds every zero below a bound at once.  One backward
-  recurrence over orders, vectorized with numpy over a grid of arguments of
-  step _SCAN_STEP, gives J and J' of every order on the grid and brackets
-  every zero; then every bracket is refined together on a Taylor series of
-  J about one of its ends, whose coefficients Bessel's equation generates
-  from the grid values, so the Halley steps evaluate polynomials and run no
-  further recurrence.  The zeros are cached per order in `_zero_cache` with
+  recurrence over orders, vectorized with numpy over an ascending grid of
+  arguments of step _SCAN_STEP, gives J and J' of every order on the grid
+  and brackets every zero.  Its seeds ascend with the grid, so the points
+  seeded at one order form one slice, and it stores one window of
+  consecutive orders, the lowest wanted minus 1 to the top plus 1.  Then
+  every bracket is refined together on a Taylor series of J about one of
+  its ends, whose coefficients Bessel's equation generates from the grid
+  values, so the Halley steps evaluate polynomials and run no further
+  recurrence.  The zeros are cached per order in `_zero_cache` with
   the argument below which they are complete, so the hard and soft spectra
   of one ball (orders of one parity) share one computation.  A single zero
   in the large-order, small-index regime, where the expansion is
@@ -212,33 +215,32 @@ def _refine_zero(order: BesselOrder, guess: float) -> float:
                                np.array([guess]))[0])
 
 
-def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray,
-                   rows: dict):
+def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray, lo: int):
     """The backward recurrence over orders, Miller's for integer orders and
     spherical for half-integer ones, run for every argument of x at once.
 
-    Element e is seeded at order starts[e].  rows maps an order index i to
-    the row of out that receives the unnormalized values of order
-    i + parity/2.  Rescaling acts on every row of the rescaled elements.
-    Returns the unnormalized values of orders 0 and 1 (plus parity/2) and,
-    for integer orders, the Miller sum 2 * sum_{k>=1} J_{2k}.
+    Element e is seeded at order starts[e].  x ascends and starts with it,
+    as `_recurrence_start` gives them on an ascending grid, so the elements
+    seeded at order k are one slice.  Row r of out receives the
+    unnormalized values of order lo + r + parity/2, for the consecutive
+    orders its rows hold.  Rescaling acts on every row of the rescaled
+    elements.  Returns the unnormalized values of orders 0 and 1 (plus
+    parity/2) and, for integer orders, the Miller sum 2 * sum_{k>=1} J_{2k}.
     """
     f = np.zeros_like(x)
     fplus = np.zeros_like(x)
     norm = np.zeros_like(x)
-    by_start = np.argsort(starts, kind="stable")
-    values, first = np.unique(starts[by_start], return_index=True)
-    seeds = dict(zip(values.tolist(), np.split(by_start, first[1:])))
+    top, hi = int(starts.max(initial=0)), lo + len(out)
+    first = np.searchsorted(starts, np.arange(top + 2)).tolist()
     inv = 1.0 / _RESCALE
-    for k in range(int(starts.max(initial=0)), 0, -1):
-        if k in seeds:
-            f[seeds[k]] = 1.0e-30
+    for k in range(top, 0, -1):
+        f[first[k]:first[k + 1]] = 1.0e-30
         fminus = ((2.0 * k + parity) / x) * f - fplus
         fplus = f
         f = fminus
         idx = k - 1
-        if idx in rows:
-            out[rows[idx]] = f
+        if lo <= idx < hi:
+            out[idx - lo] = f
         if parity == 0 and idx >= 2 and idx % 2 == 0:
             norm += 2.0 * f
         big = np.abs(f) > _RESCALE
@@ -250,21 +252,22 @@ def _backward_pass(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarr
     return f, fplus, norm
 
 
-def _backward_one(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray, rows: dict):
+def _backward_one(parity: int, x: np.ndarray, starts: np.ndarray, out: np.ndarray, lo: int):
     """`_backward_pass` on a grid x of one point, in Python floats: numpy's
     call overhead on every order would make it 20-25 times slower.  For
-    speed, c = 2k + parity is kept as an exact float and abs(f) <= big is
-    written -big <= f <= big."""
+    speed, c = 2k + parity is kept as an exact float, abs(f) <= big is
+    written -big <= f <= big, and the window test reads idx < hi first,
+    which fails at most orders."""
     x, start = float(x[0]), int(starts[0])
     stored = [0.0] * len(out)
     f, fplus, norm = 1.0e-30, 0.0, 0.0
     big, inv = _RESCALE, 1.0 / _RESCALE
-    top, even, c = max(rows), parity == 0, 2.0 * start + parity
+    hi, even, c = lo + len(out), parity == 0, 2.0 * start + parity
     for idx in range(start - 1, -1, -1):
         f, fplus = (c / x) * f - fplus, f
         c -= 2.0
-        if idx <= top and idx in rows:
-            stored[rows[idx]] = f
+        if idx < hi and lo <= idx:
+            stored[idx - lo] = f
         if even and idx >= 2 and not idx % 2:
             norm += 2.0 * f
         if not -big <= f <= big:
@@ -293,26 +296,22 @@ def _scan_table(parity: int, ells: np.ndarray, grid: np.ndarray):
     """(J_nu, J_nu') of each order nu = l + parity/2, l in ells (ascending),
     at every grid point, as two arrays with one row per order, from one
     recurrence pass seeded by `_recurrence_start`: `_backward_one` on a grid
-    of one point, `_backward_pass` otherwise.  The pass stores orders l - 1,
-    l and l + 1; J' = (J_{nu-1} - J_{nu+1}) / 2, with J_0' = -J_1, and
+    of one point, `_backward_pass` otherwise.  The pass stores one window
+    of consecutive orders, from the lowest l - 1 (0 at least) to the top
+    l + 1; J' = (J_{nu-1} - J_{nu+1}) / 2, with J_0' = -J_1, and
     half-integer orders carry sqrt(2x/pi), with j_{-1} = cos x / x.
     """
-    wanted = ells + np.array([[-1], [0], [1]])
-    # a mask, not np.unique, which imports numpy.ma (see analysis._probe_points);
-    # order -1 of l = 0 marks the last entry, the top order, stored anyway
-    needed = np.zeros(int(ells[-1]) + 2, dtype=bool)
-    needed[wanted] = True
-    stored = np.flatnonzero(needed)
-    rows = {order: row for row, order in enumerate(stored.tolist())}
-    out = np.zeros((len(stored), len(grid)))
+    lo = max(int(ells[0]) - 1, 0)
+    out = np.zeros((int(ells[-1]) + 2 - lo, len(grid)))
     # the grid pass seeds each point past x alone, so its values, and the
     # zeros bracketed from them, do not depend on which orders are scanned
     # with it; a one-point call also seeds above its top order, since
     # bessel_j(500, 100) needs orders above x
     starts = _recurrence_start(int(ells[-1]) + 1 if len(grid) == 1 else 0, grid)
     recur = _backward_one if len(grid) == 1 else _backward_pass
-    table = _normalized(parity, grid, out, *recur(parity, grid, starts, out, rows))
-    below, mid, above = table[np.searchsorted(stored, wanted)]
+    table = _normalized(parity, grid, out, *recur(parity, grid, starts, out, lo))
+    # order -1 of l = 0 reads the last row, replaced below
+    below, mid, above = table[ells + np.array([[-1], [0], [1]]) - lo]
     first = (ells == 0)[:, None]
     if parity == 0:
         return mid, np.where(first, -above, 0.5 * (below - above))

@@ -19,18 +19,21 @@ explicitly.
 
 Every builder here assembles its spectrum on numpy arrays and hands them to
 `Spectrum._from_arrays`, which runs the constructor's checks without parsing
-pairs.  `ball_spectrum` also holds the last `_BALL_CACHE_SIZE` = 4 spectra
-it built, keyed by (n, R, condition, lambda_max): one `sandwich_check`
-builds four, and the reports on the same ball ask for two of them again.
-The bound stays small because one spectrum can be large: at lambda = 1e6
-the unit disk's has about 1.2e5 entries, some 2 MB.  `ball_spectrum` stays a
-plain function, which bench/tracer.py can time.  The Bessel zeros behind
-the spectra are cached separately, per order, in `special`, and shared
-across conditions and radii.
+pairs.  The last `_BALL_CACHE_SIZE` = 4 ball spectra built are held by
+functools.lru_cache on the private `_build_ball_spectrum`, keyed by
+(n, R, condition, lambda_max): one `sandwich_check` builds four, and the
+reports on the same ball ask for two of them again.  The bound stays small
+because one spectrum can be large: at lambda = 1e6 the unit disk's has
+about 1.2e5 entries, some 2 MB.  `ball_spectrum` stays a plain function
+that checks its arguments and calls the builder, which bench/tracer.py can
+time; `_build_ball_spectrum.cache_info()` counts the hits and misses.  The
+Bessel zeros behind the spectra are cached separately, per order, in
+`special`, and shared across conditions and radii.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -38,7 +41,7 @@ from math import comb
 import numpy as np
 
 from .errors import (BracketFailure, DomainError, _condition, _double, _int64_counts, _integer,
-                     _positive, _require_complete_below, _shown)
+                     _pair, _positive, _require_complete_below, _shown)
 from .special import (_MAX_TWICE_ORDER, _MAX_ZERO_INDEX, BesselOrder, _family_zeros, bessel_zero,
                       tan_fixed_point)
 from .tolerances import MERGE_REL
@@ -110,7 +113,13 @@ class Spectrum:
     complete_below: float | None
 
     def __init__(self, entries, kernel_dim, complete_below=None):
-        self._hold([v for v, _ in entries], [m for _, m in entries], kernel_dim, complete_below)
+        try:
+            pairs = [_pair(entry, lambda item: item) for entry in entries]
+        except TypeError:  # entries is not iterable, as a number is not
+            pairs = [None]
+        if None in pairs:
+            raise ValueError("spectrum entries must be (value, multiplicity) pairs")
+        self._hold([v for v, _ in pairs], [m for _, m in pairs], kernel_dim, complete_below)
 
     @classmethod
     def _from_arrays(cls, values, mults, kernel_dim, complete_below) -> Spectrum:
@@ -279,9 +288,6 @@ def _merge_coincident(values, mults) -> tuple[np.ndarray, np.ndarray]:
 
 
 _BALL_CACHE_SIZE = 4
-# (n, R, condition, lambda_max) -> Spectrum, least recently used first.  Not
-# locked: two threads asking for one new key at once each build it.
-_ball_cache: dict = {}
 
 
 def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
@@ -297,29 +303,24 @@ def ball_spectrum(spec: BallSpec, which: str, lambda_max: float) -> Spectrum:
     do a radius above 1e150, where a value could fall below 1e-300, and a
     multiplicity above 2^63 - 1, all before any zero is computed.
 
-    The arguments are checked first.  The spectrum itself is then looked up
-    among the last `_BALL_CACHE_SIZE` = 4 built, keyed by (n, R, condition,
-    lambda_max) with R and lambda_max as floats, so BallSpec(3, 1) and
-    BallSpec(3, 1.0) share one; a call that raises caches nothing.  Every
-    caller of equal arguments gets the same immutable object.  The bound is
-    small because at lambda = 1e6 the unit disk's spectrum has about 1.2e5
-    entries, some 2 MB (16 bytes an entry, its two arrays, measured at
-    R = 0.5).
-    This stays a plain function, not a functools.lru_cache wrapper, because
-    bench/tracer.py wraps only plain functions: behind a wrapper object its
+    The arguments are checked first.  The spectrum itself comes from
+    `_build_ball_spectrum`, a functools.lru_cache of the last
+    `_BALL_CACHE_SIZE` = 4 built, keyed by (n, R, condition, lambda_max)
+    with R and lambda_max as floats, so BallSpec(3, 1) and BallSpec(3, 1.0)
+    share one; a call that raises caches nothing.  Every caller of equal
+    arguments gets the same immutable object.  The bound is small because
+    at lambda = 1e6 the unit disk's spectrum has about 1.2e5 entries, some
+    2 MB (16 bytes an entry, its two arrays, measured at R = 0.5).
+    This function stays plain, outside the cache, because bench/tracer.py
+    wraps only plain functions: behind a wrapper object its
     `spectra.ball_spectrum` time and repeat share would read 0.
     """
     lambda_max, which = _positive("lambda_max", lambda_max), _condition("which", which)
-    key = (spec.n, spec.radius, which, lambda_max)
-    spectrum = _ball_cache.pop(key, None)
-    if spectrum is None:
-        spectrum = _build_ball_spectrum(spec.n, spec.radius, which, lambda_max)
-    _ball_cache[key] = spectrum
-    for stale in list(_ball_cache)[:-_BALL_CACHE_SIZE]:
-        _ball_cache.pop(stale, None)
-    return spectrum
+    return _build_ball_spectrum(spec.n, spec.radius, which, lambda_max)
 
 
+# Not locked: two threads asking for one new key at once each build it.
+@functools.lru_cache(maxsize=_BALL_CACHE_SIZE)
 def _build_ball_spectrum(n, radius, which: str, lambda_max) -> Spectrum:
     offset = n - 2 if which == "dirichlet" else n  # twice the order shift
     limit = math.sqrt(lambda_max) * radius

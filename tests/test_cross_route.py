@@ -87,6 +87,18 @@ def test_doubling_a_large_radius_on_coarse_grids_quarters_every_value(n, ell, bc
             assert np.array_equal(doubled, values / 4)
 
 
+# At R = 1e100 the squared entries of T, near 1/h^2 = 4e-196, underflowed in
+# the Sturm pivots, and at R = 1e-100 they overflowed: R^2 lambda read
+# 80006.4 and 6.09 for all three values.  Multisection now runs on T scaled
+# near 1 by a power of two, so R^2 lambda is the unit ball's.
+@pytest.mark.parametrize("bc", ["dirichlet", "krein"])
+@pytest.mark.parametrize("radius", [1e100, 1e-100])
+def test_wide_and_narrow_balls_give_the_unit_balls_values(radius, bc):
+    unit = dz.radial_eigenvalues(dz.RadialChannelSpec(3, 2, 1.0, 200, bc), 3)
+    scaled = dz.radial_eigenvalues(dz.RadialChannelSpec(3, 2, radius, 200, bc), 3)
+    np.testing.assert_allclose(radius * radius * scaled, unit, rtol=1e-12, atol=0.0)
+
+
 # The entries are ratios near 1 over h^2, so no face weight r^(n-1)
 # underflows at high n.  The relative error of lambda stays below
 # 0.09 lambda h^2 (0.081-0.083 measured).  mpmath takes about 0.4 s for the

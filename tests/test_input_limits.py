@@ -344,6 +344,21 @@ UNREACHED_CHECKS = {
         lambda: sp.Spectrum(((2.0, 1), (1.0, 1)), 0), "not strictly increasing"),
     "spectrum-zero-multiplicity": (
         lambda: sp.Spectrum(((1.0, 0),), 0), "nonpositive multiplicity"),
+    # a bare TypeError (a float is not iterable), two bare unpacking
+    # ValueErrors, and two "could not convert string to float"
+    "spectrum-number-entries": (
+        lambda: sp.Spectrum(1.0, 0), r"entries must be \(value, multiplicity\) pairs"),
+    "spectrum-triple-entry": (
+        lambda: sp.Spectrum([(1.0, 1, 2)], 0), r"entries must be \(value, multiplicity\) pairs"),
+    "spectrum-str-entries": (
+        lambda: sp.Spectrum("ab", 0), r"entries must be \(value, multiplicity\) pairs"),
+    "sturm-2-d-diagonal": (
+        lambda: la.sturm_count([[2.0, 2.0]], [1.0], 1.0),
+        r"diag and offdiag must be 1-D, got shapes \(1, 2\) and \(1,\)"),
+    "sturm-str-shift": (
+        lambda: la.sturm_count([2.0, 2.0], [1.0], "a"), "shifts must be real numbers, got 'a'"),
+    "counting-str-probe": (
+        lambda: an.CountingFunction((1.0, 2.0), (1, 3))("a"), "probes must be real numbers, got 'a'"),
 }
 
 
@@ -787,6 +802,15 @@ RANGE_LIMITS = {
     # 1,244 values from 5.78e-310 up, subnormal doubles
     "ball-spectrum-radius-1e155": (
         lambda: sp.ball_spectrum(sp.BallSpec(2, 1e155), "dirichlet", 1e-306), "below 1e-300"),
+    # h = R/m with h^2 or 1/h^2 past the normal doubles: 1/h^2 overflowed in
+    # radial_pencil (non-finite entries), (R/m)^2 raised a bare OverflowError,
+    # and 1/h^2 = 6.4e-309 gave a subnormal value without a word
+    "radial-radius-1e-160": (
+        lambda: dz.RadialChannelSpec(3, 2, 1e-160, 200, "dirichlet"), "radius 1e-160 over m=200"),
+    "radial-radius-1e300": (
+        lambda: dz.RadialChannelSpec(3, 2, 1e300, 8, "krein"), "radius 1e\\+300 over m=8"),
+    "radial-radius-1e155": (
+        lambda: dz.RadialChannelSpec(3, 2, 1e155, 8, "dirichlet"), "normal doubles"),
 }
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinspec import special
 from kreinspec.errors import DomainError
@@ -262,20 +263,37 @@ class TestBatchedZeros:
     @pytest.mark.parametrize("parity", [0, 1])
     def test_one_point_loop_matches_the_grid_loop_bit_for_bit(self, parity):
         # _scan_table runs either loop at the seed _recurrence_start gives;
-        # at one point both must store the same rows and return the same
-        # f, fplus and Miller sum, rescalings included
+        # at one point both must store the same window of orders lo .. top + 1
+        # and return the same f, fplus and Miller sum, rescalings included
         rng = np.random.default_rng(23 + parity)
         points = np.r_[1e-3, 1e4, 10.0 ** rng.uniform(-3.0, 4.0, 40)]
         for x, top in zip(points.tolist(), rng.integers(0, 501, len(points)).tolist()):
             grid = np.array([x])
-            orders = np.unique(np.r_[0, top, top + 1, rng.integers(0, top + 2, 5)])
-            rows = {order: row for row, order in enumerate(orders.tolist())}
+            lo = int(rng.integers(0, top + 1))
             starts = special._recurrence_start(top + 1, grid)
-            out_one, out_grid = np.zeros((2, len(orders), 1))
-            one = special._backward_one(parity, grid, starts, out_one, rows)
-            many = special._backward_pass(parity, grid, starts, out_grid, rows)
+            out_one, out_grid = np.zeros((2, top + 2 - lo, 1))
+            one = special._backward_one(parity, grid, starts, out_one, lo)
+            many = special._backward_pass(parity, grid, starts, out_grid, lo)
             assert out_one.tobytes() == out_grid.tobytes()
             assert np.array(one).tobytes() == np.concatenate(many).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 1), st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=6),
+           st.integers(0, 500), st.integers(0, 500))
+    def test_grid_pass_gives_each_point_its_own_bits(self, parity, logs, top, lo):
+        # each point of an ascending grid is seeded at its own order, never
+        # at another's: its rows, f, fplus and Miller sum are the bits of a
+        # pass over that point alone
+        grid = np.sort(10.0 ** np.array(logs))
+        lo = min(lo, top)
+        starts = special._recurrence_start(0, grid)
+        out = np.zeros((top + 2 - lo, len(grid)))
+        many = special._backward_pass(parity, grid, starts, out, lo)
+        for e in range(len(grid)):
+            alone = np.zeros((top + 2 - lo, 1))
+            one = special._backward_pass(parity, grid[e:e + 1], starts[e:e + 1], alone, lo)
+            assert out[:, e].tobytes() == alone[:, 0].tobytes()
+            assert np.array([part[e] for part in many]).tobytes() == np.concatenate(one).tobytes()
 
     def test_family_zeros_are_cached_with_their_reach(self, monkeypatch):
         monkeypatch.setattr(special, "_zero_cache", {})

@@ -23,11 +23,13 @@ def empty_caches(monkeypatch):
     each call; empty(zeros=False) empties the ball-spectrum cache alone, so
     the next ball_spectrum rebuilds from warm zeros."""
     def empty(zeros=True):
-        monkeypatch.setattr(spx, "_ball_cache", {})
+        spx._build_ball_spectrum.cache_clear()
         if zeros:
             monkeypatch.setattr(special, "_zero_cache", {})
     empty()
-    return empty
+    yield empty
+    # no spectrum built from the emptied zero cache outlives the test
+    spx._build_ball_spectrum.cache_clear()
 
 
 def _pairs(values, mults):
@@ -258,7 +260,7 @@ class TestBallSpectrum:
         with pytest.raises(DomainError):
             spx.ball_spectrum(BallSpec(3, 1.0), "krein", 1.0e20)
         assert special._zero_cache == {}
-        assert spx._ball_cache == {}
+        assert spx._build_ball_spectrum.cache_info().currsize == 0
 
     def test_interval_is_not_a_ball(self):
         # guard against index confusion between the two exact families
@@ -304,7 +306,8 @@ class TestBallSpectrumCache:
         for spec, lam in ((BallSpec(3, 1.0), 200.0), (BallSpec(3, 1.0), 200),
                           (BallSpec(np.int64(3), 1), np.float64(200.0))):
             assert spx.ball_spectrum(spec, "krein", lam) is first
-        assert len(spx._ball_cache) == 1
+        info = spx._build_ball_spectrum.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
 
     def test_each_argument_is_its_own_key(self, empty_caches):
         calls = [(BallSpec(3, 1.0), "krein", 200.0), (BallSpec(2, 1.0), "krein", 200.0),
@@ -332,22 +335,29 @@ class TestBallSpectrumCache:
     def test_invalid_arguments_cache_nothing(self, empty_caches, call, error, message):
         with pytest.raises(error, match=message):
             spx.ball_spectrum(*call)
-        assert spx._ball_cache == {}
+        assert spx._build_ball_spectrum.cache_info().currsize == 0
 
     def test_holds_the_most_recent_up_to_its_bound(self, empty_caches):
         ball, bound = BallSpec(2, 1.0), spx._BALL_CACHE_SIZE
+        info = spx._build_ball_spectrum.cache_info
         built = {}
         for lam in range(10, 10 + 3 * bound):
             built[lam] = spx.ball_spectrum(ball, "dirichlet", float(lam))
-            assert len(spx._ball_cache) <= bound
+            assert info().currsize == min(lam - 9, bound)
+        assert (info().maxsize, info().hits, info().misses) == (bound, 0, 3 * bound)
         held = list(built)[-bound:]
-        assert [key[3] for key in spx._ball_cache] == held
         # a hit makes its entry the most recent, so the next one out is the
-        # second oldest
+        # second oldest: the four held then are exactly the hits below
         assert spx.ball_spectrum(ball, "dirichlet", held[0]) is built[held[0]]
-        spx.ball_spectrum(ball, "krein", 10.0)
-        assert [key[2:] for key in spx._ball_cache] == (
-            [("dirichlet", lam) for lam in held[2:] + held[:1]] + [("krein", 10.0)])
+        krein = spx.ball_spectrum(ball, "krein", 10.0)
+        for lam in held[2:] + held[:1]:
+            assert spx.ball_spectrum(ball, "dirichlet", lam) is built[lam]
+        assert spx.ball_spectrum(ball, "krein", 10.0) is krein
+        assert (info().hits, info().misses) == (bound + 1, 3 * bound + 1)
+        # held[1] misses, and pushes out the least recent hit, held[2]
+        assert spx.ball_spectrum(ball, "dirichlet", held[1]) is not built[held[1]]
+        assert spx.ball_spectrum(ball, "dirichlet", held[2]) is not built[held[2]]
+        assert (info().hits, info().misses, info().currsize) == (bound + 1, 3 * bound + 3, bound)
 
 
 def _library_spectra():
