@@ -63,11 +63,12 @@ class CountingFunction:
     """Nondecreasing step function stored as breakpoints with prefix sums.
 
     Both are read-only numpy arrays, coerced from any sequence: breakpoints
-    finite and strictly ascending (float), cumulative of the same length,
-    integers nondecreasing from 0 (int64).  complete_below is None or > 0 (inf
-    allowed), stored as a float.  Calling it on a scalar returns an int, on an array an int64
-    array of the same shape, each from one np.searchsorted; a NaN probe, or
-    one that is not a real number (`errors._reals`), raises ValueError.
+    real numbers (`errors._reals`), finite and strictly ascending (float),
+    cumulative of the same length, integers nondecreasing from 0 (int64).
+    complete_below is None or > 0 (inf allowed), stored as a float.  Calling
+    it on a scalar returns an int, on an array an int64 array of the same
+    shape, each from one np.searchsorted; a NaN probe, or one that is not
+    a real number (`errors._reals`), raises ValueError.
     """
 
     breakpoints: np.ndarray   # ascending eigenvalues
@@ -75,7 +76,7 @@ class CountingFunction:
     complete_below: float | None = None
 
     def __post_init__(self):
-        breakpoints = np.array(self.breakpoints, dtype=float)
+        breakpoints = _reals("breakpoints", self.breakpoints).copy()
         cumulative = _int64_counts(self.cumulative, "cumulative counts")
         if breakpoints.ndim != 1 or cumulative.shape != breakpoints.shape:
             raise ValueError(

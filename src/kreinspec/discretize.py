@@ -19,6 +19,7 @@ f'(R) = (l + (n-1)/2) f(R) / R), sets only its last diagonal entry.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ __all__ = [
 # 252.
 _SWEEP_CELLS = 512
 _RUNGS = 16
+_LOG_MAX = math.log(sys.float_info.max)  # about 709.78
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,15 @@ class RadialChannelSpec:
         if not 2.0 ** -511 <= self.radius / self.m <= 2.0 ** 511:
             raise DomainError(f"radius {_shown(self.radius)} over m={_shown(self.m)} cells "
                               "puts h^2 or 1/h^2 outside the normal doubles")
+        # no entry of the pencil or of its reduced form passes the first
+        # cell's (n + 4 l (l + n - 2)) / h^2, or 3.15 / h^2 at the hard end
+        # (n = 2, 3 and l = 0); both that factor and the entries must be
+        # doubles.  math.log reads any int, so n and l never become floats
+        top = math.log(max(self.n + 4 * self.ell * (self.ell + self.n - 2), 3.15))
+        if top - 2.0 * min(math.log(self.radius / self.m), 0.0) >= _LOG_MAX:
+            raise DomainError(f"n={_shown(self.n)}, l={_shown(self.ell)}, radius "
+                              f"{_shown(self.radius)} and m={_shown(self.m)} put the largest "
+                              "pencil entry past the doubles")
 
 
 @dataclass(frozen=True)

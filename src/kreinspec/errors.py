@@ -13,7 +13,8 @@ the site's error by Python's own ValueError.  Every real argument is read
 by `_double` alone, as float() of a real number (no bool), +-inf past the
 doubles; each site range-checks that double, never the raw input.  A pair,
 as a window or a law, is read by `_pair`, its items by the same rules,
-and an array of reals, as shifts or probes, by `_reals`.
+and an array of reals, as shifts, probes, spectrum values, breakpoints,
+tridiagonals, matrix entries or basis columns, by `_reals`.
 Spectra and counting functions share `_int64_counts` and
 `_require_complete_below`.
 """

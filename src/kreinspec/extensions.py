@@ -46,7 +46,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (ConstructionMismatch, NoDeficiency, NotOrthogonal, NotPositiveDefinite, NotPSD,
-                     RankDeficientBasis, SingularDecomposition, _integer, _positive, _shown)
+                     RankDeficientBasis, SingularDecomposition, _integer, _positive, _reals, _shown)
 from .linalg import (
     SymMatrix,
     _cholesky_inverse,
@@ -147,8 +147,9 @@ def _qr_split(columns: np.ndarray, rel_floor: float, error, complete: bool = Fal
 
 def _columns(matrix, what: str) -> np.ndarray:
     """matrix as a float array of columns, a 1-D one as one column;
-    ValueError naming `what` and the shape unless it is 1-D or 2-D."""
-    columns = np.asarray(matrix, dtype=float)
+    ValueError naming `what` unless its entries are real numbers
+    (`errors._reals`) and it is 1-D or 2-D."""
+    columns = _reals(what, matrix)
     if columns.ndim not in (1, 2):
         raise ValueError(f"{what} must be 1-D or 2-D, got shape {columns.shape}")
     return columns[:, None] if columns.ndim == 1 else columns
@@ -163,8 +164,8 @@ def new_model(a, raw_basis) -> ExtensionModel:
     Its floor bounds pivots, not conditioning: no pivot is below
     lambda_min(A), but from order 3 on A can pass with lambda_min(A)
     exponentially far below the floor.  A non-finite A raises
-    NotPositiveDefinite, and a non-finite basis entry, or a basis that is
-    not 1-D or 2-D, ValueError.
+    NotPositiveDefinite, and a basis entry that is not a finite real
+    number, or a basis that is not 1-D or 2-D, ValueError.
     """
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     raw = _columns(raw_basis, "basis")

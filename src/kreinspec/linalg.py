@@ -65,13 +65,14 @@ class SymMatrix:
     The constructor symmetrizes by averaging, so downstream code can always
     rely on exact entrywise symmetry.  It is the library's only
     symmetrizer: a new matrix is wrapped once, and a SymMatrix argument is
-    used as is, never averaged again.  Its array is read-only.
+    used as is, never averaged again.  Its array is read-only.  Entries
+    that are not real numbers raise ValueError (`errors._reals`).
     """
 
     __slots__ = ("array", "order")
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
+        a = _reals("matrix entries", entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         # halves never overflow; pairs equal bit for bit are kept, as a half
@@ -206,7 +207,8 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False, twist=None):
     restarts at q_i = d_i - lam, which also keeps 0/0 out of the sweep.
     A non-finite entry of T, or a NaN shift, raises ValueError: the sign
     bits would count nothing meaningful.  So do diag or offdiag arrays that
-    are not 1-D, and shifts that are not real numbers (`errors._reals`).
+    are not 1-D, and entries or shifts that are not real numbers
+    (`errors._reals`).
 
     twist is the row k (0-based) of the twisted factorization
     T - lam = N_k Gamma N_k^T (Marques, Riedy & Voemel, SIAM J. Sci. Comput.
@@ -249,8 +251,8 @@ def sturm_count(diag, offdiag, lam, *, last_pivot=False, twist=None):
     the pivots, so gamma_k then belongs to the diagonal block of row k alone.
     """
     # + 0.0 turns a -0 diagonal entry into +0, so no pivot is ever -0
-    d = np.asarray(diag, dtype=float) + 0.0
-    e = np.asarray(offdiag, dtype=float)
+    d = _reals("diag", diag) + 0.0
+    e = _reals("offdiag", offdiag)
     if d.ndim != 1 or e.ndim != 1:
         raise ValueError(f"diag and offdiag must be 1-D, got shapes {d.shape} and {e.shape}")
     n = d.size

@@ -41,7 +41,7 @@ from math import comb
 import numpy as np
 
 from .errors import (BracketFailure, DomainError, _condition, _double, _int64_counts, _integer,
-                     _pair, _positive, _require_complete_below, _shown)
+                     _pair, _positive, _reals, _require_complete_below, _shown)
 from .special import (_MAX_TWICE_ORDER, _MAX_ZERO_INDEX, BesselOrder, _family_zeros, bessel_zero,
                       tan_fixed_point)
 from .tolerances import MERGE_REL
@@ -96,7 +96,8 @@ class BallSpec:
 class Spectrum:
     """Ascending (value, multiplicity) pairs plus the kernel dimension.
 
-    Each multiplicity is an integer from 1 to 2^63 - 1.  Zero modes never
+    Each value is a real number (`errors._reals`), finite and > 0, and
+    each multiplicity an integer from 1 to 2^63 - 1.  Zero modes never
     appear among the entries; they are counted by kernel_dim, a real number
     (not a bool) equal to a double that is an integer >= 0 or inf, kept as
     an int or math.inf.  When complete_below is set, it is a float > 0 (inf
@@ -132,10 +133,7 @@ class Spectrum:
     def _hold(self, values, mults, kernel, complete_below) -> None:
         """Check the entries, the kernel and complete_below, then store them,
         the entries as read-only arrays."""
-        try:
-            values = np.array(values, dtype=float)
-        except OverflowError:  # an int past the doubles
-            raise ValueError("non-finite value among spectrum entries") from None
+        values = _reals("spectrum values", values).copy()  # a copy, as it is frozen below
         mults = _int64_counts(mults, "multiplicities")
         if not np.isfinite(values).all():
             raise ValueError("non-finite value among spectrum entries")

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,10 @@ def test_console_scripts_import():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_every_warning_is_an_error():
+    # filterwarnings in pyproject.toml, not a -W flag, makes any warning fail
+    # the test that raised it
+    with pytest.raises(UserWarning, match="not only a RuntimeWarning"):
+        warnings.warn("not only a RuntimeWarning", UserWarning)

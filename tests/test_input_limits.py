@@ -202,6 +202,11 @@ BAD_COUNTINGS = {
     "nan-breakpoint": lambda: an.CountingFunction((NAN, 1.0), (1, 2)),
     "decreasing-cumulative": lambda: an.CountingFunction((1.0, 2.0), (3, 2)),
     "negative-cumulative": lambda: an.CountingFunction((1.0,), (-1,)),
+    # numpy's "could not convert string to float", a bare TypeError and a
+    # bare OverflowError
+    "str-breakpoint": lambda: an.CountingFunction(("a",), (1,)),
+    "complex-breakpoint": lambda: an.CountingFunction((1j,), (1,)),
+    "huge-int-breakpoint": lambda: an.CountingFunction((10**400,), (1,)),
 }
 
 # The multiplicity 2.7 was stored as 2, and the cumulative counts
@@ -359,6 +364,22 @@ UNREACHED_CHECKS = {
         lambda: la.sturm_count([2.0, 2.0], [1.0], "a"), "shifts must be real numbers, got 'a'"),
     "counting-str-probe": (
         lambda: an.CountingFunction((1.0, 2.0), (1, 3))("a"), "probes must be real numbers, got 'a'"),
+    # numpy's "could not convert string to float" (str), a bare TypeError
+    # (complex), None read as NaN ("non-finite value") and True read as 1.0
+    "spectrum-str-value": (
+        lambda: sp.Spectrum([("a", 1)], 0), r"spectrum values must be real numbers, got \['a'\]"),
+    "spectrum-complex-value": (
+        lambda: sp.Spectrum([(1j, 1)], 0), "spectrum values must be real numbers"),
+    "spectrum-none-value": (
+        lambda: sp.Spectrum([(None, 1)], 0), "spectrum values must be real numbers"),
+    "spectrum-bool-value": (
+        lambda: sp.Spectrum([(True, 1)], 0), "spectrum values must be real numbers"),
+    "sturm-str-diagonal": (
+        lambda: la.sturm_count(["a", 2.0], [1.0], 1.0), "diag must be real numbers"),
+    "sym-matrix-str-entry": (
+        lambda: la.SymMatrix([["a"]]), "matrix entries must be real numbers"),
+    "new-model-str-basis": (
+        lambda: ext.new_model(np.eye(3), [["a"], [0.0], [1.0]]), "basis must be real numbers"),
 }
 
 
@@ -811,6 +832,24 @@ RANGE_LIMITS = {
         lambda: dz.RadialChannelSpec(3, 2, 1e300, 8, "krein"), "radius 1e\\+300 over m=8"),
     "radial-radius-1e155": (
         lambda: dz.RadialChannelSpec(3, 2, 1e155, 8, "dirichlet"), "normal doubles"),
+    # a channel whose largest entry leaves the doubles: n or l(l + n - 2)
+    # past them raised a bare OverflowError, and at l = 10^153 or h^2 =
+    # 2^-1022 the diagonal overflowed with a RuntimeWarning
+    "radial-channel-index-10-to-200": (
+        lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(3, 10**200, 1.0, 8, "dirichlet"), 1),
+        "largest pencil entry past the doubles"),
+    "radial-dimension-10-to-400": (
+        lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(10**400, 0, 1.0, 8, "dirichlet"), 1),
+        "largest pencil entry past the doubles"),
+    "radial-channel-index-10-to-153": (
+        lambda: dz.radial_pencil(dz.RadialChannelSpec(3, 10**153, 1.0, 8, "dirichlet"))
+        .reduced_tridiagonal(), "largest pencil entry past the doubles"),
+    "radial-channel-index-10-to-160-wide": (
+        lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(3, 10**160, 2.0**303, 8, "dirichlet"), 1),
+        "largest pencil entry past the doubles"),
+    "radial-radius-at-the-edge-l-2": (
+        lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(3, 2, 8 * 2.0**-511, 8, "dirichlet"), 1),
+        r"n=3, l=2, radius .* and m=8 put the largest pencil entry past the doubles"),
 }
 
 
@@ -823,6 +862,34 @@ def test_closed_forms_raise_domain_error_at_their_range_limits(call, message, mo
     monkeypatch.setattr(sp, "_family_zeros", no_roots)
     with pytest.raises(DomainError, match=message):
         call()
+
+
+# RadialChannelSpec refuses a channel unless max(n + 4 l (l + n - 2), 3.15)
+# / h^2, and that factor, are doubles.  No entry of the pencil or of its
+# reduced form passes the bound, and the first cell's reaches it unless the
+# hard end's 3.15 rules (both to a few ulps).  At the edge of the radius
+# range, where 1/h^2 = 2^1022, the l = 0 channels of n = 2 and 3 still
+# solve; n = 4 is refused there, whose first entry is 2^1024, but not 2 %
+# further in, where it solves.
+def test_radial_entries_lie_under_the_checked_bound():
+    ulps = 4.0 * np.finfo(float).eps
+    for n in (2, 3, 4, 7, 50, 300):
+        for m in (8, 9, 100, 800):
+            for ell in sorted({ell for ell in (0, 1, 2, 5, 20, 399, m - 1, 2 * m - 1) if ell < 2 * m}):
+                first = (n + 4 * ell * (ell + n - 2)) * m * m
+                bound = max(first, 3.15 * m * m)
+                for bc in ("dirichlet", "krein"):
+                    pencil = dz.radial_pencil(dz.RadialChannelSpec(n, ell, 1.0, m, bc))
+                    d, e = pencil.reduced_tridiagonal()
+                    top = max(np.abs(x).max() for x in (pencil.diagonal, pencil.offdiagonal, d, e))
+                    assert first <= top * (1.0 + ulps) and top <= bound * (1.0 + ulps), (n, ell, m, bc)
+    edge = 8 * 2.0**-511
+    for n, value in ((2, "0x1.704d6165a89c4p+1018"), (3, "0x1.39702b9503092p+1019")):
+        found = dz.radial_eigenvalues(dz.RadialChannelSpec(n, 0, edge, 8, "dirichlet"), 1)
+        assert found.tolist() == [float.fromhex(value)]
+    with pytest.raises(DomainError, match="largest pencil entry past the doubles"):
+        dz.RadialChannelSpec(4, 0, edge, 8, "dirichlet")
+    assert np.isfinite(dz.radial_eigenvalues(dz.RadialChannelSpec(4, 0, 1.02 * edge, 8, "dirichlet"), 1))
 
 
 class _Unbuilt(int):
