@@ -434,7 +434,8 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     ConstructionMismatch.  Only that check reads the zero mode, so its
     bracket stops once all of it passes the check, or else at the first
     nonzero eigenvalue's stop width.  The pencil has m eigenvalues, so a
-    count that needs more (with the dropped zero mode) raises DomainError.
+    count that needs more (with the dropped zero mode) raises DomainError,
+    and so does one whose last eigenvalue is past the largest double.
     """
     skip = 1 if spec.bc == "krein" else 0
     count = _integer("count", count, 1, spec.m - skip)
@@ -477,6 +478,12 @@ def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
                 f"expected a zero mode, got lowest eigenvalues {out[0] / scale:.3e}, "
                 f"{out[1] / scale:.3e} (ratio bound {bound:.3e})"
             )
+    # at the small end of the radius range the top of a short pencil's
+    # spectrum can pass the doubles once divided back by the scale
+    if float(out[-1]) / scale == math.inf:
+        raise DomainError(f"eigenvalue {count} of the {spec.bc} channel n={_shown(spec.n)}, "
+                          f"l={_shown(spec.ell)}, radius {_shown(spec.radius)} and "
+                          f"m={_shown(spec.m)} is past the largest double")
     return out[skip:] / scale
 
 

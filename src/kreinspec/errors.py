@@ -150,14 +150,24 @@ def _real(name: str, value) -> float:
 def _reals(name: str, value) -> np.ndarray:
     """value as a float array of its own shape, each entry read as `_double`
     reads one; ValueError naming the argument unless it is a real number or
-    an array of them (no bool, str or complex)."""
+    an array of them (no bool, str or complex).  The message shows a scalar
+    whole, and of an array its first entry that is not a real number and
+    that entry's index, so its size does not grow with the array's."""
     held = np.asarray(value)
     if held.dtype.kind in "iuf":
         return held.astype(float, copy=False)
-    reals = [_double(v) for v in held.reshape(-1).tolist()] if held.dtype.kind == "O" else [None]
-    if None in reals:
-        raise ValueError(f"{name} must be real numbers, got {_shown(value)}")
-    return np.array(reals, dtype=float).reshape(held.shape)
+    # each entry as given, where numpy has read [1.0, "a"] as two strs
+    given = held if held.dtype.kind == "O" else np.asarray(value, dtype=object)
+    entries = given.reshape(-1).tolist()
+    reals = [_double(v) for v in entries]
+    if held.dtype.kind == "O" and None not in reals:
+        return np.array(reals, dtype=float).reshape(held.shape)
+    got = _shown(value)
+    if given.ndim and entries:
+        first = reals.index(None) if None in reals else 0
+        index = tuple(int(i) for i in np.unravel_index(first, given.shape))
+        got = f"{_shown(entries[first])} at index {index[0] if len(index) == 1 else index}"
+    raise ValueError(f"{name} must be real numbers, got {got}")
 
 
 def _condition(name: str, value) -> str:

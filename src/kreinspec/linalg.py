@@ -4,7 +4,11 @@ The factorizations are numpy's LAPACK-backed routines: eigh (syevd),
 eigvalsh, svd (gesdd), cholesky (potrf) and solve (gesv).  This module adds
 the library's contracts around them: exactly symmetric input, ascending
 eigenvalues, the Cholesky pivot floor, the PSD clamp of the square root, and
-typed errors in place of LinAlgError.  Each Cholesky factor is inverted at
+typed errors in place of LinAlgError.  Those errors live in one gate,
+`_lapack`, the only caller of eigh, eigvalsh, svd and cholesky: it checks
+the entries are finite before LAPACK and turns a LinAlgError into the
+caller's error.  solve runs only on Cholesky factors that passed the pivot
+floor.  Each Cholesky factor is inverted at
 most once, by one solve, and the inverse is then applied by GEMM.  Spectra
 the library needs only the values of come from eigvalsh, and singular values
 from svd without U and V.  Exact symmetry comes from SymMatrix alone: it is
@@ -112,13 +116,8 @@ def cholesky(s) -> np.ndarray:
     borderline matrix, and so does a non-finite entry, checked before LAPACK.
     """
     a = _as_sym(s).array
-    if not np.all(np.isfinite(a)):
-        raise NotPositiveDefinite("matrix has non-finite entries")
+    low = _lapack(np.linalg.cholesky, a, "Cholesky factorization", NotPositiveDefinite)
     floor = a.shape[0] * CHOLESKY_PIVOT_REL * max_norm(a)
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from None
     pivots = np.diagonal(low) ** 2
     bad = np.flatnonzero(~(pivots > floor))
     if bad.size:
@@ -135,19 +134,32 @@ def _cholesky_inverse(low: np.ndarray) -> np.ndarray:
     return low_inv.T @ low_inv
 
 
+def _lapack(routine, a: np.ndarray, what: str, error, **options):
+    """routine(a, **options), for one of numpy's LAPACK routines.
+
+    A non-finite entry of a, or a LinAlgError, raises error naming what.
+    The entries are checked first because LAPACK can return finite results
+    for them: eigvalsh gives [0, -0] for diag(NaN, 1).
+    """
+    if not np.all(np.isfinite(a)):
+        raise error(f"{what} got non-finite entries")
+    try:
+        return routine(a, **options)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} failed: {exc}") from None
+
+
 def _eigh(a: np.ndarray, with_vectors: bool = True):
     """LAPACK eigh, or eigvalsh without vectors (which are then None).
 
     A non-finite entry, a failure or a non-finite eigenvalue raises
-    NoConvergence.  The entries are checked first because eigvalsh can
-    return finite values for a NaN matrix ([0, -0] for diag(NaN, 1)).
+    NoConvergence.
     """
-    if not np.all(np.isfinite(a)):
-        raise NoConvergence("symmetric eigensolver got non-finite entries")
-    try:
-        values, vectors = np.linalg.eigh(a) if with_vectors else (np.linalg.eigvalsh(a), None)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+    what = "symmetric eigensolver"
+    if with_vectors:
+        values, vectors = _lapack(np.linalg.eigh, a, what, NoConvergence)
+    else:
+        values, vectors = _lapack(np.linalg.eigvalsh, a, what, NoConvergence), None
     if not np.all(np.isfinite(values)):
         raise NoConvergence("symmetric eigensolver returned non-finite eigenvalues")
     return values, vectors
@@ -156,15 +168,10 @@ def _eigh(a: np.ndarray, with_vectors: bool = True):
 def _svd(a: np.ndarray, with_vectors: bool = True):
     """Thin LAPACK SVD (gesdd) as (U, s, V^T), or s alone without vectors.
 
-    s is descending.  A non-finite entry or a failure raises NoConvergence;
-    the entries are checked first, as in _eigh.
+    s is descending.  A non-finite entry or a failure raises NoConvergence.
     """
-    if not np.all(np.isfinite(a)):
-        raise NoConvergence("singular value decomposition got non-finite entries")
-    try:
-        return np.linalg.svd(a, full_matrices=False, compute_uv=with_vectors)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"singular value decomposition failed: {exc}") from None
+    return _lapack(np.linalg.svd, a, "singular value decomposition", NoConvergence,
+                   full_matrices=False, compute_uv=with_vectors)
 
 
 def sym_eigen(s) -> EigenDecomposition:

@@ -54,3 +54,27 @@ def test_every_warning_is_an_error():
     # the test that raised it
     with pytest.raises(UserWarning, match="not only a RuntimeWarning"):
         warnings.warn("not only a RuntimeWarning", UserWarning)
+
+
+GATED = {"cholesky", "eigh", "eigvalsh", "svd"}
+
+
+def test_lapack_factorizations_go_through_the_gate():
+    # linalg._lapack checks the entries are finite and turns LinAlgError into
+    # the caller's typed error; a direct call or import would skip both
+    stray = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / module).read_text())
+        gated = {id(node.args[0]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "_lapack" and node.args}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in GATED
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                    and id(node) not in gated):
+                stray.append((module, node.attr, node.lineno))
+            elif (isinstance(node, ast.ImportFrom) and not node.level
+                  and node.module.endswith("linalg")):
+                stray += [(module, alias.name, node.lineno)
+                          for alias in node.names if alias.name in GATED]
+    assert stray == []

@@ -367,7 +367,7 @@ UNREACHED_CHECKS = {
     # numpy's "could not convert string to float" (str), a bare TypeError
     # (complex), None read as NaN ("non-finite value") and True read as 1.0
     "spectrum-str-value": (
-        lambda: sp.Spectrum([("a", 1)], 0), r"spectrum values must be real numbers, got \['a'\]"),
+        lambda: sp.Spectrum([("a", 1)], 0), "spectrum values must be real numbers, got 'a' at index 0"),
     "spectrum-complex-value": (
         lambda: sp.Spectrum([(1j, 1)], 0), "spectrum values must be real numbers"),
     "spectrum-none-value": (
@@ -380,6 +380,13 @@ UNREACHED_CHECKS = {
         lambda: la.SymMatrix([["a"]]), "matrix entries must be real numbers"),
     "new-model-str-basis": (
         lambda: ext.new_model(np.eye(3), [["a"], [0.0], [1.0]]), "basis must be real numbers"),
+    # each message held the whole argument, 888,942 and 500,036 characters
+    "spectrum-str-value-after-100000": (
+        lambda: sp.Spectrum([(1.0 + i, 1) for i in range(100_000)] + [("a", 1)], 0),
+        "^spectrum values must be real numbers, got 'a' at index 100000$"),
+    "sturm-str-diagonal-after-100000": (
+        lambda: la.sturm_count([1.0] * 100_000 + ["a"], [0.5] * 100_000, 1.0),
+        "^diag must be real numbers, got 'a' at index 100000$"),
 }
 
 
@@ -850,6 +857,17 @@ RANGE_LIMITS = {
     "radial-radius-at-the-edge-l-2": (
         lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(3, 2, 8 * 2.0**-511, 8, "dirichlet"), 1),
         r"n=3, l=2, radius .* and m=8 put the largest pencil entry past the doubles"),
+    # the top eigenvalue of a channel whose entries are doubles passed them
+    # once scaled back: inf, with a RuntimeWarning from the divide
+    "radial-top-eigenvalue-past-the-doubles-n-2": (
+        lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(2, 0, 8 * 2.0**-511, 8, "dirichlet"), 8),
+        r"eigenvalue 8 of the dirichlet channel n=2, l=0, radius .* and m=8 is past the largest"),
+    "radial-top-eigenvalue-past-the-doubles-n-3": (
+        lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(3, 0, 8 * 2.0**-511, 8, "dirichlet"), 8),
+        r"eigenvalue 8 of the dirichlet channel n=3, l=0, radius .* and m=8 is past the largest"),
+    "radial-top-eigenvalue-past-the-doubles-krein": (
+        lambda: dz.radial_eigenvalues(dz.RadialChannelSpec(3, 0, 8 * 2.0**-511, 8, "krein"), 7),
+        r"eigenvalue 7 of the krein channel n=3, l=0, radius .* and m=8 is past the largest"),
 }
 
 

@@ -127,6 +127,22 @@ class TestSymEigen:
             with pytest.raises(error, match=message):
                 solve(s)
 
+    @pytest.mark.parametrize("solve, routine, error, message", [
+        (la.cholesky, "cholesky", NotPositiveDefinite, "Cholesky factorization failed"),
+        (la.sym_eigen, "eigh", NoConvergence, "symmetric eigensolver failed"),
+        (lambda a: la._eigh(a, with_vectors=False), "eigvalsh", NoConvergence,
+         "symmetric eigensolver failed"),
+        (la._svd, "svd", NoConvergence, "singular value decomposition failed"),
+    ], ids=["cholesky", "sym_eigen", "eigvalsh", "svd"])
+    def test_lapack_failures_raise_typed_errors(self, solve, routine, error, message,
+                                                monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, broken)
+        with pytest.raises(error, match=f"{message}: did not converge"):
+            solve(np.eye(3))
+
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         s = rand_sym(rng, 30)
