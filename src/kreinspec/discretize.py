@@ -265,11 +265,16 @@ def _stop_width(x, lo, hi):
 
     A Sturm count is exact only for some matrix within about eps ||T|| of T
     (Demmel, Dhillon & Ren, ETNA 3 (1995)), so a narrower bracket would not
-    be more accurate.  The rule has no absolute part: scaling T by a power
-    of two scales every width, and with it every bracket, by exactly that
-    power.  It is 0 only for T = 0, whose brackets all have width 0.
+    be more accurate.  The rule has no absolute part while eps ||T|| is a
+    normal double: scaling T by a power of two then scales every width, and
+    with it every bracket, by exactly that power.  Below that the width is
+    the smallest normal double, so it stays positive, as _outward_split
+    needs, where eps ||T|| underflows to 0: for a T whose only nonzero
+    entries are 2^-1023, say.  T = 0 starts, and so ends, with brackets of
+    width 0.
     """
-    return np.maximum(1e-13 * np.abs(x), np.finfo(float).eps * max(-lo, hi))
+    floor = max(np.finfo(float).eps * max(-lo, hi), sys.float_info.min)
+    return np.maximum(1e-13 * np.abs(x), floor)
 
 
 def _outward_split(lo, hi, count):
@@ -298,22 +303,24 @@ def _outward_split(lo, hi, count):
     ))
 
 
-def _multisect(sweep, lo, hi, wanted, is_open=None):
-    """Brackets [a, b) of the eigenvalues with the given ascending 1-based indices.
+def _multisect(d, e, wanted, bound=None):
+    """Brackets [a, b) of the eigenvalues of the symmetric tridiagonal T with
+    diagonal d and off-diagonal e, at the given ascending 1-based indices.
 
-    sweep maps an array of shifts to the Sturm counts there (eigenvalues
-    strictly below each shift) and a pivot q, the twist element of
-    sturm_count: 1 / q(x) = ((T - x)^-1)_kk = sum_j v_j(k)^2 / (lambda_j - x)
-    for one row k, and [lo, hi] holds the whole spectrum.  A bracket is open
-    while its width exceeds its stop, _stop_width at its end farther from 0;
-    is_open(a, b, stop), if given, replaces that rule and returns the mask
-    of open brackets.  Each step is one sweep at about _SWEEP_CELLS shifts,
-    and every index keeps the sub-interval that holds it.  In the first
-    sweep all indices share [lo, hi], and its shifts are geometric in the
-    distance from the point of [lo, hi] nearest 0 (_outward_split): on a
-    fine grid hi is about 4/h^2, far above the low eigenvalues, and an even
-    split would leave them all in its first cell.  Later sweeps share their
-    shifts evenly by the distinct open brackets, with at least 7 in each.
+    The brackets start from T's Gershgorin interval [lo, hi], which holds
+    the whole spectrum, and each closes at the width _stop_width gives at
+    its end farther from 0.  Each step is one sturm_count sweep at about
+    _SWEEP_CELLS shifts, twisted at the middle row k = m // 2: it runs the
+    rows above and below k side by side in half the steps of a forward
+    sweep, and returns with the counts (eigenvalues strictly below each
+    shift) the twist element q, where 1 / q(x) = ((T - x)^-1)_kk =
+    sum_j v_j(k)^2 / (lambda_j - x).  Every index keeps the sub-interval
+    that holds it.  In the first sweep all indices share [lo, hi], and its
+    shifts are geometric in the distance from the point of [lo, hi] nearest
+    0 (_outward_split): on a fine grid hi is about 4/h^2, far above the low
+    eigenvalues, and an even split would leave them all in its first cell.
+    Later sweeps share their shifts evenly by the distinct open brackets,
+    with at least 7 in each.
 
     A bracket whose end counts differ by 1 and whose q is positive at a and
     negative at b is isolated: q decreases strictly between its poles, which
@@ -336,7 +343,20 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
     0.23 on the forward sweep (the count-20 calls of the 15 radial channels
     at m = 800 now end a median 0.058 wide), so the midpoint adds little to
     the count's own rounding.
+
+    bound, a float, is the rule of a kernel vector; None means T has none.
+    Then wanted starts 1, 2, and eigenvalue 1 must be 0 up to bound times
+    eigenvalue 2, as on the soft radial end.  Nothing else reads it, so its
+    bracket closes at eigenvalue 2's stop, or earlier once both its ends
+    lie within bound a_2 of 0.  A midpoint of bracket 1 farther from 0 than
+    bound times that of bracket 2 plus the latter's stop raises
+    ConstructionMismatch, which shows their ratio: scaling T leaves it as
+    it is.
     """
+    abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
+    radius = abs_e[:-1] + abs_e[1:]
+    lo = float(np.min(d - radius))
+    hi = float(np.max(d + radius))
     size = wanted.size
     # One row per index: its bracket's left end a, the count and pivot
     # there, the same at its right end b, its estimate and its stop.  The
@@ -387,7 +407,8 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
         grid.sort(axis=1)
         unused = np.isnan(grid)
         swept = ~unused
-        points[:, 1:-2, 1][swept], points[:, 1:-2, 2][swept] = sweep(grid[swept])
+        points[:, 1:-2, 1][swept], points[:, 1:-2, 2][swept] = sturm_count(
+            d, e, grid[swept], last_pivot=True, twist=d.size // 2)
         # an unused slot, sorted last, becomes a copy of the right end
         np.copyto(grid, rf, where=unused)
         # each index's columns below - 1 to below + 2 of its row (the left
@@ -397,7 +418,9 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
         state[live, :6] = near[:, 1:3].reshape(-1, 6)
         stop = _stop_width(np.maximum(abs(a), abs(b)), lo, hi)
         state[:, 7] = stop
-        wide = b - a > stop if is_open is None else is_open(a, b, stop)
+        wide = b - a > stop
+        if bound is not None:
+            wide[0] = b[0] - a[0] > stop[1] and not max(-a[0], b[0]) <= bound * a[1]
         keep = wide[live]
         live = live[keep]
         if not live.size:
@@ -406,78 +429,58 @@ def _multisect(sweep, lo, hi, wanted, is_open=None):
         for row, (x, c, p), k in zip(live, near[keep].transpose(0, 2, 1).tolist(),
                                      below[keep].tolist()):
             state[row, 6] = _isolated_root(x, c, p, k)
+    if bound is not None:
+        zero, first = (0.5 * (a[:2] + b[:2])).tolist()
+        if not abs(zero) <= bound * abs(first) + _stop_width(first, lo, hi):
+            raise ConstructionMismatch(f"expected a zero mode, got lowest eigenvalues in the "
+                                       f"ratio {zero / first:.3e} (bound {bound:.3e})")
     return a.copy(), b.copy()
 
 
 def radial_eigenvalues(spec: RadialChannelSpec, count: int) -> np.ndarray:
     """Lowest nonzero pencil eigenvalues by Sturm multisection.
 
-    All wanted indices are bracketed together by _multisect, from the
-    Gershgorin interval [lo, hi] down to the width _stop_width gives.  Each
-    step is one sturm_count sweep twisted at the middle row k = m // 2,
-    which runs the rows above and below k side by side in half the steps of
-    a forward sweep and also returns the twist element gamma_k at every
-    shift; an isolated bracket is finished by a rational fit to gamma_k, and
-    the counts alone still choose every bracket.  The first sweep is
-    geometric in the distance from the point of [lo, hi] nearest 0, where
-    the wanted values lie.  The poles of gamma_k, the eigenvalues of T
-    without row k, lie far from the lowest eigenvalue on both conditions,
-    so its first bracket is isolated at once: at m = 800 a count-1 call
-    takes 3 sweeps (511, 40 and 40 shifts) in each channel with n = 2-4 and
-    l = 0-4, R = 0.8, 1 and 1.25, and a count-20 call 4 or 5.
+    The channel's pencil, reduced to one symmetric tridiagonal T and scaled
+    by a power of two, goes to _multisect, which brackets all wanted
+    indices together.  The poles of its twist element, the eigenvalues of T
+    without the middle row, lie far from the lowest eigenvalue on both
+    conditions, so that eigenvalue's first bracket is isolated at once: at
+    m = 800 a count-1 call takes 3 sweeps (511, 40 and 40 shifts) in each
+    channel with n = 2-4 and l = 0-4, R = 0.8, 1 and 1.25, and a count-20
+    call 4 or 5.
 
     The soft condition keeps the channel's kernel u = r^l, so its pencil has
     exactly one near-zero eigenvalue, which is dropped: 0 up to rounding at
-    l = 0, and truncation error of order (R/m)^2 otherwise.  A kernel
-    candidate above the bound below times the first nonzero eigenvalue, up
-    to that eigenvalue's stop width, indicates a broken assembly and raises
-    ConstructionMismatch.  Only that check reads the zero mode, so its
-    bracket stops once all of it passes the check, or else at the first
-    nonzero eigenvalue's stop width.  The pencil has m eigenvalues, so a
-    count that needs more (with the dropped zero mode) raises DomainError,
-    and so does one whose last eigenvalue is past the largest double.
+    l = 0, and truncation error of order (R/m)^2 otherwise.  _multisect
+    holds it to the bound below times the first nonzero eigenvalue, up to
+    that eigenvalue's stop width; a kernel candidate above that indicates a
+    broken assembly and raises ConstructionMismatch.  The pencil has m
+    eigenvalues, so a count that needs more (with the dropped zero mode)
+    raises DomainError, and so does one whose last eigenvalue is past the
+    largest double.
     """
     skip = 1 if spec.bc == "krein" else 0
     count = _integer("count", count, 1, spec.m - skip)
-    pencil = radial_pencil(spec)
     # T's entries are near 1/h^2, whose square under- or overflows in the
     # Sturm pivots at radii like 1e100 and 1e-100; scaled by a power of two
     # near h^2 they are near 1, and every count, stop and bracket scales
     # exactly with them, so the brackets are divided back at the end
     scale = 2.0 ** round(2.0 * math.log2(spec.radius / spec.m))
-    d, e = (scale * x for x in pencil.reduced_tridiagonal())
-    abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
-    radius = abs_e[:-1] + abs_e[1:]
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    # The zero mode is truncation error, which grows with l from exactly 0 at
-    # l = 0 to about (alpha / (m - l/2))^2 / 5 of lambda_1 at large l.  Correct
-    # assemblies stay at or below 0.77 bound (n = 2-300, l < 2m, m = 8-1600);
-    # a soft term with l off by 1/2 or by 1 lands at least 1.25 times above it
-    # for n = 2-5, l = 0-6 and m >= 16, and passes only at m <= 14 with l >= 4.
-    # The zero mode is known only to index 1's stop width, which exceeds
-    # bound lambda_1 at l = 0 from m = 3,400 in (2, 0) and 5,300 in (3, 0).
-    alpha = spec.ell + (spec.n - 1) / 2.0
-    bound = (spec.ell + 1) / (3.0 * (spec.ell + 20)) * (alpha / (spec.m - spec.ell / 2.0)) ** 2
-    wanted = np.arange(1, count + skip + 1)
-
-    def is_open(a, b, stop):
-        wide = b - a > stop
-        if skip:
-            wide[0] = (b[0] - a[0] > stop[1]
-                       and not max(-a[0], b[0]) <= bound * a[1])
-        return wide
-
-    a, b = _multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True, twist=d.size // 2),
-                      lo, hi, wanted, is_open)
-    out = 0.5 * (a + b)
+    d, e = (scale * x for x in radial_pencil(spec).reduced_tridiagonal())
+    bound = None
     if skip:
-        stop = _stop_width(out[1], lo, hi)
-        if not abs(out[0]) <= bound * abs(out[1]) + stop:
-            raise ConstructionMismatch(
-                f"expected a zero mode, got lowest eigenvalues {out[0] / scale:.3e}, "
-                f"{out[1] / scale:.3e} (ratio bound {bound:.3e})"
-            )
+        # The zero mode is truncation error, which grows with l from exactly
+        # 0 at l = 0 to about (alpha / (m - l/2))^2 / 5 of lambda_1 at large
+        # l.  Correct assemblies stay at or below 0.77 bound (n = 2-300,
+        # l < 2m, m = 8-1600); a soft term with l off by 1/2 or by 1 lands at
+        # least 1.25 times above it for n = 2-5, l = 0-6 and m >= 16, and
+        # passes only at m <= 14 with l >= 4.  The zero mode is known only to
+        # index 1's stop width, which exceeds bound lambda_1 at l = 0 from
+        # m = 3,400 in (2, 0) and 5,300 in (3, 0).
+        alpha = spec.ell + (spec.n - 1) / 2.0
+        bound = (spec.ell + 1) / (3.0 * (spec.ell + 20)) * (alpha / (spec.m - spec.ell / 2.0)) ** 2
+    a, b = _multisect(d, e, np.arange(1, count + skip + 1), bound)
+    out = 0.5 * (a + b)
     # at the small end of the radius range the top of a short pencil's
     # spectrum can pass the doubles once divided back by the scale
     if float(out[-1]) / scale == math.inf:

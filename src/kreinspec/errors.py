@@ -8,15 +8,15 @@ range the caller checks) and `_condition` ("dirichlet" or "krein").  Each
 raises DomainError naming the argument and returns the plain int, float or
 str that its caller uses in place of the input, so no numpy scalar or bool
 reaches the arithmetic behind it.  Every argument message shows the value
-through `_shown`, which keeps an int too long for decimal from replacing
-the site's error by Python's own ValueError.  Every real argument is read
-by `_double` alone, as float() of a real number (no bool), +-inf past the
-doubles; each site range-checks that double, never the raw input.  A pair,
-as a window or a law, is read by `_pair`, its items by the same rules,
-and an array of reals, as shifts, probes, spectrum values, breakpoints,
-tridiagonals, matrix entries or basis columns, by `_reals`.
-Spectra and counting functions share `_int64_counts` and
-`_require_complete_below`.
+through `_shown`, which clips a long repr and keeps an int too long for
+decimal from replacing the site's error by Python's own ValueError.  Every
+real argument is read by `_double` alone, as float() of a real number (no
+bool), +-inf past the doubles; each site range-checks that double, never
+the raw input.  A pair, as a window or a law, is read by `_pair`, its
+items by the same rules, and an array of reals, as shifts, probes,
+spectrum values, breakpoints, tridiagonals, matrix entries or basis
+columns, by `_reals`.  Spectra and counting functions share
+`_int64_counts` and `_require_complete_below`.
 """
 
 import math
@@ -86,17 +86,20 @@ class InsufficientEigenvalues(KreinspecError):
 
 
 def _shown(value) -> str:
-    """repr(value) for an argument message.  An int of more than
-    sys.get_int_max_str_digits() digits has no decimal repr; it is shown as
-    "<int of N bits>", also inside a tuple, and any other value whose repr
-    raises ValueError as "<type name>"."""
+    """repr(value) for an argument message, its first 80 characters and
+    "..." when it is longer, so a message stays short however long the
+    argument.  An int of more than sys.get_int_max_str_digits() digits has
+    no decimal repr; it is shown as "<int of N bits>", also inside a tuple,
+    and any other value whose repr raises ValueError as "<type name>"."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         if isinstance(value, tuple):
-            return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
-        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
-        return f"<{type(value).__name__}{size}>"
+            text = f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+        else:
+            size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+            text = f"<{type(value).__name__}{size}>"
+    return text if len(text) <= 80 else f"{text[:80]}..."
 
 
 def _integer(name: str, value, least: int, most: int | None = None) -> int:

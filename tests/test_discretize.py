@@ -171,6 +171,15 @@ class TestRadialPencil:
         with pytest.raises(ValueError):
             dz.RadialChannelSpec(3, 16, 1.0, 8, "krein")
 
+    def test_hard_end_solves_l_from_twice_m(self):
+        # only the soft end's zero-mode bound divides by m - l/2, so the
+        # hard end takes l = 2m
+        for ell in (16, 17):
+            spec = dz.RadialChannelSpec(3, ell, 1.0, 8, "dirichlet")
+            d, e = dz.radial_pencil(spec).reduced_tridiagonal()
+            dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            np.testing.assert_allclose(dz.radial_eigenvalues(spec, 3), dense[:3], rtol=1e-12)
+
     def test_mass_entries(self):
         # the cell measures ((i h)^n - ((i-1) h)^n) / n after the congruence by
         # (i^(n-1) h^n)^(-1/2): 1/n in the first cell, the same on both

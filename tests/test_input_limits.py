@@ -387,6 +387,17 @@ UNREACHED_CHECKS = {
     "sturm-str-diagonal-after-100000": (
         lambda: la.sturm_count([1.0] * 100_000 + ["a"], [0.5] * 100_000, 1.0),
         "^diag must be real numbers, got 'a' at index 100000$"),
+    # each message held the whole repr, 1,000,055, 1,000,035 and 1,000,045
+    # characters; it shows the first 80 and keeps the index
+    "spectrum-long-str-value": (
+        lambda: sp.Spectrum([("a" * 10**6, 1)], 0),
+        r"^spectrum values must be real numbers, got 'a{79}\.\.\. at index 0$"),
+    "sturm-long-str-shift": (
+        lambda: la.sturm_count([1.0, 2.0], [0.5], "x" * 10**6),
+        r"^shifts must be real numbers, got 'x{79}\.\.\.$"),
+    "radial-long-str-angular-index": (
+        lambda: dz.RadialChannelSpec(3, "y" * 10**6, 1.0, 8, "krein"),
+        r"^channel index must be an integer >= 0, got 'y{79}\.\.\.$"),
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from kreinspec import discretize as dz
+from kreinspec.errors import ConstructionMismatch
 from kreinspec.linalg import sturm_count
 
 from oracles import sturm_count_oracle
@@ -215,8 +216,8 @@ def test_dirichlet_values_bit_equal_to_recorded(n, ell, m):
 
 
 # Soft-condition values recorded the same way.  These calls also bracket the
-# zero mode, whose bracket closes by its own rule (is_open in
-# radial_eigenvalues), so they pin that path too.
+# zero mode, whose bracket closes by its own rule (the bound of
+# _multisect), so they pin that path too.
 RECORDED_KREIN = {
     (2, 1, 100): ["0x1.a5f22f672ead8p+4", "0x1.1b47d4c7ed98cp+6", "0x1.0dccced08b84cp+7",
                   "0x1.b52b9200370c8p+7", "0x1.41cd9a0cd8ce1p+8"],
@@ -345,25 +346,17 @@ def test_each_value_within_stop_by_independent_count(n, ell, bc):
     _assert_within_stop(d, e, dz.radial_eigenvalues(spec, 3), 2 if bc == "krein" else 1)
 
 
-def _gershgorin(d, e):
-    """The Gershgorin interval [lo, hi] of the tridiagonal (d, e)."""
-    abs_e = np.concatenate(([0.0], np.abs(e), [0.0]))
-    radius = abs_e[:-1] + abs_e[1:]
-    return float(np.min(d - radius)), float(np.max(d + radius))
-
-
 # The zero mode is read only by |lambda_0| <= bound |lambda_1|, so its bracket
 # closes once that check is settled, before index 1's.  While both are open
 # they share one sweep's shifts, but the finish closes both brackets in no
 # more sweeps than index 1 (index 2 of the pencil) takes alone on the same
-# pencil, with the same interval and stop rule.
+# pencil, by _multisect with no bound: the same twisted sweep, interval and
+# stop rule.
 @pytest.mark.parametrize("n, ell", CHANNELS)
 def test_zero_mode_closes_before_first_index(sweeps, n, ell):
     spec = dz.RadialChannelSpec(n, ell, 1.0, 800, "krein")
     d, e = dz.radial_pencil(spec).reduced_tridiagonal()
-    lo, hi = _gershgorin(d, e)
-    dz._multisect(lambda shifts: dz.sturm_count(d, e, shifts, last_pivot=True),
-                  lo, hi, np.array([2]))
+    dz._multisect(d, e, np.array([2]))
     alone = len(sweeps)
     del sweeps[:]
     dz.radial_eigenvalues(spec, 1)
@@ -429,26 +422,23 @@ def placed_tridiagonals(draw):
 # The geometric first sweep starts at the point of [lo, hi] nearest 0, but
 # the wanted values need not lie there: each one, low or high in a spectrum
 # far from 0, all negative or around 0, still meets the stop contract.
-# T = 0 has a stop of 0 and every eigenvalue at the point nearest 0.
+# T = 0 has every eigenvalue at the point nearest 0.  Where eps ||T||
+# underflows to 0, as with the off-diagonal 2^-1023, the stop is the
+# smallest normal double.
 @settings(max_examples=80, deadline=None)
 @given(tri=placed_tridiagonals(), first=st.integers(1, 40), count=st.integers(1, 8))
 @example(tri=(np.zeros(2), np.zeros(1)), first=1, count=2)
+@example(tri=(np.zeros(2), np.array([2.0 ** -1023])), first=1, count=2)
 def test_multisect_stop_contract_off_radial_pencils(tri, first, count):
     d, e = tri
     first = min(first, d.size)
     wanted = np.arange(first, min(first + count, d.size + 1))
-    a, b = _brackets(d, e, wanted)
+    a, b = dz._multisect(d, e, wanted)
     _assert_within_stop(d, e, 0.5 * (a + b), first)
 
 
-def _brackets(d, e, wanted):
-    """dz._multisect of the tridiagonal (d, e) over its Gershgorin interval."""
-    return dz._multisect(lambda shifts: sturm_count(d, e, shifts, last_pivot=True),
-                         *_gershgorin(d, e), wanted)
-
-
 def test_zero_tridiagonal_gives_zero_brackets():
-    a, b = _brackets(np.zeros(2), np.zeros(1), np.array([1, 2]))
+    a, b = dz._multisect(np.zeros(2), np.zeros(1), np.array([1, 2]))
     assert np.array_equal(a, [0.0, 0.0]) and np.array_equal(b, [0.0, 0.0])
 
 
@@ -463,9 +453,28 @@ def test_multisect_brackets_scale_by_powers_of_two(tri, first, count, k):
     d, e = (np.where(abs(x) < 2.0 ** -100, 0.0, x) for x in tri)
     first = min(first, d.size)
     wanted = np.arange(first, min(first + count, d.size + 1))
-    a, b = _brackets(d, e, wanted)
-    a2, b2 = _brackets(np.ldexp(d, k), np.ldexp(e, k), wanted)
+    a, b = dz._multisect(d, e, wanted)
+    a2, b2 = dz._multisect(np.ldexp(d, k), np.ldexp(e, k), wanted)
     assert np.array_equal(a2, np.ldexp(a, k)) and np.array_equal(b2, np.ldexp(b, k))
+
+
+# The kernel rule away from radial pencils: the Neumann path Laplacian
+# (d = 1, 2, ..., 2, 1, e = -1) has the constant kernel exactly and the
+# eigenvalues 4 sin^2(k pi / 2m), k = 0..m-1, so it passes bound 0.  With
+# d_0 raised by 1e-3 its lowest eigenvalue is about 1e-3 / m, far past the
+# stop, and the rule refuses it.
+@pytest.mark.parametrize("m", [8, 101, 800])
+def test_multisect_kernel_rule_on_the_neumann_path(m):
+    d = np.full(m, 2.0)
+    d[[0, -1]] = 1.0
+    e = np.full(m - 1, -1.0)
+    a, b = dz._multisect(d, e, np.arange(1, 6), 0.0)
+    exact = 4.0 * np.sin(np.arange(5) * math.pi / (2 * m)) ** 2
+    stop = np.maximum(1e-13 * exact, EPS * 4.0)
+    assert np.all(np.abs(0.5 * (a + b) - exact) <= stop)
+    d[0] += 1e-3
+    with pytest.raises(ConstructionMismatch, match="ratio"):
+        dz._multisect(d, e, np.arange(1, 6), 0.0)
 
 
 # The two off-diagonals of the twist row k = m // 2, cut to 1e-9 of their
