@@ -29,12 +29,22 @@ for an orthonormal basis W of a subspace of ker(S*) = (A D)^perp and a PSD
 parameter B on it: the shorted-operator identity of Anderson & Trapp (SIAM
 J. Appl. Math. 28 (1975)).  W = {0} gives the Friedrichs extension A, and
 W = ker(S*) with B = 0 the Krein extension (Krein, Mat. Sb. 20 (1947)).
-krein builds that endpoint as the equal closed form A^(1/2) P A^(1/2), with
-P the orthogonal projector onto A^(1/2) D (Ando & Nishio, Tohoku Math. J. 22
-(1970)).  Both constructions are checked against their definition: equal
-to A on D and zero on their kernel, which for the Krein extension is all of
-ker(S*).  The ambient space is the direct sum of D and ker(S*), so for the
-Krein extension the check is complete.
+krein builds that endpoint by one of two constructions, chosen by the
+basis of D alone:
+
+- a coordinate D, every basis column +-e_r (the clamped interval of
+  discretize.interval_model is one), takes the shorted block: A with its
+  complement block A_PP replaced by A_PD A_DD^-1 A_DP, from one Cholesky
+  factor of A_DD.  pencil_values takes the pencil from the same factor;
+- any other D takes the equal closed form A^(1/2) P A^(1/2), with P the
+  orthogonal projector onto A^(1/2) D (Ando & Nishio, Tohoku Math. J. 22
+  (1970)), through spd_sqrt's eigensolve, and pencil_values the SVD of
+  A Q L^-T.
+
+Both krein constructions and parametrized_extension are checked against
+their definition: equal to A on D and zero on their kernel, which for the
+Krein extension is all of ker(S*).  The ambient space is the direct sum of
+D and ker(S*), so for the Krein extension the check is complete.
 """
 
 from __future__ import annotations
@@ -225,29 +235,47 @@ def _checked(result: ExtensionResult, model: ExtensionModel, rel: float) -> Exte
 def krein(model: ExtensionModel, profile: ToleranceProfile = DEFAULT) -> ExtensionResult:
     """The smallest extension: equal to A on D and zero on (A D)^perp.
 
-    Built as the closed form A^(1/2) P A^(1/2) with P projecting onto
-    A^(1/2) D, then checked against that definition: extends_residual and
-    kernel_residual, the latter on the adjoint_kernel basis it returns.  A
-    residual beyond construction_rel * max|A| is a bug, never a math
-    failure, and raises ConstructionMismatch; the larger residual is the
-    result's construction_gap.
+    A coordinate D, whose basis columns are all +-e_r (the clamped
+    interval of discretize.interval_model has one), takes the shorted
+    block, found by `_coordinate_rows`: the result is A
+    with its complement block A_PP replaced by A_PD A_DD^-1 A_DP = Z^T Z,
+    for A_DD = L L^T and Z = L^-1 A_DP (Anderson & Trapp, SIAM J. Appl.
+    Math. 28 (1975)), and its kernel basis is the Q of the QR of
+    [-L^-T Z; I], full rank by its identity block.  No square root, no
+    eigensolve and no SVD.  Any other D takes the closed form
+    A^(1/2) P A^(1/2) with P projecting onto A^(1/2) D (Ando & Nishio,
+    Tohoku Math. J. 22 (1970)), through spd_sqrt, with the adjoint_kernel
+    basis.  Either result is then checked against the definition:
+    extends_residual and kernel_residual.  A residual beyond
+    construction_rel * max|A| is a bug, never a math failure, and raises
+    ConstructionMismatch; the larger residual is the result's
+    construction_gap.
 
-    `profile` sets only construction_rel; every other threshold, the Gram
-    floor's CHOLESKY_PIVOT_REL included, is a tolerances constant.  It
-    stays because the benchmark's tracer reads profile.construction_rel.
+    `profile` sets only construction_rel; every other threshold, the
+    Cholesky pivot floor's CHOLESKY_PIVOT_REL included, is a tolerances
+    constant.  It stays because the benchmark's tracer reads
+    profile.construction_rel.
     """
-    # P = Q_h Q_h^T from the QR of A^(1/2) Q, so A^(1/2) P A^(1/2) = F F^T
-    # with F = A^(1/2) Q_h.  The floor is the Cholesky pivot floor of the
-    # Gram matrix Q^T A Q, whose pivots are the squares of |R_jj|.
-    root = spd_sqrt(model.A).array
-    rel_floor = math.sqrt(model.domain_dim * CHOLESKY_PIVOT_REL)
-    half_dom = _qr_split(root @ model.domain_basis, rel_floor, NotPositiveDefinite)[0]
-    factor = root @ half_dom
-    result = ExtensionResult(
-        matrix=SymMatrix(factor @ factor.T),
-        kind="krein",
-        kernel_basis=adjoint_kernel(model),
-    )
+    factors = _coordinate_factors(model)
+    if factors is None:
+        # P = Q_h Q_h^T from the QR of A^(1/2) Q, so A^(1/2) P A^(1/2) = F F^T
+        # with F = A^(1/2) Q_h.  The floor is the Cholesky pivot floor of the
+        # Gram matrix Q^T A Q, whose pivots are the squares of |R_jj|.
+        root = spd_sqrt(model.A).array
+        rel_floor = math.sqrt(model.domain_dim * CHOLESKY_PIVOT_REL)
+        half_dom = _qr_split(root @ model.domain_basis, rel_floor, NotPositiveDefinite)[0]
+        factor = root @ half_dom
+        matrix, kernel = factor @ factor.T, adjoint_kernel(model)
+    else:
+        # the factors are of A / s: Z^T Z scales by s, L^-T Z not at all
+        scale, dom, comp, low, z = factors
+        matrix = model.A.array.copy()
+        matrix[np.ix_(comp, comp)] = scale * (z.T @ z)
+        kernel = np.zeros((model.ambient_dim, comp.size))
+        kernel[dom] = -np.linalg.solve(low.T, z)
+        kernel[comp] = np.eye(comp.size)
+        kernel = np.linalg.qr(kernel)[0]
+    result = ExtensionResult(matrix=SymMatrix(matrix), kind="krein", kernel_basis=kernel)
     return _checked(result, model, profile.construction_rel)
 
 
@@ -313,20 +341,63 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     return _checked(result, model, CONSTRUCTION_REL)
 
 
+def _unit_scale(model: ExtensionModel) -> float:
+    """The power of two near max|A| by which the pencil routes divide A.
+
+    Every construction here is exactly homogeneous in A, and dividing by a
+    power of two is exact in IEEE arithmetic, so working at unit scale and
+    scaling results back commits no extra rounding: a model whose A differs
+    by a power of two gets the same unit-scale data bit for bit, and so
+    pencil values scaled by exactly that power.
+    """
+    norm = model.A.norm_max
+    return float(2.0 ** math.frexp(norm)[1]) if norm else 1.0
+
+
+def _coordinate_rows(basis: np.ndarray):
+    """The rows of D and of its complement, ascending, when every column of
+    basis is +-e_r for distinct r; None for any other basis.
+
+    A mask test: each column has one nonzero entry, of modulus exactly 1,
+    and no two columns share its row.  A column one ulp off a unit vector
+    is no coordinate column.
+    """
+    nonzero = basis != 0.0
+    unit = (np.count_nonzero(nonzero, axis=0) == 1) & (np.abs(basis).sum(axis=0) == 1.0)
+    inside = nonzero.any(axis=1)
+    if not unit.all() or np.count_nonzero(inside) != basis.shape[1]:
+        return None
+    return np.flatnonzero(inside), np.flatnonzero(~inside)
+
+
+def _coordinate_factors(model: ExtensionModel):
+    """For a coordinate D, (s, rows of D, rows of P, L, Z) with s from
+    `_unit_scale`, A_DD / s = L L^T by linalg.cholesky and Z = L^-1 A_DP / s
+    by one solve; None for any other D.
+
+    In the model's basis Q (signed, in any column order) A Q L^-T is
+    [L; Z^T] up to a permutation of its rows and L up to the signs of its
+    columns, neither of which moves a singular value or the Krein matrix.
+    """
+    split = _coordinate_rows(model.domain_basis)
+    if split is None:
+        return None
+    dom, comp = split
+    scale = _unit_scale(model)
+    a = model.A.array / scale
+    low = cholesky(a[np.ix_(dom, dom)])
+    return scale, dom, comp, low, np.linalg.solve(low, a[np.ix_(dom, comp)])
+
+
 def _pencil(model: ExtensionModel):
     """The scale s, and A Q, G_b = Q^T A Q and L^-1 for G_b = L L^T, for A / s.
 
-    s is a power of two near max|A|.  Every construction here is exactly
-    homogeneous in A, and dividing by a power of two is exact in IEEE
-    arithmetic, so working at unit scale and scaling results back commits no
-    extra rounding: a model whose A differs by a power of two gets the same
-    unit-scale data bit for bit, and so pencil values scaled by exactly that
-    power.  The pencil Q^T A^2 Q u = l Q^T A Q u itself is never formed:
-    its values are the squared singular values of A Q L^-T (Van Loan, SIAM
-    J. Numer. Anal. 13 (1976)), which keep the digits that squaring A loses.
+    s is `_unit_scale`'s power of two.  The pencil Q^T A^2 Q u = l Q^T A Q u
+    itself is never formed: its values are the squared singular values of
+    A Q L^-T (Van Loan, SIAM J. Numer. Anal. 13 (1976)), which keep the
+    digits that squaring A loses.
     """
-    norm = model.A.norm_max
-    scale = float(2.0 ** math.frexp(norm)[1]) if norm else 1.0
+    scale = _unit_scale(model)
     q = model.domain_basis
     aq = (model.A.array / scale) @ q
     g_b = SymMatrix(q.T @ aq)
@@ -335,7 +406,18 @@ def _pencil(model: ExtensionModel):
 
 
 def pencil_values(model: ExtensionModel) -> np.ndarray:
-    """Ascending eigenvalues of the compressed pencil Q^T A^2 Q u = l Q^T A Q u."""
+    """Ascending eigenvalues of the compressed pencil Q^T A^2 Q u = l Q^T A Q u.
+
+    They are the squared singular values of A Q L^-T, for Q^T A Q = L L^T,
+    at `_unit_scale`.  A coordinate D (see krein) takes them from the
+    stacked [L; Z^T] of `_coordinate_factors`, which is that matrix with
+    its rows permuted and no explicit L^-1: one Cholesky factor, one solve
+    and one SVD.  Any other D forms it from `_pencil`'s L^-1.
+    """
+    factors = _coordinate_factors(model)
+    if factors is not None:
+        scale, _, _, low, z = factors
+        return scale * _svd(np.vstack((low, z.T)), with_vectors=False)[::-1] ** 2
     scale, aq, _, low_inv = _pencil(model)
     return scale * _svd(aq @ low_inv.T, with_vectors=False)[::-1] ** 2
 

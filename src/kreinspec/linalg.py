@@ -8,7 +8,7 @@ typed errors in place of LinAlgError.  Those errors live in one gate,
 `_lapack`, the only caller of eigh, eigvalsh, svd and cholesky: it checks
 the entries are finite before LAPACK and turns a LinAlgError into the
 caller's error.  solve runs only on Cholesky factors that passed the pivot
-floor.  Each Cholesky factor is inverted at
+floor, or their transposes.  Each Cholesky factor is inverted at
 most once, by one solve, and the inverse is then applied by GEMM.  Spectra
 the library needs only the values of come from eigvalsh, and singular values
 from svd without U and V.  Exact symmetry comes from SymMatrix alone: it is

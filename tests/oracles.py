@@ -3,13 +3,15 @@
 These are deliberately independent of the library code paths they check:
 Bessel values come from the alternating power series with compensated
 summation (trustworthy for x <= 12), roots from plain bisection on those
-series, Sturm pivots one shift and one row at a time in Python floats, and
-whatever else a test freezes as an expected value was produced by one of the
+series, Sturm pivots one shift and one row at a time in Python floats, the
+Krein matrix by Krein's formula in exact rational arithmetic, and whatever
+else a test freezes as an expected value was produced by one of the
 functions in here.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 
 def gamma_int_or_half_oracle(twice_a: int) -> float:
@@ -252,3 +254,71 @@ def remainder_sup_oracle(breakpoints, cumulative, n: int, lo: float, hi: float,
         for lam in candidates:
             best = max(best, abs(count(left) - law(lam)))
     return best
+
+
+def _exact_solve(m, rhs):
+    """X with m X = rhs, for m square and invertible, by Gauss-Jordan
+    elimination in Fractions; m, rhs and X are lists of rows."""
+    n = len(m)
+    rows = [[Fraction(v) for v in row] + [Fraction(v) for v in b] for row, b in zip(m, rhs)]
+    for j in range(n):
+        pivot = next(i for i in range(j, n) if rows[i][j])
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        head = rows[j][j]
+        rows[j] = [v / head for v in rows[j]]
+        for i in range(n):
+            factor = rows[i][j]
+            if i != j and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[j])]
+    return [row[n:] for row in rows]
+
+
+def _exact_complement(basis):
+    """Columns spanning the orthogonal complement of basis's columns, as a
+    list of rows of Fractions: the null space of basis^T from its reduced
+    row echelon form.  basis's columns must be independent."""
+    n, d = len(basis), len(basis[0])
+    rows = [[Fraction(basis[i][j]) for i in range(n)] for j in range(d)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pick = next((i for i in range(r, d) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        head = rows[r][col]
+        rows[r] = [v / head for v in rows[r]]
+        for i in range(d):
+            factor = rows[i][col]
+            if i != r and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    assert len(pivots) == d, "basis columns are dependent"
+    free = [c for c in range(n) if c not in pivots]
+    columns = []
+    for f in free:
+        vector = [Fraction(0)] * n
+        vector[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vector[c] = -rows[r][f]
+        columns.append(vector)
+    return [list(row) for row in zip(*columns)]
+
+
+def exact_krein(a, basis):
+    """The Krein extension A - P (P^T A^-1 P)^-1 P^T of A restricted to the
+    span D of basis's columns, for P a rational basis of D^perp, in exact
+    rational arithmetic (Krein, Mat. Sb. 20 (1947)).  The result does not
+    depend on which P.  a and basis hold integers or Fractions, as nested
+    lists or arrays; the result is a list of rows of Fractions."""
+    def rational(v):  # Fraction(numpy int) would keep the fixed-width numerator
+        return v if isinstance(v, Fraction) else Fraction(int(v))
+
+    a = [[rational(v) for v in row] for row in a]
+    p = _exact_complement([[rational(v) for v in row] for row in basis])
+    n, k = len(a), len(p[0])
+    x = _exact_solve(a, p)  # A^-1 P
+    gram = [[sum(p[r][i] * x[r][j] for r in range(n)) for j in range(k)] for i in range(k)]
+    y = _exact_solve(gram, [list(col) for col in zip(*p)])  # (P^T A^-1 P)^-1 P^T
+    return [[a[i][j] - sum(p[i][r] * y[r][j] for r in range(k)) for j in range(n)]
+            for i in range(n)]

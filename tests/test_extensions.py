@@ -16,6 +16,8 @@ from kreinspec import extensions as ext
 from kreinspec.linalg import SymMatrix, cholesky, max_norm, sym_eigen
 from kreinspec.tolerances import ToleranceProfile
 
+from oracles import exact_krein
+
 A2 = [[2.0, 1.0], [1.0, 2.0]]
 E1 = [[1.0], [0.0]]
 
@@ -302,8 +304,9 @@ class TestParametrizedDefinition:
           for length in (0.5, 1.0, 2.0)),
     ], ids=[f"random-{s}" for s in range(1, 9)] + [f"interval-{x}" for x in (0.5, 1.0, 2.0)])
     def test_krein_endpoint_agrees_with_krein(self, model):
-        # two independent constructions of the Krein matrix: A^(1/2) P A^(1/2)
-        # and the shorted operator; measured at most 4.9e-14 max|A|
+        # the shorted operator in the adjoint_kernel basis against krein's
+        # A^(1/2) P A^(1/2) on the random models, measured at most 4.9e-14
+        # max|A|, and against its coordinate block on the intervals, 1.6e-14
         m = model()
         ker = ext.adjoint_kernel(m)
         pe = ext.parametrized_extension(m, ker, np.zeros((ker.shape[1],) * 2))
@@ -471,11 +474,14 @@ class TestBucklingAccuracy:
 
     @pytest.mark.parametrize("m", [32, pytest.param(60, marks=pytest.mark.slow)])
     def test_pencil_values_against_mpmath(self, m):
-        # squaring A lost about half the digits: 1.6e-12 at m = 32
+        # the coordinate route's [L; Z^T] measured 2.0e-15 at m = 32 and
+        # 2.8e-15 at m = 60; A Q L^-T with the explicit L^-1 read 4.6e-15
+        # and 1.1e-14, and squaring A lost about half the digits: 1.6e-12
+        # at m = 32
         model = zero_interval(1.0, m)
         want = pencil_reference(model)
         got = ext.pencil_values(model)
-        assert np.max(np.abs(got - want) / want) <= 1e-13
+        assert np.max(np.abs(got - want) / want) <= 1e-14
 
     def test_interval_residuals_at_m_400(self):
         # measured 4.0e-12, 4.6e-12 and 3.0e-12; squaring A gave 1.0e-11,
@@ -703,9 +709,12 @@ class TestFactorizationCounts:
             return counts
 
         # the pencil and the polar data are one SVD each; the one eigh is
-        # krein's square root
+        # krein's square root on the random model's general domain
         assert lapack_calls(lambda: ext.buckling_analysis(m)) == dict(
             eigh=1, eigvalsh=2, solve=2, svd=2)
+        # the interval's coordinate domain: one solve for Z = L^-1 A_DP and
+        # one SVD of [L; Z^T], the same two calls as the general route's
+        # solve for L^-1 and SVD of A Q L^-T
         assert lapack_calls(lambda: ext.pencil_values(interval)) == dict(
             eigh=0, eigvalsh=0, solve=1, svd=1)
         assert lapack_calls(lambda: ext.order_compare(kr, fr, 1.0)) == dict(
@@ -719,6 +728,164 @@ class TestFactorizationCounts:
             monkeypatch, ("eigh", "eigvalsh", "solve", "cholesky", "qr", "svd"))
         ext.parametrized_extension(m, w, np.diag([0.0, 1.0, 2.0, 3.0]))
         assert counts == dict(eigh=1, eigvalsh=1, solve=1, cholesky=1, qr=0, svd=0)
+
+
+    def test_krein_on_a_coordinate_domain_takes_no_square_root(self, monkeypatch):
+        # one Cholesky factor of A_DD; the only QR is the n x codim one of
+        # the kernel basis.  The general domain keeps spd_sqrt's one eigh and
+        # its n x d QR
+        interval = dz.interval_model(dz.Grid1D(0.0, 1.0, 20), dz.PotentialSpec.zero())
+        m = ext.random_model(3, 30, 20)
+        counts = _count_lapack_calls(monkeypatch, ("eigh", "eigvalsh", "svd", "cholesky"))
+        shapes = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        ext.krein(interval)
+        assert counts == dict(eigh=0, eigvalsh=0, svd=0, cholesky=1)
+        assert shapes == [(20, 2)]
+        counts.update(cholesky=0)
+        shapes.clear()
+        ext.krein(m)
+        assert counts == dict(eigh=1, eigvalsh=0, svd=0, cholesky=0)
+        assert shapes == [(30, 20), (30, 20)]
+
+
+def rotated(model, seed):
+    """The same D by its basis turned by a seeded random rotation, which
+    takes the general route."""
+    d = model.domain_dim
+    turn = np.linalg.qr(ext.SplitMix64(seed).uniform_matrix(d, d) - 0.5)[0]
+    return ext.new_model(model.A, model.domain_basis @ turn)
+
+
+def signed_coordinates(seed, n, d):
+    """A random model's A, and D spanned by d signed unit vectors +-e_r on
+    distinct rows r chosen and ordered at random."""
+    stream = ext.SplitMix64(seed)
+    rows = np.argsort(stream.uniform_matrix(1, n)[0])[:d]
+    basis = np.zeros((n, d))
+    basis[rows, np.arange(d)] = np.where(stream.uniform_matrix(1, d)[0] < 0.5, -1.0, 1.0)
+    return ext.new_model(ext.random_model(seed, n, 1).A, basis)
+
+
+class TestCoordinateRoute:
+    """krein and pencil_values of a coordinate D, from one Cholesky factor of
+    A_DD, against the general route on the same D."""
+
+    @pytest.mark.parametrize("model", [
+        *(lambda length=length: zero_interval(length, 200) for length in (0.5, 1.0, 2.0)),
+        lambda: dz.interval_model(dz.Grid1D(0.0, 1.0, 200), dz.PotentialSpec.sampled(
+            50.0 * ext.SplitMix64(9).uniform_matrix(1, 200)[0])),
+        *(lambda args=args: signed_coordinates(*args)
+          for args in ((11, 12, 7), (12, 30, 29), (13, 40, 2), (14, 60, 45))),
+    ], ids=["interval-0.5", "interval-1", "interval-2", "interval-sampled-v",
+            "hand-12x7", "hand-30x29", "hand-40x2", "hand-60x45"])
+    def test_agrees_with_a_rotated_basis(self, model):
+        # measured over rotation seeds 1-3: krein within 3.2e-14 max|A| and
+        # the pencil within 9.6e-13 relative, both at the m = 200 interval;
+        # the rotated basis carries the error, as the coordinate pencil is
+        # within 7.1e-15 of mpmath at m = 100 and the rotated one 5.4e-14
+        # to 9.5e-14.  The coordinate construction gap read 1.2e-16 max|A|
+        # on the intervals and at most 1.2e-15, at 40 x 2
+        m = model()
+        assert ext._coordinate_rows(m.domain_basis) is not None
+        krein, values = ext.krein(m), ext.pencil_values(m)
+        assert krein.construction_gap <= 5e-15 * m.A.norm_max
+        assert krein.kernel_basis.shape == (m.ambient_dim, m.codimension)
+        for seed in (1, 2, 3):
+            general = rotated(m, seed)
+            assert ext._coordinate_rows(general.domain_basis) is None
+            assert max_norm(ext.krein(general).matrix.array - krein.matrix.array) \
+                <= 1e-13 * m.A.norm_max
+            assert np.max(np.abs(ext.pencil_values(general) - values) / values) <= 3e-12
+
+    def test_order_and_signs_of_the_columns_keep_the_bits(self):
+        # the rows of D are taken ascending whatever the basis lists
+        m = signed_coordinates(15, 24, 13)
+        rows = np.sort(np.flatnonzero(np.any(m.domain_basis, axis=1)))
+        plain = ext.new_model(m.A, np.eye(24)[:, rows])
+        got, want = ext.krein(m), ext.krein(plain)
+        np.testing.assert_array_equal(got.matrix.array, want.matrix.array)
+        np.testing.assert_array_equal(got.kernel_basis, want.kernel_basis)
+        np.testing.assert_array_equal(ext.pencil_values(m), ext.pencil_values(plain))
+
+    def test_a_column_one_ulp_off_a_unit_vector_takes_the_general_route(self, monkeypatch):
+        m = zero_interval(1.0, 40)
+        basis = m.domain_basis.copy()
+        basis[5, 4] = np.nextafter(1.0, 0.0)
+        off = ext.new_model(m.A, basis)
+        assert ext._coordinate_rows(off.domain_basis) is None
+        counts = _count_lapack_calls(monkeypatch, ("eigh",))
+        krein = ext.krein(off)
+        assert counts == dict(eigh=1)
+        assert max_norm(krein.matrix.array - ext.krein(m).matrix.array) <= 1e-13 * m.A.norm_max
+
+    @pytest.mark.parametrize("basis,rows", [
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], ([0, 2], [1])),
+        ([[0.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], ([1, 2], [0])),
+        ([[0.0], [-1.0], [0.0]], ([1], [0, 2])),
+        ([[np.nextafter(1.0, 2.0)], [0.0], [0.0]], None),
+        ([[1.0], [1e-300], [0.0]], None),
+        ([[0.5], [0.0], [0.0]], None),
+        ([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]], None),
+        ([[np.nan], [0.0], [0.0]], None),
+    ], ids=["identity", "signed-swapped", "one-column", "ulp-above-one", "tiny-entry",
+            "half", "repeated-row", "nan"])
+    def test_coordinate_rows(self, basis, rows):
+        got = ext._coordinate_rows(np.array(basis))
+        if rows is None:
+            assert got is None
+        else:
+            assert [g.tolist() for g in got] == list(rows)
+
+
+def integer_model(seed, n, d, coordinate):
+    """A = G G^T + n I with the entries of G in -3..3, and D spanned by d
+    signed unit vectors on random rows (coordinate) or by an n x d integer
+    basis with entries in -2..2, both as int arrays."""
+    stream = ext.SplitMix64(seed)
+    g = np.floor(7.0 * stream.uniform_matrix(n, n)).astype(int) - 3
+    a = g @ g.T + n * np.eye(n, dtype=int)
+    if coordinate:
+        rows = np.argsort(stream.uniform_matrix(1, n)[0])[:d]
+        basis = np.zeros((n, d), dtype=int)
+        basis[rows, np.arange(d)] = np.where(stream.uniform_matrix(1, d)[0] < 0.5, -1, 1)
+    else:
+        basis = np.floor(5.0 * stream.uniform_matrix(n, d)).astype(int) - 2
+    return a, basis
+
+
+class TestExactKrein:
+    """krein against Krein's formula A - P (P^T A^-1 P)^-1 P^T in exact
+    rational arithmetic (tests/oracles.py), on integer SPD models."""
+
+    # measured at seeds 1-3 and (n, d) = (8, 5), (16, 9), (32, 20): the
+    # coordinate route within 3.5e-17 to 1.5e-16 max|A| and the general
+    # route within 7.2e-16 to 2.1e-15.  The general route reads 1.0e-15 to
+    # 3.6e-15 on the coordinate models too, so the coordinate bound fails
+    # it there.  The shorted parametrized_extension read 1.6e-16 to 4.5e-16
+    BOUND = {True: 5e-16, False: 1e-14}
+
+    @pytest.mark.parametrize("coordinate", [True, False], ids=["coordinate", "integer-basis"])
+    @pytest.mark.parametrize("seed,n,d", [
+        (1, 8, 5), (2, 8, 5), (3, 8, 5), (1, 16, 9),
+        pytest.param(2, 32, 20, marks=pytest.mark.slow)])
+    def test_krein_matches_the_rational_formula(self, coordinate, seed, n, d):
+        a, basis = integer_model(seed, n, d, coordinate)
+        model = ext.new_model(a.astype(float), basis.astype(float))
+        assert (ext._coordinate_rows(model.domain_basis) is None) is not coordinate
+        want = np.array(exact_krein(a, basis), dtype=float)
+        got = ext.krein(model)
+        assert max_norm(got.matrix.array - want) <= self.BOUND[coordinate] * model.A.norm_max
+        if not coordinate:
+            ker = ext.adjoint_kernel(model)
+            shorted = ext.parametrized_extension(model, ker, np.zeros((n - d, n - d)))
+            assert max_norm(shorted.matrix.array - want) <= 1e-14 * model.A.norm_max
 
 
 class TestFormIdentity:

@@ -439,6 +439,39 @@ class TestChannelInterlace:
         rep = spx.channel_interlace_report(BallSpec(5, 1.0), 3, 1)
         assert rep.strict
 
+    @staticmethod
+    def per_zero_report(n, ell, k_max):
+        """(strict, min_gap, witnesses) from one bessel_zero call a zero."""
+        hard = np.array([special.bessel_zero(ell + n / 2 - 1, k) for k in range(1, k_max + 2)])
+        soft = np.array([special.bessel_zero(ell + n / 2, k) for k in range(1, k_max + 1)])
+        bad = ~((hard[:-1] < soft) & (soft < hard[1:]))
+        gaps = np.minimum(soft - hard[:-1], hard[1:] - soft)
+        return not bad.any(), float(gaps.min()), tuple((np.flatnonzero(bad) + 1).tolist())
+
+    @pytest.mark.parametrize("n,ell,k_max", [(2, 0, 300), (3, 2, 100), (5, 3, 50), (2, 40, 60),
+                                             (3, 0, 1), (4, 7, 20)])
+    def test_family_scan_matches_one_call_a_zero(self, n, ell, k_max):
+        # measured on (2, 0, 300 and 2,000), (3, 2, 2,000), (3, 0, 10,000),
+        # (5, 3, 50) and (2, 40, 500): the same min_gap bits, none strict-less
+        rep = spx.channel_interlace_report(BallSpec(n, 1.0), ell, k_max)
+        strict, min_gap, witnesses = self.per_zero_report(n, ell, k_max)
+        assert rep.strict is strict and rep.witnesses == witnesses
+        assert abs(rep.min_gap - min_gap) <= 1e-15 * min_gap
+
+    def test_zeros_past_the_scan_are_one_call_each(self, monkeypatch):
+        # with the scan's reach cut to 50, the zeros above its last grid
+        # point come from bessel_zero, one call each
+        monkeypatch.setattr(special, "_zero_cache", {})
+        monkeypatch.setattr(spx, "_MAX_X_INTERNAL", 50.0)
+        calls = []
+        zero = spx.bessel_zero
+        monkeypatch.setattr(spx, "bessel_zero", lambda nu, k: calls.append(k) or zero(nu, k))
+        rep = spx.channel_interlace_report(BallSpec(3, 1.0), 1, 40)
+        assert calls and min(calls) > 10 and len(calls) < 81
+        strict, min_gap, witnesses = self.per_zero_report(3, 1, 40)
+        assert rep.strict is strict and rep.witnesses == witnesses
+        assert abs(rep.min_gap - min_gap) <= 1e-15 * min_gap
+
 
 # (j / R)^2 with the same zeros j: the scan limit sqrt(lambda_max) R and the
 # cap lambda_max R^2 are the same doubles for R = 1 up to 4 L and R = 2 up to
