@@ -59,8 +59,14 @@ _STURM_BLOCK = 64
 
 
 def max_norm(a) -> float:
+    """max |a_ij| as a float, 0.0 for an empty array.
+
+    The larger modulus of max a and min a, two reductions that copy
+    nothing, in place of max of a copy |a|: the same float for every
+    input, -0.0 (which gives 0.0) and NaN included.
+    """
     a = np.asarray(a, dtype=float)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return max(abs(float(np.max(a))), abs(float(np.min(a)))) if a.size else 0.0
 
 
 class SymMatrix:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ class TestAdjointKernel:
         assert ker.shape == (n, n - d)
         aq = m.A.array @ m.domain_basis
         assert max_norm(aq.T @ ker) <= 1e-11 * m.A.norm_max
+
+    def test_basis_owns_its_columns(self):
+        # a view of the complete n x n Q would keep all of it alive; the
+        # general krein hands the same array on as its kernel basis
+        m = ext.random_model(3, 12, 8)
+        ker = ext.adjoint_kernel(m)
+        assert ker.base is None and ker.shape == (12, 4)
+        assert ext.krein(m).kernel_basis.base is None
 
 
 class TestKrein:
@@ -513,6 +522,22 @@ class TestBucklingAccuracy:
         np.testing.assert_array_equal(rep_long.isometry, rep_short.isometry)
         assert rep_long.residuals == rep_short.residuals
 
+    def test_entries_near_the_largest_double(self):
+        # max|A| = 1.5e308 is at least 2^1023, whose frexp exponent 1024
+        # would make the unit scale 2^1024, which overflows; capped at
+        # 2^1023, the coordinate model's pencil is that of A / 2^1023
+        # scaled back, and each call returns finite data with no warning
+        a = np.diag([1e308, 1.5e308, 1.2e308])
+        huge, small = (ext.new_model(x, np.eye(3)[:, :2]) for x in (a, a / 2.0 ** 1023))
+        values = ext.pencil_values(huge)
+        want = 2.0 ** 1023 * ext.pencil_values(small)
+        assert np.max(np.abs(values - want) / want) <= 1e-14
+        assert np.isfinite(ext.krein(huge).matrix.array).all()
+        rep = ext.buckling_analysis(huge)
+        assert all(np.isfinite(x).all() for x in (
+            rep.pencil_values, rep.pencil_vectors, rep.t_matrix.array,
+            rep.polar_modulus.array, rep.isometry, list(rep.residuals.values())))
+
 
 def direct_sum(m1, m2):
     """Block model: extensions of a direct sum are direct sums of extensions."""
@@ -753,6 +778,52 @@ class TestFactorizationCounts:
         ext.krein(m)
         assert counts == dict(eigh=1, eigvalsh=0, svd=0, cholesky=0)
         assert shapes == [(30, 20), (30, 20)]
+
+
+UNIT = 200 * 200 * 8  # bytes of one 200 x 200 float64 array
+
+
+def traced_units(call):
+    """(peak, kept) of one call() after a warm-up call, in units of one
+    200 x 200 float64 array: the peak of tracemalloc's traced memory above
+    its start, and what the result still holds when it returns."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+        del result  # held until its memory is read
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / UNIT, (kept - start) / UNIT
+
+
+class TestWorkingSet:
+    """Dense working sets at n = 200 and d = 150, the benchmark's random
+    model, in units of one 200 x 200 float64 array.  Each intermediate goes
+    after its last reader.  Measured on seed 3, and in brackets with every
+    intermediate held to the end of its routine and max_norm copying |A|:
+    buckling_analysis 6.12 [14.71], the general krein 4.59 [7.76], 0.25
+    kept by the adjoint kernel [1.00] and max_norm 0.003 [1.00].  The
+    budgets hold any rewrite of these routes to the same working set."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return ext.random_model(3, 200, 150)
+
+    def test_buckling_analysis(self, model):
+        assert traced_units(lambda: ext.buckling_analysis(model))[0] <= 7.0
+
+    def test_general_krein(self, model):
+        assert traced_units(lambda: ext.krein(model))[0] <= 5.0
+
+    def test_adjoint_kernel_keeps_only_its_columns(self, model):
+        # the n x codim basis is 0.25 units; the complete Q is 1
+        assert traced_units(lambda: ext.adjoint_kernel(model))[1] <= 0.3
+
+    def test_max_norm_copies_nothing(self, model):
+        assert traced_units(lambda: max_norm(model.A.array))[0] <= 0.05
 
 
 def rotated(model, seed):

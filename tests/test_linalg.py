@@ -57,6 +57,25 @@ class TestSymMatrix:
             la.cholesky(s)
 
 
+class TestMaxNorm:
+    @pytest.mark.parametrize("entries", [
+        [[-0.0, -0.0]], [0.0, -0.0], [-3.0, 2.0], [2.0, -3.0], [-np.inf, 1.0], [1.0, np.nan],
+        [np.nan, 1.0], [-np.nan], [[1, -7], [3, 4]], [5e-324, -5e-324], [[]],
+    ], ids=repr)
+    def test_is_max_abs_bit_for_bit(self, entries):
+        # no copy of |A|: the larger modulus of max A and min A, the same
+        # float as max |A| for every input, -0.0 and NaN included
+        a = np.asarray(entries, dtype=float)
+        want = float(np.max(np.abs(a))) if a.size else 0.0
+        got = la.max_norm(entries)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_strided_view_matches_its_copy(self):
+        a = rand_sym(np.random.default_rng(5), 40) - 3.0
+        assert la.max_norm(a[::3, 1::2].T) == float(np.max(np.abs(a[::3, 1::2])))
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_array_equal(la.cholesky(np.eye(3)), np.eye(3))
