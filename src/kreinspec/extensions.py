@@ -157,10 +157,20 @@ def _qr_split(columns: np.ndarray, rel_floor: float, error, complete: bool = Fal
     the complete factorization, orthogonal to the span up to rounding at every
     size (None unless complete).  Raises `error` when some |R_jj| falls at or
     below rel_floor times the largest column norm.
+
+    columns is overwritten, as working space: both run on columns / s, for
+    s the `_unit_scale` of its largest entry, whose squares cannot overflow
+    and whose Householder steps cannot either.  Dividing by s is exact and
+    every step is homogeneous, so below that range the factors are those
+    of the columns, up to the scale of R, and the test decides as on the
+    columns.  The quotients are then squared in place for the norms, so
+    the split takes no n x d temporary.
     """
     d = columns.shape[1]
+    columns /= _unit_scale(max_norm(columns))
     q, r = np.linalg.qr(columns, mode="complete" if complete else "reduced")
-    floor = rel_floor * np.max(np.linalg.norm(columns, axis=0), initial=0.0)
+    columns *= columns
+    floor = rel_floor * np.max(np.sqrt(np.add.reduce(columns, axis=0)), initial=0.0)
     independent = int(np.count_nonzero(np.abs(np.diagonal(r)) > floor))
     if independent < d:
         raise error(f"only {independent} of {d} columns are independent")
@@ -208,7 +218,7 @@ def new_model(a, raw_basis) -> ExtensionModel:
     if max_norm(gram - np.eye(d)) <= ORTHONORMAL_REL:
         basis = raw.copy()
     else:
-        basis = _qr_split(raw, n * RANK_REL, RankDeficientBasis)[0]
+        basis = _qr_split(raw.copy(), n * RANK_REL, RankDeficientBasis)[0]
     basis.flags.writeable = False
     return ExtensionModel(A=a, domain_basis=basis)
 
@@ -374,24 +384,20 @@ def parametrized_extension(model: ExtensionModel, w_basis, b) -> ExtensionResult
     return _checked(result, model, CONSTRUCTION_REL)
 
 
-def _unit_scale(model: ExtensionModel) -> float:
-    """The power of two near max|A| by which the pencil routes divide A.
+def _unit_scale(largest: float) -> float:
+    """The power of two near a largest modulus: 2^e for largest = f 2^e with
+    f in [1/2, 1), and 1.0 for 0.  The pencil routes divide A by it at
+    largest = max|A|, and `_qr_split` takes its column norms at it.
 
     Every construction here is exactly homogeneous in A, and dividing by a
     power of two is exact in IEEE arithmetic, so working at unit scale and
     scaling results back commits no extra rounding: a model whose A differs
     by a power of two gets the same unit-scale data bit for bit, and so
     pencil values scaled by exactly that power.  The exponent is capped at
-    1023, since 2^1024 overflows: from max|A| >= 2^1023 on, A / s lies in
-    [1, 2) in place of [1/2, 1), and no other model changes a bit.  A
-    coordinate D then works up to the largest double.  A general D at that
-    scale has A Q with entries near 1e308, whose column norms overflow in
-    adjoint_kernel's rank check: krein and buckling_analysis raise
-    SingularDecomposition after numpy's overflow RuntimeWarning (an error
-    where warnings are errors), while pencil_values returns finite values.
+    1023, since 2^1024 overflows: from largest >= 2^1023 on, the quotients
+    lie in [1, 2) in place of [1/2, 1), and nothing else changes a bit.
     """
-    norm = model.A.norm_max
-    return float(2.0 ** min(math.frexp(norm)[1], 1023)) if norm else 1.0
+    return float(2.0 ** min(math.frexp(largest)[1], 1023)) if largest else 1.0
 
 
 def _coordinate_rows(basis: np.ndarray):
@@ -423,10 +429,10 @@ def _coordinate_factors(model: ExtensionModel):
     if split is None:
         return None
     dom, comp = split
-    scale = _unit_scale(model)
-    a = model.A.array / scale
-    low = cholesky(a[np.ix_(dom, dom)])
-    return scale, dom, comp, low, np.linalg.solve(low, a[np.ix_(dom, comp)])
+    scale, a = _unit_scale(model.A.norm_max), model.A.array
+    # the blocks, then their quotients: the same bits as blocks of A / s
+    low = cholesky(a[np.ix_(dom, dom)] / scale)
+    return scale, dom, comp, low, np.linalg.solve(low, a[np.ix_(dom, comp)] / scale)
 
 
 def _pencil(model: ExtensionModel):
@@ -437,7 +443,7 @@ def _pencil(model: ExtensionModel):
     A Q L^-T (Van Loan, SIAM J. Numer. Anal. 13 (1976)), which keep the
     digits that squaring A loses.
     """
-    scale = _unit_scale(model)
+    scale = _unit_scale(model.A.norm_max)
     q = model.domain_basis
     aq = (model.A.array / scale) @ q
     g_b = SymMatrix(q.T @ aq)

@@ -37,9 +37,16 @@ batch per call.  Bessel zeros reach it by two routes:
   values, so the Halley steps evaluate polynomials and run no further
   recurrence.  The zeros are cached per order in `_zero_cache` with
   the argument below which they are complete, so the hard and soft spectra
-  of one ball (orders of one parity) share one computation.  A single zero
-  in the large-order, small-index regime, where the expansion is
-  unreliable, is read from the same cache.
+  of one ball (orders of one parity) share one computation.  Orders all
+  cached short of a new reach are rescanned at least twice as far as they
+  reached, so ascending reads of one order rescan O(log k) times.
+
+One reach rule reads the tables for a count of zeros: j_{nu,k} <
+(k + nu/2) pi.  `_first_zeros` scans the orders of a channel to that bound
+(capped at _MAX_X_INTERNAL) and takes any zero past the scan from
+`bessel_zero`, and a single zero in the large-order, small-index regime,
+where the expansion is unreliable, is one `_family_zeros` read at that
+bound.
 """
 
 from __future__ import annotations
@@ -438,14 +445,42 @@ _zero_cache: dict = {}
 
 def _family_zeros(twice_orders, x_max: float) -> list:
     """For each order twice_orders[i] / 2 (ascending, of one parity, in 0..500 as
-    its caller checked), its ascending zeros, complete below x_max; cached per order."""
+    its caller checked), its ascending zeros, complete below x_max; cached per order.
+
+    Orders all cached, but short of x_max, are rescanned at least twice as
+    far as the shortest reached (capped at _MAX_X_INTERNAL), so that
+    ascending reads k = 1, 2, ... of one order rescan O(log k) times; a scan
+    with an order new to the cache stops at x_max, so a ball spectrum read
+    after one order's zeros scans no further than it asks.  A zero's bits
+    depend on neither the reach nor the orders scanned with it.
+    """
     missing = [t for t in twice_orders if t not in _zero_cache or _zero_cache[t][1] <= x_max]
     if missing:
-        zeros, complete = _solve_family(missing[0] % 2, np.array(missing) // 2, x_max)
+        reached = min(_zero_cache[t][1] if t in _zero_cache else 0.0 for t in missing)
+        reach = max(x_max, min(2.0 * reached, _MAX_X_INTERNAL))
+        zeros, complete = _solve_family(missing[0] % 2, np.array(missing) // 2, reach)
         for t, z in zip(missing, zeros):
             z.setflags(write=False)  # shared by every caller
             _zero_cache[t] = (z, complete)
     return [_zero_cache[t][0] for t in twice_orders]
+
+
+def _first_zeros(twice_orders, counts) -> list:
+    """The first counts[i] zeros of each order twice_orders[i] / 2 (ascending,
+    of one parity), as arrays; every order is checked as a `BesselOrder`
+    before any zero is computed.
+
+    The one reach rule of the zero tables: j_{nu,k} < (k + nu/2) pi, so one
+    `_family_zeros` scan to that bound for the largest, capped at
+    _MAX_X_INTERNAL, holds them all; a zero past the scan is one
+    `bessel_zero` call, which there is McMahon's expansion, unrefined.
+    """
+    orders = [BesselOrder(t) for t in twice_orders]
+    reach = max((k + 0.5 * order.nu) * math.pi for order, k in zip(orders, counts))
+    families = _family_zeros([order.twice_order for order in orders], min(reach, _MAX_X_INTERNAL))
+    return [np.concatenate((family[:k],
+                            [bessel_zero(order, i) for i in range(family.size + 1, k + 1)]))
+            for order, family, k in zip(orders, families, counts)]
 
 
 def bessel_zero(nu, k: int) -> float:
@@ -456,8 +491,9 @@ def bessel_zero(nu, k: int) -> float:
 
     The asymptotic expansion seeds a Halley iteration inside a sign-change
     bracket whenever its terms certify themselves by rapid decay; otherwise
-    (large order, small index) every zero of the order up to the k-th is
-    found by the batched scan of `_family_zeros` and cached.
+    (large order, small index) the zero is read from the batched scan of
+    `_family_zeros`, cached, at the reach rule of `_first_zeros`:
+    j_{nu,k} < (k + nu/2) pi.
     """
     order, k = _coerce_order(nu), _integer("zero index", k, 1, _MAX_ZERO_INDEX)
     beta, terms = _mcmahon_terms(order, k)
@@ -466,15 +502,7 @@ def bessel_zero(nu, k: int) -> float:
         if guess > _MAX_X_INTERNAL:
             return guess  # off by at most 1.4e-16 relative where measured, k >= 13,000
         return _refine_zero(order, guess)
-    x_max = order.nu + 4.0 * k
-    while True:
-        zeros, complete = _zero_cache.get(order.twice_order, ((), 0.0))
-        if len(zeros) >= k:
-            return float(zeros[k - 1])
-        # widen the reach past the order at least twofold, so that ascending
-        # calls k = 1, 2, ... recompute O(log k) times
-        x_max = max(x_max, order.nu + 2.0 * (complete - order.nu))
-        _family_zeros([order.twice_order], x_max)
+    return float(_family_zeros([order.twice_order], (k + 0.5 * order.nu) * math.pi)[0][k - 1])
 
 
 def _tan_pair(t):

@@ -42,8 +42,7 @@ import numpy as np
 
 from .errors import (BracketFailure, DomainError, _condition, _double, _int64_counts, _integer,
                      _pair, _positive, _reals, _require_complete_below, _shown)
-from .special import (_MAX_TWICE_ORDER, _MAX_X_INTERNAL, _MAX_ZERO_INDEX, BesselOrder,
-                      _family_zeros, bessel_zero, tan_fixed_point)
+from .special import _MAX_TWICE_ORDER, _MAX_ZERO_INDEX, _family_zeros, _first_zeros, tan_fixed_point
 from .tolerances import MERGE_REL
 
 INFINITE = math.inf
@@ -365,22 +364,15 @@ def channel_interlace_report(spec: BallSpec, ell: int, k_max: int) -> ChannelInt
     k_max is at most 99,999, as j_{nu,k_max+1} is the last zero it reads.
     Both orders are checked, as `BesselOrder`s, before any zero is computed.
 
-    The two orders share a parity, so their zeros below _MAX_X_INTERNAL
-    come from one scan of `special._family_zeros` (cached per order, as for
-    ball spectra), reaching past j_{nu,k_max+1} < (k_max + 1 + nu / 2) pi.
-    A zero past the scan is one `bessel_zero` call; past _MAX_X_INTERNAL
-    that is McMahon's expansion, unrefined, in microseconds.
+    The two orders share a parity, so their zeros come from one call of
+    `special._first_zeros`, the reach rule of the zero tables: one scan of
+    `special._family_zeros` (cached per order, as for ball spectra) past
+    j_{nu,k_max+1} < (k_max + 1 + nu / 2) pi, capped at the scan's limit,
+    and one `bessel_zero` call a zero past that, which there is McMahon's
+    expansion, unrefined, in microseconds.
     """
     ell, k_max = _integer("channel index", ell, 0), _integer("k_max", k_max, 1, _MAX_ZERO_INDEX - 1)
-    hard_order, soft_order = BesselOrder(2 * ell + spec.n - 2), BesselOrder(2 * ell + spec.n)
-    reach = min((k_max + 1 + 0.5 * hard_order.nu) * math.pi, _MAX_X_INTERNAL)
-    families = _family_zeros([hard_order.twice_order, soft_order.twice_order], reach)
-
-    def first(order, family, count):  # zeros past the scan, one call each
-        rest = [bessel_zero(order, k) for k in range(family.size + 1, count + 1)]
-        return np.concatenate((family[:count], rest))
-
-    hard, soft = first(hard_order, families[0], k_max + 1), first(soft_order, families[1], k_max)
+    hard, soft = _first_zeros([2 * ell + spec.n - 2, 2 * ell + spec.n], [k_max + 1, k_max])
     bad = ~((hard[:-1] < soft) & (soft < hard[1:]))
     gaps = np.minimum(soft - hard[:-1], hard[1:] - soft)
     return ChannelInterlaceReport(strict=not bad.any(), min_gap=float(gaps.min()),

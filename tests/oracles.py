@@ -3,10 +3,10 @@
 These are deliberately independent of the library code paths they check:
 Bessel values come from the alternating power series with compensated
 summation (trustworthy for x <= 12), roots from plain bisection on those
-series, Sturm pivots one shift and one row at a time in Python floats, the
-Krein matrix by Krein's formula in exact rational arithmetic, and whatever
-else a test freezes as an expected value was produced by one of the
-functions in here.
+series, Sturm pivots one shift and one row at a time in Python floats, exact
+Sturm counts in Python ints, the Krein matrix by Krein's formula in exact
+rational arithmetic, and whatever else a test freezes as an expected value
+was produced by one of the functions in here.
 """
 
 import functools
@@ -154,6 +154,37 @@ def twisted_sturm_oracle(diag, offdiag, lam: float, twist: int) -> tuple:
             gamma -= math.copysign(math.inf, prev) if prev == 0.0 else e2 / prev
     count = sum(math.copysign(1.0, q) < 0.0 for q in forward + backward + [gamma])
     return count, gamma
+
+
+def exact_count(diag, offdiag, lam) -> int:
+    """Eigenvalues strictly below lam of the symmetric tridiagonal T whose
+    entries are the doubles diag and offdiag, counted exactly.
+
+    Every double is a dyadic rational, so one power of two 2^s scales the
+    entries and lam to integers D_i, E_i and L.  The leading minors
+    p_i = det(2^s (T - lam I)) of order i then follow
+    p_i = (D_i - L) p_{i-1} - E_{i-1}^2 p_{i-2} from p_0 = 1 in Python ints,
+    and the count is their sign changes (Sturm).  A zero E_{i-1} splits T,
+    and row i starts a block with p_0 = 1 again.  A zero minor inside a
+    block is skipped: the next one has the sign opposite to the one before
+    it, so the pair adds one change, as the strict interlacing of the
+    leading minors' eigenvalues requires; a zero at a block's end, lam an
+    eigenvalue of that block, adds none.
+    """
+    ratios = [Fraction(float(x)) for x in (*diag, *offdiag, lam)]
+    scale = max(r.denominator for r in ratios)
+    *ints, shift = [int(r * scale) for r in ratios]
+    d, e = ints[:len(diag)], ints[len(diag):]
+    count = 0
+    for i, di in enumerate(d):
+        e2 = e[i - 1] ** 2 if i else 0
+        if not e2:
+            before, minor, negative = 0, 1, False
+        before, minor = minor, (di - shift) * minor - e2 * before
+        if minor and (minor < 0) != negative:
+            count += 1
+            negative = not negative
+    return count
 
 
 def universal_inequalities_oracle(lam, mu, n: int, volume: float, k_max: int) -> list:

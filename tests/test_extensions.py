@@ -538,6 +538,29 @@ class TestBucklingAccuracy:
             rep.pencil_values, rep.pencil_vectors, rep.t_matrix.array,
             rep.polar_modulus.array, rep.isometry, list(rep.residuals.values())))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_rotated_basis_near_the_largest_double(self, seed):
+        # the general route splits A Q, whose entries near 1e308 overflowed
+        # the rank floor's squares (krein and buckling_analysis raised after
+        # numpy's overflow warning); split at the unit scale of its columns,
+        # it gives 2^1000 times the model scaled by 2^-1000, bit for bit.  The
+        # pencil's unit scale is capped at 2^1023, so its values are those of
+        # A / 2^1023 and agree within rounding; residuals read at most 1.4e-15
+        a = np.diag([1e308, 1.5e308, 1.2e308])
+        turn = np.linalg.qr(ext.SplitMix64(seed).uniform_matrix(3, 3) - 0.5)[0][:, :2]
+        huge, small = (ext.new_model(x, turn) for x in (a, a * 2.0 ** -1000))
+        assert ext._coordinate_rows(huge.domain_basis) is None
+        got, want = ext.krein(huge), ext.krein(small)
+        np.testing.assert_array_equal(got.matrix.array, 2.0 ** 1000 * want.matrix.array)
+        np.testing.assert_array_equal(got.kernel_basis, want.kernel_basis)
+        rep, ref = ext.buckling_analysis(huge), ext.buckling_analysis(small)
+        np.testing.assert_array_equal(rep.isometry, ref.isometry)
+        np.testing.assert_array_equal(rep.polar_modulus.array,
+                                      2.0 ** 1000 * ref.polar_modulus.array)
+        scaled = 2.0 ** 1000 * ref.pencil_values
+        assert np.max(np.abs(rep.pencil_values - scaled) / scaled) <= 1e-14
+        assert max(rep.residuals.values()) <= 1e-14
+
 
 def direct_sum(m1, m2):
     """Block model: extensions of a direct sum are direct sums of extensions."""
@@ -806,7 +829,10 @@ class TestWorkingSet:
     intermediate held to the end of its routine and max_norm copying |A|:
     buckling_analysis 6.12 [14.71], the general krein 4.59 [7.76], 0.25
     kept by the adjoint kernel [1.00] and max_norm 0.003 [1.00].  The
-    budgets hold any rewrite of these routes to the same working set."""
+    coordinate pencil of the m = 200 interval read 3.28, and 4.28 while
+    the Cholesky route divided the whole of A by its scale before taking
+    the blocks.  The budgets hold any rewrite of these routes to the same
+    working set."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -824,6 +850,10 @@ class TestWorkingSet:
 
     def test_max_norm_copies_nothing(self, model):
         assert traced_units(lambda: max_norm(model.A.array))[0] <= 0.05
+
+    def test_coordinate_pencil_values(self):
+        interval = zero_interval(1.0, 200)
+        assert traced_units(lambda: ext.pencil_values(interval))[0] <= 3.6
 
 
 def rotated(model, seed):

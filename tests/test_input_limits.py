@@ -528,7 +528,7 @@ def test_interlace_k_max_past_the_zero_index_raises_at_once(monkeypatch):
     def no_zeros(*args):
         raise AssertionError("zeros computed before the k_max check")
 
-    monkeypatch.setattr(sp, "bessel_zero", no_zeros)
+    monkeypatch.setattr(special, "bessel_zero", no_zeros)
     start = time.perf_counter()
     with pytest.raises(DomainError, match=r"k_max must be an integer in 1\.\.99999, got 100000"):
         sp.channel_interlace_report(UNIT_BALL, 0, 100_000)

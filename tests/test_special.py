@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -375,6 +376,72 @@ class TestFamilyPassCounts:
         found = sum(len(z) for z in special._family_zeros(twice_orders, 125.0))
         # the scan; Halley's iterates evaluate Taylor series seeded from it
         assert len(sizes) == 1 and found > 2000
+
+
+def _first_reliable_index(order: BesselOrder) -> int:
+    """The first k whose McMahon terms certify themselves (5 at nu = 0, 311 at 250, 621 at 500)."""
+    return next(k for k in itertools.count(1)
+                if special._mcmahon_is_reliable(special._mcmahon_terms(order, k)[1]))
+
+
+class TestReachRule:
+    """The one reach rule of the zero tables, j_{nu,k} < (k + nu/2) pi, and
+    the family scans that reads at it cost."""
+
+    @pytest.mark.parametrize("twice_order", [0, 1, 5, 40, 111, 200, 401, 500, 777, 1000])
+    def test_zeros_lie_below_the_reach(self, twice_order, monkeypatch):
+        # every k of the scan regime, where bessel_zero reads the family at
+        # the rule; j / ((k + nu/2) pi) read 0.65-0.998 over nu = 0-500 and
+        # k = 1-100.  The slow suite checks these zeros against mpmath
+        monkeypatch.setattr(special, "_zero_cache", {})
+        order = BesselOrder(twice_order)
+        reliable = _first_reliable_index(order)
+        ks = np.arange(1, max(reliable, 100) + 1)
+        zeros = np.array([bessel_zero(order, int(k)) for k in ks])
+        assert np.all(zeros < (ks + 0.5 * order.nu) * np.pi)
+        # and below the first certified index they are the family's zeros
+        family = special._zero_cache.get(twice_order, ((),))[0]
+        assert zeros[:reliable - 1].tobytes() == np.asarray(family[:reliable - 1]).tobytes()
+
+    @staticmethod
+    def passes(monkeypatch):
+        monkeypatch.setattr(special, "_zero_cache", {})
+        reaches = []
+        inner = special._solve_family
+        monkeypatch.setattr(special, "_solve_family",
+                            lambda parity, ells, x_max: reaches.append(x_max)
+                            or inner(parity, ells, x_max))
+        return reaches
+
+    def test_a_cold_large_order_zero_is_one_scan(self, monkeypatch):
+        # one pass, as the rule's bound lies past j_{500,1}
+        reaches = self.passes(monkeypatch)
+        zero = bessel_zero(500, 1)
+        assert reaches == [251 * math.pi] and zero < reaches[0]
+
+    def test_ascending_reads_widen_the_scan(self, monkeypatch):
+        # each rescan reaches at least twice as far as the cached one: three
+        # passes (to 789, 1581 and 3168) for k = 1..299, under a bound of 8
+        reaches = self.passes(monkeypatch)
+        for k in range(1, 300):
+            bessel_zero(500, k)
+        assert len(reaches) <= 8
+        assert all(wide >= 2.0 * short for short, wide in zip(reaches, reaches[1:]))
+
+    def test_the_widening_stops_at_the_cap(self, monkeypatch):
+        reaches = self.passes(monkeypatch)
+        monkeypatch.setattr(special, "_MAX_X_INTERNAL", 100.0)
+        special._family_zeros([0], 60.0)
+        special._family_zeros([0], 70.0)
+        assert reaches == [60.0, 100.0]
+
+    def test_a_scan_with_a_new_order_stops_at_its_bound(self, monkeypatch):
+        # as a ball spectrum read after one order's zeros: widened by that
+        # order, all 150 orders would be scanned to 204 (6.0 against 3.4 ms)
+        reaches = self.passes(monkeypatch)
+        special._family_zeros([0], 100.0)
+        special._family_zeros(list(range(0, 300, 2)), 150.0)
+        assert reaches == [100.0, 150.0]
 
 
 def _cubic(x):

@@ -211,9 +211,9 @@ class TestBallSpectrum:
             shift = (n - 2) / 2.0 if which == "dirichlet" else n / 2.0
             brute = []
             ell = 0
-            while spx.bessel_zero(ell + shift, 1) ** 2 <= cap:
+            while special.bessel_zero(ell + shift, 1) ** 2 <= cap:
                 k = 1
-                while (z := spx.bessel_zero(ell + shift, k)) ** 2 <= cap:
+                while (z := special.bessel_zero(ell + shift, k)) ** 2 <= cap:
                     brute.append((z * z, spx.ball_multiplicity(n, ell)))
                     k += 1
                 ell += 1
@@ -462,10 +462,10 @@ class TestChannelInterlace:
         # with the scan's reach cut to 50, the zeros above its last grid
         # point come from bessel_zero, one call each
         monkeypatch.setattr(special, "_zero_cache", {})
-        monkeypatch.setattr(spx, "_MAX_X_INTERNAL", 50.0)
+        monkeypatch.setattr(special, "_MAX_X_INTERNAL", 50.0)
         calls = []
-        zero = spx.bessel_zero
-        monkeypatch.setattr(spx, "bessel_zero", lambda nu, k: calls.append(k) or zero(nu, k))
+        zero = special.bessel_zero
+        monkeypatch.setattr(special, "bessel_zero", lambda nu, k: calls.append(k) or zero(nu, k))
         rep = spx.channel_interlace_report(BallSpec(3, 1.0), 1, 40)
         assert calls and min(calls) > 10 and len(calls) < 81
         strict, min_gap, witnesses = self.per_zero_report(3, 1, 40)
